@@ -12,8 +12,10 @@ Fields are ordinary callables ``f(x, y)`` taking sequences of scalars and
 written against :mod:`finslercheck.scalars`, so the same code runs on plain
 floats and on Taylor scalars.  Coordinates of a :class:`TangentSample` may
 themselves be Taylor scalars; jets then nest transparently (the engine
-flattens the algebras), which is how the geometry pipeline differentiates
-through spray coefficients.
+flattens the algebras), which serves user fields and the spherically
+symmetric (r, s) profiles.  The geometry pipeline does not nest: it
+differentiates the spray by derivative shifts of one flat energy jet,
+whose Taylor series an AD :class:`Jet` keeps as ``series``.
 """
 
 import math
@@ -82,22 +84,32 @@ class TangentSample:
 # jet tables
 
 
+def var_exponents(n, vs):
+    """Exponent tuple of the partial d/dv for each index v in ``vs``."""
+    e = [0] * n
+    for v in vs:
+        e[v] += 1
+    return tuple(e)
+
+
 class Jet:
     """Dense table of mixed partials of one scalar, per variable-group.
 
     ``partial(m1, m2, ...)`` takes one exponent tuple per group;
     ``pvars(v1, v2, ...)`` takes tuples of variable indices instead
     (e.g. ``pvars((0,), (1, 1))`` for d/dx0 d2/dy1dy1).  Entries are floats,
-    or Taylor scalars when the jet was taken at a symbolic sample.
+    or Taylor scalars when the jet was taken at a symbolic sample.  A flat
+    AD jet also keeps the Taylor scalar it was read from as ``series``.
     """
 
-    def __init__(self, nvars, caps, table):
+    def __init__(self, nvars, caps, table, series=None):
         self.nvars = tuple(nvars)
         self.caps = tuple(caps)
         self.monos = tuple(_monomials(n, c) for n, c in zip(nvars, caps))
         self.index = tuple({m: i for i, m in enumerate(ms)}
                            for ms in self.monos)
         self.table = table  # ndarray indexed by per-group monomial position
+        self.series = series
 
     @property
     def value(self):
@@ -111,13 +123,8 @@ class Jet:
         return self.table[pos]
 
     def pvars(self, *varlists):
-        exps = []
-        for n, vs in zip(self.nvars, varlists):
-            e = [0] * n
-            for v in vs:
-                e[v] += 1
-            exps.append(tuple(e))
-        return self.partial(*exps)
+        return self.partial(*(var_exponents(n, vs)
+                              for n, vs in zip(self.nvars, varlists)))
 
     def check_finite(self, context=""):
         if self.table.dtype == object:
@@ -160,25 +167,29 @@ def _seed_groups(groups, caps):
     return outer, ext, seeded
 
 
+def series_jet(t):
+    """Partials table of a flat Taylor scalar, one group per block."""
+    alg = t.alg
+    w = alg.block_weights[0]
+    for wk in alg.block_weights[1:]:
+        w = np.multiply.outer(w, wk)
+    nvars, caps = zip(*alg.blocks)
+    return Jet(nvars, caps, t.c.reshape(alg.sizes) * w, series=t)
+
+
 def _extract(outer, ext, result, nvars, caps):
     """Turn the evaluated Taylor scalar into a partials table."""
     if not isinstance(result, TNum):
         result = ext.constant(scalars.value(result))
     if result.alg is not ext:
         result = ext.lift(result)
-    monos = [_monomials(n, c) for n, c in zip(nvars, caps)]
-    sizes = [len(ms) for ms in monos]
-    weights = [np.array([math.prod(math.factorial(e) for e in m)
-                         for m in ms]) for ms in monos]
-    outer_size = 1 if outer is None else outer.size
-    arr = result.c.reshape((outer_size,) + tuple(sizes))
     if outer is None:
-        table = arr[0].copy()
-        w = weights[0]
-        for wk in weights[1:]:
-            w = np.multiply.outer(w, wk)
-        return Jet(nvars, caps, table * w)
-    table = np.empty(tuple(sizes), dtype=object)
+        return series_jet(result)
+    inner = len(outer.blocks)
+    sizes = ext.sizes[inner:]
+    weights = ext.block_weights[inner:]
+    arr = result.c.reshape((outer.size,) + sizes)
+    table = np.empty(sizes, dtype=object)
     for pos in product(*(range(s) for s in sizes)):
         w = math.prod(float(weights[k][p]) for k, p in enumerate(pos))
         table[pos] = TNum(outer, arr[(slice(None),) + pos].copy() * w)

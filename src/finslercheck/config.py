@@ -6,6 +6,8 @@ lines; ``#`` starts an inline comment.  Unknown sections or keys are errors
 Command-line flags override file values.
 """
 
+import math
+import os
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -58,7 +60,24 @@ class RunConfig:
             raise ConfigError("rows must be both, berwald or curvature")
         if self.radius is not None and self.radius <= 0:
             raise ConfigError("radius must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.tol is not None and not (math.isfinite(self.tol)
+                                         and self.tol > 0):
+            raise ConfigError("tol must be finite and positive")
         return self
+
+    def check_output_dirs(self):
+        """Raise ConfigError unless the directories of the output paths
+        exist.  Kept out of :meth:`validate`: a config may be built before
+        its output directory is made (perfbench does so), while a run must
+        fail before computing rather than at its final write."""
+        for key in ("out", "sweep"):
+            path = getattr(self, key)
+            if path is not None and not os.path.isdir(
+                    os.path.dirname(os.path.abspath(path))):
+                raise ConfigError(f"{key}: directory of {path!r} does not "
+                                  "exist")
 
     def echo(self):
         """Config as a plain dict for report embedding."""

@@ -5,11 +5,17 @@ coefficients
 
     G^i = 1/2 g^{ih} (y^j d_j dy_h E - d_h E),
 
-differentiated in place by evaluating the spray at Taylor-seeded
-coordinates: nonlinear connection N^i_j, Berwald connection G^h_ij and
+and their jets: nonlinear connection N^i_j, Berwald connection G^h_ij and
 curvature G^h_ijk, mean Berwald curvature, Landsberg tensor, Jacobi
 endomorphism and the curvature 2-form R^h_jk of the canonical nonlinear
 connection.
+
+A spray jet of order (kx, ky) needs energy partials of order (kx + 1,
+ky + 2).  Under AD they are all read off one flat energy jet of that order
+by derivative shifts (:meth:`TNum.partial`) into the (kx, ky) algebra,
+where the spray is assembled and solved; no jet is taken of Taylor-valued
+inputs.  Spray-only models and the FD scheme differentiate the spray
+evaluation itself.
 
 Conventions.  R^h_jk is computed from horizontal derivatives of N and then
 sign-normalised so that R^h_jk y^k equals the Jacobi endomorphism
@@ -26,8 +32,10 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from . import scalars
-from .calculus import JetOrder, TangentSample, eval_jet, homogeneity_check, jet_of_many
+from .calculus import (JetOrder, TangentSample, eval_jet, homogeneity_check,
+                       jet_of, jet_of_many, series_jet, var_exponents)
 from .errors import ConventionMismatch, DegenerateMetric, FinslerCheckError
+from .taylor import algebra
 
 __all__ = [
     "LoweringConvention", "IndexRole", "TensorValue", "Domain", "MetricModel",
@@ -174,6 +182,22 @@ def _check_nondegenerate(gv, n, context=""):
 # spray evaluation (generic over scalar type, so jets nest through it)
 
 
+def _assemble_spray(n, y, d):
+    """G^i = 1/2 g^{ih} (y^j d_j dy_h E - d_h E) from the energy partials
+    ``d(xvars, yvars)``, floats or Taylor scalars of one algebra."""
+    g = [[d((), (i, j)) for j in range(n)] for i in range(n)]
+    gv = [[scalars.value(g[i][j]) for j in range(n)] for i in range(n)]
+    _check_nondegenerate(np.asarray(gv), n)
+    rhs = []
+    for h in range(n):
+        acc = -d((h,), ())
+        for j in range(n):
+            acc = acc + y[j] * d((j,), (h,))
+        rhs.append(acc)
+    w = solve_linear(g, rhs)
+    return tuple(0.5 * wi for wi in w)
+
+
 def _spray_scalars(m, x, y):
     # Spray values always come from Taylor-mode energy jets, also under the
     # pipeline's fd scheme: there the *outer* differentiation of the spray
@@ -185,19 +209,24 @@ def _spray_scalars(m, x, y):
         if m.spray_override is None:
             raise FinslerCheckError("model carries neither F nor a spray")
         return tuple(m.spray_override(x, y))
-    n = m.n
     jet = eval_jet(m.energy, TangentSample(x, y), JetOrder(1, 2))
-    g = [[jet.pvars((), (i, j)) for j in range(n)] for i in range(n)]
-    gv = [[scalars.value(g[i][j]) for j in range(n)] for i in range(n)]
-    _check_nondegenerate(np.asarray(gv), n)
-    rhs = []
-    for h in range(n):
-        acc = -jet.pvars((h,), ())
-        for j in range(n):
-            acc = acc + y[j] * jet.pvars((j,), (h,))
-        rhs.append(acc)
-    w = solve_linear(g, rhs)
-    return tuple(0.5 * wi for wi in w)
+    return _assemble_spray(m.n, y, jet.pvars)
+
+
+def _shifted_spray_jets(m, at, kx, ky):
+    """Spray jets of order (kx, ky) from one flat energy jet of order
+    (kx + 1, ky + 2): each energy partial is a derivative shift of its
+    series into the (kx, ky) algebra, where the spray is assembled."""
+    n = at.n
+    series = jet_of(m.energy, (at.x, at.y), (kx + 1, ky + 2)).series
+    target = algebra(((n, kx), (n, ky)))
+
+    def d(xvars, yvars):
+        return series.partial((var_exponents(n, xvars),
+                               var_exponents(n, yvars)), target)
+
+    y = [target.variable(1, j, v) for j, v in enumerate(at.y)]
+    return [series_jet(G).check_finite() for G in _assemble_spray(n, y, d)]
 
 
 _SPRAY_JET_CACHE = WeakKeyDictionary()
@@ -212,13 +241,18 @@ _FD_TIERS = {
 
 
 def spray_jets(m, at, kx, ky, scheme="ad"):
-    """Per-component jets of the spray coefficients at a float sample."""
+    """Per-component jets of the spray coefficients at a float sample:
+    by derivative shifts under AD when the model has F, otherwise by
+    differentiating the spray evaluation."""
     cache = _SPRAY_JET_CACHE.setdefault(m, {})
     key = (at.key(), kx, ky, scheme)
     jets = cache.get(key)
     if jets is None:
-        jets = jet_of_many(lambda xs, ys: _spray_scalars(m, xs, ys),
-                           (at.x, at.y), (kx, ky), scheme=scheme)
+        if scheme == "ad" and m.F is not None:
+            jets = _shifted_spray_jets(m, at, kx, ky)
+        else:
+            jets = jet_of_many(lambda xs, ys: _spray_scalars(m, xs, ys),
+                               (at.x, at.y), (kx, ky), scheme=scheme)
         cache[key] = jets
     return jets
 

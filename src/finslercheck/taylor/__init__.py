@@ -6,10 +6,17 @@ whose generators are grouped into *blocks*; each block has its own total
 degree cap, so a jet of order (kx, ky) in the 2n tangent-bundle coordinates
 uses two blocks ``(n, kx)`` and ``(n, ky)``.
 
-Nested differentiation (jets of functions that internally take jets, e.g.
-fiber derivatives of spray coefficients that are themselves built from
-energy derivatives) is handled by *flattening*: the inner evaluation runs in
-an extended algebra whose leading blocks are the outer one's.  Flattening is
+A partial derivative of a polynomial is a shift of its coefficients:
+:meth:`TNum.partial` maps a series to the series of one of its partials,
+truncated to a smaller algebra, with index and weight maps cached on the
+source algebra.  The geometry pipeline differentiates the spray this way,
+from one flat energy jet of raised order (Taylor propagation in the sense
+of Griewank & Walther, *Evaluating Derivatives*, ch. 13).
+
+Nested differentiation (jets of functions that internally take jets of
+Taylor-valued inputs, as user fields and the spherically symmetric (r, s)
+profiles do) is handled by *flattening*: the inner evaluation runs in an
+extended algebra whose leading blocks are the outer one's.  Flattening is
 algebraically identical to nesting dual numbers but keeps all coefficients
 in one flat float64 array, which makes the inner loop a single sparse
 convolution.  That convolution is the hot kernel of the whole package; it is
@@ -95,6 +102,7 @@ class Algebra:
                      dtype=float)
             for ms in self.monos)
         self._tables = None
+        self._partial_maps = {}
 
     def tables(self):
         if self._tables is None:
@@ -110,6 +118,39 @@ class Algebra:
                 oo = (oo[:, None] * s + po[None, :]).ravel()
             self._tables = (ii, jj, oo)
         return self._tables
+
+    def partial_map(self, multi, target):
+        """(source index, weight) per coefficient of ``target`` for the
+        partial derivative with per-block exponent tuples ``multi``.
+
+        The coefficient of monomial m in d^multi p is (m + multi)!/m! times
+        the coefficient of m + multi in p.  ``target`` must have the same
+        block shapes, with each cap at most this cap minus the block's
+        derivative order.  Cached per (multi, target) like :meth:`tables`.
+        """
+        multi = tuple(tuple(int(e) for e in m) for m in multi)
+        key = (multi, target.blocks)
+        maps = self._partial_maps.get(key)
+        if maps is None:
+            fits = len(multi) == len(self.blocks) == len(target.blocks) \
+                and all(len(d) == n == tn and tc + sum(d) <= c
+                        for d, (n, c), (tn, tc)
+                        in zip(multi, self.blocks, target.blocks))
+            if not fits:
+                raise ValueError(f"partial {multi} from {self.blocks} does "
+                                 f"not fit in {target.blocks}")
+            idx = np.zeros(1, dtype=np.intp)
+            w = np.ones(1)
+            for bi, d in enumerate(multi):
+                src, wb = [], []
+                for m in target.monos[bi]:
+                    s = tuple(a + b for a, b in zip(m, d))
+                    src.append(self.mono_index[bi][s])
+                    wb.append(math.prod(math.perm(a, b) for a, b in zip(s, d)))
+                idx = (idx[:, None] * self.sizes[bi] + np.asarray(src)).ravel()
+                w = np.multiply.outer(w, np.asarray(wb, dtype=float)).ravel()
+            maps = self._partial_maps[key] = (idx, w)
+        return maps
 
     # -- constructors ------------------------------------------------------
 
@@ -322,6 +363,14 @@ class TNum:
     def absolute(self):
         # non-differentiable at 0; callers sample away from the crease
         return self if self.value() >= 0.0 else -self
+
+    # -- derivative shift ----------------------------------------------------
+
+    def partial(self, multi, target):
+        """The partial derivative d^multi of this series (per-block exponent
+        tuples), as a series of the smaller algebra ``target``."""
+        idx, w = self.alg.partial_map(multi, target)
+        return TNum(target, self.c[idx] * w)
 
     # -- coefficient access --------------------------------------------------
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from finslercheck import catalogue, geometry, scalars
-from finslercheck.calculus import TangentSample
+from finslercheck import catalogue, geometry, scalars, taylor
+from finslercheck.calculus import TangentSample, jet_of_many
 from finslercheck.errors import DegenerateMetric
 from finslercheck.geometry import Domain, MetricModel
 from finslercheck.sampling import tangent_samples
@@ -206,3 +206,36 @@ def test_fd_scheme_pipeline_agrees_coarsely(klein3):
     phi_ad = geometry.jacobi_endomorphism(klein3.model, at, scheme="ad").components
     phi_fd = geometry.jacobi_endomorphism(klein3.model, at, scheme="fd").components
     assert np.max(np.abs(phi_ad - phi_fd)) <= 1e-4 * (1.0 + np.max(np.abs(phi_ad)))
+
+
+@pytest.mark.parametrize("name,n,a", [
+    ("general_berwald", 2, (0.1, 0.05)),
+    ("general_berwald", 3, (0.1, 0.05, 0.0)),
+    ("klein", 3, None),
+    ("funk_parallel", 3, (0.5, 0.1, 0.0)),
+    ("berwald_classic", 3, None),
+])
+@pytest.mark.parametrize("kx,ky", [(1, 2), (1, 3)])
+def test_spray_jets_match_nested_reference(name, n, a, kx, ky):
+    # derivative shifts of one flat energy jet against differentiating the
+    # spray evaluation itself, whose energy jet nests inside the outer one
+    m = catalogue.entry(name, n=n, a=a).model
+    for at in tangent_samples(n, 2, seed=31):
+        got = geometry.spray_jets(m, at, kx, ky)
+        ref = jet_of_many(lambda xs, ys: geometry._spray_scalars(m, xs, ys),
+                          (at.x, at.y), (kx, ky))
+        assert len(got) == len(ref) == n
+        for g, r in zip(got, ref):
+            assert g.table.shape == r.table.shape
+            scale = max(1.0, float(np.max(np.abs(r.table))))
+            assert np.max(np.abs(g.table - r.table)) <= 1e-11 * scale
+
+
+def test_spray_jets_build_only_flat_algebras(monkeypatch):
+    # the spray of an F model is differentiated without nested algebras
+    monkeypatch.setattr(taylor, "_ALGEBRAS", {})
+    m = catalogue.entry("general_berwald", n=3, a=(0.1, 0.05, 0.0)).model
+    at = TangentSample((0.1, -0.2, 0.3), (0.6, 0.0, 0.8))
+    geometry.spray_jets(m, at, 1, 3)
+    built = list(taylor._ALGEBRAS)
+    assert built and max(len(blocks) for blocks in built) <= 2

@@ -85,6 +85,15 @@ def test_cli_fail_exit_one(capsys):
     ["check-parallel", "--metric", "klein", "--samples", "12"],  # no family
     ["sphsym", "--phi", "sqrt("],
     ["scan", "--metric", "klein", "--samples", "3"],
+    ["scalar-curvature", "--metric", "klein", "--seed", "-1"],
+    ["scalar-curvature", "--metric", "klein", "--tol", "nan"],
+    ["scalar-curvature", "--metric", "klein", "--tol", "inf"],
+    ["scalar-curvature", "--metric", "klein", "--tol", "-1"],
+    ["scalar-curvature", "--metric", "klein", "--tol", "0"],
+    ["scalar-curvature", "--metric", "klein",
+     "--out", "/nonexistent-dir/sub/r.json"],
+    ["sphsym", "--phi", "berwald_classic",
+     "--sweep", "/nonexistent-dir/sub/sweep.csv"],
 ])
 def test_cli_config_errors_exit_two(argv, capsys):
     assert cli.main(argv) == 2
@@ -196,3 +205,17 @@ def test_threads_match_sequential(tmp_path):
     a = json.loads(out1.read_text())
     b = json.loads(out2.read_text())
     assert a["data"] == b["data"]
+
+
+@pytest.mark.parametrize("command", ["tensors", "invariants"])
+def test_euler_chain_keeps_ad_tolerance_under_fd(command, tmp_path):
+    # the Euler chain is computed with AD under every scheme, so its
+    # tolerance must not widen to the FD one
+    out = tmp_path / "r.json"
+    rc = cli.main([command, "--metric", "general_berwald", "--dim", "2",
+                   "--a", "0.1,0.05", "--samples", "10", "--scheme", "fd",
+                   "--out", str(out)])
+    assert rc == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["euler_chain"]["tolerance"] == 1e-8
+    assert checks["euler_chain"]["pass"]

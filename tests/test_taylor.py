@@ -8,6 +8,7 @@ import pytest
 
 from finslercheck.errors import NonFiniteValue
 from finslercheck.taylor import algebra, backend_name
+from finslercheck.calculus import series_jet
 from finslercheck.taylor._backend import _mul_pure
 
 
@@ -161,3 +162,76 @@ def test_domain_errors():
 
 def test_backend_name_valid():
     assert backend_name() in ("pure", "compiled")
+
+
+def _series(f, base, blocks):
+    alg = algebra(blocks)
+    it = iter(base)
+    groups = [[alg.variable(bi, v, next(it)) for v in range(n)]
+              for bi, (n, _) in enumerate(blocks)]
+    return f(*groups)
+
+
+def test_partial_shift_matches_analytic_partials():
+    # f = exp(x0) * y0^3 * y1 + x1^2 * y1^4
+    def f(x, y):
+        return x[0].exp() * y[0] ** 3 * y[1] + x[1] * x[1] * y[1] ** 4
+
+    base = (0.3, -0.7, 1.2, 0.4)
+    x0, x1, y0, y1 = base
+    src = _series(f, base, ((2, 2), (2, 5)))
+    target = algebra(((2, 1), (2, 2)))
+    # d/dx0 d/dy0: exp(x0) * 3 y0^2 y1
+    t = src.partial(((1, 0), (1, 0)), target)
+    assert t.alg is target
+    jet = series_jet(t)
+    e = math.exp(x0)
+    want = {
+        ((0, 0), (0, 0)): 3 * e * y0 ** 2 * y1,
+        ((1, 0), (0, 0)): 3 * e * y0 ** 2 * y1,
+        ((0, 0), (1, 0)): 6 * e * y0 * y1,
+        ((0, 0), (0, 1)): 3 * e * y0 ** 2,
+        ((1, 0), (1, 1)): 6 * e * y0,
+        ((0, 0), (2, 0)): 6 * e * y1,
+        ((0, 1), (0, 2)): 0.0,
+    }
+    for exps, value in want.items():
+        assert jet.partial(*exps) == pytest.approx(value, rel=1e-13, abs=1e-13)
+    # d2/dx1^2 d/dy1: 2 * 4 y1^3; its y1-derivatives 24 y1^2 and 48 y1
+    jet = series_jet(src.partial(((0, 2), (0, 1)), algebra(((2, 0), (2, 2)))))
+    assert jet.partial((0, 0), (0, 0)) == pytest.approx(8 * y1 ** 3, rel=1e-13)
+    assert jet.partial((0, 0), (0, 1)) == pytest.approx(24 * y1 ** 2, rel=1e-13)
+    assert jet.partial((0, 0), (0, 2)) == pytest.approx(48 * y1, rel=1e-13)
+
+
+def test_partial_shift_matches_direct_jet_and_truncates():
+    # every partial of the shifted series equals the source partial of the
+    # summed order, for all orders the target caps keep
+    rng = np.random.default_rng(23)
+    src = random_tnum(algebra(((2, 2), (3, 4))), rng)
+    full = series_jet(src)
+    target = algebra(((2, 1), (3, 2)))
+    d = ((1, 0), (0, 1, 1))
+    shifted = series_jet(src.partial(d, target))
+    assert shifted.caps == (1, 2)
+    for mx in shifted.monos[0]:
+        for my in shifted.monos[1]:
+            want = full.partial(tuple(a + b for a, b in zip(mx, d[0])),
+                                tuple(a + b for a, b in zip(my, d[1])))
+            assert shifted.partial(mx, my) == pytest.approx(want, rel=1e-13)
+    # the index and weight maps are built once per (partial, target)
+    assert src.alg.partial_map(d, target)[0] is \
+        src.alg.partial_map(d, target)[0]
+
+
+@pytest.mark.parametrize("d,target", [
+    (((1, 0), (0, 1, 1)), ((2, 2), (3, 2))),   # x cap 2 + 1 > 2
+    (((0, 0), (0, 2, 1)), ((2, 1), (3, 2))),   # y cap 2 + 3 > 4
+    (((0, 0), (0, 1)), ((2, 1), (3, 2))),      # wrong exponent length
+    (((0, 0), (0, 0, 0)), ((2, 1), (2, 2))),   # wrong block shape
+    (((0, 0), (0, 0, 0)), ((2, 1),)),          # wrong block count
+])
+def test_partial_shift_rejects_caps_it_cannot_fill(d, target):
+    src = algebra(((2, 2), (3, 4))).constant(1.0)
+    with pytest.raises(ValueError):
+        src.partial(d, algebra(target))
