@@ -5,8 +5,10 @@ The default scheme evaluates the field on truncated Taylor scalars
 (forward mode, exact to rounding).  A central finite-difference scheme with
 Richardson extrapolation is available as an independent cross-check; its
 step is order-adaptive, ``eps**(1/(k+4))`` scaled by coordinate size for a
-partial of total order k, because a fixed first-derivative step loses all
-accuracy beyond second order.
+jet of total order k, because a fixed first-derivative step loses all
+accuracy beyond second order.  It differentiates a vector-valued field as
+a whole: within one jet each distinct stencil point is evaluated once, for
+all components and all partials.
 
 Fields are ordinary callables ``f(x, y)`` taking sequences of scalars and
 written against :mod:`finslercheck.scalars`, so the same code runs on plain
@@ -19,6 +21,7 @@ whose Taylor series an AD :class:`Jet` keeps as ``series``.
 """
 
 import math
+import struct
 from dataclasses import dataclass
 from itertools import product
 
@@ -209,7 +212,7 @@ def jet_of(fn, groups, caps, scheme="ad"):
         result = fn(*seeded)
         return _extract(outer, ext, result, nvars, caps).check_finite()
     if scheme == "fd":
-        return _fd_jet(fn, groups, caps).check_finite()
+        return _fd_jets(lambda *gs: (fn(*gs),), groups, caps)[0]
     raise ValueError(f"unknown differentiation scheme {scheme!r}")
 
 
@@ -217,7 +220,8 @@ def jet_of_many(fn, groups, caps, scheme="ad"):
     """Jets of a vector-valued ``fn`` (returns a sequence of scalars).
 
     The AD path seeds the inputs once and evaluates the whole vector in a
-    single pass; FD differentiates each component separately.
+    single pass; FD evaluates the whole vector once per distinct stencil
+    point.
     """
     groups = tuple(tuple(g) for g in groups)
     nvars = tuple(len(g) for g in groups)
@@ -227,9 +231,7 @@ def jet_of_many(fn, groups, caps, scheme="ad"):
         return [_extract(outer, ext, r, nvars, caps).check_finite()
                 for r in results]
     if scheme == "fd":
-        m = len(fn(*groups))
-        return [_fd_jet(lambda *gs, i=i: fn(*gs)[i], groups, caps)
-                .check_finite() for i in range(m)]
+        return _fd_jets(fn, groups, caps)
     raise ValueError(f"unknown differentiation scheme {scheme!r}")
 
 
@@ -252,55 +254,85 @@ def fd_step(total_order):
     return EPS ** (1.0 / (total_order + 4))
 
 
-def fd_partial(fn, groups, varlists, order_hint=None):
-    """One mixed partial by nested Richardson-extrapolated central
-    differences.  ``varlists`` gives, per group, the variable indices to
-    differentiate against, applied left to right (order is immaterial for
-    smooth fields up to FD noise, which is what the symmetry cross-checks
-    probe)."""
-    flat = [float(v) for g in groups for v in g]
+def _flat_vars(nvars, varlists):
+    """Flat coordinate indices of per-group variable lists, in order."""
+    out, off = [], 0
+    for n, vs in zip(nvars, varlists):
+        out.extend(off + v for v in vs)
+        off += n
+    return out
+
+
+def _fd_field(fn, groups):
+    """Flat float base point of ``groups`` and a memoised evaluation of the
+    vector field ``fn`` at flat points, returning its component array.
+    Points are keyed by their exact bits, so a stencil point shared by
+    several partials is evaluated once; the memo lives as long as the
+    returned function."""
     sizes = [len(g) for g in groups]
-    offs = np.cumsum([0] + sizes[:-1])
-    fvars = [offs[gi] + v for gi, vs in enumerate(varlists) for v in vs]
+    memo = {}
+
+    def evaluate(z):
+        key = struct.pack(f"{len(z)}d", *z)
+        vals = memo.get(key)
+        if vals is None:
+            args, p = [], 0
+            for s in sizes:
+                args.append(tuple(z[p:p + s]))
+                p += s
+            vals = memo[key] = np.array(
+                [scalars.value(c) for c in fn(*args)], dtype=float)
+        return vals
+
+    return [float(v) for g in groups for v in g], evaluate
+
+
+def _richardson(evaluate, z, fvars, h0):
+    """Nested Richardson-extrapolated central differences of the component
+    array along the flat variables ``fvars``, the last one outermost."""
+    if not fvars:
+        return evaluate(z)
+    v, rest = fvars[-1], fvars[:-1]
+    h = h0 * (1.0 + abs(z[v]))
+
+    def at(dz):
+        zz = list(z)
+        zz[v] += dz
+        return _richardson(evaluate, zz, rest, h0)
+
+    d_h = (at(h) - at(-h)) / (2.0 * h)
+    d_h2 = (at(h / 2.0) - at(-h / 2.0)) / h
+    return (4.0 * d_h2 - d_h) / 3.0
+
+
+def fd_partial(fn, groups, varlists, order_hint=None):
+    """One mixed partial of the scalar field ``fn`` by nested
+    Richardson-extrapolated central differences.  ``varlists`` gives, per
+    group, the variable indices to differentiate against, applied left to
+    right (order is immaterial for smooth fields up to FD noise, which is
+    what the symmetry cross-checks probe)."""
+    flat, evaluate = _fd_field(lambda *gs: (fn(*gs),), groups)
+    fvars = _flat_vars([len(g) for g in groups], varlists)
     k = order_hint if order_hint is not None else len(fvars)
-    h0 = fd_step(max(k, 1))
-
-    def split(z):
-        out, p = [], 0
-        for s in sizes:
-            out.append(tuple(z[p:p + s]))
-            p += s
-        return out
-
-    def rec(z, vs):
-        if not vs:
-            return scalars.value(fn(*split(z)))
-        v, rest = vs[-1], vs[:-1]
-        h = h0 * (1.0 + abs(z[v]))
-
-        def at(dz):
-            zz = list(z)
-            zz[v] += dz
-            return rec(zz, rest)
-
-        d_h = (at(h) - at(-h)) / (2.0 * h)
-        d_h2 = (at(h / 2.0) - at(-h / 2.0)) / h
-        return (4.0 * d_h2 - d_h) / 3.0
-
-    return rec(flat, fvars)
+    return float(_richardson(evaluate, flat, fvars, fd_step(max(k, 1)))[0])
 
 
-def _fd_jet(fn, groups, caps):
+def _fd_jets(fn, groups, caps):
+    """Per-component jets of the vector field ``fn`` by finite differences.
+    Every partial uses the step of the jet's total order, and each distinct
+    stencil point is evaluated once for all components and partials."""
     nvars = tuple(len(g) for g in groups)
     monos = [_monomials(n, c) for n, c in zip(nvars, caps)]
-    table = np.zeros(tuple(len(ms) for ms in monos))
-    total = sum(caps)
-    for pos in product(*(range(len(ms)) for ms in monos)):
-        exps = [monos[k][p] for k, p in enumerate(pos)]
+    flat, evaluate = _fd_field(fn, groups)
+    h0 = fd_step(max(sum(caps), 1))
+    values = []
+    for exps in product(*monos):
         varlists = [tuple(v for v, e in enumerate(m) for _ in range(e))
                     for m in exps]
-        table[pos] = fd_partial(fn, groups, varlists, order_hint=total)
-    return Jet(nvars, caps, table)
+        values.append(_richardson(evaluate, flat,
+                                  _flat_vars(nvars, varlists), h0))
+    table = np.array(values).T.reshape((-1,) + tuple(map(len, monos)))
+    return [Jet(nvars, caps, t).check_finite() for t in table]
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +341,19 @@ def _fd_jet(fn, groups, caps):
 HOMOGENEITY_SCALES = (0.5, 2.0, 3.7)
 
 
-def homogeneity_check(f, at, degree):
-    """Normalised residual of positive ``degree``-homogeneity of f in y."""
-    f0 = scalars.value(f(at.x, at.y))
-    worst = 0.0
+def homogeneity_check(f, at, degree, value=None):
+    """Normalised residual of positive ``degree``-homogeneity of f in y:
+    a float for a scalar f, one per component for a sequence-valued f,
+    which is evaluated once per scale.  ``value`` is f at ``at`` when the
+    caller already has it."""
+    f0 = f(at.x, at.y) if value is None else value
+    vector = isinstance(f0, (tuple, list, np.ndarray))
+    f0 = [scalars.value(c) for c in (f0 if vector else (f0,))]
+    worst = [0.0] * len(f0)
     for lam in HOMOGENEITY_SCALES:
-        fl = scalars.value(f(at.x, tuple(lam * v for v in at.y)))
-        worst = max(worst, abs(fl - lam ** degree * f0))
-    return worst / (1.0 + abs(f0))
+        fl = f(at.x, tuple(lam * v for v in at.y))
+        for i, c in enumerate(fl if vector else (fl,)):
+            worst[i] = max(worst[i],
+                           abs(scalars.value(c) - lam ** degree * f0[i]))
+    res = [w / (1.0 + abs(c)) for w, c in zip(worst, f0)]
+    return res if vector else res[0]

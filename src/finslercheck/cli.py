@@ -7,7 +7,9 @@ suite), ``scalar-curvature`` (fit of the Jacobi endomorphism), and
 ``invariants`` (the full identity battery for one metric).
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration or parse
-error, 3 numeric domain error.
+error, 3 numeric domain error, 4 internal self-check failure (an identity
+the pipeline enforces on itself, such as an Euler contraction, a symmetry
+or a cross-check between two computations, did not hold).
 """
 
 import argparse
@@ -450,6 +452,9 @@ def main(argv=None):
             NotPositive, InsufficientSamples) as exc:
         print(f"numeric domain error: {exc}", file=sys.stderr)
         return 3
+    except FinslerCheckError as exc:
+        print(f"internal self-check failure: {exc}", file=sys.stderr)
+        return 4
     _print_summary(report, sys.stdout)
     if cfg.out:
         payload = report.to_json() if cfg.format == "json" else report.to_csv()

@@ -15,6 +15,9 @@ from .errors import ConfigError
 COMMANDS = ("tensors", "check-parallel", "scan", "sphsym",
             "scalar-curvature", "invariants")
 
+# Upper bound of ``threads``: a run's worker pool never exceeds it.
+MAX_THREADS = 64
+
 
 @dataclass
 class RunConfig:
@@ -54,8 +57,8 @@ class RunConfig:
             raise ConfigError("scheme must be 'ad' or 'fd'")
         if self.format not in ("json", "csv"):
             raise ConfigError("format must be 'json' or 'csv'")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ConfigError(f"threads must be between 1 and {MAX_THREADS}")
         if self.rows not in ("both", "berwald", "curvature"):
             raise ConfigError("rows must be both, berwald or curvature")
         if self.radius is not None and self.radius <= 0:

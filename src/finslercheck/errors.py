@@ -24,6 +24,14 @@ class ConventionMismatch(FinslerCheckError):
     """
 
 
+class SelfCheckFailure(FinslerCheckError):
+    """Two computations of one quantity that must agree did not.
+
+    Like ConventionMismatch, this signals an implementation bug or a loss
+    of precision, not bad user input.
+    """
+
+
 class NotPositive(FinslerCheckError):
     """A candidate Finsler function fails positivity on the sampled domain."""
 

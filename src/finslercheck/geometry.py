@@ -34,7 +34,8 @@ import numpy as np
 from . import scalars
 from .calculus import (JetOrder, TangentSample, eval_jet, homogeneity_check,
                        jet_of, jet_of_many, series_jet, var_exponents)
-from .errors import ConventionMismatch, DegenerateMetric, FinslerCheckError
+from .errors import (ConventionMismatch, DegenerateMetric, FinslerCheckError,
+                     NonFiniteValue)
 from .taylor import algebra
 
 __all__ = [
@@ -274,7 +275,7 @@ def energy(m, at):
     m.require_F()
     e = scalars.value(m.energy(at.x, at.y))
     if not math.isfinite(e):
-        raise FinslerCheckError("energy is not finite at the sample")
+        raise NonFiniteValue("energy is not finite at the sample")
     return e
 
 
@@ -324,20 +325,21 @@ def angular_metric(m, at, scheme="ad", check_tol=1e-8):
 
 
 def spray_coefficients(m, at, scheme="ad"):
-    """Geodesic-spray coefficients G^i; 2-homogeneity is checked, and a
-    closed-form override (when the model carries one next to F) is compared
-    and reported in the notes."""
+    """Geodesic-spray coefficients G^i; 2-homogeneity is checked on the
+    whole spray vector (one evaluation per scale), and a closed-form
+    override (when the model carries one next to F) is compared and
+    reported in the notes."""
     notes = {}
     G = np.array([scalars.value(c) for c in _spray_scalars(m, at.x, at.y)])
     if not np.isfinite(G).all():
-        raise FinslerCheckError("spray coefficients not finite at the sample")
+        raise NonFiniteValue("spray coefficients not finite at the sample")
     if m.F is not None and m.spray_override is not None:
         ref = np.array([scalars.value(c) for c in m.spray_override(at.x, at.y)])
         notes["override_deviation"] = float(np.max(np.abs(G - ref)))
     hom_tol = 1e-9 if scheme == "ad" else 1e-4
-    for i in range(at.n):
-        res = homogeneity_check(
-            lambda x, y, i=i: _spray_scalars(m, x, y)[i], at, 2)
+    residuals = homogeneity_check(lambda x, y: _spray_scalars(m, x, y),
+                                  at, 2, value=G)
+    for i, res in enumerate(residuals):
         if res > hom_tol:
             raise FinslerCheckError(
                 f"spray component {i} is not 2-homogeneous (residual {res:g})")

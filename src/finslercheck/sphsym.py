@@ -23,7 +23,7 @@ import numpy as np
 
 from . import forms, geometry, scalars
 from .calculus import TangentSample, jet_of
-from .errors import SingularDenominator
+from .errors import SelfCheckFailure, SingularDenominator
 from .forms import OneForm
 from .geometry import Domain, MetricModel, TensorValue, UP
 
@@ -271,7 +271,7 @@ def parallel_form_check(pq, factor, samples, n=3, tol=None,
         gap = float(np.max(np.abs(direct - expanded)))
         scale = 1.0 + float(np.max(np.abs(direct)))
         if gap > expansion_tol * scale:
-            raise SingularDenominator(
+            raise SelfCheckFailure(
                 f"delta beta expansion disagrees with the pipeline "
                 f"(gap {gap:g} at x={at.x})")
         worst_gap = max(worst_gap, gap)

@@ -7,7 +7,7 @@ import pytest
 
 from finslercheck import catalogue, scalars
 from finslercheck.calculus import (
-    JetOrder, TangentSample, eval_jet, fd_partial, homogeneity_check,
+    JetOrder, TangentSample, eval_jet, fd_partial, fd_step, homogeneity_check,
     jet_of, jet_of_many,
 )
 from finslercheck.errors import NonFiniteValue
@@ -195,3 +195,102 @@ def test_jet_of_many_shares_seeding():
     assert jets[0].pvars((0,), (0,)) == pytest.approx(1.0)
     assert jets[1].pvars((0,), ()) == pytest.approx(1.0)
     assert jets[1].pvars((), (1,)) == pytest.approx(1.0)
+
+
+def _field2(x, y):
+    return (scalars.sqrt(1.0 + scalars.dot(y, y)) * x[0],
+            scalars.sin(x[1] * y[0]) + y[1] * y[1] * y[1])
+
+
+def _field3(x, y):
+    r = scalars.dot(x, x)
+    return (scalars.exp(r) * y[0] * y[1],
+            scalars.sqrt(scalars.dot(y, y)) / (2.0 + x[0]),
+            scalars.cos(y[0] - x[1]) * y[1])
+
+
+@pytest.mark.parametrize("fn", [_field2, _field3], ids=["2comp", "3comp"])
+@pytest.mark.parametrize("caps", [(1, 2), (0, 3)])
+def test_fd_vector_jets_equal_per_component_jets(fn, caps):
+    # one vector evaluation per stencil point gives exactly the numbers of
+    # differentiating each component on its own
+    groups = ((0.3, -0.2), (0.8, 0.5))
+    jets = jet_of_many(fn, groups, caps, scheme="fd")
+    assert len(jets) == len(fn(*groups))
+    for i, got in enumerate(jets):
+        ref = jet_of(lambda *g, i=i: fn(*g)[i], groups, caps, scheme="fd")
+        assert got.table.shape == ref.table.shape
+        assert np.array_equal(got.table, ref.table)
+
+
+def _scalar_fd(fn, z, fvars, h0):
+    # float-only nested Richardson differences of fn(x, y), x = z[:2],
+    # y = z[2:], one call of fn per stencil point visited
+    if not fvars:
+        return float(fn(tuple(z[:2]), tuple(z[2:])))
+    v, rest = fvars[-1], fvars[:-1]
+    h = h0 * (1.0 + abs(z[v]))
+
+    def at(dz):
+        zz = list(z)
+        zz[v] += dz
+        return _scalar_fd(fn, zz, rest, h0)
+
+    d_h = (at(h) - at(-h)) / (2.0 * h)
+    d_h2 = (at(h / 2.0) - at(-h / 2.0)) / h
+    return (4.0 * d_h2 - d_h) / 3.0
+
+
+# (x, y) variable lists of every partial of a jet at caps (1, 2), n = 2
+PARTIALS_1_2 = [(xv, yv) for xv in [(), (0,), (1,)]
+                for yv in [(), (0,), (1,), (0, 0), (0, 1), (1, 1)]]
+POINT = [0.3, -0.2, 0.8, 0.5]
+
+
+def test_fd_vector_jets_match_scalar_reference():
+    # the vectorised, memoised recursion does the same float operations as
+    # a plain per-component, per-partial one
+    jets = jet_of_many(_field3, (POINT[:2], POINT[2:]), (1, 2), scheme="fd")
+    for xv, yv in PARTIALS_1_2:
+        fvars = list(xv) + [2 + v for v in yv]
+        for i, jet in enumerate(jets):
+            ref = _scalar_fd(lambda x, y, i=i: _field3(x, y)[i], POINT,
+                             fvars, fd_step(3))
+            assert jet.pvars(xv, yv) == ref
+
+
+def test_fd_vector_jet_evaluates_each_stencil_point_once():
+    calls = []
+
+    def counted(x, y):
+        calls.append(x + y)
+        return _field3(x, y)
+
+    jet_of_many(counted, (POINT[:2], POINT[2:]), (1, 2), scheme="fd")
+    assert len(calls) == len(set(calls))
+    # the distinct points are those the single partials of the jet visit
+    visited = []
+
+    def recorded(x, y):
+        visited.append(x + y)
+        return 0.0
+
+    for xv, yv in PARTIALS_1_2:
+        _scalar_fd(recorded, POINT, list(xv) + [2 + v for v in yv],
+                   fd_step(3))
+    assert set(calls) == set(visited)
+    assert len(visited) > len(calls)
+
+
+def test_homogeneity_check_vector_residuals(funk3):
+    a = funk3.params["a"]
+    at = TangentSample((0.1, 0.2, -0.1), (0.5, 0.5, -0.7))
+
+    def g(x, y):
+        lin = scalars.dot(a, y) / (1.0 + scalars.dot(a, x))
+        return (-lin * y[0], lin * y[1], y[2])
+
+    res = homogeneity_check(g, at, 2)
+    assert res == [homogeneity_check(lambda x, y, i=i: g(x, y)[i], at, 2)
+                   for i in range(3)]
+    assert max(res[:2]) <= 1e-12 and res[2] > 0.1

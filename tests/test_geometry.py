@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from finslercheck import catalogue, geometry, scalars, taylor
-from finslercheck.calculus import TangentSample, jet_of_many
-from finslercheck.errors import DegenerateMetric
+from finslercheck.calculus import TangentSample, jet_of, jet_of_many
+from finslercheck.errors import DegenerateMetric, FinslerCheckError
 from finslercheck.geometry import Domain, MetricModel
 from finslercheck.sampling import tangent_samples
 
@@ -239,3 +239,43 @@ def test_spray_jets_build_only_flat_algebras(monkeypatch):
     geometry.spray_jets(m, at, 1, 3)
     built = list(taylor._ALGEBRAS)
     assert built and max(len(blocks) for blocks in built) <= 2
+
+
+def test_fd_spray_jets_equal_per_component_reference():
+    # the FD spray jets evaluate the spray vector once per stencil point and
+    # give exactly the numbers of differentiating each component alone
+    m = catalogue.entry("general_berwald", n=2, a=(0.1, 0.05)).model
+    at = tangent_samples(2, 1, seed=41)[0]
+    got = geometry.spray_jets(m, at, 0, 3, scheme="fd")
+    assert len(got) == 2
+    for i, g in enumerate(got):
+        ref = jet_of(lambda xs, ys, i=i: geometry._spray_scalars(m, xs, ys)[i],
+                     (at.x, at.y), (0, 3), scheme="fd")
+        assert np.array_equal(g.table, ref.table)
+
+
+@pytest.mark.parametrize("scheme", ["ad", "fd"])
+def test_spray_homogeneity_one_evaluation_per_scale(scheme, monkeypatch):
+    # the base value once, then the whole spray vector once per scale
+    calls = []
+    spray = geometry._spray_scalars
+
+    def counted(m, x, y):
+        calls.append(1)
+        return spray(m, x, y)
+
+    monkeypatch.setattr(geometry, "_spray_scalars", counted)
+    m = catalogue.entry("general_berwald", n=3, a=(0.1, 0.05, 0.0)).model
+    at = TangentSample((0.1, -0.2, 0.3), (0.6, 0.0, 0.8))
+    geometry.spray_coefficients(m, at, scheme)
+    assert len(calls) <= 4
+
+
+def test_spray_homogeneity_names_the_component():
+    m = MetricModel(3, None, Domain(None),
+                    spray_override=lambda x, y: (y[0] * y[0], y[1], 0.0),
+                    name="not_homogeneous")
+    at = TangentSample((0.1, 0.0, 0.0), (0.5, 0.5, -0.7))
+    with pytest.raises(FinslerCheckError,
+                       match="spray component 1 is not 2-homogeneous"):
+        geometry.spray_coefficients(m, at)

@@ -3,12 +3,13 @@
 import csv
 import io
 import json
+import threading
 
 import pytest
 
-from finslercheck import cli
-from finslercheck.config import build_config, parse_config_file
-from finslercheck.errors import ConfigError
+from finslercheck import cli, sampling, sphsym
+from finslercheck.config import MAX_THREADS, build_config, parse_config_file
+from finslercheck.errors import ConfigError, SelfCheckFailure
 from finslercheck.reporting import dumps
 
 
@@ -219,3 +220,45 @@ def test_euler_chain_keeps_ad_tolerance_under_fd(command, tmp_path):
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert checks["euler_chain"]["tolerance"] == 1e-8
     assert checks["euler_chain"]["pass"]
+
+
+def test_threads_capped_at_config_time(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was created")
+
+    monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_pool)
+    assert build_config("scan", overrides={"threads": MAX_THREADS}).threads \
+        == MAX_THREADS
+    with pytest.raises(ConfigError, match="threads"):
+        build_config("scan", overrides={"threads": MAX_THREADS + 1})
+    rc = cli.main(["tensors", "--metric", "klein", "--samples", "10",
+                   "--threads", str(MAX_THREADS + 1)])
+    assert rc == 2
+    assert "threads" in capsys.readouterr().err
+
+
+def test_self_check_failure_exit_four(capsys):
+    # huge family parameters break the y^i b_i|j contraction check
+    rc = cli.main(["check-parallel", "--metric", "funk_parallel",
+                   "--cmu", "1e300,0", "--samples", "10"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "internal self-check failure" in err
+    assert "Traceback" not in err
+
+
+def test_sphsym_expansion_gap_is_a_self_check_failure(monkeypatch, capsys):
+    expansion = sphsym._delta_beta_expansion
+    monkeypatch.setattr(sphsym, "_delta_beta_expansion",
+                        lambda *args: expansion(*args) + 1e-3)
+    factor = sphsym.RadialFactor(lambda r: 1.0, df=lambda r: 0.0)
+    pq = sphsym.parallel_pq(factor, lambda r, s: r * s / 10.0)
+    samples = sampling.tangent_samples(3, 10, seed=5, radius=0.9, r_min=0.1)
+    with pytest.raises(SelfCheckFailure, match="expansion"):
+        sphsym.parallel_form_check(pq, factor, samples)
+    rc = cli.main(["sphsym", "--phi", "berwald_classic", "--samples", "10",
+                   "--grid-nr", "4", "--grid-ns", "4", "--f", "1",
+                   "--P", "r*s/10"])
+    assert rc == 4
+    assert "internal self-check failure" in capsys.readouterr().err
