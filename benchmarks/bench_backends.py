@@ -6,9 +6,8 @@ package; this script times it in isolation and through two realistic
 workloads (an energy jet and the full Berwald-curvature pipeline), swapping
 the kernel in place so both backends see identical work.  The flat
 ((3,2),(3,5)) algebra is the one the curvature-tier spray jet multiplies
-in (one energy jet of order (2,5), differentiated by derivative shifts);
-the nested ((3,1),(3,3),(3,1),(3,2)) algebra carries the same derivative
-information and is what nesting the energy jet inside the spray jet costs.
+in (one energy jet of order (2,5), differentiated by derivative shifts).
+No code path builds an algebra with more blocks than its jet has groups.
 
 Usage: python benchmarks/bench_backends.py [--repeats N]
 """
@@ -48,9 +47,7 @@ def bench_raw_multiply(rng):
     cases = {}
     for label, blocks in (
         ("multiply (n=3 jet (1,2))", ((3, 1), (3, 2))),
-        ("multiply (n=3 nested (1,3)x(1,2))", ((3, 1), (3, 3), (3, 1), (3, 2))),
         ("multiply (n=3 flat energy jet (2,5))", ((3, 2), (3, 5))),
-        ("multiply (n=4 nested (1,3)x(1,2))", ((4, 1), (4, 3), (4, 1), (4, 2))),
     ):
         alg = algebra(blocks)
         alg.tables()

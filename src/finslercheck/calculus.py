@@ -12,12 +12,14 @@ all components and all partials.
 
 Fields are ordinary callables ``f(x, y)`` taking sequences of scalars and
 written against :mod:`finslercheck.scalars`, so the same code runs on plain
-floats and on Taylor scalars.  Coordinates of a :class:`TangentSample` may
-themselves be Taylor scalars; jets then nest transparently (the engine
-flattens the algebras), which serves user fields and the spherically
-symmetric (r, s) profiles.  The geometry pipeline does not nest: it
-differentiates the spray by derivative shifts of one flat energy jet,
-whose Taylor series an AD :class:`Jet` keeps as ``series``.
+floats and on Taylor scalars.  Inputs may themselves be Taylor scalars of
+one algebra A, as the spherically symmetric (r, s) profiles are inside a
+spray jet; such jets are composed from a float jet of raised order and the
+powers of the inputs' deviations (Taylor propagation, Griewank & Walther,
+*Evaluating Derivatives*, ch. 13), so every algebra has one block per jet
+group.  The geometry pipeline differentiates the spray by derivative
+shifts of one flat energy jet, whose series an AD :class:`Jet` keeps as
+``series``.
 """
 
 import math
@@ -72,9 +74,6 @@ class TangentSample:
     def n(self):
         return len(self.x)
 
-    def is_symbolic(self):
-        return any(isinstance(v, TNum) for v in self.x + self.y)
-
     def key(self):
         """Hashable identity for caching; float samples only."""
         return (self.x, self.y)
@@ -101,11 +100,11 @@ class Jet:
     ``partial(m1, m2, ...)`` takes one exponent tuple per group;
     ``pvars(v1, v2, ...)`` takes tuples of variable indices instead
     (e.g. ``pvars((0,), (1, 1))`` for d/dx0 d2/dy1dy1).  Entries are floats,
-    or Taylor scalars when the jet was taken at a symbolic sample.  A flat
-    AD jet also keeps the Taylor scalar it was read from as ``series``.
+    or series of ``alg`` (a trailing table axis) for Taylor-valued inputs.
+    A flat AD jet also keeps the Taylor scalar it was read from as ``series``.
     """
 
-    def __init__(self, nvars, caps, table, series=None):
+    def __init__(self, nvars, caps, table, series=None, alg=None):
         self.nvars = tuple(nvars)
         self.caps = tuple(caps)
         self.monos = tuple(_monomials(n, c) for n, c in zip(nvars, caps))
@@ -113,90 +112,107 @@ class Jet:
                            for ms in self.monos)
         self.table = table  # ndarray indexed by per-group monomial position
         self.series = series
+        self.alg = alg
+
+    def _entry(self, pos):
+        e = self.table[pos]
+        return e if self.alg is None else TNum(self.alg, e)
 
     @property
     def value(self):
-        return self.table[(0,) * len(self.nvars)]
+        return self._entry((0,) * len(self.nvars))
 
     def partial(self, *exps):
         try:
             pos = tuple(idx[tuple(e)] for idx, e in zip(self.index, exps))
         except KeyError:
             raise KeyError(f"partial {exps} outside jet order {self.caps}")
-        return self.table[pos]
+        return self._entry(pos)
 
     def pvars(self, *varlists):
         return self.partial(*(var_exponents(n, vs)
                               for n, vs in zip(self.nvars, varlists)))
 
     def check_finite(self, context=""):
-        if self.table.dtype == object:
-            ok = all(t.is_finite() for t in self.table.ravel())
-        else:
-            ok = bool(np.isfinite(self.table).all())
-        if not ok:
+        if not np.isfinite(self.table).all():
             raise NonFiniteValue(
                 f"non-finite derivative encountered{': ' + context if context else ''}")
         return self
 
 
-def _seed_groups(groups, caps):
-    """Create Taylor variables for each group, extending any algebra the
-    input scalars already live in (nested differentiation)."""
-    outer = None
-    for g in groups:
-        for v in g:
-            if isinstance(v, TNum):
-                if outer is None:
-                    outer = v.alg
-                elif v.alg is not outer:
-                    raise ValueError("inputs from different Taylor algebras")
-    new_blocks = tuple((len(g), c) for g, c in zip(groups, caps))
-    if outer is None:
-        ext = algebra(new_blocks)
-        base = 0
-    else:
-        ext = outer.extended(new_blocks)
-        base = len(outer.blocks)
-    seeded = []
-    for bi, g in enumerate(groups):
-        vs = []
-        for vi, v in enumerate(g):
-            if isinstance(v, TNum):
-                vs.append(ext.lift(v) + ext.variable(base + bi, vi, 0.0))
-            else:
-                vs.append(ext.variable(base + bi, vi, float(v)))
-        seeded.append(tuple(vs))
-    return outer, ext, seeded
+def _ad_series(fn, groups, caps):
+    """Taylor series of each component of ``fn`` at the float point
+    ``groups``, one block per group."""
+    alg = algebra(tuple((len(g), c) for g, c in zip(groups, caps)))
+    seeded = [tuple(alg.variable(bi, vi, v) for vi, v in enumerate(g))
+              for bi, g in enumerate(groups)]
+    out = [r if isinstance(r, TNum) else alg.constant(scalars.value(r))
+           for r in fn(*seeded)]
+    if any(r.alg is not alg for r in out):
+        raise ValueError("field result from another Taylor algebra")
+    return out
+
+
+def _weights(alg):
+    """Weight m! per coefficient, shaped per block (coefficient -> partial)."""
+    w = alg.block_weights[0]
+    for wk in alg.block_weights[1:]:
+        w = np.multiply.outer(w, wk)
+    return w
 
 
 def series_jet(t):
     """Partials table of a flat Taylor scalar, one group per block."""
-    alg = t.alg
-    w = alg.block_weights[0]
-    for wk in alg.block_weights[1:]:
-        w = np.multiply.outer(w, wk)
-    nvars, caps = zip(*alg.blocks)
-    return Jet(nvars, caps, t.c.reshape(alg.sizes) * w, series=t)
+    nvars, caps = zip(*t.alg.blocks)
+    return Jet(nvars, caps, t.c.reshape(t.alg.sizes) * _weights(t.alg),
+               series=t)
 
 
-def _extract(outer, ext, result, nvars, caps):
-    """Turn the evaluated Taylor scalar into a partials table."""
-    if not isinstance(result, TNum):
-        result = ext.constant(scalars.value(result))
-    if result.alg is not ext:
-        result = ext.lift(result)
-    if outer is None:
-        return series_jet(result)
-    inner = len(outer.blocks)
-    sizes = ext.sizes[inner:]
-    weights = ext.block_weights[inner:]
-    arr = result.c.reshape((outer.size,) + sizes)
-    table = np.empty(sizes, dtype=object)
-    for pos in product(*(range(s) for s in sizes)):
-        w = math.prod(float(weights[k][p]) for k, p in enumerate(pos))
-        table[pos] = TNum(outer, arr[(slice(None),) + pos].copy() * w)
-    return Jet(nvars, caps, table)
+def _ad_jets(fn, groups, caps):
+    """Per-component AD jets of ``fn`` at floats or Taylor scalars of one
+    algebra A with total cap K.  Inputs v = v0 + delta are composed: the
+    float jet of fn at v0, of order raised by up to K, gives
+
+        d^beta fn(v) = sum_{|alpha| <= K} d^(alpha+beta) fn(v0) delta^alpha / alpha!,
+
+    exact in A because delta^alpha vanishes past degree K."""
+    algs = {v.alg for g in groups for v in g if isinstance(v, TNum)}
+    if len(algs) > 1:
+        raise ValueError("inputs from different Taylor algebras")
+    if not algs:
+        return [series_jet(t).check_finite()
+                for t in _ad_series(fn, groups, caps)]
+    outer, = algs
+    nvars = tuple(len(g) for g in groups)
+    deltas = [(bi, vi, v - v.value()) for bi, g in enumerate(groups)
+              for vi, v in enumerate(g) if isinstance(v, TNum)]
+    # rows delta^alpha / alpha! in graded order; a vanishing row is dropped
+    # and so are its multiples, and each group's cap is raised by the
+    # largest degree of the rows kept
+    alphas = _monomials(len(deltas), outer.total_cap)
+    rows = {alphas[0]: outer.constant(1.0)}
+    for alpha in alphas[1:]:
+        j = max(k for k, e in enumerate(alpha) if e)
+        prev = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+        row = rows[prev] * deltas[j][2] / alpha[j] if prev in rows else None
+        if row is not None and row.c.any():
+            rows[alpha] = row
+    multis = [[[0] * n for n in nvars] for _ in rows]
+    for multi, alpha in zip(multis, rows):
+        for (bi, vi, _), e in zip(deltas, alpha):
+            multi[bi][vi] = e
+    raised = [c + max(sum(m[bi]) for m in multis) for bi, c in enumerate(caps)]
+    series = _ad_series(fn, [[scalars.value(v) for v in g] for g in groups],
+                        raised)
+    target = algebra(tuple(zip(nvars, caps)))
+    D = np.array([row.c for row in rows.values()])
+    w = _weights(target)[..., None]
+    jets = []
+    for t in series:
+        shifted = np.array([t.partial(m, target).c for m in multis])
+        table = w * (shifted.T @ D).reshape(target.sizes + (-1,))
+        jets.append(Jet(nvars, caps, table, alg=outer).check_finite())
+    return jets
 
 
 def jet_of(fn, groups, caps, scheme="ad"):
@@ -206,11 +222,8 @@ def jet_of(fn, groups, caps, scheme="ad"):
     (r, s)-profile derivatives and 1-form coefficient derivatives.
     """
     groups = tuple(tuple(g) for g in groups)
-    nvars = tuple(len(g) for g in groups)
     if scheme == "ad":
-        outer, ext, seeded = _seed_groups(groups, caps)
-        result = fn(*seeded)
-        return _extract(outer, ext, result, nvars, caps).check_finite()
+        return _ad_jets(lambda *gs: (fn(*gs),), groups, caps)[0]
     if scheme == "fd":
         return _fd_jets(lambda *gs: (fn(*gs),), groups, caps)[0]
     raise ValueError(f"unknown differentiation scheme {scheme!r}")
@@ -224,12 +237,8 @@ def jet_of_many(fn, groups, caps, scheme="ad"):
     point.
     """
     groups = tuple(tuple(g) for g in groups)
-    nvars = tuple(len(g) for g in groups)
     if scheme == "ad":
-        outer, ext, seeded = _seed_groups(groups, caps)
-        results = fn(*seeded)
-        return [_extract(outer, ext, r, nvars, caps).check_finite()
-                for r in results]
+        return _ad_jets(fn, groups, caps)
     if scheme == "fd":
         return _fd_jets(fn, groups, caps)
     raise ValueError(f"unknown differentiation scheme {scheme!r}")

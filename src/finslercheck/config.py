@@ -71,12 +71,14 @@ class RunConfig:
         return self
 
     def check_output_dirs(self):
-        """Raise ConfigError unless the directories of the output paths
-        exist.  Kept out of :meth:`validate`: a config may be built before
-        its output directory is made (perfbench does so), while a run must
-        fail before computing rather than at its final write."""
+        """Raise ConfigError unless each output path is a non-directory in
+        an existing directory.  Kept out of :meth:`validate`: a config may
+        be built before its output directory is made (perfbench does so),
+        while a run must fail before computing, not at its final write."""
         for key in ("out", "sweep"):
             path = getattr(self, key)
+            if path is not None and os.path.isdir(path):
+                raise ConfigError(f"{key}: {path!r} is a directory")
             if path is not None and not os.path.isdir(
                     os.path.dirname(os.path.abspath(path))):
                 raise ConfigError(f"{key}: directory of {path!r} does not "

@@ -180,7 +180,7 @@ def _check_nondegenerate(gv, n, context=""):
 
 
 # ---------------------------------------------------------------------------
-# spray evaluation (generic over scalar type, so jets nest through it)
+# spray evaluation (generic over scalar type, so jets compose through it)
 
 
 def _assemble_spray(n, y, d):

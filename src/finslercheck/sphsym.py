@@ -90,14 +90,16 @@ class RadialFactor:
 
 
 def pq_from_profile(profile):
-    """The (P, Q) maps generated by a profile.
+    """The (P, Q) maps generated by a profile, both read off one (1, 2)
+    profile jet per (r, s).
 
-    Q is evaluated first; SingularDenominator is raised when its
-    denominator phi - s phi_s + (r^2 - s^2) phi_ss vanishes (loss of
-    regularity of the metric).
+    SingularDenominator is raised when the Q-denominator
+    phi - s phi_s + (r^2 - s^2) phi_ss vanishes (loss of regularity of the
+    metric).
     """
 
-    def Q(r, s):
+    def q_parts(r, s):
+        # Q and the profile partials P needs, from one jet
         jet = profile.jet(r, s, kr=1, ks=2)
         phi = jet.partial((0,), (0,))
         phi_r = jet.partial((1,), (0,))
@@ -110,18 +112,16 @@ def pq_from_profile(profile):
             raise SingularDenominator(
                 f"Q-denominator vanishes at (r, s) = ({scalars.value(r):g}, "
                 f"{scalars.value(s):g})")
-        return (-phi_r + s * phi_rs + r * phi_ss) / (2.0 * r * den)
+        q = (-phi_r + s * phi_rs + r * phi_ss) / (2.0 * r * den)
+        return q, phi, phi_r, phi_s
 
     def P(r, s):
-        jet = profile.jet(r, s, kr=1, ks=1)
-        phi = jet.partial((0,), (0,))
-        phi_r = jet.partial((1,), (0,))
-        phi_s = jet.partial((0,), (1,))
-        q = Q(r, s)
+        q, phi, phi_r, phi_s = q_parts(r, s)
         return (-(q / phi) * (s * phi + (r * r - s * s) * phi_s)
                 + (s * phi_r + r * phi_s) / (2.0 * r * phi))
 
-    return PQPair(P, Q, source=f"profile:{profile.name}")
+    return PQPair(P, lambda r, s: q_parts(r, s)[0],
+                  source=f"profile:{profile.name}")
 
 
 def _rsu(x, y):

@@ -13,13 +13,13 @@ source algebra.  The geometry pipeline differentiates the spray this way,
 from one flat energy jet of raised order (Taylor propagation in the sense
 of Griewank & Walther, *Evaluating Derivatives*, ch. 13).
 
-Nested differentiation (jets of functions that internally take jets of
-Taylor-valued inputs, as user fields and the spherically symmetric (r, s)
-profiles do) is handled by *flattening*: the inner evaluation runs in an
-extended algebra whose leading blocks are the outer one's.  Flattening is
-algebraically identical to nesting dual numbers but keeps all coefficients
-in one flat float64 array, which makes the inner loop a single sparse
-convolution.  That convolution is the hot kernel of the whole package; it is
+Jets of functions at Taylor-valued inputs (user fields, the spherically
+symmetric (r, s) profiles) are composed rather than nested: a float jet of
+raised order is shifted to each needed partial and contracted with the
+powers of the inputs' deviations, so no algebra ever carries more blocks
+than its jet has groups (see :mod:`finslercheck.calculus`).  The
+multiplication is one sparse convolution over a flat float64 coefficient
+array.  That convolution is the hot kernel of the whole package; it is
 served either by a compiled extension or by a numpy fallback, selected at
 import time (see ``finslercheck.taylor._backend``).
 
@@ -179,22 +179,6 @@ class Algebra:
         for bi, m in enumerate(multi):
             flat = flat * self.sizes[bi] + self.mono_index[bi][tuple(m)]
         return flat
-
-    def extended(self, extra_blocks):
-        return algebra(self.blocks + tuple(extra_blocks))
-
-    def lift(self, t):
-        """Embed ``t`` (whose algebra is a prefix of this one) into self."""
-        if isinstance(t, TNum):
-            if t.alg is self:
-                return t
-            pre = t.alg.size
-            if self.blocks[:len(t.alg.blocks)] != t.alg.blocks:
-                raise ValueError("algebra is not an extension of operand's")
-            c = np.zeros((pre, self.size // pre))
-            c[:, 0] = t.c
-            return TNum(self, c.ravel())
-        return self.constant(float(t))
 
 
 class TNum:

@@ -1,11 +1,12 @@
 """Jet engine: frozen trivial oracles, AD/FD cross-validation, nesting."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from finslercheck import catalogue, scalars
+from finslercheck import catalogue, scalars, taylor
 from finslercheck.calculus import (
     JetOrder, TangentSample, eval_jet, fd_partial, fd_step, homogeneity_check,
     jet_of, jet_of_many,
@@ -173,6 +174,49 @@ def test_nested_jets_match_direct():
         for j in range(2):
             assert outer.pvars((), (i, j)) == pytest.approx(
                 direct.pvars((), (0, i, j)), rel=1e-13)
+
+
+def _composite_fn(a, b):
+    return (scalars.exp(a[0] * b[0]) * scalars.sin(b[1])
+            + a[1] * b[0] ** 3 / (1.0 + b[1] * b[1]))
+
+
+def _inner_point(t):
+    # Taylor-valued inputs as functions of the outer variables t
+    if len(t) == 1:
+        return (0.7 + t[0] + 0.3 * t[0] * t[0], -0.2 + 2.0 * t[0])
+    return (0.7 + t[0] - 0.5 * t[1] * t[2], -0.2 + t[2] + t[1] * t[2] ** 2)
+
+
+@pytest.mark.parametrize("outer_blocks", [((1, 3),), ((2, 1), (1, 2))],
+                         ids=["one-block", "two-block"])
+def test_composed_jet_matches_direct_composite(outer_blocks):
+    # a float group a and a Taylor-valued group b = b(t): every entry
+    # d^beta fn(a, b(t)) of the composed jet is the series in t that the
+    # direct jet of (a, c, t) -> fn(a, b(t) + c) holds at c = 0
+    alg = taylor.algebra(outer_blocks)
+    t = [alg.variable(bi, vi, 0.0)
+         for bi, (n, _) in enumerate(outer_blocks) for vi in range(n)]
+    a = (0.4, -0.3)
+    jet = jet_of(_composite_fn, (a, _inner_point(t)), (1, 2))
+    assert jet.table.dtype == float
+
+    def composite(ag, cg, *tgs):
+        tt = [v for tg in tgs for v in tg]
+        return _composite_fn(ag, tuple(
+            b + c for b, c in zip(_inner_point(tt), cg)))
+
+    ref = jet_of(composite, (a, (0.0, 0.0)) + tuple(
+        (0.0,) * n for n, _ in outer_blocks),
+        (1, 2) + tuple(c for _, c in outer_blocks))
+    for ea in jet.monos[0]:
+        for eb in jet.monos[1]:
+            entry = jet.partial(ea, eb)
+            assert entry.alg is alg
+            for outer in product(*alg.monos):
+                w = math.prod(math.factorial(e) for m in outer for e in m)
+                assert w * entry.coefficient(outer) == pytest.approx(
+                    ref.partial(ea, eb, *outer), rel=1e-12, abs=1e-12)
 
 
 def test_non_finite_outside_domain(klein3):

@@ -95,6 +95,8 @@ def test_cli_fail_exit_one(capsys):
      "--out", "/nonexistent-dir/sub/r.json"],
     ["sphsym", "--phi", "berwald_classic",
      "--sweep", "/nonexistent-dir/sub/sweep.csv"],
+    ["scalar-curvature", "--metric", "klein", "--samples", "10",
+     "--out", "."],
 ])
 def test_cli_config_errors_exit_two(argv, capsys):
     assert cli.main(argv) == 2

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from finslercheck import catalogue, geometry, sphsym
+from finslercheck import catalogue, cli, geometry, sphsym, taylor
 from finslercheck.calculus import TangentSample, jet_of
 from finslercheck.errors import SingularDenominator
 from finslercheck.forms import Verdict
@@ -226,3 +226,15 @@ def test_singular_denominator_raised():
     pq = pq_from_profile(prof)
     with pytest.raises(SingularDenominator):
         pq.Q(0.5, 0.2)
+
+
+def test_sphsym_builds_only_flat_algebras(monkeypatch, capsys):
+    # profile jets at Taylor-valued (r, s) are composed from float jets,
+    # so no algebra gains blocks beyond one per jet group
+    monkeypatch.setattr(taylor, "_ALGEBRAS", {})
+    argv = ["sphsym", "--phi", "berwald_classic", "--samples", "100",
+            "--f", "1", "--P", "r*s/10", "--seed", "0"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    built = list(taylor._ALGEBRAS)
+    assert built and max(len(blocks) for blocks in built) <= 2
