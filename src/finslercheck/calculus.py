@@ -56,14 +56,17 @@ class TangentSample:
     """A base point x with a nonzero fiber vector y.
 
     Coordinates are floats for ordinary evaluation, or Taylor scalars when
-    a jet is being taken through a derived field.
+    a jet is being taken through a derived field.  ``jets`` holds the spray
+    jets computed at the sample, keyed by (model, kx, ky, scheme), so they
+    live exactly as long as the sample.
     """
 
-    __slots__ = ("x", "y")
+    __slots__ = ("x", "y", "jets")
 
     def __init__(self, x, y):
         self.x = tuple(x)
         self.y = tuple(y)
+        self.jets = {}
         if len(self.x) != len(self.y):
             raise ValueError("x and y must have the same dimension")
         ynorm = math.sqrt(sum(scalars.value(v) ** 2 for v in self.y))
@@ -73,10 +76,6 @@ class TangentSample:
     @property
     def n(self):
         return len(self.x)
-
-    def key(self):
-        """Hashable identity for caching; float samples only."""
-        return (self.x, self.y)
 
     def __repr__(self):
         return f"TangentSample(x={self.x}, y={self.y})"

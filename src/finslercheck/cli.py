@@ -303,8 +303,7 @@ def run_sphsym(cfg):
     sweep_rows = []
     for rs in grid:
         r1, r2 = sphsym.metrizability_residuals(profile, pq, rs)
-        qv = pq.Q(*rs)
-        pv = pq.P(*rs)
+        pv, qv = pq.PQ(*rs)
         worst1, worst2 = max(worst1, r1), max(worst2, r2)
         max_q = max(max_q, abs(qv))
         min_phi = min(min_phi, float(profile.phi(*rs)))
@@ -339,8 +338,7 @@ def run_sphsym(cfg):
         char_pq = sphsym.parallel_pq(factor, p_map)
         worst_sss = 0.0
         for rs in grid:
-            r1, r2, _ = sphsym.sss_residuals(
-                factor, p_map, char_pq.Q, rs)
+            r1, r2, _ = sphsym.sss_residuals(factor, char_pq, rs)
             worst_sss = max(worst_sss, abs(r1), abs(r2))
         report.add(CheckRecord("characterised_q_identity", worst_sss, 1e-10,
                                worst_sss <= 1e-10, npts, cfg.seed))

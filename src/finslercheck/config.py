@@ -61,8 +61,13 @@ class RunConfig:
             raise ConfigError(f"threads must be between 1 and {MAX_THREADS}")
         if self.rows not in ("both", "berwald", "curvature"):
             raise ConfigError("rows must be both, berwald or curvature")
-        if self.radius is not None and self.radius <= 0:
-            raise ConfigError("radius must be positive")
+        if self.radius is not None and not (math.isfinite(self.radius)
+                                            and self.radius > 0):
+            raise ConfigError("radius must be finite and positive")
+        if self.x_points < 1:
+            raise ConfigError("x_points must be >= 1")
+        if self.grid_nr < 1 or self.grid_ns < 1:
+            raise ConfigError("grid_nr and grid_ns must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.tol is not None and not (math.isfinite(self.tol)

@@ -37,7 +37,7 @@ class NotPositive(FinslerCheckError):
 
 
 class BadParameter(FinslerCheckError):
-    """A catalogue entry was requested with invalid parameters."""
+    """A catalogue entry or a sampler was requested with invalid parameters."""
 
 
 class SingularDenominator(FinslerCheckError):

@@ -27,7 +27,6 @@ record the convention they carry.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -230,8 +229,6 @@ def _shifted_spray_jets(m, at, kx, ky):
     return [series_jet(G).check_finite() for G in _assemble_spray(n, y, d)]
 
 
-_SPRAY_JET_CACHE = WeakKeyDictionary()
-
 # jet orders requested per tier; AD shares one generous jet per tier, FD
 # stays minimal because its cost grows exponentially with the order
 _AD_TIERS = {"connection": (1, 2), "curvature": (1, 3)}
@@ -244,17 +241,17 @@ _FD_TIERS = {
 def spray_jets(m, at, kx, ky, scheme="ad"):
     """Per-component jets of the spray coefficients at a float sample:
     by derivative shifts under AD when the model has F, otherwise by
-    differentiating the spray evaluation."""
-    cache = _SPRAY_JET_CACHE.setdefault(m, {})
-    key = (at.key(), kx, ky, scheme)
-    jets = cache.get(key)
+    differentiating the spray evaluation.  Computed once per sample, model,
+    order and scheme, and kept on the sample."""
+    key = (m, kx, ky, scheme)
+    jets = at.jets.get(key)
     if jets is None:
         if scheme == "ad" and m.F is not None:
             jets = _shifted_spray_jets(m, at, kx, ky)
         else:
             jets = jet_of_many(lambda xs, ys: _spray_scalars(m, xs, ys),
                                (at.x, at.y), (kx, ky), scheme=scheme)
-        cache[key] = jets
+        at.jets[key] = jets
     return jets
 
 

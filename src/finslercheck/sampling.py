@@ -11,12 +11,21 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .calculus import TangentSample
+from .errors import BadParameter
 
 DEFAULT_RADIUS = 0.6
 
 
 def rng_for(seed):
     return np.random.default_rng(seed)
+
+
+def _check_annulus(radius, r_min):
+    # base points are drawn in the ball and rejected below r_min, which
+    # would never end when no point of the ball lies at or past r_min
+    if not radius > r_min:
+        raise BadParameter(f"sampling radius {radius:g} must exceed the "
+                           f"excluded inner radius {r_min:g}")
 
 
 def ball_point(rng, n, radius):
@@ -32,6 +41,7 @@ def sphere_point(rng, n):
 
 def tangent_samples(n, count, seed, radius=DEFAULT_RADIUS, r_min=0.0):
     """``count`` samples with |x| in [r_min, radius), |y| = 1."""
+    _check_annulus(radius, r_min)
     rng = rng_for(seed)
     out = []
     while len(out) < count:
@@ -45,6 +55,7 @@ def tangent_samples(n, count, seed, radius=DEFAULT_RADIUS, r_min=0.0):
 def base_points(n, count, seed, radius=DEFAULT_RADIUS, r_min=0.05):
     """Base points only (for per-x scans); excludes a small ball around 0
     so radial quantities stay regular."""
+    _check_annulus(radius, r_min)
     rng = rng_for(seed)
     out = []
     while len(out) < count:

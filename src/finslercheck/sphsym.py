@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms, geometry, scalars
-from .calculus import TangentSample, jet_of
+from .calculus import TangentSample, jet_of, jet_of_many
 from .errors import SelfCheckFailure, SingularDenominator
 from .forms import OneForm
 from .geometry import Domain, MetricModel, TensorValue, UP
@@ -55,17 +55,19 @@ class SphSymProfile:
 
 @dataclass(eq=False)
 class PQPair:
-    """Scalar maps P(r, s), Q(r, s); evaluate on floats or Taylor scalars."""
+    """The scalar maps P(r, s), Q(r, s) as one callable ``PQ(r, s)`` that
+    returns both, so a profile-derived pair takes one profile jet per
+    (r, s); evaluates on floats or Taylor scalars."""
 
-    P: object
-    Q: object
+    PQ: object
     source: str = ""
 
-    def p_jet(self, r, s, ks=1):
-        return jet_of(lambda rg, sg: self.P(rg[0], sg[0]), ((r,), (s,)), (0, ks))
-
-    def q_jet(self, r, s, ks=1):
-        return jet_of(lambda rg, sg: self.Q(rg[0], sg[0]), ((r,), (s,)), (0, ks))
+    def jets(self, r, s):
+        """(P, P_s, Q, Q_s) at float (r, s), from one jet of the pair."""
+        pjet, qjet = jet_of_many(lambda rg, sg: self.PQ(rg[0], sg[0]),
+                                 ((r,), (s,)), (0, 1))
+        return (pjet.partial((0,), (0,)), pjet.partial((0,), (1,)),
+                qjet.partial((0,), (0,)), qjet.partial((0,), (1,)))
 
 
 @dataclass(eq=False)
@@ -90,7 +92,7 @@ class RadialFactor:
 
 
 def pq_from_profile(profile):
-    """The (P, Q) maps generated by a profile, both read off one (1, 2)
+    """The (P, Q) pair generated by a profile, both read off one (1, 2)
     profile jet per (r, s).
 
     SingularDenominator is raised when the Q-denominator
@@ -98,8 +100,7 @@ def pq_from_profile(profile):
     metric).
     """
 
-    def q_parts(r, s):
-        # Q and the profile partials P needs, from one jet
+    def PQ(r, s):
         jet = profile.jet(r, s, kr=1, ks=2)
         phi = jet.partial((0,), (0,))
         phi_r = jet.partial((1,), (0,))
@@ -113,15 +114,11 @@ def pq_from_profile(profile):
                 f"Q-denominator vanishes at (r, s) = ({scalars.value(r):g}, "
                 f"{scalars.value(s):g})")
         q = (-phi_r + s * phi_rs + r * phi_ss) / (2.0 * r * den)
-        return q, phi, phi_r, phi_s
+        p = (-(q / phi) * (s * phi + (r * r - s * s) * phi_s)
+             + (s * phi_r + r * phi_s) / (2.0 * r * phi))
+        return p, q
 
-    def P(r, s):
-        q, phi, phi_r, phi_s = q_parts(r, s)
-        return (-(q / phi) * (s * phi + (r * r - s * s) * phi_s)
-                + (s * phi_r + r * phi_s) / (2.0 * r * phi))
-
-    return PQPair(P, lambda r, s: q_parts(r, s)[0],
-                  source=f"profile:{profile.name}")
+    return PQPair(PQ, source=f"profile:{profile.name}")
 
 
 def _rsu(x, y):
@@ -131,25 +128,24 @@ def _rsu(x, y):
     return r, s, u
 
 
+def _pq_spray(pq, x, y):
+    """G^i = u P y^i + u^2 Q x^i on floats or Taylor scalars (r > 0)."""
+    r, s, u = _rsu(x, y)
+    P, Q = pq.PQ(r, s)
+    return tuple(u * P * yi + u * u * Q * xi for xi, yi in zip(x, y))
+
+
 def spray_from_pq(pq, at):
-    """G^i = u P y^i + u^2 Q x^i at a tangent sample (r > 0)."""
-    r, s, u = _rsu(at.x, at.y)
-    P = pq.P(r, s)
-    Q = pq.Q(r, s)
-    G = np.array([scalars.value(u * P * yi + u * u * Q * xi)
-                  for xi, yi in zip(at.x, at.y)])
+    """The (P, Q) spray at a tangent sample."""
+    G = np.array([scalars.value(c) for c in _pq_spray(pq, at.x, at.y)])
     return TensorValue(G, (UP,))
 
 
 def spray_model_from_pq(pq, n, domain=None, name=""):
     """Spray-only metric model whose coefficients come from (P, Q); feeds
     the geometry pipeline (connection, curvature, delta derivatives)."""
-    def G(x, y):
-        r, s, u = _rsu(x, y)
-        P = pq.P(r, s)
-        Q = pq.Q(r, s)
-        return tuple(u * P * yi + u * u * Q * xi for xi, yi in zip(x, y))
-    return MetricModel(n, None, domain or Domain(1.0), spray_override=G,
+    return MetricModel(n, None, domain or Domain(1.0),
+                       spray_override=lambda x, y: _pq_spray(pq, x, y),
                        name=name or f"pq_spray[{pq.source}]")
 
 
@@ -165,10 +161,7 @@ def connection_from_pq(pq, at):
     """Nonlinear connection of the (P, Q) spray via its five-term closed
     form (cross-checked against fiber derivatives of the spray by tests)."""
     r, s, u = _rsu(at.x, at.y)
-    pjet = pq.p_jet(r, s, ks=1)
-    qjet = pq.q_jet(r, s, ks=1)
-    P, P_s = pjet.partial((0,), (0,)), pjet.partial((0,), (1,))
-    Q, Q_s = qjet.partial((0,), (0,)), qjet.partial((0,), (1,))
+    P, P_s, Q, Q_s = pq.jets(r, s)
     x = np.asarray(at.x, dtype=float)
     y = np.asarray(at.y, dtype=float)
     d = np.eye(len(x))
@@ -187,10 +180,7 @@ def metrizability_residuals(profile, pq, rs):
     phi = jet.partial((0,), (0,))
     phi_r = jet.partial((1,), (0,))
     phi_s = jet.partial((0,), (1,))
-    pjet = pq.p_jet(r, s, ks=1)
-    qjet = pq.q_jet(r, s, ks=1)
-    P, P_s = pjet.partial((0,), (0,)), pjet.partial((0,), (1,))
-    Q, Q_s = qjet.partial((0,), (0,)), qjet.partial((0,), (1,))
+    P, P_s, Q, Q_s = pq.jets(r, s)
     w = r * r - s * s
     res1 = abs((1.0 + s * P - w * (2.0 * Q - s * Q_s)) * phi_s
                + (s * P_s - 2.0 * P - s * (2.0 * Q - s * Q_s)) * phi)
@@ -213,24 +203,20 @@ def parallel_q(factor, P, rs):
 
 def parallel_pq(factor, P):
     """PQPair with the characterised Q (P arbitrary)."""
-    return PQPair(P if callable(P) else (lambda r, s, v=P: v),
-                  lambda r, s: parallel_q(factor, P, (r, s)),
-                  source="parallel_q")
+    def PQ(r, s):
+        Pv = P(r, s) if callable(P) else P
+        return Pv, parallel_q(factor, Pv, (r, s))
+    return PQPair(PQ, source="parallel_q")
 
 
-def sss_residuals(factor, P, Q, rs):
+def sss_residuals(factor, pq, rs):
     """The three scalar conditions equivalent to delta_i beta = 0 for
-    beta = f(r) <x, y>: the x-coefficient, the y-coefficient, and their
-    s-weighted combination."""
+    beta = f(r) <x, y> and the (P, Q) spray: the x-coefficient, the
+    y-coefficient, and their s-weighted combination."""
     r, s = rs
     fv = factor.f(r)
     dfv = factor.d(r)
-    pj = jet_of(lambda rg, sg: (P(rg[0], sg[0]) if callable(P) else P),
-                ((r,), (s,)), (0, 1))
-    qj = jet_of(lambda rg, sg: (Q(rg[0], sg[0]) if callable(Q) else Q),
-                ((r,), (s,)), (0, 1))
-    Pv, P_s = pj.partial((0,), (0,)), pj.partial((0,), (1,))
-    Qv, Q_s = qj.partial((0,), (0,)), qj.partial((0,), (1,))
+    Pv, P_s, Qv, Q_s = pq.jets(r, s)
     r2 = r * r
     res1 = s * dfv / r - s * fv * P_s - fv * Pv - fv * r2 * Q_s
     res2 = (fv - fv * s * Pv + fv * s * s * P_s - 2.0 * fv * r2 * Qv
@@ -244,10 +230,7 @@ def _delta_beta_expansion(factor, pq, at):
     r, s, u = _rsu(at.x, at.y)
     fv = factor.f(r)
     dfv = factor.d(r)
-    pjet = pq.p_jet(r, s, ks=1)
-    qjet = pq.q_jet(r, s, ks=1)
-    P, P_s = pjet.partial((0,), (0,)), pjet.partial((0,), (1,))
-    Q, Q_s = qjet.partial((0,), (0,)), qjet.partial((0,), (1,))
+    P, P_s, Q, Q_s = pq.jets(r, s)
     r2 = r * r
     coef_x = u * (s * dfv / r - s * fv * P_s - fv * P - fv * r2 * Q_s)
     coef_y = (fv - fv * s * P + fv * s * s * P_s - 2.0 * fv * r2 * Q

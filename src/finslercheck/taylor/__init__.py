@@ -19,9 +19,8 @@ raised order is shifted to each needed partial and contracted with the
 powers of the inputs' deviations, so no algebra ever carries more blocks
 than its jet has groups (see :mod:`finslercheck.calculus`).  The
 multiplication is one sparse convolution over a flat float64 coefficient
-array.  That convolution is the hot kernel of the whole package; it is
-served either by a compiled extension or by a numpy fallback, selected at
-import time (see ``finslercheck.taylor._backend``).
+array.  That convolution is the hot kernel of the whole package, one numpy
+``bincount`` (see ``finslercheck.taylor._backend``).
 
 Arithmetic is exact to machine rounding: results agree with symbolic
 differentiation up to float64 round-off.
@@ -38,9 +37,10 @@ from . import _backend
 __all__ = ["Algebra", "TNum", "algebra", "backend_name"]
 
 
+# Kept because perfbench's provenance line reads it.
 def backend_name():
-    """Name of the active convolution kernel: 'compiled' or 'pure'."""
-    return _backend.BACKEND
+    """Name of the convolution kernel; there is one, 'pure' numpy."""
+    return "pure"
 
 
 def _monomials(nvars, cap):

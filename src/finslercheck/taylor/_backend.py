@@ -1,41 +1,11 @@
-"""Kernel selection for the Taylor-multiply inner loop.
-
-The compiled extension (``finslercheck.taylor._speedups``, built from
-Cython when available) and the pure numpy fallback implement the same
-accumulation in the same summation order, so results are bit-identical.
-Selection happens once at import; override with the environment variable
-``FINSLERCHECK_BACKEND`` set to ``pure`` or ``compiled`` (default: auto).
-"""
-
-import os
+"""The truncated-Taylor multiply kernel: out[oo[t]] += a[ii[t]] * b[jj[t]]
+over an algebra's precomputed sparse index triples, as one numpy
+``bincount``."""
 
 import numpy as np
 
-_choice = os.environ.get("FINSLERCHECK_BACKEND", "auto")
-if _choice not in ("auto", "pure", "compiled"):
-    raise ImportError(f"FINSLERCHECK_BACKEND={_choice!r}; "
-                      "expected auto, pure or compiled")
 
-_speedups = None
-if _choice != "pure":
-    try:
-        from . import _speedups  # noqa: F401  (built by setup.py)
-    except ImportError:
-        _speedups = None
-        if _choice == "compiled":
-            raise ImportError(
-                "FINSLERCHECK_BACKEND=compiled but the compiled kernels are "
-                "not available; build them with "
-                "'python setup.py build_ext --inplace'")
-
-
-def _mul_pure(ii, jj, oo, a, b, size):
+# Kept in its own module: perfbench's tracer rebinds it here, where
+# TNum.__mul__ looks it up on every call.
+def mul_accumulate(ii, jj, oo, a, b, size):
     return np.bincount(oo, weights=a[ii] * b[jj], minlength=size)
-
-
-if _speedups is not None:
-    BACKEND = "compiled"
-    mul_accumulate = _speedups.mul_accumulate
-else:
-    BACKEND = "pure"
-    mul_accumulate = _mul_pure

@@ -110,9 +110,10 @@ def test_06_profile_machinery_closure():
     grid = rs_grid(nr=20, ns=20)
     worst_q = worst_p = worst_pde = 0.0
     for (r, s) in grid:
-        worst_q = max(worst_q, abs(pq.Q(r, s)))
+        P, Q = pq.PQ(r, s)
+        worst_q = max(worst_q, abs(Q))
         oracle = (math.sqrt(1.0 - r * r + s * s) + s) / (1.0 - r * r)
-        worst_p = max(worst_p, abs(pq.P(r, s) - oracle))
+        worst_p = max(worst_p, abs(P - oracle))
         worst_pde = max(worst_pde,
                         *sphsym.metrizability_residuals(profile, pq, (r, s)))
     model = sphsym.profile_metric(profile, 3)
@@ -136,7 +137,7 @@ def test_07_characterised_q_constructive_check():
     pq = sphsym.parallel_pq(factor, p_map)
     worst_sss = 0.0
     for rs in rs_grid(r_lo=0.1, r_hi=0.8, nr=10, ns=10):
-        r1, r2, _ = sphsym.sss_residuals(factor, p_map, pq.Q, rs)
+        r1, r2, _ = sphsym.sss_residuals(factor, pq, rs)
         worst_sss = max(worst_sss, abs(r1), abs(r2))
     samples = tangent_samples(3, 100, seed=71, radius=0.9, r_min=0.1)
     rep = sphsym.parallel_form_check(pq, factor, samples, n=3)

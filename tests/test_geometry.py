@@ -279,3 +279,29 @@ def test_spray_homogeneity_names_the_component():
     with pytest.raises(FinslerCheckError,
                        match="spray component 1 is not 2-homogeneous"):
         geometry.spray_coefficients(m, at)
+
+
+def test_spray_jets_live_on_the_sample(monkeypatch):
+    # jets are computed once per (sample, model, order, scheme); another
+    # sample object at the same point, or another model, computes afresh
+    computed = []
+    shifted = geometry._shifted_spray_jets
+
+    def counted(m, at, kx, ky):
+        computed.append((m, at))
+        return shifted(m, at, kx, ky)
+
+    monkeypatch.setattr(geometry, "_shifted_spray_jets", counted)
+    klein = catalogue.entry("klein", n=3).model
+    funk = catalogue.entry("funk_parallel", n=3, a=(0.5, 0.1, 0.0)).model
+    x, y = (0.1, -0.2, 0.3), (0.6, 0.7, -0.3)
+    at = TangentSample(x, y)
+    first = geometry.spray_jets(klein, at, 1, 2)
+    assert geometry.spray_jets(klein, at, 1, 2) is first
+    assert computed == [(klein, at)]
+    again = TangentSample(x, y)
+    fresh = geometry.spray_jets(klein, again, 1, 2)
+    assert fresh is not first
+    assert all(np.array_equal(a.table, b.table) for a, b in zip(fresh, first))
+    geometry.spray_jets(funk, at, 1, 2)
+    assert computed == [(klein, at), (klein, again), (funk, at)]

@@ -1,11 +1,13 @@
 """Config ingestion, report serialization, CLI exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from finslercheck import cli, sampling, sphsym
 from finslercheck.config import MAX_THREADS, build_config, parse_config_file
@@ -97,6 +99,12 @@ def test_cli_fail_exit_one(capsys):
      "--sweep", "/nonexistent-dir/sub/sweep.csv"],
     ["scalar-curvature", "--metric", "klein", "--samples", "10",
      "--out", "."],
+    ["sphsym", "--phi", "berwald_classic", "--grid-nr", "0"],
+    ["sphsym", "--phi", "berwald_classic", "--grid-ns", "0"],
+    ["scan", "--metric", "klein", "--x-points", "0"],
+    ["scalar-curvature", "--metric", "klein", "--radius", "nan"],
+    ["tensors", "--metric", "euclidean", "--radius", "inf"],
+    ["scan", "--metric", "klein", "--radius", "0.01"],
 ])
 def test_cli_config_errors_exit_two(argv, capsys):
     assert cli.main(argv) == 2
@@ -264,3 +272,84 @@ def test_sphsym_expansion_gap_is_a_self_check_failure(monkeypatch, capsys):
                    "--P", "r*s/10"])
     assert rc == 4
     assert "internal self-check failure" in capsys.readouterr().err
+
+
+
+
+_JUNK = ("", "x", "1,,2")
+_FLOAT = (st.floats(allow_nan=True, allow_infinity=True).map(repr)
+          | st.sampled_from(_JUNK))
+
+
+def _choice(*values):
+    return st.sampled_from(values + _JUNK)
+
+
+def _int(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+# Flags every run of the command sets, with mostly valid values (scan
+# stays small; FD scans take seconds each and have their own tests).
+_COMMAND = {
+    "scan": {"--metric": st.just("klein"), "--x-points": _int(0, 3),
+             "--y-samples": _int(5, 8),
+             "--rows": st.sampled_from(("both", "berwald", "curvature"))},
+    "sphsym": {"--phi": st.just("berwald_classic"), "--grid-nr": _int(1, 4),
+               "--grid-ns": _int(1, 4),
+               "--scheme": st.sampled_from(("ad", "fd"))},
+}
+# Flags a run may add, overriding the values above; a flag of the other
+# command is an argparse usage error.
+_OPTIONAL = {
+    "--metric": _choice("euclidean", "klein", "funk_parallel", "nope"),
+    "--dim": _choice("2", "3", "1", "-1"),
+    "--a": _choice("0.5,0.1,0", "0.1,0.05", "nan,0,0", "2,2,2"),
+    "--phi": _choice("1+r*r/2", "sqrt(1+s*s)", "s", "sqrt(", "log(s-10)"),
+    "--form": _choice("catalogue", "x1,x2,x3", "x1/x1"),
+    "--c": _FLOAT,
+    "--cmu": _choice("0,0.2", "nan,1"),
+    "--f": _choice("1", "1+r*r", "exp(r)", "0", "log(r-5)"),
+    "--P": _choice("0", "r*s/10", "s*s", "1/(r-r)"),
+    "--seed": _int(-2, 2 ** 64) | _FLOAT,
+    "--radius": _FLOAT,
+    "--tol": _FLOAT,
+    # output paths the run rejects before computing: nothing is written
+    "--out": st.sampled_from(("/nonexistent-dir/r.json", ".")),
+    "--format": _choice("json", "csv", "xml"),
+    # 1 or outside 1..MAX_THREADS: no thread pool is ever started
+    "--threads": _choice("1", "0", "-4", str(MAX_THREADS + 1), "10000"),
+    "--x-points": _int(-2, 4) | _FLOAT,
+    "--y-samples": _int(-1, 6),
+    "--grid-nr": _int(-2, 4) | _FLOAT,
+    "--sweep": st.sampled_from(("/nonexistent-dir/s.csv", ".")),
+    "--rows": _choice("all"),
+    "--scheme": _choice("exact"),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND)))
+    flags = list(_COMMAND[command].items()) + [
+        (f, _OPTIONAL[f]) for f in draw(st.lists(
+            st.sampled_from(sorted(_OPTIONAL)), max_size=2, unique=True))]
+    argv = [command, "--samples", "10"]
+    for flag, values in flags:
+        argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_argvs())
+def test_cli_fuzz_ends_in_a_documented_exit_code(argv):
+    # every input ends in an exit code of the CLI, never a traceback
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            rc = exc.code
+    assert rc in (0, 1, 2, 3, 4), (rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()

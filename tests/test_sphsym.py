@@ -35,24 +35,25 @@ def classic_P(r, s):
 
 
 def test_flat_profile_pq(flat_profile):
-    pq = pq_from_profile(flat_profile)
-    assert pq.P(0.3, 0.1) == pytest.approx(0.0, abs=1e-14)
-    assert pq.Q(0.3, 0.1) == pytest.approx(0.0, abs=1e-14)
+    P, Q = pq_from_profile(flat_profile).PQ(0.3, 0.1)
+    assert P == pytest.approx(0.0, abs=1e-14)
+    assert Q == pytest.approx(0.0, abs=1e-14)
 
 
 def test_classic_profile_pq_near_origin(classic_profile):
-    pq = pq_from_profile(classic_profile)
     r, s = 1e-3, 0.0
-    assert abs(pq.Q(r, s)) <= 1e-8
-    assert pq.P(r, s) == pytest.approx(classic_P(r, s), abs=1e-8)
-    assert pq.P(r, s) == pytest.approx(1.0, abs=1e-5)
+    P, Q = pq_from_profile(classic_profile).PQ(r, s)
+    assert abs(Q) <= 1e-8
+    assert P == pytest.approx(classic_P(r, s), abs=1e-8)
+    assert P == pytest.approx(1.0, abs=1e-5)
 
 
 def test_classic_profile_pq_grid(classic_profile):
     pq = pq_from_profile(classic_profile)
     for (r, s) in rs_grid(nr=20, ns=20):
-        assert abs(pq.Q(r, s)) <= 1e-8
-        assert abs(pq.P(r, s) - classic_P(r, s)) <= 1e-8
+        P, Q = pq.PQ(r, s)
+        assert abs(Q) <= 1e-8
+        assert abs(P - classic_P(r, s)) <= 1e-8
 
 
 def test_spray_from_pq_trivial(flat_profile):
@@ -105,6 +106,30 @@ def test_spray_from_pq_homogeneous():
     assert np.max(np.abs(G2 - lam ** 2 * G1)) <= 1e-10 * (1 + np.max(np.abs(G1)))
 
 
+def test_one_profile_jet_per_pq_evaluation(classic_profile, monkeypatch):
+    # P and Q come from one profile jet: one per spray evaluation (floats
+    # or Taylor scalars), two per metrizability residual call
+    calls = []
+    jet = SphSymProfile.jet
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return jet(self, *args, **kwargs)
+
+    monkeypatch.setattr(SphSymProfile, "jet", counted)
+    pq = pq_from_profile(classic_profile)
+    at = TangentSample((0.3, 0.1, -0.2), (0.5, -0.5, 0.7))
+    spray_from_pq(pq, at)
+    assert len(calls) == 1
+    model = spray_model_from_pq(pq, 3)
+    model.spray_override(at.x, at.y)
+    assert len(calls) == 2
+    geometry.spray_jets(model, at, 1, 2)
+    assert len(calls) == 3
+    metrizability_residuals(classic_profile, pq, (0.4, 0.2))
+    assert len(calls) == 5
+
+
 def test_metrizability_residuals_trivial(flat_profile):
     pq = pq_from_profile(flat_profile)
     r1, r2 = metrizability_residuals(flat_profile, pq, (0.4, 0.2))
@@ -120,7 +145,7 @@ def test_metrizability_residuals_classic_self_consistent(classic_profile):
 
 def test_metrizability_residuals_detect_wrong_spray(flat_profile):
     # Euclidean profile with an alien Q: first PDE residual |s| / r^2 > 0
-    pq = PQPair(lambda r, s: 0.0, lambda r, s: 1.0 / (2.0 * r * r))
+    pq = PQPair(lambda r, s: (0.0, 1.0 / (2.0 * r * r)))
     r, s = 0.5, 0.3
     r1, r2 = metrizability_residuals(flat_profile, pq, (r, s))
     assert r1 == pytest.approx(abs(s) / r ** 2, rel=1e-10)
@@ -156,9 +181,9 @@ P_CHOICES = [
 @pytest.mark.parametrize("pname,P", P_CHOICES, ids=lambda v: v if isinstance(v, str) else "")
 def test_characterised_q_is_an_identity(factor, pname, P):
     # substituting the characterised Q annihilates all three conditions
+    pq = parallel_pq(factor, P)
     for (r, s) in rs_grid(r_lo=0.1, r_hi=0.8, nr=6, ns=6):
-        Q = lambda rr, ss: parallel_q(factor, P, (rr, ss))
-        r1, r2, r3 = sss_residuals(factor, P, Q, (r, s))
+        r1, r2, r3 = sss_residuals(factor, pq, (r, s))
         assert abs(r1) <= 1e-10
         assert abs(r2) <= 1e-10
         assert abs(r3) <= 1e-10
@@ -166,19 +191,20 @@ def test_characterised_q_is_an_identity(factor, pname, P):
 
 def test_sss_residuals_euclidean_not_parallel():
     f = RadialFactor(lambda r: 1.0, df=lambda r: 0.0)
-    r1, r2, r3 = sss_residuals(f, 0.0, 0.0, (1.0, 0.0))
+    r1, r2, r3 = sss_residuals(f, PQPair(lambda r, s: (0.0, 0.0)), (1.0, 0.0))
     assert r3 == pytest.approx(1.0)
 
 
 def test_sss_linear_combination_identity():
     f = FACTORS[1]
     P = P_CHOICES[1][1]
+    # arbitrary Q, identity must hold
+    pq = PQPair(lambda rr, ss: (P(rr, ss), 0.3 + 0.0 * rr))
     rng = np.random.default_rng(8)
     for _ in range(10):
         r = float(rng.uniform(0.1, 0.9))
         s = float(rng.uniform(-0.9 * r, 0.9 * r))
-        Q = lambda rr, ss: 0.3 + 0.0 * rr  # arbitrary Q, identity must hold
-        r1, r2, r3 = sss_residuals(f, P, Q, (r, s))
+        r1, r2, r3 = sss_residuals(f, pq, (r, s))
         assert abs(s * r1 + r2 - r3) <= 1e-12 * (1 + abs(r3))
 
 
@@ -194,7 +220,7 @@ def test_parallel_form_check_positive_case():
 
 def test_parallel_form_check_euclidean_negative():
     f = RadialFactor(lambda r: 1.0, df=lambda r: 0.0)
-    pq = PQPair(lambda r, s: 0.0, lambda r, s: 0.0, source="euclidean")
+    pq = PQPair(lambda r, s: (0.0, 0.0), source="euclidean")
     samples = tangent_samples(3, 15, seed=78, radius=0.9, r_min=0.3)
     rep = parallel_form_check(pq, f, samples, n=3)
     assert rep.verdict is Verdict.NOT_PARALLEL
@@ -225,7 +251,7 @@ def test_singular_denominator_raised():
     prof = SphSymProfile(lambda r, s: s + 0.0 * r)
     pq = pq_from_profile(prof)
     with pytest.raises(SingularDenominator):
-        pq.Q(0.5, 0.2)
+        pq.PQ(0.5, 0.2)
 
 
 def test_sphsym_builds_only_flat_algebras(monkeypatch, capsys):
