@@ -22,6 +22,7 @@ shifts of one flat energy jet, whose series an AD :class:`Jet` keeps as
 ``series``.
 """
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -53,12 +54,10 @@ class JetOrder:
 
 
 class TangentSample:
-    """A base point x with a nonzero fiber vector y.
-
-    Coordinates are floats for ordinary evaluation, or Taylor scalars when
-    a jet is being taken through a derived field.  ``jets`` holds the spray
-    jets computed at the sample, keyed by (model, kx, ky, scheme), so they
-    live exactly as long as the sample.
+    """A base point x with a nonzero fiber vector y, both float
+    coordinates; jets seed their own Taylor variables at the sample.
+    ``jets`` holds the spray jets computed at the sample, keyed by (model,
+    kx, ky, scheme), so they live exactly as long as the sample.
     """
 
     __slots__ = ("x", "y", "jets")
@@ -106,9 +105,9 @@ class Jet:
     def __init__(self, nvars, caps, table, series=None, alg=None):
         self.nvars = tuple(nvars)
         self.caps = tuple(caps)
-        self.monos = tuple(_monomials(n, c) for n, c in zip(nvars, caps))
-        self.index = tuple({m: i for i, m in enumerate(ms)}
-                           for ms in self.monos)
+        layout = algebra(tuple(zip(self.nvars, self.caps)))
+        self.monos = layout.monos
+        self.index = layout.mono_index
         self.table = table  # ndarray indexed by per-group monomial position
         self.series = series
         self.alg = alg
@@ -132,11 +131,29 @@ class Jet:
         return self.partial(*(var_exponents(n, vs)
                               for n, vs in zip(self.nvars, varlists)))
 
+    def dense(self, *orders):
+        """Every partial of the given order per group, one axis per
+        differentiation: ``dense(1, 2)[k, i, j]`` is ``pvars((k,), (i, j))``.
+        Series entries keep their trailing coefficient axis."""
+        ix, shape = _dense_index(self.nvars, self.caps, orders)
+        return self.table[ix].reshape(shape + self.table.shape[len(ix):])
+
     def check_finite(self, context=""):
         if not np.isfinite(self.table).all():
             raise NonFiniteValue(
                 f"non-finite derivative encountered{': ' + context if context else ''}")
         return self
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_index(nvars, caps, orders):
+    """Open-mesh table index of :meth:`Jet.dense` and its output shape."""
+    layout = algebra(tuple(zip(nvars, caps)))
+    per_group = [[idx[var_exponents(n, vs)]
+                  for vs in product(range(n), repeat=k)]
+                 for n, k, idx in zip(nvars, orders, layout.mono_index)]
+    shape = tuple(n for n, k in zip(nvars, orders) for _ in range(k))
+    return np.ix_(*per_group), shape
 
 
 def _ad_series(fn, groups, caps):

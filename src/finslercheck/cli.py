@@ -87,6 +87,8 @@ def run_tensors(cfg):
     samples = _samples(cfg, model)
 
     def one(at):
+        if cfg.scheme == "ad":  # the lower tier is then cut from this jet
+            geometry.spray_jets(model, at, *geometry.AD_TIERS["curvature"])
         out = {"x": list(at.x), "y": list(at.y)}
         out["F"] = model.F(at.x, at.y) if model.F else None
         if model.F:
@@ -121,6 +123,7 @@ EULER_CHAIN_TOL = 1e-8
 def _euler_chain_residual(model, samples):
     worst = 0.0
     for at in samples:
+        geometry.spray_jets(model, at, *geometry.AD_TIERS["curvature"])
         y = np.asarray(at.y)
         G = geometry.spray_coefficients(model, at).components
         N = geometry.nonlinear_connection(model, at).components
@@ -294,6 +297,10 @@ def run_invariants(cfg):
 def run_sphsym(cfg):
     profile = _resolve_profile(cfg)
     report = Report("sphsym", cfg.echo())
+    # sample first, so that an unusable radius fails before the grid work
+    model = sphsym.profile_metric(profile, cfg.dim)
+    samples = tangent_samples(cfg.dim, max(10, cfg.samples // 5), cfg.seed,
+                              _sample_radius(cfg, model), r_min=0.05)
     pq = sphsym.pq_from_profile(profile)
     grid = rs_grid(nr=cfg.grid_nr, ns=cfg.grid_ns)
     tol = cfg.tol if cfg.tol is not None else 1e-7
@@ -317,9 +324,6 @@ def run_sphsym(cfg):
                            worst2 <= tol, npts, cfg.seed))
     report.add(CheckRecord("max_abs_Q", max_q, None, True, npts, cfg.seed))
 
-    model = sphsym.profile_metric(profile, cfg.dim)
-    samples = tangent_samples(cfg.dim, max(10, cfg.samples // 5), cfg.seed,
-                              _sample_radius(cfg, model), r_min=0.05)
     worst_closure = 0.0
     for at in samples:
         G_pq = sphsym.spray_from_pq(pq, at).components

@@ -61,8 +61,7 @@ class OneForm:
         if self.db is not None:
             return np.asarray(self.db(x), dtype=float)
         jets = jet_of_many(lambda xs: self.b(xs), (x,), (1,))
-        return np.array([[jets[i].pvars((j,)) for j in range(self.n)]
-                         for i in range(self.n)])
+        return np.array([jet.dense(1) for jet in jets])
 
 
 class Verdict(Enum):
@@ -229,8 +228,7 @@ def functional_independence(m, omega, phi_choice="randers", samples=()):
         rows = []
         for fn in (m.F, fbar):
             jet = eval_jet(fn, at, JetOrder(1, 1))
-            rows.append([jet.pvars((i,), ()) for i in range(at.n)]
-                        + [jet.pvars((), (i,)) for i in range(at.n)])
+            rows.append(np.concatenate([jet.dense(1, 0), jet.dense(0, 1)]))
         sv = np.linalg.svd(np.asarray(rows), compute_uv=False)
         rank = int(np.sum(sv > RANK_THRESHOLD * sv[0])) if sv[0] > 0 else 0
         best = max(best, rank)

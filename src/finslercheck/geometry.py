@@ -231,7 +231,7 @@ def _shifted_spray_jets(m, at, kx, ky):
 
 # jet orders requested per tier; AD shares one generous jet per tier, FD
 # stays minimal because its cost grows exponentially with the order
-_AD_TIERS = {"connection": (1, 2), "curvature": (1, 3)}
+AD_TIERS = {"connection": (1, 2), "curvature": (1, 3)}
 _FD_TIERS = {
     "nonlinear": (0, 1), "connection": (0, 2), "jacobi": (1, 2),
     "curvature": (0, 3),
@@ -239,25 +239,40 @@ _FD_TIERS = {
 
 
 def spray_jets(m, at, kx, ky, scheme="ad"):
-    """Per-component jets of the spray coefficients at a float sample:
-    by derivative shifts under AD when the model has F, otherwise by
-    differentiating the spray evaluation.  Computed once per sample, model,
-    order and scheme, and kept on the sample."""
+    """Per-component jets of the spray coefficients at a float sample,
+    kept on the sample per (model, order, scheme).  Under AD a jet of the
+    model already there with caps at least (kx, ky) is cut down to them by
+    the zero derivative shift, which keeps its coefficients bit for bit;
+    otherwise the jet is computed, by derivative shifts when the model has
+    F, else by differentiating the spray evaluation.  FD jets are always
+    computed at the order asked for."""
     key = (m, kx, ky, scheme)
-    jets = at.jets.get(key)
-    if jets is None:
-        if scheme == "ad" and m.F is not None:
-            jets = _shifted_spray_jets(m, at, kx, ky)
-        else:
-            jets = jet_of_many(lambda xs, ys: _spray_scalars(m, xs, ys),
-                               (at.x, at.y), (kx, ky), scheme=scheme)
-        at.jets[key] = jets
+    if key in at.jets:
+        return at.jets[key]
+    n = at.n
+    held = [jets for (model, jx, jy, s), jets in at.jets.items()
+            if model is m and s == scheme == "ad" and jx >= kx and jy >= ky]
+    if held:
+        zero, target = ((0,) * n, (0,) * n), algebra(((n, kx), (n, ky)))
+        jets = [series_jet(j.series.partial(zero, target)) for j in held[0]]
+    elif scheme == "ad" and m.F is not None:
+        jets = _shifted_spray_jets(m, at, kx, ky)
+    else:
+        jets = jet_of_many(lambda xs, ys: _spray_scalars(m, xs, ys),
+                           (at.x, at.y), (kx, ky), scheme=scheme)
+    at.jets[key] = jets
     return jets
+
+
+def _partials(jets, kx, ky):
+    """Partials of order (kx, ky) of each spray component, component axis
+    first: ``_partials(jets, 1, 2)[h, k, i, j]`` is d_k dy_i dy_j G^h."""
+    return np.array([j.dense(kx, ky) for j in jets])
 
 
 def _tier_jets(m, at, tier, scheme):
     if scheme == "ad":
-        kx, ky = _AD_TIERS["curvature" if tier == "curvature" else "connection"]
+        kx, ky = AD_TIERS["curvature" if tier == "curvature" else "connection"]
     else:
         kx, ky = _FD_TIERS[tier]
     return spray_jets(m, at, kx, ky, scheme)
@@ -281,9 +296,8 @@ def metric_tensor(m, at, scheme="ad"):
     rank < n at the sample."""
     m.require_F()
     jet = eval_jet(m.energy, at, JetOrder(0, 2), scheme=scheme)
-    n = at.n
-    g = np.array([[jet.pvars((), (i, j)) for j in range(n)] for i in range(n)])
-    _check_nondegenerate(g, n)
+    g = jet.dense(0, 2)
+    _check_nondegenerate(g, at.n)
     return TensorValue(g, (DOWN_FIBER, DOWN_FIBER), (("sym", (0, 1)),),
                        lowering=LoweringConvention.METRIC)
 
@@ -297,20 +311,18 @@ def hilbert_form(m, at, scheme="ad"):
     """l_i = dF/dy^i."""
     m.require_F()
     jet = eval_jet(m.F, at, JetOrder(0, 1), scheme=scheme)
-    ell = np.array([jet.pvars((), (i,)) for i in range(at.n)])
-    return TensorValue(ell, (DOWN_FIBER,))
+    return TensorValue(jet.dense(0, 1), (DOWN_FIBER,))
 
 
 def angular_metric(m, at, scheme="ad", check_tol=1e-8):
     """h_ij = g_ij - l_i l_j; checked against F * d2F/dy dy and h y = 0."""
     m.require_F()
-    n = at.n
     g = metric_tensor(m, at, scheme).components
     fjet = eval_jet(m.F, at, JetOrder(0, 2), scheme=scheme)
     fval = fjet.value
-    ell = np.array([fjet.pvars((), (i,)) for i in range(n)])
+    ell = fjet.dense(0, 1)
     h = g - np.outer(ell, ell)
-    hess = np.array([[fjet.pvars((), (i, j)) for j in range(n)] for i in range(n)])
+    hess = fjet.dense(0, 2)
     scale = 1.0 + float(np.max(np.abs(h)))
     tol = check_tol if scheme == "ad" else 1e-3
     if float(np.max(np.abs(h - fval * hess))) > tol * scale:
@@ -353,9 +365,8 @@ def _euler_check(residual, scale, scheme, what):
 def nonlinear_connection(m, at, scheme="ad"):
     """N^i_j = dG^i/dy^j, with the Euler check N y = 2G."""
     jets = _tier_jets(m, at, "nonlinear", scheme)
-    n = at.n
-    N = np.array([[jets[i].pvars((), (j,)) for j in range(n)] for i in range(n)])
-    G = np.array([jets[i].value for i in range(n)])
+    N = _partials(jets, 0, 1)
+    G = _partials(jets, 0, 0)
     y = np.asarray(at.y, dtype=float)
     _euler_check(float(np.max(np.abs(N @ y - 2.0 * G))), float(np.max(np.abs(G))),
                  scheme, "nonlinear connection")
@@ -365,10 +376,8 @@ def nonlinear_connection(m, at, scheme="ad"):
 def berwald_connection(m, at, scheme="ad"):
     """G^h_ij = dN^h_j/dy^i (symmetric in i, j)."""
     jets = _tier_jets(m, at, "connection", scheme)
-    n = at.n
-    C = np.array([[[jets[h].pvars((), (i, j)) for j in range(n)]
-                   for i in range(n)] for h in range(n)])
-    N = np.array([[jets[h].pvars((), (j,)) for j in range(n)] for h in range(n)])
+    C = _partials(jets, 0, 2)
+    N = _partials(jets, 0, 1)
     y = np.asarray(at.y, dtype=float)
     _euler_check(float(np.max(np.abs(np.einsum("hij,j->hi", C, y) - N))),
                  float(np.max(np.abs(N))), scheme, "Berwald connection")
@@ -377,10 +386,7 @@ def berwald_connection(m, at, scheme="ad"):
 
 def berwald_curvature(m, at, scheme="ad"):
     """G^h_ijk, totally symmetric, with G^h_ijk y^k = 0."""
-    jets = _tier_jets(m, at, "curvature", scheme)
-    n = at.n
-    B = np.array([[[[jets[h].pvars((), (i, j, k)) for k in range(n)]
-                    for j in range(n)] for i in range(n)] for h in range(n)])
+    B = _partials(_tier_jets(m, at, "curvature", scheme), 0, 3)
     y = np.asarray(at.y, dtype=float)
     _euler_check(float(np.max(np.abs(np.einsum("hijk,k->hij", B, y)))),
                  float(np.max(np.abs(B))), scheme, "Berwald curvature")
@@ -400,7 +406,7 @@ def landsberg_tensor(m, at, scheme="ad"):
     m.require_F()
     B = berwald_curvature(m, at, scheme).components
     fjet = eval_jet(m.F, at, JetOrder(0, 1), scheme=scheme)
-    ell = np.array([fjet.pvars((), (h,)) for h in range(at.n)])
+    ell = fjet.dense(0, 1)
     L = -0.5 * fjet.value * np.einsum("hijk,h->ijk", B, ell)
     return TensorValue(L, (DOWN_BASE, DOWN_BASE, DOWN_BASE),
                        (("sym", (0, 1, 2)),))
@@ -409,14 +415,11 @@ def landsberg_tensor(m, at, scheme="ad"):
 def jacobi_endomorphism(m, at, scheme="ad"):
     """Phi^i_j = 2 d_j G^i - S(N^i_j) - N^i_k N^k_j  (Riemann curvature)."""
     jets = _tier_jets(m, at, "jacobi", scheme)
-    n = at.n
-    G = np.array([jets[i].value for i in range(n)])
-    dG = np.array([[jets[i].pvars((j,), ()) for j in range(n)] for i in range(n)])
-    N = np.array([[jets[i].pvars((), (j,)) for j in range(n)] for i in range(n)])
-    dN = np.array([[[jets[i].pvars((k,), (j,)) for k in range(n)]
-                    for j in range(n)] for i in range(n)])   # dN[i,j,k] = d_k N^i_j
-    dyN = np.array([[[jets[i].pvars((), (j, k)) for k in range(n)]
-                     for j in range(n)] for i in range(n)])  # dyN[i,j,k]
+    G = _partials(jets, 0, 0)
+    dG = _partials(jets, 1, 0)
+    N = _partials(jets, 0, 1)
+    dN = _partials(jets, 1, 1).transpose(0, 2, 1).copy()  # d_k N^i_j
+    dyN = _partials(jets, 0, 2)                            # dyN[i,j,k]
     y = np.asarray(at.y, dtype=float)
     SN = np.einsum("ijk,k->ij", dN, y) - 2.0 * np.einsum("ijk,k->ij", dyN, G)
     phi = 2.0 * dG - SN - N @ N
@@ -432,11 +435,9 @@ def curvature_R(m, at, scheme="ad", check_tol=1e-8):
     in (j, k) as stored, sign-normalised so that R^h_jk y^k = Phi^h_j."""
     jets = _tier_jets(m, at, "jacobi", scheme)
     n = at.n
-    N = np.array([[jets[h].pvars((), (j,)) for j in range(n)] for h in range(n)])
-    dN = np.array([[[jets[h].pvars((k,), (j,)) for k in range(n)]
-                    for j in range(n)] for h in range(n)])   # d_k N^h_j
-    C = np.array([[[jets[h].pvars((), (l, j)) for j in range(n)]
-                   for l in range(n)] for h in range(n)])    # G^h_lj
+    N = _partials(jets, 0, 1)
+    dN = _partials(jets, 1, 1).transpose(0, 2, 1).copy()  # d_k N^h_j
+    C = _partials(jets, 0, 2)                              # G^h_lj
     R = np.zeros((n, n, n))
     for j in range(n):
         for k in range(j + 1, n):
@@ -467,13 +468,9 @@ def curvature_R(m, at, scheme="ad", check_tol=1e-8):
 def delta_derivative(m, f, at, scheme="ad"):
     """Horizontal derivative (delta_i f) = d_i f - N^j_i dy_j f of a scalar
     field on the slit tangent bundle."""
-    jets = _tier_jets(m, at, "nonlinear", scheme)
-    n = at.n
-    N = np.array([[jets[j].pvars((), (i,)) for i in range(n)] for j in range(n)])
+    N = _partials(_tier_jets(m, at, "nonlinear", scheme), 0, 1)
     fjet = eval_jet(f, at, JetOrder(1, 1), scheme=scheme)
-    out = np.array([fjet.pvars((i,), ())
-                    - sum(N[j, i] * fjet.pvars((), (j,)) for j in range(n))
-                    for i in range(n)])
+    out = fjet.dense(1, 0) - (N * fjet.dense(0, 1)[:, None]).sum(axis=0)
     return TensorValue(out, (DOWN_BASE,))
 
 

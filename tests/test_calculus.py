@@ -338,3 +338,29 @@ def test_homogeneity_check_vector_residuals(funk3):
     assert res == [homogeneity_check(lambda x, y, i=i: g(x, y)[i], at, 2)
                    for i in range(3)]
     assert max(res[:2]) <= 1e-12 and res[2] > 0.1
+
+
+@pytest.mark.parametrize("scheme,caps", [("ad", (2, 3)), ("fd", (1, 2))])
+def test_dense_read_equals_pvars(scheme, caps):
+    # every (x-order, y-order) slot of an AD and an FD jet, entry by entry
+    model = catalogue.entry("klein", n=3).model
+    at = TangentSample((0.1, -0.2, 0.3), (0.6, 0.7, -0.3))
+    jet = eval_jet(model.F, at, JetOrder(*caps), scheme=scheme)
+    for ox, oy in product(range(caps[0] + 1), range(caps[1] + 1)):
+        dense = jet.dense(ox, oy)
+        assert dense.shape == (3,) * (ox + oy)
+        for idx in np.ndindex(dense.shape):
+            assert dense[idx] == jet.pvars(idx[:ox], idx[ox:]), (ox, oy, idx)
+
+
+def test_dense_read_keeps_the_series_axis():
+    # a jet taken at Taylor-valued inputs has series entries; the dense
+    # read keeps their coefficients as a trailing axis
+    alg = taylor.algebra(((1, 2),))
+    r = alg.variable(0, 0, 0.5)
+    jet = jet_of(lambda g: g[0] ** 3 + g[0] * g[1], ((r, 0.2),), (2,))
+    for k in range(3):
+        dense = jet.dense(k)
+        assert dense.shape == (2,) * k + (alg.size,)
+        for idx in np.ndindex((2,) * k):
+            assert np.array_equal(dense[idx], jet.pvars(idx).c)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from finslercheck import catalogue, geometry, scalars, taylor
+from finslercheck import analysis, catalogue, cli, geometry, scalars, taylor
 from finslercheck.calculus import TangentSample, jet_of, jet_of_many
 from finslercheck.errors import DegenerateMetric, FinslerCheckError
 from finslercheck.geometry import Domain, MetricModel
@@ -305,3 +305,82 @@ def test_spray_jets_live_on_the_sample(monkeypatch):
     assert all(np.array_equal(a.table, b.table) for a, b in zip(fresh, first))
     geometry.spray_jets(funk, at, 1, 2)
     assert computed == [(klein, at), (klein, again), (funk, at)]
+
+
+def _count_energy_jets(monkeypatch):
+    built = []
+    shifted = geometry._shifted_spray_jets
+
+    def counted(m, at, kx, ky):
+        built.append(at)
+        return shifted(m, at, kx, ky)
+
+    monkeypatch.setattr(geometry, "_shifted_spray_jets", counted)
+    return built
+
+
+@pytest.mark.parametrize("name,n,a", [
+    ("general_berwald", 2, None), ("general_berwald", 3, (0.1, 0.05, 0.0)),
+    ("klein", 3, None), ("funk_parallel", 3, (0.5, 0.1, 0.0))])
+def test_cut_spray_jets_equal_direct_jets(name, n, a, monkeypatch):
+    # with the (1, 3) jets on the sample, a (1, 2) request is cut from them
+    # without a new energy jet, bit for bit equal to the direct jets
+    m = catalogue.entry(name, n=n, a=a).model
+    samples = tangent_samples(n, 3, seed=31, radius=0.5)
+    for at in samples:
+        geometry.spray_jets(m, at, 1, 3)
+    direct = geometry._shifted_spray_jets
+    built = _count_energy_jets(monkeypatch)
+    for at in samples:
+        cut = geometry.spray_jets(m, at, 1, 2)
+        for got, ref in zip(cut, direct(m, at, 1, 2), strict=True):
+            assert got.caps == ref.caps == (1, 2)
+            assert np.array_equal(got.table, ref.table)
+    assert built == []
+
+
+def test_cut_spray_jets_of_a_spray_only_model():
+    klein = catalogue.entry("klein", n=3).model
+    m = MetricModel(3, domain=klein.domain,
+                    spray_override=klein.spray_override, name="klein spray")
+    at = TangentSample((0.1, -0.2, 0.3), (0.6, 0.7, -0.3))
+    geometry.spray_jets(m, at, 1, 3)
+    cut = geometry.spray_jets(m, at, 1, 2)
+    ref = jet_of_many(lambda xs, ys: geometry._spray_scalars(m, xs, ys),
+                      (at.x, at.y), (1, 2))
+    assert all(np.array_equal(c.table, r.table) for c, r in zip(cut, ref))
+
+
+def test_fd_spray_jets_are_never_cut(monkeypatch):
+    # FD jets are always taken at the order asked for
+    m = catalogue.entry("klein", n=2).model
+    at = TangentSample((0.1, -0.2), (0.6, 0.8))
+    geometry.spray_jets(m, at, 1, 3)
+    geometry.spray_jets(m, at, 0, 2, "fd")
+    orders = []
+    many = geometry.jet_of_many
+
+    def counted(fn, groups, caps, scheme="ad"):
+        orders.append((caps, scheme))
+        return many(fn, groups, caps, scheme)
+
+    monkeypatch.setattr(geometry, "jet_of_many", counted)
+    geometry.spray_jets(m, at, 0, 1, "fd")
+    assert orders == [((0, 1), "fd")]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_scan_takes_one_energy_jet_per_sample(n, monkeypatch):
+    built = _count_energy_jets(monkeypatch)
+    m = catalogue.entry("general_berwald", n=n).model
+    analysis.parallel_obstruction_scan(m, x_points=2, y_per_point=n + 2)
+    assert len(built) == len(set(map(id, built))) == 2 * (n + 2)
+
+
+@pytest.mark.parametrize("command", ["tensors", "invariants"])
+def test_commands_take_one_energy_jet_per_sample(command, monkeypatch,
+                                                 capsys):
+    built = _count_energy_jets(monkeypatch)
+    assert cli.main([command, "--metric", "general_berwald",
+                     "--samples", "10"]) == 0
+    assert len(built) == len(set(map(id, built))) == 10

@@ -117,6 +117,21 @@ def test_cli_domain_error_exit_three(capsys):
     assert "domain error" in capsys.readouterr().err
 
 
+def test_sphsym_checks_the_radius_before_the_grid(monkeypatch, capsys):
+    calls = []
+    residuals = sphsym.metrizability_residuals
+
+    def counted(*args):
+        calls.append(args)
+        return residuals(*args)
+
+    monkeypatch.setattr(sphsym, "metrizability_residuals", counted)
+    rc = cli.main(["sphsym", "--phi", "berwald_classic", "--radius", "0.01"])
+    assert rc == 2
+    assert "radius" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_cli_writes_report_and_determinism(tmp_path):
     # identical config (including the output path) and seed, run twice
     out = tmp_path / "r.json"
