@@ -63,7 +63,7 @@ def scalar_curvature_fit(m, samples, tol=1e-6, scheme="ad"):
         phi = geometry.jacobi_endomorphism(m, at, scheme).components
         f2 = 2.0 * geometry.energy(m, at)
         y_up = np.asarray(at.y, dtype=float)
-        y_low = geometry.lower_fiber_index(m, at, y_up, scheme)
+        y_low = geometry.metric_tensor(m, at, scheme).components @ y_up
         k = float(np.trace(phi)) / ((n - 1) * f2)
         model = k * (f2 * np.eye(n) - np.outer(y_up, y_low))
         worst = max(worst, float(np.max(np.abs(phi - model))))

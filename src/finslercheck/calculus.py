@@ -68,6 +68,8 @@ class TangentSample:
         self.jets = {}
         if len(self.x) != len(self.y):
             raise ValueError("x and y must have the same dimension")
+        # a field differentiated under AD may build a sample of its own
+        # Taylor-valued inputs (a nested jet), so read the value parts
         ynorm = math.sqrt(sum(scalars.value(v) ** 2 for v in self.y))
         if not ynorm > 0.0:
             raise ValueError("fiber vector y must be nonzero")
@@ -328,18 +330,6 @@ def _richardson(evaluate, z, fvars, h0):
     d_h = (at(h) - at(-h)) / (2.0 * h)
     d_h2 = (at(h / 2.0) - at(-h / 2.0)) / h
     return (4.0 * d_h2 - d_h) / 3.0
-
-
-def fd_partial(fn, groups, varlists, order_hint=None):
-    """One mixed partial of the scalar field ``fn`` by nested
-    Richardson-extrapolated central differences.  ``varlists`` gives, per
-    group, the variable indices to differentiate against, applied left to
-    right (order is immaterial for smooth fields up to FD noise, which is
-    what the symmetry cross-checks probe)."""
-    flat, evaluate = _fd_field(lambda *gs: (fn(*gs),), groups)
-    fvars = _flat_vars([len(g) for g in groups], varlists)
-    k = order_hint if order_hint is not None else len(fvars)
-    return float(_richardson(evaluate, flat, fvars, fd_step(max(k, 1)))[0])
 
 
 def _fd_jets(fn, groups, caps):

@@ -18,8 +18,7 @@ Entries:
 
 Closed forms carried by an entry (spray, connection, Berwald curvature,
 projective-factor derivatives) are validated against the AD pipeline by the
-invariant suite; lowered indices inside them use the Euclidean convention
-and are tagged as such.
+invariant suite; lowered indices inside them use the Euclidean convention.
 """
 
 import math
@@ -30,9 +29,7 @@ import numpy as np
 from . import scalars
 from .errors import BadParameter, NonFiniteValue
 from .forms import OneForm
-from .geometry import (
-    DOWN_BASE, Domain, LoweringConvention, MetricModel, TensorValue, UP,
-)
+from .geometry import Domain, MetricModel, TensorValue
 
 __all__ = [
     "CatalogueEntry", "ProjectiveFactorJets", "entry", "names",
@@ -253,8 +250,7 @@ def entry(name, n=3, a=None, **extra):
 
 # -- closed-form Berwald curvature of the projectively flat family -----------
 #
-# Lowered x_i, y_i below are Euclidean (x_i = x^i, y_i = y^i); outputs are
-# tagged with that convention.
+# Lowered x_i, y_i below are Euclidean (x_i = x^i, y_i = y^i).
 
 
 def _sym_vd(v, d):
@@ -317,9 +313,7 @@ def closed_berwald_curvature(ent, at):
     G = _eq_berwald_curvature(at.x, at.y)
     if not np.isfinite(G).all():
         raise NonFiniteValue("closed-form Berwald curvature not finite")
-    return TensorValue(G, (UP, DOWN_BASE, DOWN_BASE, DOWN_BASE),
-                       (("sym", (1, 2, 3)),),
-                       lowering=LoweringConvention.EUCLIDEAN)
+    return TensorValue(G, (("sym", (1, 2, 3)),))
 
 
 @dataclass
@@ -330,7 +324,6 @@ class ProjectiveFactorJets:
     P_i: np.ndarray
     P_ij: np.ndarray
     P_ijk: np.ndarray
-    lowering: LoweringConvention = LoweringConvention.EUCLIDEAN
 
     def assemble_berwald(self, y):
         """G^h_ijk = P_ijk y^h + P_ij d^h_k + P_jk d^h_i + P_ki d^h_j."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, catalogue, expressions, forms, geometry, sphsym
 from .calculus import homogeneity_check
-from .config import RunConfig, build_config, parse_config_file
+from .config import MAX_DIM, build_config, parse_config_file
 from .errors import (
     BadParameter, ConfigError, DegenerateMetric, FinslerCheckError,
     InsufficientSamples, NonFiniteValue, NotPositive, ParseError,
@@ -87,8 +87,7 @@ def run_tensors(cfg):
     samples = _samples(cfg, model)
 
     def one(at):
-        if cfg.scheme == "ad":  # the lower tier is then cut from this jet
-            geometry.spray_jets(model, at, *geometry.AD_TIERS["curvature"])
+        G, N, C, B, phi = chain = _chain(model, at, cfg.scheme)
         out = {"x": list(at.x), "y": list(at.y)}
         out["F"] = model.F(at.x, at.y) if model.F else None
         if model.F:
@@ -96,21 +95,24 @@ def run_tensors(cfg):
             out["metric"] = geometry.metric_tensor(model, at, cfg.scheme).components.tolist()
             out["hilbert_form"] = geometry.hilbert_form(model, at, cfg.scheme).components.tolist()
             out["angular_metric"] = geometry.angular_metric(model, at, cfg.scheme).components.tolist()
-        out["spray"] = geometry.spray_coefficients(model, at, cfg.scheme).components.tolist()
-        out["nonlinear_connection"] = geometry.nonlinear_connection(model, at, cfg.scheme).components.tolist()
-        out["berwald_connection"] = geometry.berwald_connection(model, at, cfg.scheme).components.tolist()
-        out["berwald_curvature"] = geometry.berwald_curvature(model, at, cfg.scheme).components.tolist()
+        out["spray"] = G.components.tolist()
+        out["nonlinear_connection"] = N.components.tolist()
+        out["berwald_connection"] = C.components.tolist()
+        out["berwald_curvature"] = B.components.tolist()
         out["mean_berwald"] = geometry.mean_berwald(model, at, cfg.scheme).components.tolist()
         if model.F:
             out["landsberg"] = geometry.landsberg_tensor(model, at, cfg.scheme).components.tolist()
-        out["jacobi"] = geometry.jacobi_endomorphism(model, at, cfg.scheme).components.tolist()
+        out["jacobi"] = phi.components.tolist()
         R = geometry.curvature_R(model, at, cfg.scheme)
         out["curvature_R"] = R.components.tolist()
         out["curvature_R_orientation"] = R.notes["orientation"]
-        return out
+        if cfg.scheme != "ad":
+            chain = _chain(model, at)
+        return out, _euler_term(*chain)
 
-    report.data = {"samples": map_samples(one, samples, cfg.threads)}
-    worst = _euler_chain_residual(model, samples)
+    outs, terms = zip(*map_samples(one, samples, cfg.threads))
+    report.data = {"samples": list(outs)}
+    worst = max(terms)
     report.add(CheckRecord("euler_chain", worst, EULER_CHAIN_TOL,
                            worst <= EULER_CHAIN_TOL, len(samples), cfg.seed))
     return report
@@ -120,25 +122,24 @@ def run_tensors(cfg):
 EULER_CHAIN_TOL = 1e-8
 
 
-def _euler_chain_residual(model, samples):
-    worst = 0.0
-    for at in samples:
+def _chain(model, at, scheme="ad"):
+    """G, N, C, B and Phi at one sample; under AD all come from its (1, 3)
+    spray jet, which is taken first so that the (1, 2) tier is cut from it."""
+    if scheme == "ad":
         geometry.spray_jets(model, at, *geometry.AD_TIERS["curvature"])
-        y = np.asarray(at.y)
-        G = geometry.spray_coefficients(model, at).components
-        N = geometry.nonlinear_connection(model, at).components
-        C = geometry.berwald_connection(model, at).components
-        B = geometry.berwald_curvature(model, at).components
-        phi = geometry.jacobi_endomorphism(model, at).components
-        scale = 1.0 + max(float(np.max(np.abs(t))) for t in (G, N, C, B, phi))
-        worst = max(
-            worst,
-            float(np.max(np.abs(N @ y - 2 * G))) / scale,
-            float(np.max(np.abs(np.einsum("hij,j->hi", C, y) - N))) / scale,
-            float(np.max(np.abs(np.einsum("hijk,k->hij", B, y)))) / scale,
-            float(np.max(np.abs(phi @ y))) / scale,
-        )
-    return worst
+    return (geometry.spray_coefficients(model, at, scheme),
+            geometry.nonlinear_connection(model, at, scheme),
+            geometry.berwald_connection(model, at, scheme),
+            geometry.berwald_curvature(model, at, scheme),
+            geometry.jacobi_endomorphism(model, at, scheme))
+
+
+def _euler_term(G, N, C, B, phi):
+    """One sample's Euler-chain residual: the largest Euler contraction
+    residual that N, C, B and Phi recorded (N y = 2G, G^h_ij y^j = N^h_i,
+    G^h_ijk y^k = 0, Phi y = 0), over 1 + the largest entry of the five."""
+    scale = 1.0 + max(t.max_abs() for t in (G, N, C, B, phi))
+    return max(t.notes["euler_residual"] for t in (N, C, B, phi)) / scale
 
 
 def run_check_parallel(cfg):
@@ -214,82 +215,71 @@ def run_invariants(cfg):
     ent, model = _resolve_metric(cfg)
     report = Report("invariants", cfg.echo())
     samples = _samples(cfg, model)
-    seed, count = cfg.seed, len(samples)
-    tol = 1e-8 if cfg.scheme == "ad" else 1e-3
+    seed, count, scheme = cfg.seed, len(samples), cfg.scheme
+    tol = 1e-8 if scheme == "ad" else 1e-3
+    probe = forms.OneForm.constant(tuple([1.0] + [0.3] * (cfg.dim - 1)))
+    worst = dict.fromkeys(("hom", "euler", "sym", "trace", "dc", "cov_delta",
+                           "cf_spray", "cf_berwald"), 0.0)
+    min_f = float("inf")
+    spray_cf = ent.spray_cf if ent is not None else None
+    berwald_cf = ent.berwald_curvature_cf if ent is not None else None
 
-    worst_hom = max(homogeneity_check(model.F, at, 1) for at in samples) \
-        if model.F else 0.0
-    report.add(CheckRecord("homogeneity_F", worst_hom, 1e-9,
-                           worst_hom <= 1e-9, count, seed))
+    def rel_gap(got, ref):
+        return float(np.max(np.abs(got - ref))) \
+            / (1.0 + float(np.max(np.abs(ref))))
 
+    for at in samples:
+        terms = {}
+        chain = _chain(model, at)
+        terms["euler"] = _euler_term(*chain)
+        # G's value does not depend on the scheme (it is always read off
+        # AD energy jets); the scheme sets only its homogeneity tolerance
+        G, _, C, B, _ = chain
+        if scheme != "ad":
+            C = geometry.berwald_connection(model, at, scheme)
+            B = geometry.berwald_curvature(model, at, scheme)
+        tensors = [C, B, geometry.mean_berwald(model, at, scheme),
+                   geometry.curvature_R(model, at, scheme)]
+        if model.F:
+            terms["hom"] = homogeneity_check(model.F, at, 1)
+            min_f = min(min_f, float(model.F(at.x, at.y)))
+            g = geometry.metric_tensor(model, at, scheme)
+            h = geometry.angular_metric(model, at, scheme)
+            tensors += [g, h, geometry.landsberg_tensor(model, at, scheme)]
+            terms["trace"] = abs(float(np.trace(np.linalg.inv(g.components)
+                                                @ h.components))
+                                 - (cfg.dim - 1))
+        terms["sym"] = max(t.symmetry_violation() / (1.0 + t.max_abs())
+                           for t in tensors)
+        terms["dc"] = forms.homogeneity_residual(probe, at)
+        terms["cov_delta"] = forms.covariant_derivative(
+            model, probe, at, scheme).notes["delta_residual"]
+        if spray_cf is not None:
+            terms["cf_spray"] = rel_gap(
+                G.components, np.array([float(v) for v in spray_cf(at.x, at.y)]))
+        if berwald_cf is not None:
+            terms["cf_berwald"] = rel_gap(
+                B.components, np.asarray(berwald_cf(at.x, at.y)))
+        for key, value in terms.items():
+            worst[key] = max(worst[key], value)
+
+    def add(name, key, limit, apply=True):
+        if apply:
+            report.add(CheckRecord(name, worst[key], limit,
+                                   worst[key] <= limit, count, seed))
+
+    add("homogeneity_F", "hom", 1e-9)
     if model.F:
-        min_f = min(float(model.F(at.x, at.y)) for at in samples)
         report.add(CheckRecord("positivity_F", None, None, min_f > 0.0,
                                count, seed, notes={"min_F": min_f}))
-
-    worst_euler = _euler_chain_residual(model, samples)
-    report.add(CheckRecord("euler_chain", worst_euler, EULER_CHAIN_TOL,
-                           worst_euler <= EULER_CHAIN_TOL, count, seed))
-
-    worst_sym = 0.0
-    worst_trace = 0.0
-    worst_dc = 0.0
-    worst_cov_delta = 0.0
-    probe = forms.OneForm.constant(tuple([1.0] + [0.3] * (cfg.dim - 1)))
-    for at in samples:
-        tensors = [geometry.berwald_connection(model, at, cfg.scheme),
-                   geometry.berwald_curvature(model, at, cfg.scheme),
-                   geometry.mean_berwald(model, at, cfg.scheme),
-                   geometry.curvature_R(model, at, cfg.scheme)]
-        if model.F:
-            tensors += [geometry.metric_tensor(model, at, cfg.scheme),
-                        geometry.angular_metric(model, at, cfg.scheme),
-                        geometry.landsberg_tensor(model, at, cfg.scheme)]
-        for t in tensors:
-            worst_sym = max(worst_sym,
-                            t.symmetry_violation() / (1.0 + t.max_abs()))
-        if model.F:
-            g = geometry.metric_tensor(model, at, cfg.scheme).components
-            h = geometry.angular_metric(model, at, cfg.scheme).components
-            worst_trace = max(worst_trace,
-                              abs(float(np.trace(np.linalg.inv(g) @ h))
-                                  - (cfg.dim - 1)))
-        worst_dc = max(worst_dc, forms.homogeneity_residual(probe, at))
-        cov = forms.covariant_derivative(model, probe, at, cfg.scheme)
-        delta = forms.delta_beta(model, probe, at, cfg.scheme).components
-        resid = float(np.max(np.abs(np.asarray(at.y) @ cov.components - delta)))
-        worst_cov_delta = max(worst_cov_delta,
-                              resid / (1.0 + float(np.max(np.abs(delta)))))
-    report.add(CheckRecord("symmetry_tags", worst_sym, tol,
-                           worst_sym <= tol, count, seed))
-    if model.F:
-        report.add(CheckRecord("angular_trace_n_minus_1", worst_trace, tol,
-                               worst_trace <= tol, count, seed))
-    report.add(CheckRecord("d_C_beta_equals_beta", worst_dc, 1e-12,
-                           worst_dc <= 1e-12, count, seed))
-    report.add(CheckRecord("covariant_matches_delta", worst_cov_delta, tol,
-                           worst_cov_delta <= tol, count, seed))
-
-    if ent is not None:
-        cf_tol = 1e-6
-        if ent.spray_cf is not None:
-            worst = 0.0
-            for at in samples:
-                got = geometry.spray_coefficients(model, at, cfg.scheme).components
-                ref = np.array([float(v) for v in ent.spray_cf(at.x, at.y)])
-                worst = max(worst, float(np.max(np.abs(got - ref)))
-                            / (1.0 + float(np.max(np.abs(ref)))))
-            report.add(CheckRecord("closed_form_spray", worst, cf_tol,
-                                   worst <= cf_tol, count, seed))
-        if ent.berwald_curvature_cf is not None:
-            worst = 0.0
-            for at in samples:
-                got = geometry.berwald_curvature(model, at, cfg.scheme).components
-                ref = np.asarray(ent.berwald_curvature_cf(at.x, at.y))
-                worst = max(worst, float(np.max(np.abs(got - ref)))
-                            / (1.0 + float(np.max(np.abs(ref)))))
-            report.add(CheckRecord("closed_form_berwald_curvature", worst,
-                                   cf_tol, worst <= cf_tol, count, seed))
+    add("euler_chain", "euler", EULER_CHAIN_TOL)
+    add("symmetry_tags", "sym", tol)
+    add("angular_trace_n_minus_1", "trace", tol, model.F is not None)
+    add("d_C_beta_equals_beta", "dc", 1e-12)
+    add("covariant_matches_delta", "cov_delta", tol)
+    add("closed_form_spray", "cf_spray", 1e-6, spray_cf is not None)
+    add("closed_form_berwald_curvature", "cf_berwald", 1e-6,
+        berwald_cf is not None)
     report.verdicts["metric"] = model.name
     return report
 
@@ -380,7 +370,7 @@ RUNNERS = {
 
 def _add_common(p):
     p.add_argument("--metric", help="catalogue metric name")
-    p.add_argument("--dim", help="dimension n >= 2")
+    p.add_argument("--dim", help=f"dimension n, 2 to {MAX_DIM}")
     p.add_argument("--a", help="comma-separated parameter vector a")
     p.add_argument("--phi", help="profile phi(r,s) expression or "
                                  "'berwald_classic'")

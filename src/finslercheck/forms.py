@@ -19,7 +19,7 @@ import numpy as np
 from . import geometry, sampling, scalars
 from .calculus import JetOrder, eval_jet, jet_of_many
 from .errors import FinslerCheckError, InsufficientSamples, NotPositive
-from .geometry import DOWN_BASE, DOWN_FIBER, MetricModel, TensorValue
+from .geometry import MetricModel, TensorValue
 
 __all__ = [
     "OneForm", "ParallelReport", "Verdict", "covariant_derivative",
@@ -93,20 +93,24 @@ PARALLEL_TOL = {"ad": 1e-7, "fd": 1e-4}
 
 def covariant_derivative(m, omega, at, scheme="ad"):
     """Berwald horizontal covariant derivative b_{i|j}; the contraction
-    y^i b_{i|j} = delta_j beta is checked on every call."""
-    n = at.n
+    y^i b_{i|j} = delta_j beta is checked on every call.  The notes record
+    ``max_delta``, max |delta_j beta|, and ``delta_residual``, the
+    contraction's residual max |y^i b_{i|j} - delta_j beta| relative to
+    1 + max_delta."""
     conn = geometry.berwald_connection(m, at, scheme).components
     db = omega.jacobian(at.x)
     b = omega.values(at.x)
     cov = db - np.einsum("kji,k->ij", conn, b)
     y = np.asarray(at.y, dtype=float)
-    delta = delta_beta(m, omega, at, scheme).components
-    resid = float(np.max(np.abs(y @ cov - delta)))
-    tol = (1e-10 if scheme == "ad" else 1e-3) * (1.0 + float(np.max(np.abs(delta))))
+    delta = delta_beta(m, omega, at, scheme)
+    max_delta = delta.max_abs()
+    resid = float(np.max(np.abs(y @ cov - delta.components)))
+    tol = (1e-10 if scheme == "ad" else 1e-3) * (1.0 + max_delta)
     if resid > tol:
         raise FinslerCheckError(
             f"y^i b_i|j disagrees with delta_j beta (residual {resid:g})")
-    return TensorValue(cov, (DOWN_FIBER, DOWN_BASE))
+    return TensorValue(cov, notes={"max_delta": max_delta,
+                                   "delta_residual": resid / (1.0 + max_delta)})
 
 
 def delta_beta(m, omega, at, scheme="ad"):
@@ -120,9 +124,8 @@ def d_R_beta(m, omega, at, scheme="ad"):
     b = omega.values(at.x)
     two_form = np.einsum("hjk,h->jk", R.components, b)
     contracted = two_form @ np.asarray(at.y, dtype=float)
-    return (TensorValue(two_form, (DOWN_BASE, DOWN_BASE),
-                        (("antisym", (0, 1)),), notes=dict(R.notes)),
-            TensorValue(contracted, (DOWN_BASE,), notes=dict(R.notes)))
+    return (TensorValue(two_form, (("antisym", (0, 1)),), dict(R.notes)),
+            TensorValue(contracted, notes=dict(R.notes)))
 
 
 def m_covector(m, omega, at, scheme="ad"):
@@ -134,8 +137,7 @@ def m_covector(m, omega, at, scheme="ad"):
     fval = scalars.value(m.F(at.x, at.y))
     beta = float(b @ np.asarray(at.y, dtype=float))
     mj = b - (beta / fval) * ell
-    return TensorValue(mj, (DOWN_FIBER,),
-                       notes={"norm": float(np.linalg.norm(mj))})
+    return TensorValue(mj, notes={"norm": float(np.linalg.norm(mj))})
 
 
 def homogeneity_residual(omega, at):
@@ -160,9 +162,10 @@ def is_parallel(m, omega, samples, tol=None, scheme="ad", threads=1):
             raise FinslerCheckError(
                 f"d_C beta != beta (residual {hres:g}); the form is not "
                 "a fiberwise-linear function of y")
+        cov = covariant_derivative(m, omega, at, scheme)
         return {
-            "covariant": covariant_derivative(m, omega, at, scheme).max_abs(),
-            "delta": delta_beta(m, omega, at, scheme).max_abs(),
+            "covariant": cov.max_abs(),
+            "delta": cov.notes["max_delta"],
             "curvature": d_R_beta(m, omega, at, scheme)[0].max_abs(),
         }
 

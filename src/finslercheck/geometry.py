@@ -20,13 +20,13 @@ evaluation itself.
 Conventions.  R^h_jk is computed from horizontal derivatives of N and then
 sign-normalised so that R^h_jk y^k equals the Jacobi endomorphism
 component-wise; the orientation used is recorded in the tensor's notes.
-Index lowering inside the pipeline always uses the metric tensor; tensors
-record the convention they carry.
+Index lowering inside the pipeline always uses the metric tensor.  The ops
+that check an Euler contraction record its raw residual in their notes as
+``euler_residual``.
 """
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -38,39 +38,21 @@ from .errors import (ConventionMismatch, DegenerateMetric, FinslerCheckError,
 from .taylor import algebra
 
 __all__ = [
-    "LoweringConvention", "IndexRole", "TensorValue", "Domain", "MetricModel",
+    "TensorValue", "Domain", "MetricModel",
     "energy", "metric_tensor", "hilbert_form", "angular_metric",
     "spray_coefficients", "nonlinear_connection", "berwald_connection",
     "berwald_curvature", "mean_berwald", "landsberg_tensor",
     "jacobi_endomorphism", "curvature_R", "delta_derivative",
-    "metric_inverse", "lower_fiber_index",
+    "metric_inverse",
 ]
-
-
-class LoweringConvention(Enum):
-    METRIC = "metric"        # y_i = g_ij y^j
-    EUCLIDEAN = "euclidean"  # y_i = delta_ij y^j
-
-
-@dataclass(frozen=True)
-class IndexRole:
-    variance: str  # "up" | "down"
-    kind: str      # "base" | "fiber"
-
-
-UP = IndexRole("up", "fiber")
-DOWN_BASE = IndexRole("down", "base")
-DOWN_FIBER = IndexRole("down", "fiber")
 
 
 @dataclass
 class TensorValue:
-    """Dense component array with index metadata and symmetry tags."""
+    """Dense component array with symmetry tags and notes."""
 
     components: np.ndarray
-    roles: tuple
     symmetries: tuple = ()  # ("sym"|"antisym", positions)
-    lowering: LoweringConvention | None = None
     notes: dict = field(default_factory=dict)
 
     def max_abs(self):
@@ -107,11 +89,6 @@ class Domain:
     """Open ball |x| < radius, or all of R^n when radius is None."""
 
     radius: float | None = None
-
-    def contains(self, x, margin=0.0):
-        if self.radius is None:
-            return True
-        return math.sqrt(sum(scalars.value(v) ** 2 for v in x)) < self.radius - margin
 
     def default_sample_radius(self):
         # stay well inside ball domains so denominators remain bounded
@@ -298,8 +275,7 @@ def metric_tensor(m, at, scheme="ad"):
     jet = eval_jet(m.energy, at, JetOrder(0, 2), scheme=scheme)
     g = jet.dense(0, 2)
     _check_nondegenerate(g, at.n)
-    return TensorValue(g, (DOWN_FIBER, DOWN_FIBER), (("sym", (0, 1)),),
-                       lowering=LoweringConvention.METRIC)
+    return TensorValue(g, (("sym", (0, 1)),))
 
 
 def metric_inverse(m, at, scheme="ad"):
@@ -311,7 +287,7 @@ def hilbert_form(m, at, scheme="ad"):
     """l_i = dF/dy^i."""
     m.require_F()
     jet = eval_jet(m.F, at, JetOrder(0, 1), scheme=scheme)
-    return TensorValue(jet.dense(0, 1), (DOWN_FIBER,))
+    return TensorValue(jet.dense(0, 1))
 
 
 def angular_metric(m, at, scheme="ad", check_tol=1e-8):
@@ -329,8 +305,7 @@ def angular_metric(m, at, scheme="ad", check_tol=1e-8):
         raise FinslerCheckError("angular metric failed the F*Hess(F) cross-check")
     if float(np.max(np.abs(h @ np.asarray(at.y, dtype=float)))) > tol * scale:
         raise FinslerCheckError("angular metric is not transverse to y")
-    return TensorValue(h, (DOWN_FIBER, DOWN_FIBER), (("sym", (0, 1)),),
-                       lowering=LoweringConvention.METRIC)
+    return TensorValue(h, (("sym", (0, 1)),))
 
 
 def spray_coefficients(m, at, scheme="ad"):
@@ -352,14 +327,17 @@ def spray_coefficients(m, at, scheme="ad"):
         if res > hom_tol:
             raise FinslerCheckError(
                 f"spray component {i} is not 2-homogeneous (residual {res:g})")
-    return TensorValue(G, (UP,), notes=notes)
+    return TensorValue(G, notes=notes)
 
 
-def _euler_check(residual, scale, scheme, what):
+def _euler_notes(residual, scale, scheme, what):
+    """Notes recording the raw residual of an Euler contraction; raises
+    when it exceeds the scheme's tolerance relative to ``1 + scale``."""
     tol = 1e-9 if scheme == "ad" else 1e-3
     if residual > tol * (1.0 + scale):
         raise FinslerCheckError(f"{what} failed its Euler contraction "
                                 f"(residual {residual:g})")
+    return {"euler_residual": residual}
 
 
 def nonlinear_connection(m, at, scheme="ad"):
@@ -368,37 +346,36 @@ def nonlinear_connection(m, at, scheme="ad"):
     N = _partials(jets, 0, 1)
     G = _partials(jets, 0, 0)
     y = np.asarray(at.y, dtype=float)
-    _euler_check(float(np.max(np.abs(N @ y - 2.0 * G))), float(np.max(np.abs(G))),
-                 scheme, "nonlinear connection")
-    return TensorValue(N, (UP, DOWN_BASE))
+    return TensorValue(N, notes=_euler_notes(
+        float(np.max(np.abs(N @ y - 2.0 * G))), float(np.max(np.abs(G))),
+        scheme, "nonlinear connection"))
 
 
 def berwald_connection(m, at, scheme="ad"):
-    """G^h_ij = dN^h_j/dy^i (symmetric in i, j)."""
+    """G^h_ij = dN^h_j/dy^i (symmetric in i, j), with G^h_ij y^j = N^h_i."""
     jets = _tier_jets(m, at, "connection", scheme)
     C = _partials(jets, 0, 2)
     N = _partials(jets, 0, 1)
     y = np.asarray(at.y, dtype=float)
-    _euler_check(float(np.max(np.abs(np.einsum("hij,j->hi", C, y) - N))),
-                 float(np.max(np.abs(N))), scheme, "Berwald connection")
-    return TensorValue(C, (UP, DOWN_BASE, DOWN_BASE), (("sym", (1, 2)),))
+    return TensorValue(C, (("sym", (1, 2)),), _euler_notes(
+        float(np.max(np.abs(np.einsum("hij,j->hi", C, y) - N))),
+        float(np.max(np.abs(N))), scheme, "Berwald connection"))
 
 
 def berwald_curvature(m, at, scheme="ad"):
     """G^h_ijk, totally symmetric, with G^h_ijk y^k = 0."""
     B = _partials(_tier_jets(m, at, "curvature", scheme), 0, 3)
     y = np.asarray(at.y, dtype=float)
-    _euler_check(float(np.max(np.abs(np.einsum("hijk,k->hij", B, y)))),
-                 float(np.max(np.abs(B))), scheme, "Berwald curvature")
-    return TensorValue(B, (UP, DOWN_BASE, DOWN_BASE, DOWN_BASE),
-                       (("sym", (1, 2, 3)),))
+    return TensorValue(B, (("sym", (1, 2, 3)),), _euler_notes(
+        float(np.max(np.abs(np.einsum("hijk,k->hij", B, y)))),
+        float(np.max(np.abs(B))), scheme, "Berwald curvature"))
 
 
 def mean_berwald(m, at, scheme="ad"):
     """E_jk = (1/2) G^i_ijk."""
     B = berwald_curvature(m, at, scheme).components
     E = 0.5 * np.einsum("iijk->jk", B)
-    return TensorValue(E, (DOWN_BASE, DOWN_BASE), (("sym", (0, 1)),))
+    return TensorValue(E, (("sym", (0, 1)),))
 
 
 def landsberg_tensor(m, at, scheme="ad"):
@@ -408,12 +385,12 @@ def landsberg_tensor(m, at, scheme="ad"):
     fjet = eval_jet(m.F, at, JetOrder(0, 1), scheme=scheme)
     ell = fjet.dense(0, 1)
     L = -0.5 * fjet.value * np.einsum("hijk,h->ijk", B, ell)
-    return TensorValue(L, (DOWN_BASE, DOWN_BASE, DOWN_BASE),
-                       (("sym", (0, 1, 2)),))
+    return TensorValue(L, (("sym", (0, 1, 2)),))
 
 
 def jacobi_endomorphism(m, at, scheme="ad"):
-    """Phi^i_j = 2 d_j G^i - S(N^i_j) - N^i_k N^k_j  (Riemann curvature)."""
+    """Phi^i_j = 2 d_j G^i - S(N^i_j) - N^i_k N^k_j  (Riemann curvature),
+    with Phi y = 0."""
     jets = _tier_jets(m, at, "jacobi", scheme)
     G = _partials(jets, 0, 0)
     dG = _partials(jets, 1, 0)
@@ -423,11 +400,9 @@ def jacobi_endomorphism(m, at, scheme="ad"):
     y = np.asarray(at.y, dtype=float)
     SN = np.einsum("ijk,k->ij", dN, y) - 2.0 * np.einsum("ijk,k->ij", dyN, G)
     phi = 2.0 * dG - SN - N @ N
-    scale = float(np.max(np.abs(phi)))
-    tol = 1e-9 if scheme == "ad" else 1e-3
-    if float(np.max(np.abs(phi @ y))) > tol * (1.0 + scale):
-        raise FinslerCheckError("Jacobi endomorphism does not annihilate y")
-    return TensorValue(phi, (UP, DOWN_BASE))
+    return TensorValue(phi, notes=_euler_notes(
+        float(np.max(np.abs(phi @ y))), float(np.max(np.abs(phi))), scheme,
+        "Jacobi endomorphism"))
 
 
 def curvature_R(m, at, scheme="ad", check_tol=1e-8):
@@ -461,8 +436,7 @@ def curvature_R(m, at, scheme="ad", check_tol=1e-8):
         raise ConventionMismatch(
             "R^h_jk y^k differs from the Jacobi endomorphism by more than "
             "a global sign")
-    return TensorValue(R, (UP, DOWN_BASE, DOWN_BASE), (("antisym", (1, 2)),),
-                       notes={"orientation": orientation})
+    return TensorValue(R, (("antisym", (1, 2)),), {"orientation": orientation})
 
 
 def delta_derivative(m, f, at, scheme="ad"):
@@ -471,10 +445,4 @@ def delta_derivative(m, f, at, scheme="ad"):
     N = _partials(_tier_jets(m, at, "nonlinear", scheme), 0, 1)
     fjet = eval_jet(f, at, JetOrder(1, 1), scheme=scheme)
     out = fjet.dense(1, 0) - (N * fjet.dense(0, 1)[:, None]).sum(axis=0)
-    return TensorValue(out, (DOWN_BASE,))
-
-
-def lower_fiber_index(m, at, vec, scheme="ad"):
-    """y_i = g_ij y^j style metric lowering of an up-fiber vector."""
-    g = metric_tensor(m, at, scheme).components
-    return g @ np.asarray(vec, dtype=float)
+    return TensorValue(out)

@@ -25,7 +25,7 @@ from . import forms, geometry, scalars
 from .calculus import TangentSample, jet_of, jet_of_many
 from .errors import SelfCheckFailure, SingularDenominator
 from .forms import OneForm
-from .geometry import Domain, MetricModel, TensorValue, UP
+from .geometry import Domain, MetricModel, TensorValue
 
 __all__ = [
     "SphSymProfile", "PQPair", "RadialFactor", "pq_from_profile",
@@ -138,7 +138,7 @@ def _pq_spray(pq, x, y):
 def spray_from_pq(pq, at):
     """The (P, Q) spray at a tangent sample."""
     G = np.array([scalars.value(c) for c in _pq_spray(pq, at.x, at.y)])
-    return TensorValue(G, (UP,))
+    return TensorValue(G)
 
 
 def spray_model_from_pq(pq, n, domain=None, name=""):
@@ -167,7 +167,7 @@ def connection_from_pq(pq, at):
     d = np.eye(len(x))
     N = (u * P * d + P_s * np.outer(y, x) + (P - s * P_s) / u * np.outer(y, y)
          + u * Q_s * np.outer(x, x) + (2.0 * Q - s * Q_s) * np.outer(x, y))
-    return TensorValue(N, (UP, geometry.DOWN_BASE))
+    return TensorValue(N)
 
 
 def metrizability_residuals(profile, pq, rs):

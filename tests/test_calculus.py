@@ -8,8 +8,8 @@ import pytest
 
 from finslercheck import catalogue, scalars, taylor
 from finslercheck.calculus import (
-    JetOrder, TangentSample, eval_jet, fd_partial, fd_step, homogeneity_check,
-    jet_of, jet_of_many,
+    JetOrder, TangentSample, _fd_field, _richardson, eval_jet, fd_step,
+    homogeneity_check, jet_of, jet_of_many,
 )
 from finslercheck.errors import NonFiniteValue
 
@@ -75,16 +75,17 @@ def test_ad_vs_fd_catalogue(name):
 
 
 def test_fd_mixed_partial_orderings_agree(klein3):
-    # same partial, different application order of the FD operators
+    # same partial, the FD operators applied in either order; flat
+    # variables 0..2 are x, 3..5 are y
     at = TangentSample((0.1, -0.3, 0.2), (0.4, 0.8, -0.45))
-    groups = (at.x, at.y)
-    d_xy = fd_partial(klein3.model.F, groups, ((0,), (1,)))
-    d_yx_first = fd_partial(lambda x, y: klein3.model.F(x, y), groups,
-                            ((0,), (1,)))
-    assert d_xy == pytest.approx(d_yx_first, abs=1e-10)
-    d12 = fd_partial(klein3.model.F, groups, ((), (1, 2)))
-    d21 = fd_partial(klein3.model.F, groups, ((), (2, 1)))
-    assert d12 == pytest.approx(d21, abs=1e-5)
+    flat, evaluate = _fd_field(lambda x, y: (klein3.model.F(x, y),),
+                               (at.x, at.y))
+
+    def partial(fvars):
+        return float(_richardson(evaluate, flat, fvars, fd_step(2))[0])
+
+    assert partial([0, 4]) == pytest.approx(partial([4, 0]), abs=1e-10)
+    assert partial([4, 5]) == pytest.approx(partial([5, 4]), abs=1e-5)
 
 
 def test_ad_mixed_partials_symmetric(gb3):

@@ -73,7 +73,6 @@ def test_closed_berwald_curvature_contraction(gb3, samples10):
         y = np.array(at.y)
         assert np.max(np.abs(np.einsum("hijk,k->hij", C.components, y))) <= 1e-9
         C.check_symmetries(1e-10)
-        assert C.lowering is geometry.LoweringConvention.EUCLIDEAN
 
 
 def test_closed_berwald_curvature_domain():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from finslercheck import catalogue, forms, geometry
-from finslercheck.calculus import TangentSample, fd_partial
+from finslercheck.calculus import TangentSample, jet_of_many
 from finslercheck.errors import InsufficientSamples, NotPositive
 from finslercheck.forms import OneForm, Verdict
 from finslercheck.sampling import tangent_samples
@@ -40,19 +40,29 @@ def test_covariant_derivative_funk_family(funk3, funk_family):
         assert forms.covariant_derivative(funk3.model, funk_family, at).max_abs() <= 1e-8
 
 
+def test_covariant_derivative_records_delta_beta(funk3, funk_family):
+    # the notes equal the y^i b_i|j = delta_j beta check recomputed here
+    for at in tangent_samples(3, 5, seed=13):
+        cov = forms.covariant_derivative(funk3.model, funk_family, at)
+        delta = forms.delta_beta(funk3.model, funk_family, at).components
+        max_delta = float(np.max(np.abs(delta)))
+        resid = float(np.max(np.abs(np.asarray(at.y) @ cov.components - delta)))
+        assert cov.notes["max_delta"] == max_delta
+        assert cov.notes["delta_residual"] == resid / (1.0 + max_delta)
+
+
 def test_fiber_derivative_of_delta_beta_is_covariant_derivative(funk3):
     # dy_i(delta_j beta) = b_{i|j}, probed by finite differences in y
     omega = funk3.parallel_family(c=0.3, c_mu=(0.1, 0.0))
     at = TangentSample((0.2, -0.1, 0.3), (0.6, 0.7, -0.3))
     cov = forms.covariant_derivative(funk3.model, omega, at).components
     beta = omega.beta()
+    fd = jet_of_many(lambda x, y: geometry.delta_derivative(
+        funk3.model, beta, TangentSample(x, y)).components,
+        (at.x, at.y), (0, 1), scheme="fd")
     for i in range(3):
         for j in range(3):
-            fd = fd_partial(
-                lambda x, y: geometry.delta_derivative(
-                    funk3.model, beta, TangentSample(x, y)).components[j],
-                (at.x, at.y), ((), (i,)))
-            assert fd == pytest.approx(cov[i, j], abs=1e-8)
+            assert fd[j].pvars((), (i,)) == pytest.approx(cov[i, j], abs=1e-8)
 
 
 def test_d_r_beta_euclidean(euclid3):

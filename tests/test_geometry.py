@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from finslercheck import analysis, catalogue, cli, geometry, scalars, taylor
+from finslercheck import (analysis, catalogue, cli, forms, geometry, scalars,
+                          taylor)
 from finslercheck.calculus import TangentSample, jet_of, jet_of_many
 from finslercheck.errors import DegenerateMetric, FinslerCheckError
 from finslercheck.geometry import Domain, MetricModel
@@ -384,3 +385,58 @@ def test_commands_take_one_energy_jet_per_sample(command, monkeypatch,
     assert cli.main([command, "--metric", "general_berwald",
                      "--samples", "10"]) == 0
     assert len(built) == len(set(map(id, built))) == 10
+
+
+# Calls per sample of one pipeline pass; angular_metric takes g once more.
+ONE_PASS_CALLS = {
+    "invariants": {"spray_coefficients": 1, "metric_tensor": 2,
+                   "angular_metric": 1, "delta_beta": 1},
+    "check-parallel": {"spray_coefficients": 0, "metric_tensor": 0,
+                       "angular_metric": 0, "delta_beta": 1},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--metric", "general_berwald"],
+    ["check-parallel", "--metric", "funk_parallel", "--a", "0.5,0.1,0",
+     "--c", "1", "--cmu", "0,0.2"]])
+def test_commands_take_each_tensor_once_per_sample(argv, monkeypatch,
+                                                   capsys):
+    calls = dict.fromkeys(ONE_PASS_CALLS[argv[0]], 0)
+    for module, name in ((geometry, "spray_coefficients"),
+                         (geometry, "metric_tensor"),
+                         (geometry, "angular_metric"), (forms, "delta_beta")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert cli.main(argv + ["--samples", "10"]) == 0
+    for name, per_sample in ONE_PASS_CALLS[argv[0]].items():
+        assert calls[name] <= 10 * per_sample, (name, calls[name])
+
+
+def _recomputed_euler_term(model, at):
+    # the Euler chain as it was computed before the ops recorded their
+    # residuals: the whole AD pipeline again, contracted here
+    geometry.spray_jets(model, at, *geometry.AD_TIERS["curvature"])
+    y = np.asarray(at.y)
+    G = geometry.spray_coefficients(model, at).components
+    N = geometry.nonlinear_connection(model, at).components
+    C = geometry.berwald_connection(model, at).components
+    B = geometry.berwald_curvature(model, at).components
+    phi = geometry.jacobi_endomorphism(model, at).components
+    scale = 1.0 + max(float(np.max(np.abs(t))) for t in (G, N, C, B, phi))
+    return max(float(np.max(np.abs(N @ y - 2 * G))) / scale,
+               float(np.max(np.abs(np.einsum("hij,j->hi", C, y) - N))) / scale,
+               float(np.max(np.abs(np.einsum("hijk,k->hij", B, y)))) / scale,
+               float(np.max(np.abs(phi @ y))) / scale)
+
+
+@pytest.mark.parametrize("name", ["general_berwald", "klein",
+                                  "funk_parallel"])
+def test_euler_term_from_notes_equals_recomputation(name):
+    model = catalogue.entry(name, n=3).model
+    for at in tangent_samples(3, 10, seed=5):
+        ref = _recomputed_euler_term(model, TangentSample(at.x, at.y))
+        assert cli._euler_term(*cli._chain(model, at)) == ref

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from finslercheck import cli, sampling, sphsym
-from finslercheck.config import MAX_THREADS, build_config, parse_config_file
+from finslercheck.config import (MAX_DIM, MAX_THREADS, build_config,
+                                 parse_config_file)
 from finslercheck.errors import ConfigError, SelfCheckFailure
 from finslercheck.reporting import dumps
 
@@ -63,8 +64,14 @@ def test_build_config_validation():
         build_config("scan", overrides={"scheme": "magic"})
     with pytest.raises(ConfigError):
         build_config("scan", overrides={"dim": 1})
+    with pytest.raises(ConfigError, match="dim"):
+        build_config("scan", overrides={"dim": MAX_DIM + 1})
+    with pytest.raises(ConfigError, match="y_samples"):
+        build_config("scan", overrides={"dim": 3, "y_samples": 4})
     cfg = build_config("scan", overrides={"samples": "25", "dim": "4"})
     assert cfg.samples == 25 and cfg.dim == 4
+    cfg = build_config("scan", overrides={"dim": MAX_DIM, "y_samples": 10})
+    assert cfg.dim == MAX_DIM and cfg.y_samples == MAX_DIM + 2
 
 
 def test_cli_pass_exit_zero(capsys):
@@ -105,6 +112,8 @@ def test_cli_fail_exit_one(capsys):
     ["scalar-curvature", "--metric", "klein", "--radius", "nan"],
     ["tensors", "--metric", "euclidean", "--radius", "inf"],
     ["scan", "--metric", "klein", "--radius", "0.01"],
+    ["tensors", "--metric", "klein", "--dim", "9"],
+    ["scan", "--metric", "klein", "--y-samples", "3"],
 ])
 def test_cli_config_errors_exit_two(argv, capsys):
     assert cli.main(argv) == 2
@@ -318,7 +327,7 @@ _COMMAND = {
 # command is an argparse usage error.
 _OPTIONAL = {
     "--metric": _choice("euclidean", "klein", "funk_parallel", "nope"),
-    "--dim": _choice("2", "3", "1", "-1"),
+    "--dim": _choice("2", "3", "1", "-1", "1000"),
     "--a": _choice("0.5,0.1,0", "0.1,0.05", "nan,0,0", "2,2,2"),
     "--phi": _choice("1+r*r/2", "sqrt(1+s*s)", "s", "sqrt(", "log(s-10)"),
     "--form": _choice("catalogue", "x1,x2,x3", "x1/x1"),
