@@ -83,13 +83,13 @@ RANK_THRESHOLD = 1e-7
 ZERO_FLOOR = 1e-10
 
 
-def mean_berwald_rank(m, samples, threshold=RANK_THRESHOLD, scheme="ad"):
+def mean_berwald_rank(m, samples, scheme="ad"):
     """Maximum numerical rank of the mean Berwald curvature over samples."""
     best = 0
     per_sample = []
     for at in samples:
-        E = geometry.mean_berwald(m, at, scheme).components
-        rank, _ = _rank_of(E, threshold)
+        B = geometry.berwald_curvature(m, at, scheme)
+        rank, _ = _rank_of(geometry.mean_berwald(B).components)
         per_sample.append(rank)
         best = max(best, rank)
     return best, per_sample
@@ -99,7 +99,6 @@ def mean_berwald_rank(m, samples, threshold=RANK_THRESHOLD, scheme="ad"):
 class KernelScanReport:
     """Per-base-point kernel data of the stacked parallel-form constraints."""
 
-    threshold: float
     rows_mode: str
     per_x: list = field(default_factory=list)
     matrices: list = field(default_factory=list)
@@ -124,15 +123,14 @@ class KernelScanReport:
         return self.branch in ("pointwise", "intersection")
 
 
-def _rank_of(mat, threshold):
+def _rank_of(mat):
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv.size == 0 or sv[0] <= ZERO_FLOOR:
         return 0, sv
-    return int(np.sum(sv > max(threshold * sv[0], ZERO_FLOOR))), sv
+    return int(np.sum(sv > max(RANK_THRESHOLD * sv[0], ZERO_FLOOR))), sv
 
 
-def parallel_obstruction_scan(m, x_points=5, y_per_point=20,
-                              threshold=RANK_THRESHOLD, rows="both",
+def parallel_obstruction_scan(m, x_points=5, y_per_point=20, rows="both",
                               seed=0, scheme="ad", threads=1):
     """Stack b |-> G^h_ijk b_h and b |-> R^h_jk b_h rows over fiber samples
     at each base point and measure the kernel dimension (columns = n).
@@ -166,23 +164,24 @@ def parallel_obstruction_scan(m, x_points=5, y_per_point=20,
                 for (i, j, k) in triples:
                     rows_x.append(B[:, i, j, k])
             if rows in ("both", "curvature"):
-                R = geometry.curvature_R(m, at, scheme).components
+                phi = geometry.jacobi_endomorphism(m, at, scheme)
+                R = geometry.curvature_R(m, at, phi, scheme).components
                 for j in range(n):
                     for k in range(j + 1, n):
                         rows_x.append(R[:, j, k])
         return np.array(rows_x)
 
-    report = KernelScanReport(threshold=threshold, rows_mode=rows)
+    report = KernelScanReport(rows_mode=rows)
     mats = map_samples(rows_for, xs, threads)
     for x, mat in zip(xs, mats):
-        rank, sv = _rank_of(mat, threshold)
+        rank, sv = _rank_of(mat)
         report.per_x.append({
             "x": tuple(x), "rows": mat.shape[0],
             "singular_values": [float(v) for v in sv],
             "rank": rank, "kernel_dim": n - rank,
         })
         report.matrices.append(mat)
-    total_rank, _ = _rank_of(np.vstack(mats), threshold)
+    total_rank, _ = _rank_of(np.vstack(mats))
     report.intersection_kernel_dim = n - total_rank
     return report
 
@@ -203,5 +202,6 @@ def landsberg_residual(m, samples, scheme="ad"):
     """max |L_ijk| over the samples (classification datum)."""
     worst = 0.0
     for at in samples:
-        worst = max(worst, geometry.landsberg_tensor(m, at, scheme).max_abs())
+        B = geometry.berwald_curvature(m, at, scheme)
+        worst = max(worst, geometry.landsberg_tensor(m, at, B, scheme).max_abs())
     return worst

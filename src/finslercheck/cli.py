@@ -87,28 +87,30 @@ def run_tensors(cfg):
     samples = _samples(cfg, model)
 
     def one(at):
-        G, N, C, B, phi = chain = _chain(model, at, cfg.scheme)
+        G = geometry.spray_coefficients(model, at)
+        N, C, B, phi = chain = _chain(model, at, cfg.scheme)
         out = {"x": list(at.x), "y": list(at.y)}
         out["F"] = model.F(at.x, at.y) if model.F else None
         if model.F:
+            g = geometry.metric_tensor(model, at, cfg.scheme)
             out["energy"] = geometry.energy(model, at)
-            out["metric"] = geometry.metric_tensor(model, at, cfg.scheme).components.tolist()
+            out["metric"] = g.components.tolist()
             out["hilbert_form"] = geometry.hilbert_form(model, at, cfg.scheme).components.tolist()
-            out["angular_metric"] = geometry.angular_metric(model, at, cfg.scheme).components.tolist()
+            out["angular_metric"] = geometry.angular_metric(model, at, g, cfg.scheme).components.tolist()
         out["spray"] = G.components.tolist()
         out["nonlinear_connection"] = N.components.tolist()
         out["berwald_connection"] = C.components.tolist()
         out["berwald_curvature"] = B.components.tolist()
-        out["mean_berwald"] = geometry.mean_berwald(model, at, cfg.scheme).components.tolist()
+        out["mean_berwald"] = geometry.mean_berwald(B).components.tolist()
         if model.F:
-            out["landsberg"] = geometry.landsberg_tensor(model, at, cfg.scheme).components.tolist()
+            out["landsberg"] = geometry.landsberg_tensor(model, at, B, cfg.scheme).components.tolist()
         out["jacobi"] = phi.components.tolist()
-        R = geometry.curvature_R(model, at, cfg.scheme)
+        R = geometry.curvature_R(model, at, phi, cfg.scheme)
         out["curvature_R"] = R.components.tolist()
         out["curvature_R_orientation"] = R.notes["orientation"]
         if cfg.scheme != "ad":
             chain = _chain(model, at)
-        return out, _euler_term(*chain)
+        return out, _euler_term(G, *chain)
 
     outs, terms = zip(*map_samples(one, samples, cfg.threads))
     report.data = {"samples": list(outs)}
@@ -123,14 +125,11 @@ EULER_CHAIN_TOL = 1e-8
 
 
 def _chain(model, at, scheme="ad"):
-    """G, N, C, B and Phi at one sample; under AD all come from its (1, 3)
-    spray jet, which is taken first so that the (1, 2) tier is cut from it."""
-    if scheme == "ad":
-        geometry.spray_jets(model, at, *geometry.AD_TIERS["curvature"])
-    return (geometry.spray_coefficients(model, at, scheme),
-            geometry.nonlinear_connection(model, at, scheme),
-            geometry.berwald_connection(model, at, scheme),
-            geometry.berwald_curvature(model, at, scheme),
+    """N, C, B and Phi at one sample.  B is taken first, so that under AD
+    the (1, 2) spray jet of the other three is cut from its (1, 3) jet."""
+    B = geometry.berwald_curvature(model, at, scheme)
+    return (geometry.nonlinear_connection(model, at, scheme),
+            geometry.berwald_connection(model, at, scheme), B,
             geometry.jacobi_endomorphism(model, at, scheme))
 
 
@@ -230,22 +229,22 @@ def run_invariants(cfg):
 
     for at in samples:
         terms = {}
+        G = geometry.spray_coefficients(model, at)
         chain = _chain(model, at)
-        terms["euler"] = _euler_term(*chain)
-        # G's value does not depend on the scheme (it is always read off
-        # AD energy jets); the scheme sets only its homogeneity tolerance
-        G, _, C, B, _ = chain
+        terms["euler"] = _euler_term(G, *chain)
+        _, C, B, phi = chain
         if scheme != "ad":
-            C = geometry.berwald_connection(model, at, scheme)
             B = geometry.berwald_curvature(model, at, scheme)
-        tensors = [C, B, geometry.mean_berwald(model, at, scheme),
-                   geometry.curvature_R(model, at, scheme)]
+            C = geometry.berwald_connection(model, at, scheme)
+            phi = geometry.jacobi_endomorphism(model, at, scheme)
+        tensors = [C, B, geometry.mean_berwald(B),
+                   geometry.curvature_R(model, at, phi, scheme)]
         if model.F:
             terms["hom"] = homogeneity_check(model.F, at, 1)
             min_f = min(min_f, float(model.F(at.x, at.y)))
             g = geometry.metric_tensor(model, at, scheme)
-            h = geometry.angular_metric(model, at, scheme)
-            tensors += [g, h, geometry.landsberg_tensor(model, at, scheme)]
+            h = geometry.angular_metric(model, at, g, scheme)
+            tensors += [g, h, geometry.landsberg_tensor(model, at, B, scheme)]
             terms["trace"] = abs(float(np.trace(np.linalg.inv(g.components)
                                                 @ h.components))
                                  - (cfg.dim - 1))

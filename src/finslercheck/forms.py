@@ -120,7 +120,8 @@ def delta_beta(m, omega, at, scheme="ad"):
 
 def d_R_beta(m, omega, at, scheme="ad"):
     """R^h_{jk} b_h (2-form) and its y-contraction R^h_j b_h."""
-    R = geometry.curvature_R(m, at, scheme)
+    phi = geometry.jacobi_endomorphism(m, at, scheme)
+    R = geometry.curvature_R(m, at, phi, scheme)
     b = omega.values(at.x)
     two_form = np.einsum("hjk,h->jk", R.components, b)
     contracted = two_form @ np.asarray(at.y, dtype=float)

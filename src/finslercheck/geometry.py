@@ -17,6 +17,11 @@ where the spray is assembled and solved; no jet is taken of Taylor-valued
 inputs.  Spray-only models and the FD scheme differentiate the spray
 evaluation itself.
 
+Derived ops take their upstream tensor instead of computing it again:
+``angular_metric`` takes g, ``mean_berwald`` and ``landsberg_tensor`` the
+Berwald curvature, ``curvature_R`` the Jacobi endomorphism.  No op calls
+another op, so a caller computes each tensor once per sample.
+
 Conventions.  R^h_jk is computed from horizontal derivatives of N and then
 sign-normalised so that R^h_jk y^k equals the Jacobi endomorphism
 component-wise; the orientation used is recorded in the tensor's notes.
@@ -43,7 +48,6 @@ __all__ = [
     "spray_coefficients", "nonlinear_connection", "berwald_connection",
     "berwald_curvature", "mean_berwald", "landsberg_tensor",
     "jacobi_endomorphism", "curvature_R", "delta_derivative",
-    "metric_inverse",
 ]
 
 
@@ -208,7 +212,7 @@ def _shifted_spray_jets(m, at, kx, ky):
 
 # jet orders requested per tier; AD shares one generous jet per tier, FD
 # stays minimal because its cost grows exponentially with the order
-AD_TIERS = {"connection": (1, 2), "curvature": (1, 3)}
+_AD_TIERS = {"connection": (1, 2), "curvature": (1, 3)}
 _FD_TIERS = {
     "nonlinear": (0, 1), "connection": (0, 2), "jacobi": (1, 2),
     "curvature": (0, 3),
@@ -249,7 +253,7 @@ def _partials(jets, kx, ky):
 
 def _tier_jets(m, at, tier, scheme):
     if scheme == "ad":
-        kx, ky = AD_TIERS["curvature" if tier == "curvature" else "connection"]
+        kx, ky = _AD_TIERS["curvature" if tier == "curvature" else "connection"]
     else:
         kx, ky = _FD_TIERS[tier]
     return spray_jets(m, at, kx, ky, scheme)
@@ -278,11 +282,6 @@ def metric_tensor(m, at, scheme="ad"):
     return TensorValue(g, (("sym", (0, 1)),))
 
 
-def metric_inverse(m, at, scheme="ad"):
-    g = metric_tensor(m, at, scheme).components
-    return np.linalg.inv(g)
-
-
 def hilbert_form(m, at, scheme="ad"):
     """l_i = dF/dy^i."""
     m.require_F()
@@ -290,17 +289,16 @@ def hilbert_form(m, at, scheme="ad"):
     return TensorValue(jet.dense(0, 1))
 
 
-def angular_metric(m, at, scheme="ad", check_tol=1e-8):
+def angular_metric(m, at, g, scheme="ad"):
     """h_ij = g_ij - l_i l_j; checked against F * d2F/dy dy and h y = 0."""
     m.require_F()
-    g = metric_tensor(m, at, scheme).components
     fjet = eval_jet(m.F, at, JetOrder(0, 2), scheme=scheme)
     fval = fjet.value
     ell = fjet.dense(0, 1)
-    h = g - np.outer(ell, ell)
+    h = g.components - np.outer(ell, ell)
     hess = fjet.dense(0, 2)
     scale = 1.0 + float(np.max(np.abs(h)))
-    tol = check_tol if scheme == "ad" else 1e-3
+    tol = 1e-8 if scheme == "ad" else 1e-3
     if float(np.max(np.abs(h - fval * hess))) > tol * scale:
         raise FinslerCheckError("angular metric failed the F*Hess(F) cross-check")
     if float(np.max(np.abs(h @ np.asarray(at.y, dtype=float)))) > tol * scale:
@@ -308,11 +306,12 @@ def angular_metric(m, at, scheme="ad", check_tol=1e-8):
     return TensorValue(h, (("sym", (0, 1)),))
 
 
-def spray_coefficients(m, at, scheme="ad"):
+def spray_coefficients(m, at):
     """Geodesic-spray coefficients G^i; 2-homogeneity is checked on the
     whole spray vector (one evaluation per scale), and a closed-form
     override (when the model carries one next to F) is compared and
-    reported in the notes."""
+    reported in the notes.  G is read off AD energy jets under either
+    pipeline scheme (see ``_spray_scalars``), so it has no scheme."""
     notes = {}
     G = np.array([scalars.value(c) for c in _spray_scalars(m, at.x, at.y)])
     if not np.isfinite(G).all():
@@ -320,11 +319,10 @@ def spray_coefficients(m, at, scheme="ad"):
     if m.F is not None and m.spray_override is not None:
         ref = np.array([scalars.value(c) for c in m.spray_override(at.x, at.y)])
         notes["override_deviation"] = float(np.max(np.abs(G - ref)))
-    hom_tol = 1e-9 if scheme == "ad" else 1e-4
     residuals = homogeneity_check(lambda x, y: _spray_scalars(m, x, y),
                                   at, 2, value=G)
     for i, res in enumerate(residuals):
-        if res > hom_tol:
+        if res > 1e-9:
             raise FinslerCheckError(
                 f"spray component {i} is not 2-homogeneous (residual {res:g})")
     return TensorValue(G, notes=notes)
@@ -371,20 +369,18 @@ def berwald_curvature(m, at, scheme="ad"):
         float(np.max(np.abs(B))), scheme, "Berwald curvature"))
 
 
-def mean_berwald(m, at, scheme="ad"):
-    """E_jk = (1/2) G^i_ijk."""
-    B = berwald_curvature(m, at, scheme).components
-    E = 0.5 * np.einsum("iijk->jk", B)
+def mean_berwald(B):
+    """E_jk = (1/2) G^i_ijk from the Berwald curvature ``B``."""
+    E = 0.5 * np.einsum("iijk->jk", B.components)
     return TensorValue(E, (("sym", (0, 1)),))
 
 
-def landsberg_tensor(m, at, scheme="ad"):
-    """L_ijk = -(1/2) F G^h_ijk dF/dy^h."""
+def landsberg_tensor(m, at, B, scheme="ad"):
+    """L_ijk = -(1/2) F G^h_ijk dF/dy^h from the Berwald curvature B."""
     m.require_F()
-    B = berwald_curvature(m, at, scheme).components
     fjet = eval_jet(m.F, at, JetOrder(0, 1), scheme=scheme)
     ell = fjet.dense(0, 1)
-    L = -0.5 * fjet.value * np.einsum("hijk,h->ijk", B, ell)
+    L = -0.5 * fjet.value * np.einsum("hijk,h->ijk", B.components, ell)
     return TensorValue(L, (("sym", (0, 1, 2)),))
 
 
@@ -405,9 +401,9 @@ def jacobi_endomorphism(m, at, scheme="ad"):
         "Jacobi endomorphism"))
 
 
-def curvature_R(m, at, scheme="ad", check_tol=1e-8):
+def curvature_R(m, at, phi, scheme="ad"):
     """Curvature 2-form R^h_jk of the nonlinear connection, antisymmetric
-    in (j, k) as stored, sign-normalised so that R^h_jk y^k = Phi^h_j."""
+    in (j, k) as stored, sign-normalised so that R^h_jk y^k = phi^h_j."""
     jets = _tier_jets(m, at, "jacobi", scheme)
     n = at.n
     N = _partials(jets, 0, 1)
@@ -423,10 +419,10 @@ def curvature_R(m, at, scheme="ad", check_tol=1e-8):
             R[:, j, k] = val
             R[:, k, j] = -val
     y = np.asarray(at.y, dtype=float)
-    phi = jacobi_endomorphism(m, at, scheme).components
+    phi = phi.components
     contracted = np.einsum("hjk,k->hj", R, y)
     scale = 1.0 + float(np.max(np.abs(phi)))
-    tol = check_tol if scheme == "ad" else 1e-3
+    tol = 1e-8 if scheme == "ad" else 1e-3
     if float(np.max(np.abs(contracted - phi))) <= tol * scale:
         orientation = 1
     elif float(np.max(np.abs(contracted + phi))) <= tol * scale:

@@ -239,8 +239,7 @@ def _delta_beta_expansion(factor, pq, at):
                      for xi, yi in zip(at.x, at.y)])
 
 
-def parallel_form_check(pq, factor, samples, n=3, tol=None,
-                        expansion_tol=1e-9):
+def parallel_form_check(pq, factor, samples, n=3, tol=None):
     """Full parallelness report for beta = f(r) <x, y> against the (P, Q)
     spray; delta_i beta is evaluated both through the pipeline and through
     its closed x_i/y_i-coefficient expansion, which must agree."""
@@ -253,7 +252,7 @@ def parallel_form_check(pq, factor, samples, n=3, tol=None,
         expanded = _delta_beta_expansion(factor, pq, at)
         gap = float(np.max(np.abs(direct - expanded)))
         scale = 1.0 + float(np.max(np.abs(direct)))
-        if gap > expansion_tol * scale:
+        if gap > 1e-9 * scale:
             raise SelfCheckFailure(
                 f"delta beta expansion disagrees with the pipeline "
                 f"(gap {gap:g} at x={at.x})")

@@ -203,10 +203,12 @@ def test_09_invariant_battery_full_catalogue():
                 G = geometry.spray_coefficients(m, at).components
                 N = geometry.nonlinear_connection(m, at).components
                 C = geometry.berwald_connection(m, at).components
-                B = geometry.berwald_curvature(m, at).components
-                E = geometry.mean_berwald(m, at).components
-                L = geometry.landsberg_tensor(m, at).components
-                phi = geometry.jacobi_endomorphism(m, at).components
+                Bt = geometry.berwald_curvature(m, at)
+                B = Bt.components
+                E = geometry.mean_berwald(Bt).components
+                L = geometry.landsberg_tensor(m, at, Bt).components
+                phit = geometry.jacobi_endomorphism(m, at)
+                phi = phit.components
                 scale = 1.0 + max(float(np.max(np.abs(t)))
                                   for t in (G, N, C, B, phi))
                 bad = max(
@@ -218,14 +220,12 @@ def test_09_invariant_battery_full_catalogue():
                     float(np.max(np.abs(np.einsum("ijk,k->ij", L, y)))) / scale,
                     float(np.max(np.abs(phi @ y))) / scale,
                 )
-                for t in (geometry.metric_tensor(m, at),
-                          geometry.angular_metric(m, at),
-                          geometry.berwald_connection(m, at),
-                          geometry.berwald_curvature(m, at),
-                          geometry.curvature_R(m, at)):
+                gt = geometry.metric_tensor(m, at)
+                ht = geometry.angular_metric(m, at, gt)
+                for t in (gt, ht, geometry.berwald_connection(m, at), Bt,
+                          geometry.curvature_R(m, at, phit)):
                     bad = max(bad, t.symmetry_violation() / (1.0 + t.max_abs()))
-                g = geometry.metric_tensor(m, at).components
-                h = geometry.angular_metric(m, at).components
+                g, h = gt.components, ht.components
                 bad = max(bad, abs(float(np.trace(np.linalg.inv(g) @ h))
                                    - (n - 1)))
                 bad = max(bad, forms.homogeneity_residual(probe, at))

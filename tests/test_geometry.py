@@ -1,5 +1,8 @@
 """Tensor pipeline against hand oracles and catalogue closed forms."""
 
+import inspect
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,9 @@ from finslercheck.errors import DegenerateMetric, FinslerCheckError
 from finslercheck.geometry import Domain, MetricModel
 from finslercheck.sampling import tangent_samples
 
+# the twelve pipeline ops, metric_tensor to delta_derivative
+GEOMETRY_OPS = geometry.__all__[geometry.__all__.index("metric_tensor"):]
+
 
 def test_euclidean_everything(euclid3, origin_e1):
     m = euclid3.model
@@ -19,13 +25,17 @@ def test_euclidean_everything(euclid3, origin_e1):
                                np.eye(3), atol=1e-12)
     ell = geometry.hilbert_form(m, origin_e1).components
     np.testing.assert_allclose(ell, [1.0, 0.0, 0.0], atol=1e-14)
-    h = geometry.angular_metric(m, origin_e1).components
+    g = geometry.metric_tensor(m, origin_e1)
+    h = geometry.angular_metric(m, origin_e1, g).components
     np.testing.assert_allclose(h, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
-    for op in (geometry.spray_coefficients, geometry.nonlinear_connection,
-               geometry.berwald_connection, geometry.berwald_curvature,
-               geometry.mean_berwald, geometry.landsberg_tensor,
-               geometry.jacobi_endomorphism, geometry.curvature_R):
-        assert op(m, at).max_abs() <= 1e-12
+    B = geometry.berwald_curvature(m, at)
+    phi = geometry.jacobi_endomorphism(m, at)
+    for t in (geometry.spray_coefficients(m, at),
+              geometry.nonlinear_connection(m, at),
+              geometry.berwald_connection(m, at), B, geometry.mean_berwald(B),
+              geometry.landsberg_tensor(m, at, B), phi,
+              geometry.curvature_R(m, at, phi)):
+        assert t.max_abs() <= 1e-12
 
 
 def test_klein_at_origin(klein3, origin_e1):
@@ -71,9 +81,10 @@ def test_funk_spray_and_connection_hand_oracle():
 
 def test_funk_is_berwald(funk3, samples10):
     for at in samples10[:4]:
-        assert geometry.berwald_curvature(funk3.model, at).max_abs() <= 1e-12
-        assert geometry.landsberg_tensor(funk3.model, at).max_abs() <= 1e-12
-        assert geometry.mean_berwald(funk3.model, at).max_abs() <= 1e-12
+        B = geometry.berwald_curvature(funk3.model, at)
+        assert B.max_abs() <= 1e-12
+        assert geometry.landsberg_tensor(funk3.model, at, B).max_abs() <= 1e-12
+        assert geometry.mean_berwald(B).max_abs() <= 1e-12
 
 
 def test_berwald_connection_y_independent_for_berwald_metrics(funk3):
@@ -104,7 +115,8 @@ def test_berwald_curvature_matches_closed_form(gb3, samples10):
 
 def test_mean_berwald_equals_half_trace_of_closed_form(gb3, samples10):
     for at in samples10[:3]:
-        E = geometry.mean_berwald(gb3.model, at).components
+        E = geometry.mean_berwald(
+            geometry.berwald_curvature(gb3.model, at)).components
         C = catalogue.closed_berwald_curvature(gb3, at).components
         np.testing.assert_allclose(E, 0.5 * np.einsum("iijk->jk", C),
                                    atol=1e-7)
@@ -119,11 +131,12 @@ def test_jacobi_zero_for_classic(classic3, samples10):
 
 def test_curvature_R_klein(klein3, samples10):
     for at in samples10[:4]:
-        R = geometry.curvature_R(klein3.model, at)
+        phi = geometry.jacobi_endomorphism(klein3.model, at)
+        R = geometry.curvature_R(klein3.model, at, phi)
         assert R.notes["orientation"] in (-1, 1)
         # exact antisymmetry as stored
         assert R.symmetry_violation() == 0.0
-        phi = geometry.jacobi_endomorphism(klein3.model, at).components
+        phi = phi.components
         contracted = np.einsum("hjk,k->hj", R.components, np.array(at.y))
         scale = 1.0 + float(np.max(np.abs(phi)))
         assert np.max(np.abs(contracted - phi)) <= 1e-8 * scale
@@ -137,9 +150,10 @@ def test_euler_chain_all_catalogue(samples10):
             G = geometry.spray_coefficients(m, at).components
             N = geometry.nonlinear_connection(m, at).components
             conn = geometry.berwald_connection(m, at).components
-            B = geometry.berwald_curvature(m, at).components
-            E = geometry.mean_berwald(m, at).components
-            L = geometry.landsberg_tensor(m, at).components
+            Bt = geometry.berwald_curvature(m, at)
+            B = Bt.components
+            E = geometry.mean_berwald(Bt).components
+            L = geometry.landsberg_tensor(m, at, Bt).components
             phi = geometry.jacobi_endomorphism(m, at).components
             scale = 1.0 + max(np.max(np.abs(t)) for t in (G, N, conn, B))
             assert np.max(np.abs(N @ y - 2 * G)) <= 1e-9 * scale
@@ -155,8 +169,9 @@ def test_angular_metric_trace_identity(samples10):
     for name in catalogue.names():
         m = catalogue.entry(name, n=3).model
         for at in samples10[:3]:
-            ginv = geometry.metric_inverse(m, at)
-            h = geometry.angular_metric(m, at).components
+            g = geometry.metric_tensor(m, at)
+            ginv = np.linalg.inv(g.components)
+            h = geometry.angular_metric(m, at, g).components
             tr = float(np.trace(ginv @ h))
             assert tr == pytest.approx(2.0, abs=1e-8)
 
@@ -255,8 +270,7 @@ def test_fd_spray_jets_equal_per_component_reference():
         assert np.array_equal(g.table, ref.table)
 
 
-@pytest.mark.parametrize("scheme", ["ad", "fd"])
-def test_spray_homogeneity_one_evaluation_per_scale(scheme, monkeypatch):
+def test_spray_homogeneity_one_evaluation_per_scale(monkeypatch):
     # the base value once, then the whole spray vector once per scale
     calls = []
     spray = geometry._spray_scalars
@@ -268,7 +282,7 @@ def test_spray_homogeneity_one_evaluation_per_scale(scheme, monkeypatch):
     monkeypatch.setattr(geometry, "_spray_scalars", counted)
     m = catalogue.entry("general_berwald", n=3, a=(0.1, 0.05, 0.0)).model
     at = TangentSample((0.1, -0.2, 0.3), (0.6, 0.0, 0.8))
-    geometry.spray_coefficients(m, at, scheme)
+    geometry.spray_coefficients(m, at)
     assert len(calls) <= 4
 
 
@@ -387,39 +401,85 @@ def test_commands_take_one_energy_jet_per_sample(command, monkeypatch,
     assert len(built) == len(set(map(id, built))) == 10
 
 
-# Calls per sample of one pipeline pass; angular_metric takes g once more.
+# Calls per sample and scheme of one pipeline pass.
 ONE_PASS_CALLS = {
-    "invariants": {"spray_coefficients": 1, "metric_tensor": 2,
-                   "angular_metric": 1, "delta_beta": 1},
+    "invariants": {"spray_coefficients": 1, "metric_tensor": 1,
+                   "angular_metric": 1, "berwald_curvature": 1,
+                   "jacobi_endomorphism": 1, "delta_beta": 1},
     "check-parallel": {"spray_coefficients": 0, "metric_tensor": 0,
-                       "angular_metric": 0, "delta_beta": 1},
+                       "angular_metric": 0, "berwald_curvature": 0,
+                       "jacobi_endomorphism": 1, "delta_beta": 1},
+    "tensors": {"spray_coefficients": 1, "metric_tensor": 1,
+                "angular_metric": 1, "berwald_curvature": 1,
+                "jacobi_endomorphism": 1, "delta_beta": 0},
 }
 
 
 @pytest.mark.parametrize("argv", [
     ["invariants", "--metric", "general_berwald"],
     ["check-parallel", "--metric", "funk_parallel", "--a", "0.5,0.1,0",
-     "--c", "1", "--cmu", "0,0.2"]])
+     "--c", "1", "--cmu", "0,0.2"],
+    ["tensors", "--metric", "general_berwald"],
+    ["tensors", "--metric", "general_berwald", "--dim", "2",
+     "--scheme", "fd"],
+    ["invariants", "--metric", "klein", "--scheme", "fd"]])
 def test_commands_take_each_tensor_once_per_sample(argv, monkeypatch,
                                                    capsys):
-    calls = dict.fromkeys(ONE_PASS_CALLS[argv[0]], 0)
-    for module, name in ((geometry, "spray_coefficients"),
-                         (geometry, "metric_tensor"),
-                         (geometry, "angular_metric"), (forms, "delta_beta")):
-        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
-            calls[_name] += 1
+    # counted per (op, scheme): under --scheme fd the Euler chain takes
+    # its own AD pass; the spray has no scheme and counts as AD
+    calls = Counter()
+    for name in ONE_PASS_CALLS[argv[0]]:
+        module = forms if name == "delta_beta" else geometry
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            bound = inspect.signature(_fn).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls[_name, bound.arguments.get("scheme", "ad")] += 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     assert cli.main(argv + ["--samples", "10"]) == 0
-    for name, per_sample in ONE_PASS_CALLS[argv[0]].items():
-        assert calls[name] <= 10 * per_sample, (name, calls[name])
+    assert calls
+    for (name, scheme), count in calls.items():
+        assert count <= 10 * ONE_PASS_CALLS[argv[0]][name], \
+            (name, scheme, count)
+
+
+def test_geometry_ops_call_no_other_op(monkeypatch):
+    # every derived op takes the tensor it derives from as an argument
+    assert len(GEOMETRY_OPS) == 12
+    ops = {name: getattr(geometry, name) for name in GEOMETRY_OPS}
+    nested = []
+    for name, fn in ops.items():
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            nested.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, name, counted)
+    m = catalogue.entry("general_berwald", n=3, a=(0.1, 0.05, 0.0)).model
+    beta = forms.OneForm.constant((1.0, 0.3, 0.3)).beta()
+    for scheme in ("ad", "fd"):
+        at = TangentSample((0.1, -0.2, 0.3), (0.6, 0.7, -0.3))
+        g = ops["metric_tensor"](m, at, scheme)
+        B = ops["berwald_curvature"](m, at, scheme)
+        phi = ops["jacobi_endomorphism"](m, at, scheme)
+        ops["hilbert_form"](m, at, scheme)
+        ops["angular_metric"](m, at, g, scheme)
+        ops["spray_coefficients"](m, at)
+        ops["nonlinear_connection"](m, at, scheme)
+        ops["berwald_connection"](m, at, scheme)
+        ops["mean_berwald"](B)
+        ops["landsberg_tensor"](m, at, B, scheme)
+        ops["curvature_R"](m, at, phi, scheme)
+        ops["delta_derivative"](m, beta, at, scheme)
+    assert nested == []
 
 
 def _recomputed_euler_term(model, at):
     # the Euler chain as it was computed before the ops recorded their
     # residuals: the whole AD pipeline again, contracted here
-    geometry.spray_jets(model, at, *geometry.AD_TIERS["curvature"])
+    geometry.spray_jets(model, at, 1, 3)
     y = np.asarray(at.y)
     G = geometry.spray_coefficients(model, at).components
     N = geometry.nonlinear_connection(model, at).components
@@ -439,4 +499,5 @@ def test_euler_term_from_notes_equals_recomputation(name):
     model = catalogue.entry(name, n=3).model
     for at in tangent_samples(3, 10, seed=5):
         ref = _recomputed_euler_term(model, TangentSample(at.x, at.y))
-        assert cli._euler_term(*cli._chain(model, at)) == ref
+        G = geometry.spray_coefficients(model, at)
+        assert cli._euler_term(G, *cli._chain(model, at)) == ref
