@@ -203,5 +203,6 @@ def landsberg_residual(m, samples, scheme="ad"):
     worst = 0.0
     for at in samples:
         B = geometry.berwald_curvature(m, at, scheme)
-        worst = max(worst, geometry.landsberg_tensor(m, at, B, scheme).max_abs())
+        ell = geometry.hilbert_form(m, at, scheme)
+        worst = max(worst, geometry.landsberg_tensor(B, ell).max_abs())
     return worst

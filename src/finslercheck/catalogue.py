@@ -203,22 +203,19 @@ def entry(name, n=3, a=None, **extra):
     if a is not None and name not in ("funk_parallel", "general_berwald"):
         raise BadParameter(f"{name!r} takes no parameter vector a")
     if name == "euclidean":
-        model = MetricModel(n, _euclidean_F, Domain(None),
-                            spray_override=lambda x, y: (0.0,) * n, name=name)
+        model = MetricModel(n, _euclidean_F, Domain(None), name=name)
         return CatalogueEntry(name, model,
                               spray_cf=lambda x, y: (0.0,) * n,
                               notes={"flag_curvature": 0.0, "berwald": True,
                                      "riemannian": True})
     if name == "klein":
-        model = MetricModel(n, _klein_F, Domain(1.0),
-                            spray_override=_klein_spray, name=name)
+        model = MetricModel(n, _klein_F, Domain(1.0), name=name)
         return CatalogueEntry(name, model, spray_cf=_klein_spray,
                               notes={"flag_curvature": -1.0, "berwald": False,
                                      "riemannian": True})
     if name == "funk_parallel":
         a = _check_a(a if a is not None else _default_a(name, n), n, name)
-        model = MetricModel(n, _funk_parallel_F(a), Domain(1.0),
-                            spray_override=_funk_parallel_spray(a), name=name)
+        model = MetricModel(n, _funk_parallel_F(a), Domain(1.0), name=name)
         return CatalogueEntry(
             name, model, params={"a": a},
             spray_cf=_funk_parallel_spray(a),
@@ -228,8 +225,7 @@ def entry(name, n=3, a=None, **extra):
             notes={"flag_curvature": 0.0, "berwald": True,
                    "projectively_flat": True})
     if name == "berwald_classic":
-        model = MetricModel(n, _berwald_classic_F, Domain(1.0),
-                            spray_override=_projective_spray, name=name)
+        model = MetricModel(n, _berwald_classic_F, Domain(1.0), name=name)
         return CatalogueEntry(
             name, model, spray_cf=_projective_spray,
             berwald_curvature_cf=_eq_berwald_curvature,
@@ -237,8 +233,7 @@ def entry(name, n=3, a=None, **extra):
                    "projectively_flat": True})
     if name == "general_berwald":
         a = _check_a(a if a is not None else _default_a(name, n), n, name)
-        model = MetricModel(n, _general_berwald_F(a), Domain(1.0),
-                            spray_override=_projective_spray, name=name)
+        model = MetricModel(n, _general_berwald_F(a), Domain(1.0), name=name)
         return CatalogueEntry(
             name, model, params={"a": a}, spray_cf=_projective_spray,
             berwald_curvature_cf=_eq_berwald_curvature,

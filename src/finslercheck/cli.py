@@ -6,6 +6,10 @@ scan of the parallel-form obstructions), ``sphsym`` (spherically symmetric
 suite), ``scalar-curvature`` (fit of the Jacobi endomorphism), and
 ``invariants`` (the full identity battery for one metric).
 
+``tensors`` serialises and ``invariants`` checks one per-sample pass,
+``_pass``, which takes each pipeline tensor once.  ``scan``, ``tensors``,
+``invariants`` and ``check-parallel`` spread samples over ``--threads``.
+
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration or parse
 error, 3 numeric domain error, 4 internal self-check failure (an identity
 the pipeline enforces on itself, such as an Euler contraction, a symmetry
@@ -81,43 +85,26 @@ def _resolve_form(cfg, ent):
 # runners
 
 
-def run_tensors(cfg):
-    ent, model = _resolve_metric(cfg)
-    report = Report("tensors", cfg.echo())
-    samples = _samples(cfg, model)
-
-    def one(at):
-        G = geometry.spray_coefficients(model, at)
-        N, C, B, phi = chain = _chain(model, at, cfg.scheme)
-        out = {"x": list(at.x), "y": list(at.y)}
-        out["F"] = model.F(at.x, at.y) if model.F else None
-        if model.F:
-            g = geometry.metric_tensor(model, at, cfg.scheme)
-            out["energy"] = geometry.energy(model, at)
-            out["metric"] = g.components.tolist()
-            out["hilbert_form"] = geometry.hilbert_form(model, at, cfg.scheme).components.tolist()
-            out["angular_metric"] = geometry.angular_metric(model, at, g, cfg.scheme).components.tolist()
-        out["spray"] = G.components.tolist()
-        out["nonlinear_connection"] = N.components.tolist()
-        out["berwald_connection"] = C.components.tolist()
-        out["berwald_curvature"] = B.components.tolist()
-        out["mean_berwald"] = geometry.mean_berwald(B).components.tolist()
-        if model.F:
-            out["landsberg"] = geometry.landsberg_tensor(model, at, B, cfg.scheme).components.tolist()
-        out["jacobi"] = phi.components.tolist()
-        R = geometry.curvature_R(model, at, phi, cfg.scheme)
-        out["curvature_R"] = R.components.tolist()
-        out["curvature_R_orientation"] = R.notes["orientation"]
-        if cfg.scheme != "ad":
-            chain = _chain(model, at)
-        return out, _euler_term(G, *chain)
-
-    outs, terms = zip(*map_samples(one, samples, cfg.threads))
-    report.data = {"samples": list(outs)}
-    worst = max(terms)
-    report.add(CheckRecord("euler_chain", worst, EULER_CHAIN_TOL,
-                           worst <= EULER_CHAIN_TOL, len(samples), cfg.seed))
-    return report
+def _pass(model, at, scheme):
+    """One sample's pipeline tensors, each taken once at ``scheme``, keyed
+    and ordered as ``tensors`` reports them, and the sample's Euler-chain
+    term, which is always computed with AD (under fd from one more AD
+    chain)."""
+    G = geometry.spray_coefficients(model, at)
+    N, C, B, phi = chain = _chain(model, at, scheme)
+    t = {}
+    if model.F:
+        g = geometry.metric_tensor(model, at, scheme)
+        t = {"metric": g, "hilbert_form": geometry.hilbert_form(model, at, scheme),
+             "angular_metric": geometry.angular_metric(model, at, g, scheme)}
+    t.update(spray=G, nonlinear_connection=N, berwald_connection=C,
+             berwald_curvature=B, mean_berwald=geometry.mean_berwald(B))
+    if model.F:
+        t["landsberg"] = geometry.landsberg_tensor(B, t["hilbert_form"])
+    t.update(jacobi=phi, curvature_R=geometry.curvature_R(model, at, phi, scheme))
+    if scheme != "ad":
+        chain = _chain(model, at)
+    return t, _euler_term(G, *chain)
 
 
 # the Euler chain is always computed with AD, whatever --scheme says
@@ -139,6 +126,29 @@ def _euler_term(G, N, C, B, phi):
     G^h_ijk y^k = 0, Phi y = 0), over 1 + the largest entry of the five."""
     scale = 1.0 + max(t.max_abs() for t in (G, N, C, B, phi))
     return max(t.notes["euler_residual"] for t in (N, C, B, phi)) / scale
+
+
+def run_tensors(cfg):
+    ent, model = _resolve_metric(cfg)
+    report = Report("tensors", cfg.echo())
+    samples = _samples(cfg, model)
+
+    def one(at):
+        tensors, term = _pass(model, at, cfg.scheme)
+        out = {"x": list(at.x), "y": list(at.y),
+               "F": model.F(at.x, at.y) if model.F else None}
+        if model.F:
+            out["energy"] = geometry.energy(model, at)
+        out.update((k, t.components.tolist()) for k, t in tensors.items())
+        out["curvature_R_orientation"] = tensors["curvature_R"].notes["orientation"]
+        return out, term
+
+    outs, terms = zip(*map_samples(one, samples, cfg.threads))
+    report.data = {"samples": list(outs)}
+    worst = max(terms)
+    report.add(CheckRecord("euler_chain", worst, EULER_CHAIN_TOL,
+                           worst <= EULER_CHAIN_TOL, len(samples), cfg.seed))
+    return report
 
 
 def run_check_parallel(cfg):
@@ -227,38 +237,33 @@ def run_invariants(cfg):
         return float(np.max(np.abs(got - ref))) \
             / (1.0 + float(np.max(np.abs(ref))))
 
-    for at in samples:
-        terms = {}
-        G = geometry.spray_coefficients(model, at)
-        chain = _chain(model, at)
-        terms["euler"] = _euler_term(G, *chain)
-        _, C, B, phi = chain
-        if scheme != "ad":
-            B = geometry.berwald_curvature(model, at, scheme)
-            C = geometry.berwald_connection(model, at, scheme)
-            phi = geometry.jacobi_endomorphism(model, at, scheme)
-        tensors = [C, B, geometry.mean_berwald(B),
-                   geometry.curvature_R(model, at, phi, scheme)]
+    def check(at):
+        t, euler = _pass(model, at, scheme)
+        terms = {"euler": euler}
         if model.F:
             terms["hom"] = homogeneity_check(model.F, at, 1)
-            min_f = min(min_f, float(model.F(at.x, at.y)))
-            g = geometry.metric_tensor(model, at, scheme)
-            h = geometry.angular_metric(model, at, g, scheme)
-            tensors += [g, h, geometry.landsberg_tensor(model, at, B, scheme)]
-            terms["trace"] = abs(float(np.trace(np.linalg.inv(g.components)
-                                                @ h.components))
+            terms["F"] = float(model.F(at.x, at.y))
+            g, h = t["metric"].components, t["angular_metric"].components
+            terms["trace"] = abs(float(np.trace(np.linalg.inv(g) @ h))
                                  - (cfg.dim - 1))
-        terms["sym"] = max(t.symmetry_violation() / (1.0 + t.max_abs())
-                           for t in tensors)
+        terms["sym"] = max(v.symmetry_violation() / (1.0 + v.max_abs())
+                           for v in t.values())
         terms["dc"] = forms.homogeneity_residual(probe, at)
         terms["cov_delta"] = forms.covariant_derivative(
-            model, probe, at, scheme).notes["delta_residual"]
+            model, probe, at, t["berwald_connection"],
+            scheme).notes["delta_residual"]
         if spray_cf is not None:
             terms["cf_spray"] = rel_gap(
-                G.components, np.array([float(v) for v in spray_cf(at.x, at.y)]))
+                t["spray"].components,
+                np.array([float(v) for v in spray_cf(at.x, at.y)]))
         if berwald_cf is not None:
             terms["cf_berwald"] = rel_gap(
-                B.components, np.asarray(berwald_cf(at.x, at.y)))
+                t["berwald_curvature"].components,
+                np.asarray(berwald_cf(at.x, at.y)))
+        return terms
+
+    for terms in map_samples(check, samples, cfg.threads):
+        min_f = min(min_f, terms.pop("F", min_f))
         for key, value in terms.items():
             worst[key] = max(worst[key], value)
 

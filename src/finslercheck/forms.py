@@ -5,7 +5,8 @@ b_{i|j} = d_j b_i - G^k_{ji} b_k vanishes; equivalently the scalar beta is
 holonomy invariant (all horizontal derivatives delta_j beta vanish), subject
 to the curvature compatibility R^h_{jk} b_h = 0.  Homogeneity d_C beta =
 beta holds structurally because b depends on x alone.  This module
-implements those operators plus the Randers lift F + beta and the
+implements those operators (the covariant derivative takes the Berwald
+connection its caller holds) plus the Randers lift F + beta and the
 functional-independence rank test used by the metrizability-freedom
 argument.
 """
@@ -91,16 +92,16 @@ class ParallelReport:
 PARALLEL_TOL = {"ad": 1e-7, "fd": 1e-4}
 
 
-def covariant_derivative(m, omega, at, scheme="ad"):
-    """Berwald horizontal covariant derivative b_{i|j}; the contraction
-    y^i b_{i|j} = delta_j beta is checked on every call.  The notes record
+def covariant_derivative(m, omega, at, C, scheme="ad"):
+    """Berwald horizontal covariant derivative b_{i|j} from the Berwald
+    connection ``C`` taken at ``scheme``; the contraction y^i b_{i|j} =
+    delta_j beta is checked on every call.  The notes record
     ``max_delta``, max |delta_j beta|, and ``delta_residual``, the
     contraction's residual max |y^i b_{i|j} - delta_j beta| relative to
     1 + max_delta."""
-    conn = geometry.berwald_connection(m, at, scheme).components
     db = omega.jacobian(at.x)
     b = omega.values(at.x)
-    cov = db - np.einsum("kji,k->ij", conn, b)
+    cov = db - np.einsum("kji,k->ij", C.components, b)
     y = np.asarray(at.y, dtype=float)
     delta = delta_beta(m, omega, at, scheme)
     max_delta = delta.max_abs()
@@ -163,7 +164,8 @@ def is_parallel(m, omega, samples, tol=None, scheme="ad", threads=1):
             raise FinslerCheckError(
                 f"d_C beta != beta (residual {hres:g}); the form is not "
                 "a fiberwise-linear function of y")
-        cov = covariant_derivative(m, omega, at, scheme)
+        C = geometry.berwald_connection(m, at, scheme)
+        cov = covariant_derivative(m, omega, at, C, scheme)
         return {
             "covariant": cov.max_abs(),
             "delta": cov.notes["max_delta"],

@@ -18,9 +18,11 @@ inputs.  Spray-only models and the FD scheme differentiate the spray
 evaluation itself.
 
 Derived ops take their upstream tensor instead of computing it again:
-``angular_metric`` takes g, ``mean_berwald`` and ``landsberg_tensor`` the
-Berwald curvature, ``curvature_R`` the Jacobi endomorphism.  No op calls
-another op, so a caller computes each tensor once per sample.
+``angular_metric`` takes g, ``mean_berwald`` the Berwald curvature,
+``landsberg_tensor`` the Berwald curvature and the Hilbert form (which
+records the value of F it read as ``notes["F"]``), ``curvature_R`` the
+Jacobi endomorphism.  No op calls another op, so a caller computes each
+tensor once per sample.
 
 Conventions.  R^h_jk is computed from horizontal derivatives of N and then
 sign-normalised so that R^h_jk y^k equals the Jacobi endomorphism
@@ -101,12 +103,13 @@ class Domain:
 
 @dataclass(eq=False)
 class MetricModel:
-    """A Finsler function and/or closed-form spray on an n-dimensional chart."""
+    """A Finsler function, or the spray of a spray-only model, on an
+    n-dimensional chart."""
 
     n: int
     F: object = None               # callable(x, y) -> scalar, 1-homogeneous in y
     domain: Domain = Domain()
-    spray_override: object = None  # callable(x, y) -> sequence of n scalars
+    spray_override: object = None  # callable(x, y) -> n scalars; read when F is None
     name: str = ""
 
     def energy(self, x, y):
@@ -283,10 +286,11 @@ def metric_tensor(m, at, scheme="ad"):
 
 
 def hilbert_form(m, at, scheme="ad"):
-    """l_i = dF/dy^i."""
+    """l_i = dF/dy^i; the value of F read off the same jet is kept as
+    ``notes["F"]``."""
     m.require_F()
     jet = eval_jet(m.F, at, JetOrder(0, 1), scheme=scheme)
-    return TensorValue(jet.dense(0, 1))
+    return TensorValue(jet.dense(0, 1), notes={"F": jet.value})
 
 
 def angular_metric(m, at, g, scheme="ad"):
@@ -308,24 +312,19 @@ def angular_metric(m, at, g, scheme="ad"):
 
 def spray_coefficients(m, at):
     """Geodesic-spray coefficients G^i; 2-homogeneity is checked on the
-    whole spray vector (one evaluation per scale), and a closed-form
-    override (when the model carries one next to F) is compared and
-    reported in the notes.  G is read off AD energy jets under either
-    pipeline scheme (see ``_spray_scalars``), so it has no scheme."""
-    notes = {}
+    whole spray vector (one evaluation per scale).  G is read off AD
+    energy jets under either pipeline scheme (see ``_spray_scalars``), so
+    it has no scheme."""
     G = np.array([scalars.value(c) for c in _spray_scalars(m, at.x, at.y)])
     if not np.isfinite(G).all():
         raise NonFiniteValue("spray coefficients not finite at the sample")
-    if m.F is not None and m.spray_override is not None:
-        ref = np.array([scalars.value(c) for c in m.spray_override(at.x, at.y)])
-        notes["override_deviation"] = float(np.max(np.abs(G - ref)))
     residuals = homogeneity_check(lambda x, y: _spray_scalars(m, x, y),
                                   at, 2, value=G)
     for i, res in enumerate(residuals):
         if res > 1e-9:
             raise FinslerCheckError(
                 f"spray component {i} is not 2-homogeneous (residual {res:g})")
-    return TensorValue(G, notes=notes)
+    return TensorValue(G)
 
 
 def _euler_notes(residual, scale, scheme, what):
@@ -375,12 +374,11 @@ def mean_berwald(B):
     return TensorValue(E, (("sym", (0, 1)),))
 
 
-def landsberg_tensor(m, at, B, scheme="ad"):
-    """L_ijk = -(1/2) F G^h_ijk dF/dy^h from the Berwald curvature B."""
-    m.require_F()
-    fjet = eval_jet(m.F, at, JetOrder(0, 1), scheme=scheme)
-    ell = fjet.dense(0, 1)
-    L = -0.5 * fjet.value * np.einsum("hijk,h->ijk", B.components, ell)
+def landsberg_tensor(B, ell):
+    """L_ijk = -(1/2) F G^h_ijk l_h from the Berwald curvature ``B`` and
+    the Hilbert form ``ell`` (with its ``notes["F"]``)."""
+    L = -0.5 * ell.notes["F"] * np.einsum("hijk,h->ijk", B.components,
+                                          ell.components)
     return TensorValue(L, (("sym", (0, 1, 2)),))
 
 

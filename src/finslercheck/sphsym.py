@@ -226,17 +226,11 @@ def sss_residuals(factor, pq, rs):
 
 
 def _delta_beta_expansion(factor, pq, at):
-    """delta_i beta written out in its x_i / y_i coefficient form."""
+    """delta_i beta written out in its x_i / y_i coefficient form: u times
+    the x-coefficient and the y-coefficient of :func:`sss_residuals`."""
     r, s, u = _rsu(at.x, at.y)
-    fv = factor.f(r)
-    dfv = factor.d(r)
-    P, P_s, Q, Q_s = pq.jets(r, s)
-    r2 = r * r
-    coef_x = u * (s * dfv / r - s * fv * P_s - fv * P - fv * r2 * Q_s)
-    coef_y = (fv - fv * s * P + fv * s * s * P_s - 2.0 * fv * r2 * Q
-              + fv * s * r2 * Q_s)
-    return np.array([coef_x * xi + coef_y * yi
-                     for xi, yi in zip(at.x, at.y)])
+    res1, res2, _ = sss_residuals(factor, pq, (r, s))
+    return np.array([u * res1 * xi + res2 * yi for xi, yi in zip(at.x, at.y)])
 
 
 def parallel_form_check(pq, factor, samples, n=3, tol=None):

@@ -206,7 +206,8 @@ def test_09_invariant_battery_full_catalogue():
                 Bt = geometry.berwald_curvature(m, at)
                 B = Bt.components
                 E = geometry.mean_berwald(Bt).components
-                L = geometry.landsberg_tensor(m, at, Bt).components
+                L = geometry.landsberg_tensor(
+                    Bt, geometry.hilbert_form(m, at)).components
                 phit = geometry.jacobi_endomorphism(m, at)
                 phi = phit.components
                 scale = 1.0 + max(float(np.max(np.abs(t)))
@@ -229,7 +230,8 @@ def test_09_invariant_battery_full_catalogue():
                 bad = max(bad, abs(float(np.trace(np.linalg.inv(g) @ h))
                                    - (n - 1)))
                 bad = max(bad, forms.homogeneity_residual(probe, at))
-                cov = forms.covariant_derivative(m, probe, at).components
+                cov = forms.covariant_derivative(
+                    m, probe, at, geometry.berwald_connection(m, at)).components
                 delta = forms.delta_beta(m, probe, at).components
                 bad = max(bad, float(np.max(np.abs(y @ cov - delta)))
                           / (1.0 + float(np.max(np.abs(delta)))))

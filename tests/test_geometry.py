@@ -33,7 +33,7 @@ def test_euclidean_everything(euclid3, origin_e1):
     for t in (geometry.spray_coefficients(m, at),
               geometry.nonlinear_connection(m, at),
               geometry.berwald_connection(m, at), B, geometry.mean_berwald(B),
-              geometry.landsberg_tensor(m, at, B), phi,
+              geometry.landsberg_tensor(B, geometry.hilbert_form(m, at)), phi,
               geometry.curvature_R(m, at, phi)):
         assert t.max_abs() <= 1e-12
 
@@ -59,7 +59,8 @@ def test_funk_spray_and_connection_hand_oracle():
     at = TangentSample((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     G = geometry.spray_coefficients(ent.model, at)
     np.testing.assert_allclose(G.components, [-0.5, 0.0, 0.0], atol=1e-12)
-    assert G.notes["override_deviation"] <= 1e-12
+    np.testing.assert_allclose(G.components, ent.spray_cf(at.x, at.y),
+                               rtol=0.0, atol=1e-12)
 
     # hand oracle: q = -a/(1+<a,x>); N^i_j = q_j y^i + (q.y) delta^i_j
     q = np.array([-0.5, 0.0, 0.0])
@@ -83,7 +84,8 @@ def test_funk_is_berwald(funk3, samples10):
     for at in samples10[:4]:
         B = geometry.berwald_curvature(funk3.model, at)
         assert B.max_abs() <= 1e-12
-        assert geometry.landsberg_tensor(funk3.model, at, B).max_abs() <= 1e-12
+        ell = geometry.hilbert_form(funk3.model, at)
+        assert geometry.landsberg_tensor(B, ell).max_abs() <= 1e-12
         assert geometry.mean_berwald(B).max_abs() <= 1e-12
 
 
@@ -153,7 +155,7 @@ def test_euler_chain_all_catalogue(samples10):
             Bt = geometry.berwald_curvature(m, at)
             B = Bt.components
             E = geometry.mean_berwald(Bt).components
-            L = geometry.landsberg_tensor(m, at, Bt).components
+            L = geometry.landsberg_tensor(Bt, geometry.hilbert_form(m, at)).components
             phi = geometry.jacobi_endomorphism(m, at).components
             scale = 1.0 + max(np.max(np.abs(t)) for t in (G, N, conn, B))
             assert np.max(np.abs(N @ y - 2 * G)) <= 1e-9 * scale
@@ -355,9 +357,9 @@ def test_cut_spray_jets_equal_direct_jets(name, n, a, monkeypatch):
 
 
 def test_cut_spray_jets_of_a_spray_only_model():
-    klein = catalogue.entry("klein", n=3).model
-    m = MetricModel(3, domain=klein.domain,
-                    spray_override=klein.spray_override, name="klein spray")
+    klein = catalogue.entry("klein", n=3)
+    m = MetricModel(3, domain=klein.model.domain,
+                    spray_override=klein.spray_cf, name="klein spray")
     at = TangentSample((0.1, -0.2, 0.3), (0.6, 0.7, -0.3))
     geometry.spray_jets(m, at, 1, 3)
     cut = geometry.spray_jets(m, at, 1, 2)
@@ -404,14 +406,17 @@ def test_commands_take_one_energy_jet_per_sample(command, monkeypatch,
 # Calls per sample and scheme of one pipeline pass.
 ONE_PASS_CALLS = {
     "invariants": {"spray_coefficients": 1, "metric_tensor": 1,
-                   "angular_metric": 1, "berwald_curvature": 1,
-                   "jacobi_endomorphism": 1, "delta_beta": 1},
+                   "angular_metric": 1, "berwald_connection": 1,
+                   "berwald_curvature": 1, "jacobi_endomorphism": 1,
+                   "delta_beta": 1},
     "check-parallel": {"spray_coefficients": 0, "metric_tensor": 0,
-                       "angular_metric": 0, "berwald_curvature": 0,
-                       "jacobi_endomorphism": 1, "delta_beta": 1},
+                       "angular_metric": 0, "berwald_connection": 1,
+                       "berwald_curvature": 0, "jacobi_endomorphism": 1,
+                       "delta_beta": 1},
     "tensors": {"spray_coefficients": 1, "metric_tensor": 1,
-                "angular_metric": 1, "berwald_curvature": 1,
-                "jacobi_endomorphism": 1, "delta_beta": 0},
+                "angular_metric": 1, "berwald_connection": 1,
+                "berwald_curvature": 1, "jacobi_endomorphism": 1,
+                "delta_beta": 0},
 }
 
 
@@ -446,6 +451,28 @@ def test_commands_take_each_tensor_once_per_sample(argv, monkeypatch,
             (name, scheme, count)
 
 
+def test_tensors_takes_two_jets_of_F_per_sample(monkeypatch, capsys):
+    # the Hilbert form's (0, 1) jet and the angular metric's (0, 2) jet;
+    # the Landsberg tensor reads F and l off the Hilbert form
+    models, fns = [], []
+    resolve, eval_jet = cli._resolve_metric, geometry.eval_jet
+
+    def resolved(cfg):
+        ent, model = resolve(cfg)
+        models.append(model)
+        return ent, model
+
+    def counted(f, *args, **kwargs):
+        fns.append(f)
+        return eval_jet(f, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_resolve_metric", resolved)
+    monkeypatch.setattr(geometry, "eval_jet", counted)
+    assert cli.main(["tensors", "--metric", "general_berwald",
+                     "--samples", "10"]) == 0
+    assert 0 < sum(f is models[0].F for f in fns) <= 2 * 10
+
+
 def test_geometry_ops_call_no_other_op(monkeypatch):
     # every derived op takes the tensor it derives from as an argument
     assert len(GEOMETRY_OPS) == 12
@@ -464,13 +491,13 @@ def test_geometry_ops_call_no_other_op(monkeypatch):
         g = ops["metric_tensor"](m, at, scheme)
         B = ops["berwald_curvature"](m, at, scheme)
         phi = ops["jacobi_endomorphism"](m, at, scheme)
-        ops["hilbert_form"](m, at, scheme)
+        ell = ops["hilbert_form"](m, at, scheme)
         ops["angular_metric"](m, at, g, scheme)
         ops["spray_coefficients"](m, at)
         ops["nonlinear_connection"](m, at, scheme)
         ops["berwald_connection"](m, at, scheme)
         ops["mean_berwald"](B)
-        ops["landsberg_tensor"](m, at, B, scheme)
+        ops["landsberg_tensor"](B, ell)
         ops["curvature_R"](m, at, phi, scheme)
         ops["delta_derivative"](m, beta, at, scheme)
     assert nested == []

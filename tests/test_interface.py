@@ -232,14 +232,31 @@ def test_sphsym_sweep_csv(tmp_path):
     assert len(lines) == 26
 
 
-def test_threads_match_sequential(tmp_path):
-    argv = ["tensors", "--metric", "klein", "--samples", "10", "--seed", "4"]
+@pytest.mark.parametrize("command,part", [("tensors", "data"),
+                                          ("invariants", "checks")],
+                         ids=["tensors", "invariants"])
+def test_threads_match_sequential(command, part, tmp_path):
+    argv = [command, "--metric", "klein", "--samples", "10", "--seed", "4"]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert cli.main(argv + ["--out", str(out1)]) == 0
     assert cli.main(argv + ["--threads", "4", "--out", str(out2)]) == 0
     a = json.loads(out1.read_text())
     b = json.loads(out2.read_text())
-    assert a["data"] == b["data"]
+    assert a[part] == b[part]
+
+
+def test_invariants_spreads_samples_over_threads(monkeypatch, capsys):
+    counts = []
+    spread = cli.map_samples
+
+    def counted(fn, samples, threads=1):
+        counts.append(threads)
+        return spread(fn, samples, threads)
+
+    monkeypatch.setattr(cli, "map_samples", counted)
+    assert cli.main(["invariants", "--metric", "klein", "--samples", "10",
+                     "--threads", "2"]) == 0
+    assert counts == [2]
 
 
 @pytest.mark.parametrize("command", ["tensors", "invariants"])
