@@ -30,7 +30,7 @@ from .errors import (
     SingularDenominator,
 )
 from .reporting import CheckRecord, Report
-from .sampling import map_samples, rs_grid, tangent_samples
+from .sampling import base_points, map_samples, rs_grid, tangent_samples
 from .sphsym import RadialFactor, SphSymProfile
 
 
@@ -177,7 +177,6 @@ def run_check_parallel(cfg):
 def run_scan(cfg):
     ent, model = _resolve_metric(cfg)
     report = Report("scan", cfg.echo())
-    from .sampling import base_points
     xs = base_points(cfg.dim, cfg.x_points, cfg.seed,
                      _sample_radius(cfg, model))
     rep = analysis.parallel_obstruction_scan(
@@ -301,10 +300,12 @@ def run_sphsym(cfg):
 
     worst1 = worst2 = max_q = 0.0
     min_phi = float("inf")
-    sweep_rows = []
+    jets, sweep_rows = [], []
     for rs in grid:
-        r1, r2 = sphsym.metrizability_residuals(profile, pq, rs)
-        pv, qv = pq.PQ(*rs)
+        jet = profile.jet(*rs)
+        jets.append(jet)
+        r1, r2 = sphsym.metrizability_residuals(jet, pq, rs)
+        pv, qv = sphsym.pq_of_jet(jet, *rs)
         worst1, worst2 = max(worst1, r1), max(worst2, r2)
         max_q = max(max_q, abs(qv))
         min_phi = min(min_phi, float(profile.phi(*rs)))
@@ -327,7 +328,7 @@ def run_sphsym(cfg):
                             / (1.0 + float(np.max(np.abs(G_ad)))))
     report.add(CheckRecord("pq_spray_closure", worst_closure, tol,
                            worst_closure <= tol, len(samples), cfg.seed))
-    report.verdicts["classification"] = sphsym.classify_profile(profile, grid)
+    report.verdicts["classification"] = sphsym.classify_profile(jets, grid)
 
     if cfg.f is not None or cfg.P is not None:
         factor = RadialFactor(
@@ -351,11 +352,19 @@ def run_sphsym(cfg):
         report.verdicts["parallel_verdict"] = rep.verdict.value
 
     if cfg.sweep:
-        with open(cfg.sweep, "w", encoding="utf-8") as fh:
-            fh.write("r,s,P,Q,metrizability_res1,metrizability_res2\n")
-            for row in sweep_rows:
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        _write(cfg.sweep, "r,s,P,Q,metrizability_res1,metrizability_res2\n"
+               + "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                         for row in sweep_rows))
     return report
+
+
+def _write(path, text):
+    """Write text to path; a path that cannot be written is a ConfigError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 RUNNERS = {
@@ -441,6 +450,9 @@ def main(argv=None):
         cfg = build_config(args.command, file_values, overrides)
         cfg.check_output_dirs()
         report = RUNNERS[args.command](cfg)
+        if cfg.out:
+            _write(cfg.out, report.to_json() if cfg.format == "json"
+                   else report.to_csv())
     except (ConfigError, ParseError, BadParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -452,10 +464,6 @@ def main(argv=None):
         print(f"internal self-check failure: {exc}", file=sys.stderr)
         return 4
     _print_summary(report, sys.stdout)
-    if cfg.out:
-        payload = report.to_json() if cfg.format == "json" else report.to_csv()
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
     return 0 if report.passed else 1
 
 

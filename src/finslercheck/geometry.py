@@ -81,14 +81,6 @@ class TensorValue:
                         raise ValueError(f"unknown symmetry tag {kind!r}")
         return worst
 
-    def check_symmetries(self, tol=1e-10):
-        v = self.symmetry_violation()
-        scale = 1.0 + self.max_abs()
-        if v > tol * scale:
-            raise FinslerCheckError(
-                f"symmetry violation {v:g} exceeds {tol:g} * scale {scale:g}")
-        return v
-
 
 @dataclass(frozen=True)
 class Domain:

@@ -14,7 +14,8 @@ b_i = f(r) x_i, with Q determined by f and P while P stays free.
 
 All (r, s)-level derivatives (phi_r, phi_s, phi_ss, P_s, Q_s, ...) come
 from the Taylor engine applied to the profile, never from grid
-differencing.
+differencing.  A grid sweep takes one (1, 2) profile jet per (r, s) point;
+the metrizability residuals, P, Q and the classification all read it.
 """
 
 from dataclasses import dataclass
@@ -31,10 +32,11 @@ __all__ = [
     "SphSymProfile", "PQPair", "RadialFactor", "pq_from_profile",
     "spray_from_pq", "spray_model_from_pq", "connection_from_pq",
     "metrizability_residuals", "parallel_q", "parallel_pq", "sss_residuals",
-    "parallel_form_check", "classify_profile", "profile_metric",
+    "parallel_form_check", "classify_profile", "profile_metric", "pq_of_jet",
 ]
 
 DENOMINATOR_TOL = 1e-12
+RIEMANNIAN_TOL = 1e-10
 
 
 @dataclass(eq=False)
@@ -45,12 +47,10 @@ class SphSymProfile:
     r0: float = 1.0
     name: str = ""
 
-    def jet(self, r, s, kr=1, ks=3):
+    def jet(self, r, s):
+        """The (1, 2) jet of phi at (r, s)."""
         return jet_of(lambda rg, sg: self.phi(rg[0], sg[0]),
-                      ((r,), (s,)), (kr, ks))
-
-    def value(self, r, s):
-        return self.phi(r, s)
+                      ((r,), (s,)), (1, 2))
 
 
 @dataclass(eq=False)
@@ -91,34 +91,36 @@ class RadialFactor:
         return OneForm(n, b, name=self.name or "f(r) x_i")
 
 
-def pq_from_profile(profile):
-    """The (P, Q) pair generated by a profile, both read off one (1, 2)
-    profile jet per (r, s).
+def pq_of_jet(jet, r, s):
+    """(P, Q) at (r, s) from the profile's (1, 2) jet there; evaluates on
+    floats or Taylor scalars.
 
     SingularDenominator is raised when the Q-denominator
     phi - s phi_s + (r^2 - s^2) phi_ss vanishes (loss of regularity of the
     metric).
     """
+    phi = jet.partial((0,), (0,))
+    phi_r = jet.partial((1,), (0,))
+    phi_s = jet.partial((0,), (1,))
+    phi_rs = jet.partial((1,), (1,))
+    phi_ss = jet.partial((0,), (2,))
+    den = phi - s * phi_s + (r * r - s * s) * phi_ss
+    dval = scalars.value(den)
+    if abs(dval) <= DENOMINATOR_TOL * (1.0 + abs(scalars.value(phi))):
+        raise SingularDenominator(
+            f"Q-denominator vanishes at (r, s) = ({scalars.value(r):g}, "
+            f"{scalars.value(s):g})")
+    q = (-phi_r + s * phi_rs + r * phi_ss) / (2.0 * r * den)
+    p = (-(q / phi) * (s * phi + (r * r - s * s) * phi_s)
+         + (s * phi_r + r * phi_s) / (2.0 * r * phi))
+    return p, q
 
-    def PQ(r, s):
-        jet = profile.jet(r, s, kr=1, ks=2)
-        phi = jet.partial((0,), (0,))
-        phi_r = jet.partial((1,), (0,))
-        phi_s = jet.partial((0,), (1,))
-        phi_rs = jet.partial((1,), (1,))
-        phi_ss = jet.partial((0,), (2,))
-        den = phi - s * phi_s + (r * r - s * s) * phi_ss
-        dval = scalars.value(den)
-        if abs(dval) <= DENOMINATOR_TOL * (1.0 + abs(scalars.value(phi))):
-            raise SingularDenominator(
-                f"Q-denominator vanishes at (r, s) = ({scalars.value(r):g}, "
-                f"{scalars.value(s):g})")
-        q = (-phi_r + s * phi_rs + r * phi_ss) / (2.0 * r * den)
-        p = (-(q / phi) * (s * phi + (r * r - s * s) * phi_s)
-             + (s * phi_r + r * phi_s) / (2.0 * r * phi))
-        return p, q
 
-    return PQPair(PQ, source=f"profile:{profile.name}")
+def pq_from_profile(profile):
+    """The (P, Q) pair generated by a profile, both read off one profile
+    jet per (r, s)."""
+    return PQPair(lambda r, s: pq_of_jet(profile.jet(r, s), r, s),
+                  source=f"profile:{profile.name}")
 
 
 def _rsu(x, y):
@@ -170,13 +172,13 @@ def connection_from_pq(pq, at):
     return TensorValue(N)
 
 
-def metrizability_residuals(profile, pq, rs):
-    """Residuals of the two PDEs a profile must satisfy to be generated by
-    the given (P, Q); r = 0 is excluded (the second PDE divides by r)."""
+def metrizability_residuals(jet, pq, rs):
+    """Residuals of the two PDEs the profile with the jet ``jet`` at ``rs``
+    must satisfy to be generated by the given (P, Q); r = 0 is excluded
+    (the second PDE divides by r)."""
     r, s = rs
     if r == 0.0:
         raise SingularDenominator("metrizability residuals need r > 0")
-    jet = profile.jet(r, s, kr=1, ks=1)
     phi = jet.partial((0,), (0,))
     phi_r = jet.partial((1,), (0,))
     phi_s = jet.partial((0,), (1,))
@@ -256,23 +258,20 @@ def parallel_form_check(pq, factor, samples, n=3, tol=None):
     return report
 
 
-RIEMANNIAN_TOL = 1e-10
-
-
-def classify_profile(profile, grid, tol=RIEMANNIAN_TOL):
-    """Detect the two special branches of the parallel-form analysis:
-    phi independent of s (Riemannian, F = psi(r) u) and phi = c(r) s
-    (fiberwise-linear F, degenerate metric tensor)."""
+def classify_profile(jets, grid):
+    """Detect the two special branches of the parallel-form analysis from
+    the profile jets at the grid points: phi independent of s (Riemannian,
+    F = psi(r) u) and phi = c(r) s (fiberwise-linear F, degenerate metric
+    tensor)."""
     max_phi_s = 0.0
     max_lin = 0.0
-    for (r, s) in grid:
-        jet = profile.jet(r, s, kr=0, ks=1)
+    for jet, (_, s) in zip(jets, grid):
         phi = jet.partial((0,), (0,))
         phi_s = jet.partial((0,), (1,))
         max_phi_s = max(max_phi_s, abs(phi_s) / (1.0 + abs(phi)))
         max_lin = max(max_lin, abs(s * phi_s / phi - 1.0))
-    if max_phi_s <= tol:
+    if max_phi_s <= RIEMANNIAN_TOL:
         return "riemannian"
-    if max_lin <= tol:
+    if max_lin <= RIEMANNIAN_TOL:
         return "degenerate_linear"
     return "generic"

@@ -115,7 +115,8 @@ def test_06_profile_machinery_closure():
         oracle = (math.sqrt(1.0 - r * r + s * s) + s) / (1.0 - r * r)
         worst_p = max(worst_p, abs(P - oracle))
         worst_pde = max(worst_pde,
-                        *sphsym.metrizability_residuals(profile, pq, (r, s)))
+                        *sphsym.metrizability_residuals(profile.jet(r, s), pq,
+                                                        (r, s)))
     model = sphsym.profile_metric(profile, 3)
     worst_spray = 0.0
     for at in tangent_samples(3, 100, seed=61, radius=0.6, r_min=0.05):

@@ -141,6 +141,19 @@ def test_sphsym_checks_the_radius_before_the_grid(monkeypatch, capsys):
     assert calls == []
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["tensors", "--metric", "klein", "--samples", "10"], "--out"),
+    (["sphsym", "--phi", "berwald_classic", "--samples", "10",
+      "--grid-nr", "4", "--grid-ns", "4"], "--sweep"),
+])
+def test_unwritable_output_path_exits_two(argv, flag, tmp_path, capsys):
+    path = tmp_path / ("a" * 300 + ".json")
+    assert cli.main(argv + [flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
 def test_cli_writes_report_and_determinism(tmp_path):
     # identical config (including the output path) and seed, run twice
     out = tmp_path / "r.json"

@@ -108,7 +108,8 @@ def test_spray_from_pq_homogeneous():
 
 def test_one_profile_jet_per_pq_evaluation(classic_profile, monkeypatch):
     # P and Q come from one profile jet: one per spray evaluation (floats
-    # or Taylor scalars), two per metrizability residual call
+    # or Taylor scalars), one per metrizability residual call besides the
+    # jet it is given
     calls = []
     jet = SphSymProfile.jet
 
@@ -126,20 +127,40 @@ def test_one_profile_jet_per_pq_evaluation(classic_profile, monkeypatch):
     assert len(calls) == 2
     geometry.spray_jets(model, at, 1, 2)
     assert len(calls) == 3
-    metrizability_residuals(classic_profile, pq, (0.4, 0.2))
+    metrizability_residuals(classic_profile.jet(0.4, 0.2), pq, (0.4, 0.2))
     assert len(calls) == 5
+
+
+def test_sphsym_takes_one_profile_jet_per_grid_point(monkeypatch, capsys):
+    # per grid point one float jet and one inside pq.jets at Taylor-valued
+    # (r, s); one per closure sample for the (P, Q) spray
+    calls = []
+    jet = SphSymProfile.jet
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return jet(self, *args, **kwargs)
+
+    monkeypatch.setattr(SphSymProfile, "jet", counted)
+    argv = ["sphsym", "--phi", "berwald_classic", "--samples", "10",
+            "--grid-nr", "4", "--grid-ns", "4"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 2 * 4 * 4 + 10
 
 
 def test_metrizability_residuals_trivial(flat_profile):
     pq = pq_from_profile(flat_profile)
-    r1, r2 = metrizability_residuals(flat_profile, pq, (0.4, 0.2))
+    r1, r2 = metrizability_residuals(flat_profile.jet(0.4, 0.2), pq,
+                                     (0.4, 0.2))
     assert r1 <= 1e-14 and r2 <= 1e-14
 
 
 def test_metrizability_residuals_classic_self_consistent(classic_profile):
     pq = pq_from_profile(classic_profile)
     for (r, s) in rs_grid(nr=10, ns=10):
-        r1, r2 = metrizability_residuals(classic_profile, pq, (r, s))
+        r1, r2 = metrizability_residuals(classic_profile.jet(r, s), pq,
+                                         (r, s))
         assert r1 <= 1e-7 and r2 <= 1e-7
 
 
@@ -147,7 +168,7 @@ def test_metrizability_residuals_detect_wrong_spray(flat_profile):
     # Euclidean profile with an alien Q: first PDE residual |s| / r^2 > 0
     pq = PQPair(lambda r, s: (0.0, 1.0 / (2.0 * r * r)))
     r, s = 0.5, 0.3
-    r1, r2 = metrizability_residuals(flat_profile, pq, (r, s))
+    r1, r2 = metrizability_residuals(flat_profile.jet(r, s), pq, (r, s))
     assert r1 == pytest.approx(abs(s) / r ** 2, rel=1e-10)
     assert r1 > 0.1
 
@@ -236,13 +257,16 @@ def test_parallel_form_check_classic_negative(classic_profile):
 
 
 def test_classify_profile(classic_profile):
+    def classify(profile, grid):
+        return classify_profile([profile.jet(*rs) for rs in grid], grid)
+
     grid = rs_grid(nr=8, ns=8)
-    assert classify_profile(classic_profile, grid) == "generic"
+    assert classify(classic_profile, grid) == "generic"
     riem = SphSymProfile(lambda r, s: 1.0 + r * r / 2.0)
-    assert classify_profile(riem, grid) == "riemannian"
+    assert classify(riem, grid) == "riemannian"
     sgrid = [(r, s) for (r, s) in grid if s > 0.01]
     lin = SphSymProfile(lambda r, s: (1.0 + r * r) * s)
-    assert classify_profile(lin, sgrid) == "degenerate_linear"
+    assert classify(lin, sgrid) == "degenerate_linear"
 
 
 def test_singular_denominator_raised():
