@@ -57,7 +57,8 @@ class TangentSample:
     """A base point x with a nonzero fiber vector y, both float
     coordinates; jets seed their own Taylor variables at the sample.
     ``jets`` holds the spray jets computed at the sample, keyed by (model,
-    kx, ky, scheme), so they live exactly as long as the sample.
+    kx, ky, scheme), so they live exactly as long as the sample; under AD
+    a key may hold jets of higher caps, which serve the lower order.
     """
 
     __slots__ = ("x", "y", "jets")

@@ -113,7 +113,7 @@ EULER_CHAIN_TOL = 1e-8
 
 def _chain(model, at, scheme="ad"):
     """N, C, B and Phi at one sample.  B is taken first, so that under AD
-    the (1, 2) spray jet of the other three is cut from its (1, 3) jet."""
+    the other three read their (1, 2) spray partials from its (1, 3) jet."""
     B = geometry.berwald_curvature(model, at, scheme)
     return (geometry.nonlinear_connection(model, at, scheme),
             geometry.berwald_connection(model, at, scheme), B,
@@ -249,7 +249,8 @@ def run_invariants(cfg):
                            for v in t.values())
         terms["dc"] = forms.homogeneity_residual(probe, at)
         terms["cov_delta"] = forms.covariant_derivative(
-            model, probe, at, t["berwald_connection"],
+            probe, at, t["berwald_connection"],
+            forms.delta_beta(model, probe, at, scheme),
             scheme).notes["delta_residual"]
         if spray_cf is not None:
             terms["cf_spray"] = rel_gap(

@@ -5,9 +5,9 @@ b_{i|j} = d_j b_i - G^k_{ji} b_k vanishes; equivalently the scalar beta is
 holonomy invariant (all horizontal derivatives delta_j beta vanish), subject
 to the curvature compatibility R^h_{jk} b_h = 0.  Homogeneity d_C beta =
 beta holds structurally because b depends on x alone.  This module
-implements those operators (the covariant derivative takes the Berwald
-connection its caller holds) plus the Randers lift F + beta and the
-functional-independence rank test used by the metrizability-freedom
+implements those operators (each takes the tensors it derives from, and
+``is_parallel`` takes them once per sample) plus the Randers lift F + beta
+and the functional-independence rank test used by the metrizability-freedom
 argument.
 """
 
@@ -82,6 +82,7 @@ class ParallelReport:
     scheme: str
     worst: dict
     verdict: Verdict
+    deltas: list  # delta_j beta per sample
     notes: dict = None
 
     @property
@@ -92,18 +93,17 @@ class ParallelReport:
 PARALLEL_TOL = {"ad": 1e-7, "fd": 1e-4}
 
 
-def covariant_derivative(m, omega, at, C, scheme="ad"):
+def covariant_derivative(omega, at, C, delta, scheme="ad"):
     """Berwald horizontal covariant derivative b_{i|j} from the Berwald
     connection ``C`` taken at ``scheme``; the contraction y^i b_{i|j} =
-    delta_j beta is checked on every call.  The notes record
-    ``max_delta``, max |delta_j beta|, and ``delta_residual``, the
+    delta_j beta is checked against ``delta`` on every call.  The notes
+    record ``max_delta``, max |delta_j beta|, and ``delta_residual``, the
     contraction's residual max |y^i b_{i|j} - delta_j beta| relative to
     1 + max_delta."""
     db = omega.jacobian(at.x)
     b = omega.values(at.x)
     cov = db - np.einsum("kji,k->ij", C.components, b)
     y = np.asarray(at.y, dtype=float)
-    delta = delta_beta(m, omega, at, scheme)
     max_delta = delta.max_abs()
     resid = float(np.max(np.abs(y @ cov - delta.components)))
     tol = (1e-10 if scheme == "ad" else 1e-3) * (1.0 + max_delta)
@@ -119,10 +119,8 @@ def delta_beta(m, omega, at, scheme="ad"):
     return geometry.delta_derivative(m, omega.beta(), at, scheme)
 
 
-def d_R_beta(m, omega, at, scheme="ad"):
-    """R^h_{jk} b_h (2-form) and its y-contraction R^h_j b_h."""
-    phi = geometry.jacobi_endomorphism(m, at, scheme)
-    R = geometry.curvature_R(m, at, phi, scheme)
+def d_R_beta(omega, at, R):
+    """R^h_{jk} b_h (2-form) and its y-contraction R^h_j b_h from ``R``."""
     b = omega.values(at.x)
     two_form = np.einsum("hjk,h->jk", R.components, b)
     contracted = two_form @ np.asarray(at.y, dtype=float)
@@ -130,15 +128,12 @@ def d_R_beta(m, omega, at, scheme="ad"):
             TensorValue(contracted, notes=dict(R.notes)))
 
 
-def m_covector(m, omega, at, scheme="ad"):
-    """m_j = b_j - (beta/F) l_j; may vanish at isolated y but not
-    identically in y (checked by the y-sweep tests)."""
-    m.require_F()
-    ell = geometry.hilbert_form(m, at, scheme).components
+def m_covector(omega, at, ell):
+    """m_j = b_j - (beta/F) l_j from the Hilbert form ``ell`` and its
+    ``notes["F"]``; may vanish at isolated y but not identically in y."""
     b = omega.values(at.x)
-    fval = scalars.value(m.F(at.x, at.y))
     beta = float(b @ np.asarray(at.y, dtype=float))
-    mj = b - (beta / fval) * ell
+    mj = b - (beta / ell.notes["F"]) * ell.components
     return TensorValue(mj, notes={"norm": float(np.linalg.norm(mj))})
 
 
@@ -150,8 +145,9 @@ def homogeneity_residual(omega, at):
 
 
 def is_parallel(m, omega, samples, tol=None, scheme="ad", threads=1):
-    """Aggregate the three parallelness residuals over >= 10 samples;
-    per-sample work may run on a thread pool (results are identical to the
+    """Aggregate the three parallelness residuals over >= 10 samples from
+    C, delta beta (kept in the report), Phi and R, each taken once per
+    sample, possibly on a thread pool (results are identical to the
     sequential order)."""
     if len(samples) < 10:
         raise InsufficientSamples("is_parallel needs at least 10 samples")
@@ -165,17 +161,22 @@ def is_parallel(m, omega, samples, tol=None, scheme="ad", threads=1):
                 f"d_C beta != beta (residual {hres:g}); the form is not "
                 "a fiberwise-linear function of y")
         C = geometry.berwald_connection(m, at, scheme)
-        cov = covariant_derivative(m, omega, at, C, scheme)
-        return {
+        delta = delta_beta(m, omega, at, scheme)
+        cov = covariant_derivative(omega, at, C, delta, scheme)
+        phi = geometry.jacobi_endomorphism(m, at, scheme)
+        R = geometry.curvature_R(m, at, phi, scheme)
+        return delta.components, {
             "covariant": cov.max_abs(),
             "delta": cov.notes["max_delta"],
-            "curvature": d_R_beta(m, omega, at, scheme)[0].max_abs(),
+            "curvature": d_R_beta(omega, at, R)[0].max_abs(),
         }
 
     maxima = {"covariant": 0.0, "delta": 0.0, "curvature": 0.0}
     worst = {k: None for k in maxima}
-    for at, vals in zip(samples, sampling.map_samples(residuals, samples,
-                                                      threads)):
+    deltas = []
+    for at, (delta, vals) in zip(samples, sampling.map_samples(
+            residuals, samples, threads)):
+        deltas.append(delta)
         for k, v in vals.items():
             if v > maxima[k]:
                 maxima[k] = v
@@ -185,7 +186,7 @@ def is_parallel(m, omega, samples, tol=None, scheme="ad", threads=1):
                else Verdict.NOT_PARALLEL)
     return ParallelReport(maxima["covariant"], maxima["delta"],
                           maxima["curvature"], tol, len(samples), scheme,
-                          worst, verdict)
+                          worst, verdict, deltas)
 
 
 def randers_lift(m, omega, check_samples=200, seed=0):
@@ -241,11 +242,11 @@ def functional_independence(m, omega, phi_choice="randers", samples=()):
     return best
 
 
-def annihilation_check(m, omega, at, scheme="ad"):
-    """(max |l_h G^h_ijk|, max |b_h G^h_ijk|) contraction residuals."""
-    B = geometry.berwald_curvature(m, at, scheme).components
-    ell = geometry.hilbert_form(m, at, scheme).components
+def annihilation_check(omega, at, B, ell):
+    """(max |l_h G^h_ijk|, max |b_h G^h_ijk|) contraction residuals of the
+    Berwald curvature ``B`` with the Hilbert form ``ell`` and with b."""
     b = omega.values(at.x)
-    r_ell = float(np.max(np.abs(np.einsum("hijk,h->ijk", B, ell))))
-    r_b = float(np.max(np.abs(np.einsum("hijk,h->ijk", B, b))))
+    r_ell = float(np.max(np.abs(np.einsum("hijk,h->ijk", B.components,
+                                          ell.components))))
+    r_b = float(np.max(np.abs(np.einsum("hijk,h->ijk", B.components, b))))
     return r_ell, r_b

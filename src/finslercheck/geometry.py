@@ -15,7 +15,8 @@ ky + 2).  Under AD they are all read off one flat energy jet of that order
 by derivative shifts (:meth:`TNum.partial`) into the (kx, ky) algebra,
 where the spray is assembled and solved; no jet is taken of Taylor-valued
 inputs.  Spray-only models and the FD scheme differentiate the spray
-evaluation itself.
+evaluation itself.  Under AD a lower tier reads the (1, 3) jet already on
+the sample.
 
 Derived ops take their upstream tensor instead of computing it again:
 ``angular_metric`` takes g, ``mean_berwald`` the Berwald curvature,
@@ -216,21 +217,19 @@ _FD_TIERS = {
 
 def spray_jets(m, at, kx, ky, scheme="ad"):
     """Per-component jets of the spray coefficients at a float sample,
-    kept on the sample per (model, order, scheme).  Under AD a jet of the
-    model already there with caps at least (kx, ky) is cut down to them by
-    the zero derivative shift, which keeps its coefficients bit for bit;
-    otherwise the jet is computed, by derivative shifts when the model has
-    F, else by differentiating the spray evaluation.  FD jets are always
-    computed at the order asked for."""
+    kept on the sample per (model, order, scheme).  Under AD jets of the
+    model already there with caps at least (kx, ky) are returned as they
+    are (:meth:`Jet.dense` indexes by monomial, so they read bit for bit as
+    the (kx, ky) jets); otherwise the jet is computed, by derivative shifts
+    when the model has F, else by differentiating the spray evaluation.
+    FD jets are always computed at the order asked for."""
     key = (m, kx, ky, scheme)
     if key in at.jets:
         return at.jets[key]
-    n = at.n
     held = [jets for (model, jx, jy, s), jets in at.jets.items()
             if model is m and s == scheme == "ad" and jx >= kx and jy >= ky]
     if held:
-        zero, target = ((0,) * n, (0,) * n), algebra(((n, kx), (n, ky)))
-        jets = [series_jet(j.series.partial(zero, target)) for j in held[0]]
+        jets = held[0]
     elif scheme == "ad" and m.F is not None:
         jets = _shifted_spray_jets(m, at, kx, ky)
     else:

@@ -231,9 +231,11 @@ def test_09_invariant_battery_full_catalogue():
                 bad = max(bad, abs(float(np.trace(np.linalg.inv(g) @ h))
                                    - (n - 1)))
                 bad = max(bad, forms.homogeneity_residual(probe, at))
+                delta = forms.delta_beta(m, probe, at)
                 cov = forms.covariant_derivative(
-                    m, probe, at, geometry.berwald_connection(m, at)).components
-                delta = forms.delta_beta(m, probe, at).components
+                    probe, at, geometry.berwald_connection(m, at),
+                    delta).components
+                delta = delta.components
                 bad = max(bad, float(np.max(np.abs(y @ cov - delta)))
                           / (1.0 + float(np.max(np.abs(delta)))))
             worst[f"{name}/n={n}"] = bad

@@ -20,35 +20,42 @@ def x_form(n=3):
     return OneForm(n, lambda x: tuple(x), name="b_i=x_i")
 
 
+def covariant(model, omega, at):
+    """b_{i|j} from the Berwald connection and delta beta at the sample."""
+    return forms.covariant_derivative(
+        omega, at, geometry.berwald_connection(model, at),
+        forms.delta_beta(model, omega, at))
+
+
+def d_R_beta(model, omega, at):
+    phi = geometry.jacobi_endomorphism(model, at)
+    return forms.d_R_beta(omega, at, geometry.curvature_R(model, at, phi))
+
+
 def test_covariant_derivative_constant(euclid3):
     omega = OneForm.constant((0.7, -0.2, 0.1))
     at = TangentSample((0.4, 0.1, -0.3), (0.2, 0.9, -0.5))
-    C = geometry.berwald_connection(euclid3.model, at)
-    assert forms.covariant_derivative(euclid3.model, omega, at, C).max_abs() <= 1e-14
+    assert covariant(euclid3.model, omega, at).max_abs() <= 1e-14
 
 
 def test_covariant_derivative_linear_b(euclid3):
     at = TangentSample((0.4, 0.1, -0.3), (0.2, 0.9, -0.5))
-    C = geometry.berwald_connection(euclid3.model, at)
-    cov = forms.covariant_derivative(euclid3.model, x_form(), at, C).components
+    cov = covariant(euclid3.model, x_form(), at).components
     np.testing.assert_allclose(cov, np.eye(3), atol=1e-12)
 
 
 def test_covariant_derivative_funk_family(funk3, funk_family):
     omega = funk3.parallel_family(c=1.0, c_mu=(0.0, 0.0))
     for at in tangent_samples(3, 20, seed=11):
-        C = geometry.berwald_connection(funk3.model, at)
-        assert forms.covariant_derivative(funk3.model, omega, at, C).max_abs() <= 1e-8
+        assert covariant(funk3.model, omega, at).max_abs() <= 1e-8
     for at in tangent_samples(3, 20, seed=12):
-        C = geometry.berwald_connection(funk3.model, at)
-        assert forms.covariant_derivative(funk3.model, funk_family, at, C).max_abs() <= 1e-8
+        assert covariant(funk3.model, funk_family, at).max_abs() <= 1e-8
 
 
 def test_covariant_derivative_records_delta_beta(funk3, funk_family):
     # the notes equal the y^i b_i|j = delta_j beta check recomputed here
     for at in tangent_samples(3, 5, seed=13):
-        C = geometry.berwald_connection(funk3.model, at)
-        cov = forms.covariant_derivative(funk3.model, funk_family, at, C)
+        cov = covariant(funk3.model, funk_family, at)
         delta = forms.delta_beta(funk3.model, funk_family, at).components
         max_delta = float(np.max(np.abs(delta)))
         resid = float(np.max(np.abs(np.asarray(at.y) @ cov.components - delta)))
@@ -60,8 +67,7 @@ def test_fiber_derivative_of_delta_beta_is_covariant_derivative(funk3):
     # dy_i(delta_j beta) = b_{i|j}, probed by finite differences in y
     omega = funk3.parallel_family(c=0.3, c_mu=(0.1, 0.0))
     at = TangentSample((0.2, -0.1, 0.3), (0.6, 0.7, -0.3))
-    C = geometry.berwald_connection(funk3.model, at)
-    cov = forms.covariant_derivative(funk3.model, omega, at, C).components
+    cov = covariant(funk3.model, omega, at).components
     beta = omega.beta()
     fd = jet_of_many(lambda x, y: geometry.delta_derivative(
         funk3.model, beta, TangentSample(x, y)).components,
@@ -74,7 +80,7 @@ def test_fiber_derivative_of_delta_beta_is_covariant_derivative(funk3):
 def test_d_r_beta_euclidean(euclid3):
     omega = OneForm.constant((1.0, 2.0, 3.0))
     at = TangentSample((0.3, 0.0, -0.1), (1.0, -0.4, 0.2))
-    two, contr = forms.d_R_beta(euclid3.model, omega, at)
+    two, contr = d_R_beta(euclid3.model, omega, at)
     assert two.max_abs() <= 1e-12
     assert contr.max_abs() <= 1e-12
 
@@ -83,7 +89,7 @@ def test_d_r_beta_klein_frozen(klein3):
     # fitted K = -1 and metric-lowered y give contracted form (0, -1, 0)
     omega = OneForm.constant((0.0, 1.0, 0.0))
     at = TangentSample((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-    two, contr = forms.d_R_beta(klein3.model, omega, at)
+    two, contr = d_R_beta(klein3.model, omega, at)
     np.testing.assert_allclose(contr.components, [0.0, -1.0, 0.0], atol=1e-9)
     assert two.symmetry_violation() == 0.0
 
@@ -91,7 +97,7 @@ def test_d_r_beta_klein_frozen(klein3):
 def test_d_r_beta_classic_zero(classic3):
     omega = OneForm.constant((0.4, -0.7, 0.2))
     for at in tangent_samples(3, 5, seed=31):
-        two, contr = forms.d_R_beta(classic3.model, omega, at)
+        two, contr = d_R_beta(classic3.model, omega, at)
         f2 = 2.0 * geometry.energy(classic3.model, at)
         assert two.max_abs() <= 1e-6 * f2
 
@@ -99,10 +105,12 @@ def test_d_r_beta_classic_zero(classic3):
 def test_m_covector_euclidean(euclid3):
     omega = OneForm.constant((1.0, 0.0, 0.0))
     at_par = TangentSample((0.2, 0.0, 0.0), (1.0, 0.0, 0.0))
-    assert forms.m_covector(euclid3.model, omega, at_par).max_abs() <= 1e-14
+    ell = geometry.hilbert_form(euclid3.model, at_par)
+    assert forms.m_covector(omega, at_par, ell).max_abs() <= 1e-14
     at_perp = TangentSample((0.2, 0.0, 0.0), (0.0, 1.0, 0.0))
+    ell = geometry.hilbert_form(euclid3.model, at_perp)
     np.testing.assert_allclose(
-        forms.m_covector(euclid3.model, omega, at_perp).components,
+        forms.m_covector(omega, at_perp, ell).components,
         [1.0, 0.0, 0.0], atol=1e-14)
 
 
@@ -119,7 +127,8 @@ def test_m_covector_not_identically_zero(name):
         y = rng.standard_normal(3)
         y /= np.linalg.norm(y)
         at = TangentSample(x, tuple(y))
-        best = max(best, forms.m_covector(ent.model, omega, at).max_abs())
+        ell = geometry.hilbert_form(ent.model, at)
+        best = max(best, forms.m_covector(omega, at, ell).max_abs())
     assert best > 1e-8
 
 
@@ -212,11 +221,17 @@ def test_functional_independence_funk(funk3, funk_family, samples20):
 def test_annihilation_check(euclid3, funk3, gb3):
     omega = OneForm.constant((1.0, 0.0, 0.0))
     at = TangentSample((0.25, -0.1, 0.2), (0.3, 0.8, -0.5))
-    r_ell, r_b = forms.annihilation_check(euclid3.model, omega, at)
+
+    def check(model, omega):
+        return forms.annihilation_check(
+            omega, at, geometry.berwald_curvature(model, at),
+            geometry.hilbert_form(model, at))
+
+    r_ell, r_b = check(euclid3.model, omega)
     assert r_ell <= 1e-12 and r_b <= 1e-12
     omega_f = funk3.parallel_family(c=1.0, c_mu=(0.0, 0.0))
-    r_ell, r_b = forms.annihilation_check(funk3.model, omega_f, at)
+    r_ell, r_b = check(funk3.model, omega_f)
     assert r_ell <= 1e-9 and r_b <= 1e-9
     # non-Landsberg metric: a generic constant b is not annihilated
-    r_ell, r_b = forms.annihilation_check(gb3.model, omega, at)
+    r_ell, r_b = check(gb3.model, omega)
     assert r_b > 1e-3

@@ -336,36 +336,41 @@ def _count_energy_jets(monkeypatch):
     return built
 
 
+def _assert_reads_equal(got, ref):
+    # every spray partial an op reads from a (1, 2) tier, bit for bit
+    for kx in range(2):
+        for ky in range(3):
+            assert np.array_equal(geometry._partials(got, kx, ky),
+                                  geometry._partials(ref, kx, ky)), (kx, ky)
+
+
 @pytest.mark.parametrize("name,n,a", [
     ("general_berwald", 2, None), ("general_berwald", 3, (0.1, 0.05, 0.0)),
     ("klein", 3, None), ("funk_parallel", 3, (0.5, 0.1, 0.0))])
-def test_cut_spray_jets_equal_direct_jets(name, n, a, monkeypatch):
-    # with the (1, 3) jets on the sample, a (1, 2) request is cut from them
-    # without a new energy jet, bit for bit equal to the direct jets
+def test_lower_spray_tier_reads_the_held_jets(name, n, a, monkeypatch):
+    # with the (1, 3) jets on the sample, a (1, 2) request returns them
+    # without a new energy jet, and they read as the direct (1, 2) jets
     m = catalogue.entry(name, n=n, a=a).model
     samples = tangent_samples(n, 3, seed=31, radius=0.5)
-    for at in samples:
-        geometry.spray_jets(m, at, 1, 3)
+    held = [geometry.spray_jets(m, at, 1, 3) for at in samples]
     direct = geometry._shifted_spray_jets
     built = _count_energy_jets(monkeypatch)
-    for at in samples:
-        cut = geometry.spray_jets(m, at, 1, 2)
-        for got, ref in zip(cut, direct(m, at, 1, 2), strict=True):
-            assert got.caps == ref.caps == (1, 2)
-            assert np.array_equal(got.table, ref.table)
+    for at, jets in zip(samples, held):
+        assert geometry.spray_jets(m, at, 1, 2) is jets
+        _assert_reads_equal(jets, direct(m, at, 1, 2))
     assert built == []
 
 
-def test_cut_spray_jets_of_a_spray_only_model():
+def test_lower_spray_tier_of_a_spray_only_model_reads_the_held_jets():
     klein = catalogue.entry("klein", n=3)
     m = MetricModel(3, domain=klein.model.domain,
                     spray_override=klein.spray_cf, name="klein spray")
     at = TangentSample((0.1, -0.2, 0.3), (0.6, 0.7, -0.3))
-    geometry.spray_jets(m, at, 1, 3)
-    cut = geometry.spray_jets(m, at, 1, 2)
+    held = geometry.spray_jets(m, at, 1, 3)
+    assert geometry.spray_jets(m, at, 1, 2) is held
     ref = jet_of_many(lambda xs, ys: geometry._spray_scalars(m, xs, ys),
                       (at.x, at.y), (1, 2))
-    assert all(np.array_equal(c.table, r.table) for c, r in zip(cut, ref))
+    _assert_reads_equal(held, ref)
 
 
 def test_fd_spray_jets_are_never_cut(monkeypatch):
@@ -417,6 +422,9 @@ ONE_PASS_CALLS = {
                 "angular_metric": 1, "berwald_connection": 1,
                 "berwald_curvature": 1, "jacobi_endomorphism": 1,
                 "delta_beta": 0},
+    "sphsym": {"spray_coefficients": 1, "berwald_connection": 1,
+               "jacobi_endomorphism": 1, "delta_beta": 1,
+               "delta_derivative": 1},
 }
 
 
@@ -427,7 +435,8 @@ ONE_PASS_CALLS = {
     ["tensors", "--metric", "general_berwald"],
     ["tensors", "--metric", "general_berwald", "--dim", "2",
      "--scheme", "fd"],
-    ["invariants", "--metric", "klein", "--scheme", "fd"]])
+    ["invariants", "--metric", "klein", "--scheme", "fd"],
+    ["sphsym", "--phi", "berwald_classic", "--f", "1", "--P", "r*s/10"]])
 def test_commands_take_each_tensor_once_per_sample(argv, monkeypatch,
                                                    capsys):
     # counted per (op, scheme): under --scheme fd the Euler chain takes
@@ -501,6 +510,36 @@ def test_geometry_ops_call_no_other_op(monkeypatch):
         ops["curvature_R"](m, at, phi, scheme)
         ops["delta_derivative"](m, beta, at, scheme)
     assert nested == []
+
+
+def test_forms_take_the_tensors_they_derive_from(monkeypatch):
+    # handed their tensors, the per-sample form functions call no op
+    m = catalogue.entry("general_berwald", n=3, a=(0.1, 0.05, 0.0)).model
+    omega = forms.OneForm.constant((1.0, 0.3, 0.3))
+    for scheme in ("ad", "fd"):
+        at = TangentSample((0.1, -0.2, 0.3), (0.6, 0.7, -0.3))
+        C = geometry.berwald_connection(m, at, scheme)
+        B = geometry.berwald_curvature(m, at, scheme)
+        ell = geometry.hilbert_form(m, at, scheme)
+        phi = geometry.jacobi_endomorphism(m, at, scheme)
+        R = geometry.curvature_R(m, at, phi, scheme)
+        delta = forms.delta_beta(m, omega, at, scheme)
+        called = []
+        for name in geometry.__all__:
+            fn = getattr(geometry, name)
+            if inspect.isfunction(fn):
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    called.append(_name)
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(geometry, name, counted)
+        forms.covariant_derivative(omega, at, C, delta, scheme)
+        forms.d_R_beta(omega, at, R)
+        forms.m_covector(omega, at, ell)
+        forms.annihilation_check(omega, at, B, ell)
+        forms.homogeneity_residual(omega, at)
+        assert called == []
+        monkeypatch.undo()
 
 
 def _recomputed_euler_term(model, at):
