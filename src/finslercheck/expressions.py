@@ -3,7 +3,10 @@
 Grammar: numeric literals, named variables, binary + - * / ^, unary minus,
 the functions sqrt/exp/log/sin/cos/abs, and parentheses.  Precedence is
 ^ > unary minus > * / > + -, with ^ right-associative.  Printing re-emits
-source that parses back to the identical tree.
+source that parses back to the identical tree.  An expression nests at most
+MAX_DEPTH levels deep: each binary operator, unary minus, function call and
+parenthesised group is one level above its operands, so both long operator
+chains and deep nesting beyond it are parse errors.
 
 Evaluation is generic: feed plain floats or Taylor scalars through ``env``
 and derivatives of parsed expressions come for free.  NaN/inf surfaces as
@@ -20,7 +23,11 @@ from .errors import ConfigError, NonFiniteValue, ParseError
 from .taylor import TNum
 
 __all__ = ["parse", "to_src", "evaluate", "Num", "Var", "Neg", "Bin", "Call",
-           "FUNCTIONS", "compile_scalar", "compile_form"]
+           "FUNCTIONS", "MAX_DEPTH", "compile_scalar", "compile_form"]
+
+# Fixed bound on the nesting depth, which keeps parsing, evaluation and
+# printing well inside Python's recursion limit.
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.level = 0  # levels open above the operand being parsed
 
     def peek(self):
         return self.tokens[self.i]
@@ -108,52 +116,75 @@ class _Parser:
         return self.next()
 
     def parse(self):
-        expr = self.sum()
+        expr, _ = self.sum()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", pos,
                              ("operator", "end of input"))
         return expr
 
+    # Each rule returns (node, depth); a leaf has depth 0.
+
+    def deeper(self, depth, pos):
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} "
+                             "levels", pos, ("a shallower expression",))
+        return depth + 1
+
+    def nested(self, rule, pos):
+        """The operand parsed by ``rule`` one level down, with the depth of
+        the level above it; the open levels are bounded before recursing."""
+        self.level = self.deeper(self.level, pos)
+        node, depth = rule()
+        self.level -= 1
+        return node, self.deeper(depth, pos)
+
     def sum(self):
-        node = self.term()
+        node, depth = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                node = Bin(val, node, self.term())
+                right, rdepth = self.term()
+                node = Bin(val, node, right)
+                depth = self.deeper(max(depth, rdepth), pos)
             else:
-                return node
+                return node, depth
 
     def term(self):
-        node = self.unary()
+        node, depth = self.unary()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "*/":
                 self.next()
-                node = Bin(val, node, self.unary())
+                right, rdepth = self.unary()
+                node = Bin(val, node, right)
+                depth = self.deeper(max(depth, rdepth), pos)
             else:
-                return node
+                return node, depth
 
     def unary(self):
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            return Neg(self.unary())
+            arg, depth = self.nested(self.unary, pos)
+            return Neg(arg), depth
         return self.power()
 
     def power(self):
-        base = self.atom()
-        kind, val, _ = self.peek()
+        base, depth = self.atom()
+        kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            return Bin("^", base, self.unary())
-        return base
+            exponent, edepth = self.nested(self.unary, pos)
+            return (Bin("^", base, exponent),
+                    max(edepth, self.deeper(depth, pos)))
+        return base, depth
 
     def atom(self):
         kind, val, pos = self.next()
         if kind == "num":
-            return Num(val)
+            return Num(val), 0
         if kind == "name":
             k2, v2, _ = self.peek()
             if k2 == "op" and v2 == "(":
@@ -161,14 +192,14 @@ class _Parser:
                     raise ParseError(f"unknown function {val!r}", pos,
                                      tuple(sorted(FUNCTIONS)))
                 self.next()
-                arg = self.sum()
+                arg, depth = self.nested(self.sum, pos)
                 self.expect_op(")")
-                return Call(val, arg)
-            return Var(val)
+                return Call(val, arg), depth
+            return Var(val), 0
         if kind == "op" and val == "(":
-            node = self.sum()
+            node, depth = self.nested(self.sum, pos)
             self.expect_op(")")
-            return node
+            return node, depth
         raise ParseError(f"expected a value, got {val!r}", pos,
                          ("number", "name", "("))
 

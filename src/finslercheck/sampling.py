@@ -2,8 +2,8 @@
 
 Base points are uniform in a ball (default radius 0.6 to keep unit-ball
 metrics away from their boundary); fiber vectors are uniform on the unit
-sphere, which suffices by homogeneity.  Identical seeds give identical
-samples on every platform numpy supports.
+sphere, which suffices by homogeneity.  Coordinates are Python floats.
+Identical seeds give identical samples on every platform numpy supports.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -31,12 +31,12 @@ def _check_annulus(radius, r_min):
 def ball_point(rng, n, radius):
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    return tuple(v * radius * rng.random() ** (1.0 / n))
+    return tuple((v * radius * rng.random() ** (1.0 / n)).tolist())
 
 
 def sphere_point(rng, n):
     v = rng.standard_normal(n)
-    return tuple(v / np.linalg.norm(v))
+    return tuple((v / np.linalg.norm(v)).tolist())
 
 
 def tangent_samples(n, count, seed, radius=DEFAULT_RADIUS, r_min=0.0):

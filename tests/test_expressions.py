@@ -48,6 +48,29 @@ def test_parse_error_position():
     assert err.value.position == 2
 
 
+NESTINGS = {
+    "parentheses": lambda k: "(" * k + "r" + ")" * k,
+    "unary_minus": lambda k: "-" * k + "r",
+    "calls": lambda k: "sqrt(" * k + "r" + ")" * k,
+    "exponents": lambda k: "1^" * k + "r",
+    "sum_chain": lambda k: "r" + "+s" * k,
+    "product_chain": lambda k: "r" + "*s" * k,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTINGS))
+def test_nesting_depth_bound(name):
+    # depth MAX_DEPTH parses, evaluates and prints; one level more is a
+    # ParseError, raised before Python's recursion limit is reached
+    nest = NESTINGS[name]
+    tree = ex.parse(nest(ex.MAX_DEPTH))
+    assert math.isfinite(ex.evaluate(tree, {"r": 0.5, "s": 0.25}))
+    assert ex.parse(ex.to_src(tree)) == tree
+    for k in (ex.MAX_DEPTH + 1, 3000):
+        with pytest.raises(ParseError, match="deeper than 100 levels"):
+            ex.parse(nest(k))
+
+
 @pytest.mark.parametrize("src,value", [
     ("2^3^2", 512.0),            # right-associative
     ("-2^2", -4.0),              # ^ binds tighter than unary minus

@@ -9,10 +9,10 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finslercheck import cli, sampling, sphsym
+from finslercheck import catalogue, cli, forms, sampling, sphsym
 from finslercheck.config import (MAX_DIM, MAX_THREADS, build_config,
                                  parse_config_file)
-from finslercheck.errors import ConfigError, SelfCheckFailure
+from finslercheck.errors import ConfigError, NotPositive, SelfCheckFailure
 from finslercheck.reporting import dumps
 
 
@@ -326,6 +326,40 @@ def test_sphsym_expansion_gap_is_a_self_check_failure(monkeypatch, capsys):
                    "--P", "r*s/10"])
     assert rc == 4
     assert "internal self-check failure" in capsys.readouterr().err
+
+
+def test_failure_messages_print_plain_floats(monkeypatch):
+    # sample coordinates are Python floats, so messages naming a point
+    # read x=(0.1, ...), not x=(np.float64(0.1), ...)
+    expansion = sphsym._delta_beta_expansion
+    monkeypatch.setattr(sphsym, "_delta_beta_expansion",
+                        lambda *args: expansion(*args) + 1e-3)
+    factor = sphsym.RadialFactor(lambda r: 1.0, df=lambda r: 0.0)
+    pq = sphsym.parallel_pq(factor, lambda r, s: r * s / 10.0)
+    samples = sampling.tangent_samples(3, 10, seed=5, radius=0.9, r_min=0.1)
+    with pytest.raises(SelfCheckFailure, match=r"at x=\(") as gap:
+        sphsym.parallel_form_check(pq, factor, samples)
+    euclid = catalogue.entry("euclidean", n=3).model
+    with pytest.raises(NotPositive, match=r"at x=\(") as lift:
+        forms.randers_lift(euclid, forms.OneForm.constant((2.0, 0.0, 0.0)))
+    for err in (gap, lift):
+        assert "np.float64(" not in str(err.value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sphsym", "--phi", "(" * 3000 + "1" + ")" * 3000],
+    ["sphsym", "--phi", "1" + "+s" * 1199],
+    ["check-parallel", "--metric", "euclidean",
+     "--form", "(" * 3000 + "1" + ")" * 3000 + ",0,0"]],
+    ids=["deep_phi", "long_phi", "deep_form"])
+def test_too_deep_expressions_exit_two(argv, monkeypatch, capsys):
+    # a parse error, before any sampling or grid work starts
+    monkeypatch.setattr(cli, "tangent_samples", None)
+    monkeypatch.setattr(cli, "rs_grid", None)
+    assert cli.main(argv + ["--samples", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "deeper than 100 levels" in err
+    assert "Traceback" not in err
 
 
 
