@@ -25,6 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
+from finslercheck import cli
+
 CORPUS = Path(__file__).resolve().parent
 
 # name -> argv without --seed/--out; "{sweep}" marks the --sweep path
@@ -74,8 +76,6 @@ def provenance():
 def run(name, workdir):
     """(exit code, printed summary, normalised report, sweep CSV or None)
     of one case, with its files written under ``workdir``."""
-    from finslercheck import cli
-
     workdir = Path(workdir)
     sweep = workdir / f"{name}.csv"
     out = workdir / f"{name}.json"

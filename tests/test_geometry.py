@@ -347,7 +347,7 @@ def _assert_reads_equal(got, ref):
 @pytest.mark.parametrize("name,n,a", [
     ("general_berwald", 2, None), ("general_berwald", 3, (0.1, 0.05, 0.0)),
     ("klein", 3, None), ("funk_parallel", 3, (0.5, 0.1, 0.0))])
-def test_lower_spray_tier_reads_the_held_jets(name, n, a, monkeypatch):
+def test_cut_spray_jets_equal_direct_jets(name, n, a, monkeypatch):
     # with the (1, 3) jets on the sample, a (1, 2) request returns them
     # without a new energy jet, and they read as the direct (1, 2) jets
     m = catalogue.entry(name, n=n, a=a).model
@@ -361,7 +361,7 @@ def test_lower_spray_tier_reads_the_held_jets(name, n, a, monkeypatch):
     assert built == []
 
 
-def test_lower_spray_tier_of_a_spray_only_model_reads_the_held_jets():
+def test_cut_spray_jets_of_a_spray_only_model():
     klein = catalogue.entry("klein", n=3)
     m = MetricModel(3, domain=klein.model.domain,
                     spray_override=klein.spray_cf, name="klein spray")
