@@ -57,6 +57,24 @@ CASES = {
     "sphsym-riemannian": ["sphsym", "--phi", "1+r*r/2", "--samples", "10"],
     "scan-curvature": ["scan", "--metric", "klein", "--rows", "curvature",
                        "--x-points", "3", "--y-samples", "8"],
+    # the identity battery per catalogue metric, and the FD oracle at n = 2
+    "invariants-klein": ["invariants", "--metric", "klein",
+                         "--samples", "20"],
+    "invariants-funk_parallel": ["invariants", "--metric", "funk_parallel",
+                                 "--a", "0.5,0.1,0", "--samples", "20"],
+    "invariants-berwald_classic": ["invariants", "--metric",
+                                   "berwald_classic", "--samples", "20"],
+    "invariants-euclidean": ["invariants", "--metric", "euclidean",
+                             "--samples", "20"],
+    "invariants-2d": ["invariants", "--metric", "general_berwald",
+                      "--dim", "2", "--samples", "20"],
+    "invariants-fd": ["invariants", "--metric", "klein", "--dim", "2",
+                      "--samples", "10", "--scheme", "fd"],
+    "tensors-klein-fd": ["tensors", "--metric", "klein", "--dim", "2",
+                         "--samples", "10", "--scheme", "fd"],
+    "sphsym-berwald_classic-sweep": ["sphsym", "--phi", "berwald_classic",
+                                     "--samples", "20",
+                                     "--sweep", "{sweep}"],
 }
 SEED = 0
 
