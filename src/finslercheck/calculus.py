@@ -19,7 +19,9 @@ powers of the inputs' deviations (Taylor propagation, Griewank & Walther,
 *Evaluating Derivatives*, ch. 13), so every algebra has one block per jet
 group.  The geometry pipeline differentiates the spray by derivative
 shifts of one flat energy jet, whose series an AD :class:`Jet` keeps as
-``series``.
+``series``.  Such a jet may carry only a staircase of its partials (see
+:mod:`finslercheck.taylor`, ``jet_of(..., stair=...)``): a read outside
+the stair raises KeyError instead of returning a partial never computed.
 """
 
 import functools
@@ -102,15 +104,18 @@ class Jet:
     ``pvars(v1, v2, ...)`` takes tuples of variable indices instead
     (e.g. ``pvars((0,), (1, 1))`` for d/dx0 d2/dy1dy1).  Entries are floats,
     or series of ``alg`` (a trailing table axis) for Taylor-valued inputs.
-    A flat AD jet also keeps the Taylor scalar it was read from as ``series``.
+    A flat AD jet also keeps the Taylor scalar it was read from as ``series``
+    and that series' ``stair``; partials outside the stair raise KeyError.
     """
 
-    def __init__(self, nvars, caps, table, series=None, alg=None):
+    def __init__(self, nvars, caps, table, series=None, alg=None,
+                 stair=None):
         self.nvars = tuple(nvars)
         self.caps = tuple(caps)
-        layout = algebra(tuple(zip(self.nvars, self.caps)))
-        self.monos = layout.monos
-        self.index = layout.mono_index
+        self.stair = stair
+        self.layout = algebra(tuple(zip(self.nvars, self.caps)), stair)
+        self.monos = self.layout.monos
+        self.index = self.layout.mono_index
         self.table = table  # ndarray indexed by per-group monomial position
         self.series = series
         self.alg = alg
@@ -128,6 +133,7 @@ class Jet:
             pos = tuple(idx[tuple(e)] for idx, e in zip(self.index, exps))
         except KeyError:
             raise KeyError(f"partial {exps} outside jet order {self.caps}")
+        _require_kept(self.layout, tuple(map(sum, exps)))
         return self._entry(pos)
 
     def pvars(self, *varlists):
@@ -138,7 +144,7 @@ class Jet:
         """Every partial of the given order per group, one axis per
         differentiation: ``dense(1, 2)[k, i, j]`` is ``pvars((k,), (i, j))``.
         Series entries keep their trailing coefficient axis."""
-        ix, shape = _dense_index(self.nvars, self.caps, orders)
+        ix, shape = _dense_index(self.nvars, self.caps, orders, self.stair)
         return self.table[ix].reshape(shape + self.table.shape[len(ix):])
 
     def check_finite(self, context=""):
@@ -148,10 +154,17 @@ class Jet:
         return self
 
 
+def _require_kept(layout, orders):
+    if not layout.keeps(orders):
+        raise KeyError(f"partials of order {orders} outside the jet's stair "
+                       f"{layout.stair}")
+
+
 @functools.lru_cache(maxsize=None)
-def _dense_index(nvars, caps, orders):
+def _dense_index(nvars, caps, orders, stair=None):
     """Open-mesh table index of :meth:`Jet.dense` and its output shape."""
-    layout = algebra(tuple(zip(nvars, caps)))
+    layout = algebra(tuple(zip(nvars, caps)), stair)
+    _require_kept(layout, orders)
     per_group = [[idx[var_exponents(n, vs)]
                   for vs in product(range(n), repeat=k)]
                  for n, k, idx in zip(nvars, orders, layout.mono_index)]
@@ -159,10 +172,10 @@ def _dense_index(nvars, caps, orders):
     return np.ix_(*per_group), shape
 
 
-def _ad_series(fn, groups, caps):
+def _ad_series(fn, groups, caps, *, stair=None):
     """Taylor series of each component of ``fn`` at the float point
-    ``groups``, one block per group."""
-    alg = algebra(tuple((len(g), c) for g, c in zip(groups, caps)))
+    ``groups``, one block per group, kept on ``stair`` if given."""
+    alg = algebra(tuple((len(g), c) for g, c in zip(groups, caps)), stair)
     seeded = [tuple(alg.variable(bi, vi, v) for vi, v in enumerate(g))
               for bi, g in enumerate(groups)]
     out = [r if isinstance(r, TNum) else alg.constant(scalars.value(r))
@@ -184,10 +197,10 @@ def series_jet(t):
     """Partials table of a flat Taylor scalar, one group per block."""
     nvars, caps = zip(*t.alg.blocks)
     return Jet(nvars, caps, t.c.reshape(t.alg.sizes) * _weights(t.alg),
-               series=t)
+               series=t, stair=t.alg.stair)
 
 
-def _ad_jets(fn, groups, caps):
+def _ad_jets(fn, groups, caps, *, stair=None):
     """Per-component AD jets of ``fn`` at floats or Taylor scalars of one
     algebra A with total cap K.  Inputs v = v0 + delta are composed: the
     float jet of fn at v0, of order raised by up to K, gives
@@ -200,7 +213,9 @@ def _ad_jets(fn, groups, caps):
         raise ValueError("inputs from different Taylor algebras")
     if not algs:
         return [series_jet(t).check_finite()
-                for t in _ad_series(fn, groups, caps)]
+                for t in _ad_series(fn, groups, caps, stair=stair)]
+    if stair is not None:
+        raise ValueError("a stair applies to jets at float inputs")
     outer, = algs
     nvars = tuple(len(g) for g in groups)
     deltas = [(bi, vi, v - v.value()) for bi, g in enumerate(groups)
@@ -234,15 +249,19 @@ def _ad_jets(fn, groups, caps):
     return jets
 
 
-def jet_of(fn, groups, caps, scheme="ad"):
+def jet_of(fn, groups, caps, scheme="ad", *, stair=None):
     """Jet of ``fn(*groups)`` with one total-degree cap per group.
 
     The generic entry point behind :func:`eval_jet`; also used directly for
-    (r, s)-profile derivatives and 1-form coefficient derivatives.
+    (r, s)-profile derivatives and 1-form coefficient derivatives.  An AD
+    jet of two float groups may keep only the partials on ``stair`` (see
+    :func:`finslercheck.taylor.algebra`).
     """
     groups = tuple(tuple(g) for g in groups)
     if scheme == "ad":
-        return _ad_jets(lambda *gs: (fn(*gs),), groups, caps)[0]
+        return _ad_jets(lambda *gs: (fn(*gs),), groups, caps, stair=stair)[0]
+    if stair is not None:
+        raise ValueError("a stair applies to AD jets only")
     if scheme == "fd":
         return _fd_jets(lambda *gs: (fn(*gs),), groups, caps)[0]
     raise ValueError(f"unknown differentiation scheme {scheme!r}")

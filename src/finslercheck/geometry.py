@@ -18,6 +18,12 @@ inputs.  Spray-only models and the FD scheme differentiate the spray
 evaluation itself.  Under AD a lower tier reads the (1, 3) jet already on
 the sample.
 
+An AD tier keeps only its demand staircase (``_AD_STAIRS``): the spray
+partials the ops read, of x-order 0 up to the tier's y-order and of
+x-order 1 up to y-order 1, and the energy partials they are shifted from.
+Nothing reads a spray partial of x-order 1 and y-order 2 or more, so none
+is computed; a read outside the stair raises KeyError.
+
 Derived ops take their upstream tensor instead of computing it again:
 ``angular_metric`` takes g, ``mean_berwald`` the Berwald curvature,
 ``landsberg_tensor`` the Berwald curvature and the Hilbert form (which
@@ -193,10 +199,13 @@ def _spray_scalars(m, x, y):
 def _shifted_spray_jets(m, at, kx, ky):
     """Spray jets of order (kx, ky) from one flat energy jet of order
     (kx + 1, ky + 2): each energy partial is a derivative shift of its
-    series into the (kx, ky) algebra, where the spray is assembled."""
+    series into the (kx, ky) algebra, where the spray is assembled.  Both
+    algebras keep the tier's demand staircase if it has one."""
     n = at.n
-    series = jet_of(m.energy, (at.x, at.y), (kx + 1, ky + 2)).series
-    target = algebra(((n, kx), (n, ky)))
+    spray_stair, energy_stair = _AD_STAIRS.get((kx, ky), (None, None))
+    series = jet_of(m.energy, (at.x, at.y), (kx + 1, ky + 2),
+                    stair=energy_stair).series
+    target = algebra(((n, kx), (n, ky)), spray_stair)
 
     def d(xvars, yvars):
         return series.partial((var_exponents(n, xvars),
@@ -209,6 +218,15 @@ def _shifted_spray_jets(m, at, kx, ky):
 # jet orders requested per tier; AD shares one generous jet per tier, FD
 # stays minimal because its cost grows exponentially with the order
 _AD_TIERS = {"connection": (1, 2), "curvature": (1, 3)}
+# (spray, energy) demand staircases of each AD tier order: the ops read
+# spray partials (0, <= ky) and (1, <= 1); the spray assembly shifts them
+# from energy partials (0, <= ky + 2), (1, <= ky + 1) and (2, <= 2)
+_AD_STAIRS = {(1, 3): ((3, 1), (5, 4, 2)), (1, 2): ((2, 1), (4, 3, 2))}
+
+
+def _spray_stair(kx, ky):
+    """The spray partials an AD jet of order (kx, ky) keeps, as a stair."""
+    return _AD_STAIRS.get((kx, ky), ((ky,) * (kx + 1),))[0]
 _FD_TIERS = {
     "nonlinear": (0, 1), "connection": (0, 2), "jacobi": (1, 2),
     "curvature": (0, 3),
@@ -218,16 +236,18 @@ _FD_TIERS = {
 def spray_jets(m, at, kx, ky, scheme="ad"):
     """Per-component jets of the spray coefficients at a float sample,
     kept on the sample per (model, order, scheme).  Under AD jets of the
-    model already there with caps at least (kx, ky) are returned as they
-    are (:meth:`Jet.dense` indexes by monomial, so they read bit for bit as
-    the (kx, ky) jets); otherwise the jet is computed, by derivative shifts
-    when the model has F, else by differentiating the spray evaluation.
-    FD jets are always computed at the order asked for."""
+    model already there that keep every partial a (kx, ky) jet keeps are
+    returned as they are (:meth:`Jet.dense` indexes by monomial, so they
+    read bit for bit as the (kx, ky) jets); otherwise the jet is computed,
+    by derivative shifts when the model has F, else by differentiating the
+    spray evaluation.  FD jets are always computed at the order asked for."""
     key = (m, kx, ky, scheme)
     if key in at.jets:
         return at.jets[key]
+    want = _spray_stair(kx, ky)
     held = [jets for (model, jx, jy, s), jets in at.jets.items()
-            if model is m and s == scheme == "ad" and jx >= kx and jy >= ky]
+            if model is m and s == scheme == "ad" and jx >= kx
+            and all(a <= b for a, b in zip(want, _spray_stair(jx, jy)))]
     if held:
         jets = held[0]
     elif scheme == "ad" and m.F is not None:

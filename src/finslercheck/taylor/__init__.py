@@ -22,6 +22,20 @@ multiplication is one sparse convolution over a flat float64 coefficient
 array.  That convolution is the hot kernel of the whole package, one numpy
 ``bincount`` (see ``finslercheck.taylor._backend``).
 
+A two-block algebra may keep only a *staircase* of its coefficients: for
+each block-0 degree d, the block-1 degrees up to ``stair[d]``.  A
+non-increasing stair is exactly a downward-closed keep-set (an order
+ideal), so both factors of a kept monomial are kept and the truncated ring
+is the polynomial ring modulo the monomial ideal of the dropped monomials
+(Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2): every
+kept coefficient is exact, and equals the full box's bit for bit, because
+the multiply keeps the box's triples of kept outputs in their box order.
+The layout stays the box's, so indices, partial maps and ``total_cap`` do
+not change (``total_cap`` fixes the Horner length of the analytic
+functions, and with it their rounding); the dropped slots are never
+written and stay zero.  The geometry pipeline keeps its energy and spray
+jets on the staircases the tensor ops read.
+
 Arithmetic is exact to machine rounding: results agree with symbolic
 differentiation up to float64 round-off.
 """
@@ -70,25 +84,41 @@ def _block_pairs(monos, index, cap):
 _ALGEBRAS = {}
 
 
-def algebra(blocks):
-    """Return the (cached) algebra for a tuple of ``(nvars, cap)`` blocks."""
+def algebra(blocks, stair=None):
+    """Return the (cached) algebra for a tuple of ``(nvars, cap)`` blocks.
+
+    ``stair`` keeps, in a two-block algebra, the coefficients whose block-1
+    degree is at most ``stair[d]`` at block-0 degree d (none past
+    ``len(stair) - 1``).  It must be non-increasing, with at most
+    ``cap0 + 1`` entries between 0 and ``cap1``; ``None`` keeps the box.
+    """
     blocks = tuple((int(n), int(c)) for n, c in blocks)
-    alg = _ALGEBRAS.get(blocks)
+    if stair is not None:
+        stair = tuple(int(s) for s in stair)
+        if not (len(blocks) == 2 and 1 <= len(stair) <= blocks[0][1] + 1
+                and blocks[1][1] >= stair[0]
+                and all(a >= b for a, b in zip(stair, stair[1:]))
+                and stair[-1] >= 0):
+            raise ValueError(f"stair {stair} is not a non-increasing "
+                             f"staircase inside the box {blocks}")
+    key = (blocks, stair)
+    alg = _ALGEBRAS.get(key)
     if alg is None:
-        alg = Algebra(blocks)
-        _ALGEBRAS[blocks] = alg
+        alg = Algebra(blocks, stair)
+        _ALGEBRAS[key] = alg
     return alg
 
 
 class Algebra:
-    """Layout and multiplication tables for one block signature.
+    """Layout and multiplication tables for one block signature and stair.
 
     Do not instantiate directly; use :func:`algebra` so tables are cached
     per signature.
     """
 
-    def __init__(self, blocks):
+    def __init__(self, blocks, stair=None):
         self.blocks = blocks
+        self.stair = stair
         self.monos = tuple(_monomials(n, c) for n, c in blocks)
         self.mono_index = tuple({m: i for i, m in enumerate(ms)}
                                 for ms in self.monos)
@@ -101,8 +131,19 @@ class Algebra:
             np.array([math.prod(math.factorial(e) for e in m) for m in ms],
                      dtype=float)
             for ms in self.monos)
+        # kept-slot mask over the flat layout, None for the whole box
+        self.kept = None if stair is None else np.array(
+            [self.keeps((sum(m0), sum(m1)))
+             for m0 in self.monos[0] for m1 in self.monos[1]])
         self._tables = None
         self._partial_maps = {}
+
+    def keeps(self, degrees):
+        """Whether the coefficients of per-block total ``degrees`` are kept."""
+        if self.stair is None:
+            return True
+        d0, d1 = degrees
+        return d0 < len(self.stair) and d1 <= self.stair[d0]
 
     def tables(self):
         if self._tables is None:
@@ -116,20 +157,27 @@ class Algebra:
                 ii = (ii[:, None] * s + pi[None, :]).ravel()
                 jj = (jj[:, None] * s + pj[None, :]).ravel()
                 oo = (oo[:, None] * s + po[None, :]).ravel()
+            if self.kept is not None:
+                # the box's triples of kept outputs, in their box order
+                keep = self.kept[oo]
+                ii, jj, oo = ii[keep], jj[keep], oo[keep]
             self._tables = (ii, jj, oo)
         return self._tables
 
     def partial_map(self, multi, target):
-        """(source index, weight) per coefficient of ``target`` for the
-        partial derivative with per-block exponent tuples ``multi``.
+        """(source index, weight, target slots) for the partial derivative
+        with per-block exponent tuples ``multi``: the target slots are
+        ``None`` for a box target, else the kept ones, which the source
+        index and weight list in order.
 
         The coefficient of monomial m in d^multi p is (m + multi)!/m! times
         the coefficient of m + multi in p.  ``target`` must have the same
         block shapes, with each cap at most this cap minus the block's
-        derivative order.  Cached per (multi, target) like :meth:`tables`.
+        derivative order, and every kept target slot must read a kept
+        source slot.  Cached per (multi, target) like :meth:`tables`.
         """
         multi = tuple(tuple(int(e) for e in m) for m in multi)
-        key = (multi, target.blocks)
+        key = (multi, target.blocks, target.stair)
         maps = self._partial_maps.get(key)
         if maps is None:
             fits = len(multi) == len(self.blocks) == len(target.blocks) \
@@ -149,7 +197,15 @@ class Algebra:
                     wb.append(math.prod(math.perm(a, b) for a, b in zip(s, d)))
                 idx = (idx[:, None] * self.sizes[bi] + np.asarray(src)).ravel()
                 w = np.multiply.outer(w, np.asarray(wb, dtype=float)).ravel()
-            maps = self._partial_maps[key] = (idx, w)
+            pos = None
+            if target.kept is not None:
+                pos = np.flatnonzero(target.kept)
+                idx, w = idx[pos], w[pos]
+            if self.kept is not None and not self.kept[idx].all():
+                raise ValueError(f"partial {multi} into {target.blocks} "
+                                 f"reads coefficients outside the stair "
+                                 f"{self.stair}")
+            maps = self._partial_maps[key] = (idx, w, pos)
         return maps
 
     # -- constructors ------------------------------------------------------
@@ -170,7 +226,8 @@ class Algebra:
             flat = flat * self.sizes[bi] + (idx[e] if bi == block else 0)
         c = np.zeros(self.size)
         c[0] = base
-        c[flat] = 1.0
+        if self.kept is None or self.kept[flat]:
+            c[flat] = 1.0
         return TNum(self, c)
 
     def flat_index(self, multi):
@@ -353,8 +410,12 @@ class TNum:
     def partial(self, multi, target):
         """The partial derivative d^multi of this series (per-block exponent
         tuples), as a series of the smaller algebra ``target``."""
-        idx, w = self.alg.partial_map(multi, target)
-        return TNum(target, self.c[idx] * w)
+        idx, w, pos = self.alg.partial_map(multi, target)
+        if pos is None:
+            return TNum(target, self.c[idx] * w)
+        c = np.zeros(target.size)
+        c[pos] = self.c[idx] * w
+        return TNum(target, c)
 
     # -- coefficient access --------------------------------------------------
 

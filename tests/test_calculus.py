@@ -365,3 +365,26 @@ def test_dense_read_keeps_the_series_axis():
         assert dense.shape == (2,) * k + (alg.size,)
         for idx in np.ndindex((2,) * k):
             assert np.array_equal(dense[idx], jet.pvars(idx).c)
+
+
+def test_a_jet_read_outside_its_stair_raises():
+    # a staircase energy jet keeps (0, <= 5), (1, <= 4), (2, <= 2); a read
+    # beyond raises instead of returning a partial that was never computed
+    at = TangentSample((0.1, -0.2), (0.6, 0.8))
+    f = lambda x, y: scalars.norm_sq(y) * (1.0 + x[0] * y[1])
+    jet = jet_of(f, (at.x, at.y), (2, 5), stair=(5, 4, 2))
+    box = jet_of(f, (at.x, at.y), (2, 5))
+    assert jet.stair == (5, 4, 2)
+    for kx, cap in enumerate(jet.stair):
+        for ky in range(cap + 1):
+            assert np.array_equal(jet.dense(kx, ky), box.dense(kx, ky))
+    for orders in ((2, 3), (1, 5)):
+        with pytest.raises(KeyError):
+            jet.dense(*orders)
+    with pytest.raises(KeyError):
+        jet.partial((1, 1), (0, 3))
+    with pytest.raises(KeyError):
+        jet.pvars((0, 1), (0, 0, 1))
+    assert jet.pvars((0, 1), (0, 1)) == box.pvars((0, 1), (0, 1))
+    with pytest.raises(ValueError):
+        jet_of(f, (at.x, at.y), (2, 5), scheme="fd", stair=(5, 4, 2))

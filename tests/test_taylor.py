@@ -223,3 +223,64 @@ def test_partial_shift_rejects_caps_it_cannot_fill(d, target):
     src = algebra(((2, 2), (3, 4))).constant(1.0)
     with pytest.raises(ValueError):
         src.partial(d, algebra(target))
+
+
+# -- staircase algebras --------------------------------------------------------
+
+STAIR_CASES = [
+    # (blocks, stair, triples kept of the box's)
+    (((3, 2), (3, 5)), (5, 4, 2), 2310),   # energy, (1, 3) tier
+    (((3, 2), (3, 4)), (4, 3, 2), 1302),   # energy, (1, 2) tier
+    (((3, 1), (3, 3)), (3, 1), 126),       # spray, (1, 3) tier
+    (((2, 2), (2, 5)), (5, 4, 2), 556),    # energy, (1, 3) tier at n = 2
+]
+
+
+@pytest.mark.parametrize("blocks,stair,triples", STAIR_CASES)
+def test_staircase_product_equals_box_product_on_kept_slots(blocks, stair,
+                                                            triples):
+    from finslercheck.taylor import TNum
+    box, stairs = algebra(blocks), algebra(blocks, stair)
+    assert len(stairs.tables()[0]) == triples
+    assert stairs.size == box.size and stairs.total_cap == box.total_cap
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        a, b = rng.standard_normal((2, box.size))
+        got = (TNum(stairs, a) * TNum(stairs, b)).c
+        want = (TNum(box, a) * TNum(box, b)).c
+        assert np.array_equal(got[stairs.kept], want[stairs.kept])
+        assert not got[~stairs.kept].any()
+
+
+@pytest.mark.parametrize("stair", [(2, 4, 5), (5, 4, 2, 1), (6, 4, 2),
+                                   (5, 4, -1), ()])
+def test_algebra_rejects_a_stair_that_is_no_staircase(stair):
+    # increasing, overlong, past the block-1 cap, negative, empty
+    with pytest.raises(ValueError):
+        algebra(((3, 2), (3, 5)), stair)
+
+
+def test_stair_algebras_are_cached_apart_from_the_box():
+    blocks = ((2, 2), (2, 5))
+    assert algebra(blocks, (5, 4, 2)) is algebra(blocks, [5, 4, 2])
+    assert algebra(blocks, (5, 4, 2)) is not algebra(blocks)
+    assert algebra(blocks).kept is None
+
+
+def test_partial_into_a_stair_writes_only_kept_slots():
+    from finslercheck.taylor import TNum
+    rng = np.random.default_rng(5)
+    src = algebra(((2, 2), (2, 5)), (5, 4, 2))
+    c = rng.standard_normal(src.size)
+    c[~src.kept] = 0.0
+    t = TNum(src, c)
+    d = ((1, 0), (0, 1))
+    box_target = algebra(((2, 1), (2, 3)))
+    target = algebra(((2, 1), (2, 3)), (3, 1))
+    got = t.partial(d, target).c
+    want = TNum(algebra(src.blocks), c).partial(d, box_target).c
+    assert np.array_equal(got[target.kept], want[target.kept])
+    assert not got[~target.kept].any()
+    # a box target would read coefficients the stair never computes
+    with pytest.raises(ValueError):
+        t.partial(d, box_target)
