@@ -78,6 +78,11 @@ class RunConfig:
         if self.tol is not None and not (math.isfinite(self.tol)
                                          and self.tol > 0):
             raise ConfigError("tol must be finite and positive")
+        for key in ("a", "c", "cmu"):
+            value = getattr(self, key)
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(v is None or math.isfinite(v) for v in values):
+                raise ConfigError(f"{key} must be finite")
         return self
 
     def check_output_dirs(self):

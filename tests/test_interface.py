@@ -114,10 +114,25 @@ def test_cli_fail_exit_one(capsys):
     ["scan", "--metric", "klein", "--radius", "0.01"],
     ["tensors", "--metric", "klein", "--dim", "9"],
     ["scan", "--metric", "klein", "--y-samples", "3"],
+    ["check-parallel", "--metric", "funk_parallel", "--a", "nan,0.1,0",
+     "--samples", "10"],
+    ["check-parallel", "--metric", "funk_parallel", "--a", "0.5,0.1,0",
+     "--c", "nan", "--samples", "10"],
+    ["check-parallel", "--metric", "funk_parallel", "--a", "0.5,0.1,0",
+     "--cmu", "inf,0", "--samples", "10"],
 ])
 def test_cli_config_errors_exit_two(argv, capsys):
     assert cli.main(argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("a", "nan,0.1,0"), ("c", "nan"),
+                                       ("cmu", "inf,0"), ("a", "0.5,-inf,0"),
+                                       ("c", "-inf")])
+def test_non_finite_parameters_rejected_at_config_time(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+        build_config("check-parallel", overrides={
+            "metric": "funk_parallel", "a": "0.5,0.1,0", key: value})
 
 
 def test_cli_domain_error_exit_three(capsys):
