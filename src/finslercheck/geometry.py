@@ -220,13 +220,10 @@ def _shifted_spray_jets(m, at, kx, ky):
 _AD_TIERS = {"connection": (1, 2), "curvature": (1, 3)}
 # (spray, energy) demand staircases of each AD tier order: the ops read
 # spray partials (0, <= ky) and (1, <= 1); the spray assembly shifts them
-# from energy partials (0, <= ky + 2), (1, <= ky + 1) and (2, <= 2)
+# from energy partials (0, <= ky + 2), (1, <= ky + 1) and (2, <= 2).  Each
+# keeps the spray partials (1, <= 1), so a held jet of caps at least
+# (kx, ky) still keeps every partial a (kx, ky) jet keeps.
 _AD_STAIRS = {(1, 3): ((3, 1), (5, 4, 2)), (1, 2): ((2, 1), (4, 3, 2))}
-
-
-def _spray_stair(kx, ky):
-    """The spray partials an AD jet of order (kx, ky) keeps, as a stair."""
-    return _AD_STAIRS.get((kx, ky), ((ky,) * (kx + 1),))[0]
 _FD_TIERS = {
     "nonlinear": (0, 1), "connection": (0, 2), "jacobi": (1, 2),
     "curvature": (0, 3),
@@ -236,18 +233,16 @@ _FD_TIERS = {
 def spray_jets(m, at, kx, ky, scheme="ad"):
     """Per-component jets of the spray coefficients at a float sample,
     kept on the sample per (model, order, scheme).  Under AD jets of the
-    model already there that keep every partial a (kx, ky) jet keeps are
-    returned as they are (:meth:`Jet.dense` indexes by monomial, so they
-    read bit for bit as the (kx, ky) jets); otherwise the jet is computed,
-    by derivative shifts when the model has F, else by differentiating the
-    spray evaluation.  FD jets are always computed at the order asked for."""
+    model already there with caps at least (kx, ky) are returned as they
+    are (:meth:`Jet.dense` indexes by monomial, so they read bit for bit as
+    the (kx, ky) jets); otherwise the jet is computed, by derivative shifts
+    when the model has F, else by differentiating the spray evaluation.
+    FD jets are always computed at the order asked for."""
     key = (m, kx, ky, scheme)
     if key in at.jets:
         return at.jets[key]
-    want = _spray_stair(kx, ky)
     held = [jets for (model, jx, jy, s), jets in at.jets.items()
-            if model is m and s == scheme == "ad" and jx >= kx
-            and all(a <= b for a, b in zip(want, _spray_stair(jx, jy)))]
+            if model is m and s == scheme == "ad" and jx >= kx and jy >= ky]
     if held:
         jets = held[0]
     elif scheme == "ad" and m.F is not None:

@@ -257,7 +257,8 @@ def test_spray_jets_match_nested_reference(name, n, a, kx, ky):
 
 def _demand(kx, ky):
     """(x-order, y-order) of each spray partial an AD (kx, ky) tier keeps."""
-    return [(dx, dy) for dx, cap in enumerate(geometry._spray_stair(kx, ky))
+    spray_stair, _ = geometry._AD_STAIRS[(kx, ky)]
+    return [(dx, dy) for dx, cap in enumerate(spray_stair)
             for dy in range(cap + 1)]
 
 
