@@ -133,7 +133,8 @@ class Jet:
             pos = tuple(idx[tuple(e)] for idx, e in zip(self.index, exps))
         except KeyError:
             raise KeyError(f"partial {exps} outside jet order {self.caps}")
-        _require_kept(self.layout, tuple(map(sum, exps)))
+        if self.stair is not None:
+            _require_kept(self.layout, tuple(map(sum, exps)))
         return self._entry(pos)
 
     def pvars(self, *varlists):
