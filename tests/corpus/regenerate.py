@@ -75,6 +75,20 @@ CASES = {
     "sphsym-berwald_classic-sweep": ["sphsym", "--phi", "berwald_classic",
                                      "--samples", "20",
                                      "--sweep", "{sweep}"],
+    # the FD oracle at n = 3 (3x3 spray solves) and on analytic profiles
+    "tensors-fd-3d": ["tensors", "--metric", "general_berwald",
+                      "--a", "0.1,0.05,0", "--samples", "10",
+                      "--scheme", "fd"],
+    "check-parallel-fd-3d": ["check-parallel", "--metric", "funk_parallel",
+                             "--a", "0.5,0.1,0", "--c", "1",
+                             "--cmu", "0,0.2", "--samples", "10",
+                             "--scheme", "fd"],
+    "tensors-phi-exp-fd": ["tensors", "--phi", "exp(0.1*s)+r*r",
+                           "--dim", "2", "--samples", "10",
+                           "--scheme", "fd"],
+    "invariants-phi-sin-fd": ["invariants", "--phi", "sin(s)+2",
+                              "--dim", "2", "--samples", "10",
+                              "--scheme", "fd"],
 }
 SEED = 0
 
