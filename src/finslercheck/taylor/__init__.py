@@ -36,6 +36,16 @@ functions, and with it their rounding); the dropped slots are never
 written and stay zero.  The geometry pipeline keeps its energy and spray
 jets on the staircases the tensor ops read.
 
+:class:`TRows` carries a batch of series of one algebra, one per row of a
+``(rows, size)`` coefficient array, through one pipeline (vector-mode
+Taylor propagation, Griewank & Walther ch. 13).  The finite-difference
+oracle evaluates a jet's stencil points this way.  Each row is bit for bit
+the series computed from that row alone: the kernel sums each row's
+triples in the single-series order, and the value-dependent parts (domain
+checks, the derivative lists of the analytic functions) run TNum's own
+code on each row's value, never a numpy ufunc, whose vectorised
+transcendentals may round differently.
+
 Arithmetic is exact to machine rounding: results agree with symbolic
 differentiation up to float64 round-off.
 """
@@ -48,7 +58,7 @@ import numpy as np
 from ..errors import NonFiniteValue
 from . import _backend
 
-__all__ = ["Algebra", "TNum", "algebra", "backend_name"]
+__all__ = ["Algebra", "TNum", "TRows", "algebra", "backend_name"]
 
 
 # Kept because perfbench's provenance line reads it.
@@ -425,3 +435,161 @@ class TNum:
 
     def is_finite(self):
         return bool(np.isfinite(self.c).all())
+
+
+class _RowDerivs(TNum):
+    """One row of a :class:`TRows` as a single series: TNum's
+    value-dependent methods run on it unchanged, domain checks included,
+    and return their derivative lists instead of composing them."""
+
+    __slots__ = ()
+
+    def _compose(self, derivs):
+        return derivs
+
+
+class TRows(TNum):
+    """A batch of truncated Taylor polynomials of one algebra, one per row
+    of ``c`` (shape ``(rows, size)``), carried through one pipeline.
+
+    Row r of every result equals, bit for bit, the TNum computed from row r
+    alone: the kernel sums each row's triples in the single-series order,
+    the other ring operations are elementwise, and the value-dependent
+    parts (domain checks, the derivative lists of the analytic functions,
+    the sign of ``absolute``) run TNum's own code on each row's value.  A
+    domain error names the first failing row's value.  Plain operands are
+    numbers, or per-row arrays in + and -.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def variable(cls, alg, block, var, base):
+        """``alg.variable(block, var, b)`` for each b of the array
+        ``base``."""
+        c = np.repeat(alg.variable(block, var, 0.0).c[None, :], len(base),
+                      axis=0)
+        c[:, 0] = base
+        return cls(alg, c)
+
+    def value(self):
+        return self.c[:, 0]
+
+    def __repr__(self):
+        return f"TRows(rows={len(self.c)}, blocks={self.alg.blocks})"
+
+    def _constant(self, v):
+        c = np.zeros(self.c.shape)
+        c[:, 0] = v
+        return TRows(self.alg, c)
+
+    # -- ring operations ---------------------------------------------------
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is not None:
+            return TRows(self.alg, self.c + o.c)
+        c = self.c.copy()
+        c[:, 0] += other
+        return TRows(self.alg, c)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TRows(self.alg, -self.c)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is not None:
+            return TRows(self.alg, self.c - o.c)
+        c = self.c.copy()
+        c[:, 0] -= other
+        return TRows(self.alg, c)
+
+    def __rsub__(self, other):
+        c = -self.c
+        c[:, 0] += other
+        return TRows(self.alg, c)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return TRows(self.alg, self.c * other)
+        ii, jj, oo = self.alg.tables()
+        return TRows(self.alg,
+                     _backend.mul_accumulate(ii, jj, oo, self.c, o.c,
+                                             self.alg.size))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return TRows(self.alg, self.c / other)
+        return self * o._reciprocal()
+
+    def __rtruediv__(self, other):
+        return self._reciprocal() * other
+
+    def __pow__(self, p):
+        if isinstance(p, (int, np.integer)) or (
+                isinstance(p, float) and p.is_integer()):
+            k = int(p)
+            if k < 0:
+                return self._reciprocal() ** (-k)
+            out = self._constant(1.0)
+            base = self
+            while k:
+                if k & 1:
+                    out = out * base
+                base = base * base
+                k >>= 1
+            return out
+        return self._per_row(TNum.__pow__, p)
+
+    # -- analytic functions (truncated composition) -------------------------
+
+    def _per_row(self, method, *args):
+        """Compose with the derivative lists ``method`` gives per row."""
+        derivs = [method(_RowDerivs(self.alg, row), *args) for row in self.c]
+        return self._compose(np.array(derivs, dtype=float).T)
+
+    def _compose(self, derivs):
+        """Row-wise sum_k derivs[k]/k! * (self - value)^k, Horner-evaluated
+        as in :meth:`TNum._compose`; ``derivs[k]`` holds one value per
+        row."""
+        e = TRows(self.alg, self.c.copy())
+        e.c[:, 0] = 0.0
+        acc = self._constant(derivs[-1] / math.factorial(len(derivs) - 1))
+        for k in range(len(derivs) - 2, -1, -1):
+            acc = acc * e + derivs[k] / math.factorial(k)
+        return acc
+
+    def _reciprocal(self):
+        return self._per_row(TNum._reciprocal)
+
+    def sqrt(self):
+        return self._per_row(TNum.sqrt)
+
+    def exp(self):
+        return self._per_row(TNum.exp)
+
+    def log(self):
+        return self._per_row(TNum.log)
+
+    def sin(self):
+        return self._per_row(TNum.sin)
+
+    def cos(self):
+        return self._per_row(TNum.cos)
+
+    def absolute(self):
+        # TNum negates unless value >= 0, so a NaN row is negated too
+        flip = ~(self.c[:, 0] >= 0.0)
+        return TRows(self.alg, np.where(flip[:, None], -self.c, self.c))
+
+    def partial(self, multi, target):
+        raise NotImplementedError("derivative shifts of Taylor rows")
+
+    def coefficient(self, multi):
+        return self.c[:, self.alg.flat_index(multi)]

@@ -1,6 +1,8 @@
 """The truncated-Taylor multiply kernel: out[oo[t]] += a[ii[t]] * b[jj[t]]
 over an algebra's precomputed sparse index triples, as one numpy
-``bincount``."""
+``bincount``.  For a batch of rows (2-D ``a``, one series per row) the
+outputs of row r go to bins ``oo + size * r`` of the same ``bincount``, so
+each row sums its triples in the same order as a single series does."""
 
 import numpy as np
 
@@ -8,4 +10,9 @@ import numpy as np
 # Kept in its own module: perfbench's tracer rebinds it here, where
 # TNum.__mul__ looks it up on every call.
 def mul_accumulate(ii, jj, oo, a, b, size):
-    return np.bincount(oo, weights=a[ii] * b[jj], minlength=size)
+    if a.ndim == 1:
+        return np.bincount(oo, weights=a[ii] * b[jj], minlength=size)
+    rows = len(a)
+    bins = oo + size * np.arange(rows)[:, None]
+    return np.bincount(bins.ravel(), weights=(a[:, ii] * b[..., jj]).ravel(),
+                       minlength=size * rows).reshape(rows, size)

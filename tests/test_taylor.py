@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from finslercheck.errors import NonFiniteValue
-from finslercheck.taylor import algebra, backend_name
+from finslercheck.taylor import TNum, TRows, algebra, backend_name
 from finslercheck.calculus import series_jet
 
 
@@ -284,3 +284,61 @@ def test_partial_into_a_stair_writes_only_kept_slots():
     # a box target would read coefficients the stair never computes
     with pytest.raises(ValueError):
         t.partial(d, box_target)
+
+
+# -- Taylor rows: a batch equals its rows one by one, bit for bit -------------
+
+ROW_OPS = {
+    "kernel": lambda a, b: a * b,
+    "mixed": lambda a, b: (2.0 - a) * b + 1.5 / (b * b + a) - 3,
+    "pow_int": lambda a, b: b ** 3,
+    "pow_neg_int": lambda a, b: a ** -2,
+    "pow_float": lambda a, b: a ** 1.5,
+    "pow_neg_float": lambda a, b: a ** -0.3,
+    "reciprocal": lambda a, b: 1.0 / a,
+    "divide": lambda a, b: b / a,
+    "sqrt": lambda a, b: a.sqrt(),
+    "exp": lambda a, b: b.exp(),
+    "log": lambda a, b: a.log(),
+    "sin": lambda a, b: b.sin(),
+    "cos": lambda a, b: b.cos(),
+    "absolute": lambda a, b: b.absolute(),
+}
+
+
+@pytest.mark.parametrize("blocks", [((2, 1), (2, 2)), ((3, 1), (3, 2)),
+                                    ((2, 1), (2, 3))])
+def test_rows_equal_single_series_bit_for_bit(blocks):
+    alg = algebra(blocks)
+    rng = np.random.default_rng(7)
+    rows = 33
+    ca = rng.normal(size=(rows, alg.size))
+    ca[:, 0] = rng.uniform(0.2, 3.0, rows)   # inside every domain
+    cb = rng.normal(size=(rows, alg.size))
+    cb[:, 0] = rng.uniform(-3.0, 3.0, rows)  # both signs for absolute
+    for name, op in ROW_OPS.items():
+        got = op(TRows(alg, ca), TRows(alg, cb))
+        assert isinstance(got, TRows), name
+        ref = [op(TNum(alg, ca[r].copy()), TNum(alg, cb[r].copy())).c
+               for r in range(rows)]
+        assert np.array_equal(got.c, np.array(ref)), name
+
+
+def test_rows_seed_variables_like_single_series():
+    alg = algebra(((2, 1), (2, 2)))
+    base = np.array([0.5, -1.25, 3.0])
+    rows = TRows.variable(alg, 1, 0, base)
+    for r, b in enumerate(base):
+        assert np.array_equal(rows.c[r], alg.variable(1, 0, b).c)
+
+
+def test_rows_domain_error_names_the_first_failing_value():
+    alg = algebra(((2, 1), (2, 2)))
+    c = np.zeros((4, alg.size))
+    c[:, 0] = [1.0, -0.25, 2.0, -3.0]
+    rows = TRows(alg, c)
+    with pytest.raises(NonFiniteValue, match=r"sqrt of non-positive "
+                       r"Taylor value -0\.25$"):
+        rows.sqrt()
+    with pytest.raises(NonFiniteValue, match="non-positive base -0.25"):
+        rows ** 0.5
