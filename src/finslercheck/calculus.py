@@ -8,7 +8,11 @@ step is order-adaptive, ``eps**(1/(k+4))`` scaled by coordinate size for a
 jet of total order k, because a fixed first-derivative step loses all
 accuracy beyond second order.  It differentiates a vector-valued field as
 a whole: within one jet each distinct stencil point is evaluated once, for
-all components and all partials.
+all components and all partials.  A first Richardson walk lists the jet's
+distinct stencil points, and a second combines their values.  A field that
+can take many points at once (the spray of a metric) evaluates the points
+as batches of Taylor rows (:func:`jet_of_rows`), each row bit for bit the
+result at that point alone; an error names the first failing point.
 
 Fields are ordinary callables ``f(x, y)`` taking sequences of scalars and
 written against :mod:`finslercheck.scalars`, so the same code runs on plain
@@ -28,18 +32,21 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
-from .errors import NonFiniteValue
-from .taylor import TNum, algebra, _monomials
+from .errors import FinslerCheckError, NonFiniteValue
+from .taylor import TNum, TRows, algebra, _monomials
 from . import scalars
 
 EPS = float(np.finfo(float).eps)
 
 MAX_KX = 2
 MAX_KY = 4
+
+# Stencil points per batched field evaluation; bounds one batch's memory.
+FD_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -250,6 +257,25 @@ def _ad_jets(fn, groups, caps, *, stair=None):
     return jets
 
 
+def jet_of_rows(fn, groups, caps):
+    """AD jet of the scalar field ``fn`` at each row of the float arrays
+    ``groups`` (one ``(rows, nvars)`` array per group), from one pipeline
+    of :class:`TRows`.  The table carries a trailing row axis, so a partial
+    reads as one value per row, and row r equals the jet of ``fn`` at row r
+    alone bit for bit."""
+    alg = algebra(tuple((g.shape[1], c) for g, c in zip(groups, caps)))
+    seeded = [tuple(TRows.variable(alg, bi, vi, g[:, vi])
+                    for vi in range(g.shape[1]))
+              for bi, g in enumerate(groups)]
+    t = fn(*seeded)
+    if not isinstance(t, TRows):
+        t = TRows(alg, np.zeros((len(groups[0]), alg.size))) + t
+    if t.alg is not alg:
+        raise ValueError("field result from another Taylor algebra")
+    table = t.c.T.reshape(alg.sizes + (-1,)) * _weights(alg)[..., None]
+    return Jet([g.shape[1] for g in groups], caps, table).check_finite()
+
+
 def jet_of(fn, groups, caps, scheme="ad", *, stair=None):
     """Jet of ``fn(*groups)`` with one total-degree cap per group.
 
@@ -268,18 +294,21 @@ def jet_of(fn, groups, caps, scheme="ad", *, stair=None):
     raise ValueError(f"unknown differentiation scheme {scheme!r}")
 
 
-def jet_of_many(fn, groups, caps, scheme="ad"):
+def jet_of_many(fn, groups, caps, scheme="ad", *, rows=None):
     """Jets of a vector-valued ``fn`` (returns a sequence of scalars).
 
     The AD path seeds the inputs once and evaluates the whole vector in a
     single pass; FD evaluates the whole vector once per distinct stencil
-    point.
+    point.  ``rows``, read by FD only, evaluates ``fn`` at many points at
+    once: it takes one ``(points, nvars)`` float array per group and
+    returns the ``(points, ncomp)`` values, each row equal to ``fn`` at
+    that point bit for bit.
     """
     groups = tuple(tuple(g) for g in groups)
     if scheme == "ad":
         return _ad_jets(fn, groups, caps)
     if scheme == "fd":
-        return _fd_jets(fn, groups, caps)
+        return _fd_jets(fn, groups, caps, rows)
     raise ValueError(f"unknown differentiation scheme {scheme!r}")
 
 
@@ -311,30 +340,6 @@ def _flat_vars(nvars, varlists):
     return out
 
 
-def _fd_field(fn, groups):
-    """Flat float base point of ``groups`` and a memoised evaluation of the
-    vector field ``fn`` at flat points, returning its component array.
-    Points are keyed by their exact bits, so a stencil point shared by
-    several partials is evaluated once; the memo lives as long as the
-    returned function."""
-    sizes = [len(g) for g in groups]
-    memo = {}
-
-    def evaluate(z):
-        key = struct.pack(f"{len(z)}d", *z)
-        vals = memo.get(key)
-        if vals is None:
-            args, p = [], 0
-            for s in sizes:
-                args.append(tuple(z[p:p + s]))
-                p += s
-            vals = memo[key] = np.array(
-                [scalars.value(c) for c in fn(*args)], dtype=float)
-        return vals
-
-    return [float(v) for g in groups for v in g], evaluate
-
-
 def _richardson(evaluate, z, fvars, h0):
     """Nested Richardson-extrapolated central differences of the component
     array along the flat variables ``fvars``, the last one outermost."""
@@ -353,21 +358,82 @@ def _richardson(evaluate, z, fvars, h0):
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def _fd_jets(fn, groups, caps):
+def _point_key(z):
+    """A stencil point's exact bits."""
+    return struct.pack(f"{len(z)}d", *z)
+
+
+def _stencil(flat, fvar_lists, h0):
+    """The distinct points the Richardson walks along each of
+    ``fvar_lists`` visit from ``flat``, in first-visit order: a dict from
+    their exact bits to their row, and the ``(P, dim)`` point array."""
+    index, points = {}, []
+
+    def record(z):
+        key = _point_key(z)
+        if key not in index:
+            index[key] = len(points)
+            points.append(z)
+        return 0.0
+
+    for fvars in fvar_lists:
+        _richardson(record, flat, fvars, h0)
+    return index, np.array(points)
+
+
+def _field_values(fn, nvars, points, rows=None):
+    """``(P, ncomp)`` component values of the vector field ``fn`` at each
+    row of ``points``: point by point, or through ``rows`` in batches of at
+    most ``FD_BATCH`` points.  An error names the first failing point, in
+    row order; a failed batch is evaluated again point by point to find
+    it."""
+    ends = list(accumulate(nvars))
+    spans = list(zip([0] + ends, ends))
+
+    def one(z):
+        groups = tuple(tuple(z[a:b]) for a, b in spans)
+        try:
+            return [scalars.value(c) for c in fn(*groups)]
+        except FinslerCheckError as exc:
+            exc.args = (f"{exc} at the FD stencil point {groups}",)
+            raise
+
+    if rows is None:
+        return np.array([one(z) for z in points.tolist()], dtype=float)
+    out = []
+    for lo in range(0, len(points), FD_BATCH):
+        batch = points[lo:lo + FD_BATCH]
+        try:
+            out.append(rows(*(batch[:, a:b] for a, b in spans)))
+        except FinslerCheckError:
+            for z in batch.tolist():
+                one(z)
+            raise
+    return np.concatenate(out)
+
+
+def _fd_jets(fn, groups, caps, rows=None):
     """Per-component jets of the vector field ``fn`` by finite differences.
-    Every partial uses the step of the jet's total order, and each distinct
-    stencil point is evaluated once for all components and partials."""
+    Every partial uses the step of the jet's total order.  A first walk
+    lists the jet's distinct stencil points; each is evaluated once for all
+    components and partials (through ``rows`` when given), and a second
+    walk combines the values."""
     nvars = tuple(len(g) for g in groups)
     monos = [_monomials(n, c) for n, c in zip(nvars, caps)]
-    flat, evaluate = _fd_field(fn, groups)
+    flat = [float(v) for g in groups for v in g]
     h0 = fd_step(max(sum(caps), 1))
-    values = []
-    for exps in product(*monos):
-        varlists = [tuple(v for v, e in enumerate(m) for _ in range(e))
-                    for m in exps]
-        values.append(_richardson(evaluate, flat,
-                                  _flat_vars(nvars, varlists), h0))
-    table = np.array(values).T.reshape((-1,) + tuple(map(len, monos)))
+    fvar_lists = [_flat_vars(nvars, [tuple(v for v, e in enumerate(m)
+                                           for _ in range(e)) for m in exps])
+                  for exps in product(*monos)]
+    index, points = _stencil(flat, fvar_lists, h0)
+    values = _field_values(fn, nvars, points, rows)
+
+    def lookup(z):
+        return values[index[_point_key(z)]]
+
+    table = np.array([_richardson(lookup, flat, fvars, h0)
+                      for fvars in fvar_lists])
+    table = table.T.reshape((-1,) + tuple(map(len, monos)))
     return [Jet(nvars, caps, t).check_finite() for t in table]
 
 

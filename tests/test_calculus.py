@@ -8,7 +8,7 @@ import pytest
 
 from finslercheck import catalogue, scalars, taylor
 from finslercheck.calculus import (
-    JetOrder, TangentSample, _fd_field, _richardson, eval_jet, fd_step,
+    FD_BATCH, JetOrder, TangentSample, _richardson, eval_jet, fd_step,
     homogeneity_check, jet_of, jet_of_many,
 )
 from finslercheck.errors import NonFiniteValue
@@ -78,8 +78,10 @@ def test_fd_mixed_partial_orderings_agree(klein3):
     # same partial, the FD operators applied in either order; flat
     # variables 0..2 are x, 3..5 are y
     at = TangentSample((0.1, -0.3, 0.2), (0.4, 0.8, -0.45))
-    flat, evaluate = _fd_field(lambda x, y: (klein3.model.F(x, y),),
-                               (at.x, at.y))
+    flat = list(at.x + at.y)
+
+    def evaluate(z):
+        return np.array([klein3.model.F(tuple(z[:3]), tuple(z[3:]))])
 
     def partial(fvars):
         return float(_richardson(evaluate, flat, fvars, fd_step(2))[0])
@@ -388,3 +390,57 @@ def test_a_jet_read_outside_its_stair_raises():
     assert jet.pvars((0, 1), (0, 1)) == box.pvars((0, 1), (0, 1))
     with pytest.raises(ValueError):
         jet_of(f, (at.x, at.y), (2, 5), scheme="fd", stair=(5, 4, 2))
+
+
+def _rows_of(fn, seen=None):
+    # a rows evaluation of fn that records the batches it is given
+    def rows(xs, ys):
+        if seen is not None:
+            seen.append(np.hstack([xs, ys]))
+        return np.array([fn(tuple(x), tuple(y))
+                         for x, y in zip(xs.tolist(), ys.tolist())])
+    return rows
+
+
+def test_fd_rows_take_the_stencil_in_first_visit_order_and_bounded_batches():
+    visited, batches = [], []
+
+    def counted(x, y):
+        visited.append(x + y)
+        return _field3(x, y)
+
+    groups = (POINT[:2], POINT[2:])
+    ref = jet_of_many(counted, groups, (1, 3), scheme="fd")
+    got = jet_of_many(_field3, groups, (1, 3), scheme="fd",
+                      rows=_rows_of(_field3, batches))
+    for g, r in zip(got, ref):
+        assert np.array_equal(g.table, r.table)
+    assert np.vstack(batches).tolist() == [list(z) for z in visited]
+    assert len(batches) == -(-len(visited) // FD_BATCH) > 1
+    assert all(len(b) <= FD_BATCH for b in batches)
+
+
+def test_fd_rows_error_names_the_first_failing_point():
+    def fragile(x, y):
+        if x[0] > 0.3:
+            raise NonFiniteValue(f"x0 = {x[0]!r} too large")
+        return _field3(x, y)
+
+    def rows(xs, ys):
+        if (xs[:, 0] > 0.3).any():
+            raise NonFiniteValue("a batch failed")
+        return _rows_of(_field3)(xs, ys)
+
+    with pytest.raises(NonFiniteValue) as err:
+        jet_of_many(fragile, (POINT[:2], POINT[2:]), (1, 2), scheme="fd",
+                    rows=rows)
+    visited = []
+
+    def first_visit(x, y):
+        visited.append((x, y))
+        return _field3(x, y)
+
+    jet_of_many(first_visit, (POINT[:2], POINT[2:]), (1, 2), scheme="fd")
+    x, y = next((x, y) for x, y in visited if x[0] > 0.3)
+    assert str(err.value) == (f"x0 = {x[0]!r} too large at the FD stencil "
+                              f"point {(x, y)}")
