@@ -15,7 +15,11 @@ ky + 2).  Under AD they are all read off one flat energy jet of that order
 by derivative shifts (:meth:`TNum.partial`) into the (kx, ky) algebra,
 where the spray is assembled and solved; no jet is taken of Taylor-valued
 inputs.  Spray-only models and the FD scheme differentiate the spray
-evaluation itself.  Under AD a lower tier reads the (1, 3) jet already on
+evaluation itself.  FD evaluates the spray of a model with F at a jet's
+distinct stencil points in batches of Taylor rows: one (1, 2) energy jet
+per batch, the partials read off per row, the non-degeneracy check and
+the solve's pivot taken per row, so each row is bit for bit the spray at
+that point alone.  Under AD a lower tier reads the (1, 3) jet already on
 the sample.
 
 An AD tier keeps only its demand staircase (``_AD_STAIRS``): the spray
@@ -46,7 +50,8 @@ import numpy as np
 
 from . import scalars
 from .calculus import (JetOrder, TangentSample, eval_jet, homogeneity_check,
-                       jet_of, jet_of_many, series_jet, var_exponents)
+                       jet_of, jet_of_many, jet_of_rows, series_jet,
+                       var_exponents)
 from .errors import (ConventionMismatch, DegenerateMetric, FinslerCheckError,
                      NonFiniteValue)
 from .taylor import algebra
@@ -145,6 +150,29 @@ def solve_linear(A, b):
     return [M[i][n] for i in range(n)]
 
 
+def _solve_rows(A, b):
+    """:func:`solve_linear` on stacked float systems, ``A`` of shape
+    (rows, n, n) and ``b`` of shape (rows, n), with the pivot taken per
+    row: row r does the float operations of solving row r alone."""
+    rows, n = b.shape
+    M = np.concatenate([A, b[:, :, None]], axis=2)
+    at = np.arange(rows)
+    for col in range(n):
+        # argmax, like max, takes the first of equal candidates
+        piv = col + np.argmax(np.abs(M[:, col:, col]), axis=1)
+        if not np.abs(M[at, piv, col]).all():
+            raise DegenerateMetric("singular linear system in spray assembly")
+        top = M[at, piv]
+        M[at, piv] = M[:, col]
+        M[:, col] = top
+        inv = 1.0 / M[:, col, col]
+        M[:, col] = M[:, col] * inv[:, None]
+        for r in range(n):
+            if r != col:
+                M[:, r] = M[:, r] - M[:, r, col][:, None] * M[:, col]
+    return M[:, :, n]
+
+
 def _det_value(g):
     return float(np.linalg.det(np.asarray(g, dtype=float)))
 
@@ -161,24 +189,56 @@ def _check_nondegenerate(gv, n, context=""):
             + (f" {context}" if context else ""))
 
 
+def _check_nondegenerate_rows(g):
+    """:func:`_check_nondegenerate` on each (n, n) matrix of the stack
+    ``g``, with the same float operations per matrix."""
+    n = g.shape[-1]
+    scales = np.mean(np.abs(np.diagonal(g, axis1=1, axis2=2)), axis=1)
+    for scale, det in zip(scales.tolist(), np.linalg.det(g).tolist()):
+        scale = scale or 1.0
+        if abs(det) <= DEGENERACY_REL * scale ** n:
+            raise DegenerateMetric(
+                f"metric tensor degenerate (det={det:.3e}, scale={scale:.3e})")
+
+
 # ---------------------------------------------------------------------------
 # spray evaluation (generic over scalar type, so jets compose through it)
 
 
-def _assemble_spray(n, y, d):
-    """G^i = 1/2 g^{ih} (y^j d_j dy_h E - d_h E) from the energy partials
-    ``d(xvars, yvars)``, floats or Taylor scalars of one algebra."""
+def _spray_system(n, y, d):
+    """The system g_hi w^i = y^j d_j dy_h E - d_h E whose solution is 2G,
+    as (g, right-hand sides), from the energy partials ``d(xvars, yvars)``:
+    floats, Taylor scalars of one algebra, or float arrays over rows."""
     g = [[d((), (i, j)) for j in range(n)] for i in range(n)]
-    gv = [[scalars.value(g[i][j]) for j in range(n)] for i in range(n)]
-    _check_nondegenerate(np.asarray(gv), n)
     rhs = []
     for h in range(n):
         acc = -d((h,), ())
         for j in range(n):
             acc = acc + y[j] * d((j,), (h,))
         rhs.append(acc)
+    return g, rhs
+
+
+def _assemble_spray(n, y, d):
+    """G^i = 1/2 g^{ih} (y^j d_j dy_h E - d_h E) from the energy partials
+    ``d(xvars, yvars)``, floats or Taylor scalars of one algebra."""
+    g, rhs = _spray_system(n, y, d)
+    gv = [[scalars.value(g[i][j]) for j in range(n)] for i in range(n)]
+    _check_nondegenerate(np.asarray(gv), n)
     w = solve_linear(g, rhs)
     return tuple(0.5 * wi for wi in w)
+
+
+def _spray_rows(m, xs, ys):
+    """The spray of an F-model at each row of the float arrays ``xs``,
+    ``ys`` (rows, n), as one (rows, n) array: one (1, 2) energy jet over
+    the rows, partials read off per row, and the solve pivoted per row, so
+    row r equals ``_spray_scalars(m, xs[r], ys[r])`` bit for bit."""
+    jet = jet_of_rows(m.energy, (xs, ys), (1, 2))
+    g, rhs = _spray_system(m.n, ys.T, jet.pvars)
+    g = np.moveaxis(np.array(g), -1, 0)
+    _check_nondegenerate_rows(g)
+    return 0.5 * _solve_rows(g, np.transpose(rhs))
 
 
 def _spray_scalars(m, x, y):
@@ -237,7 +297,9 @@ def spray_jets(m, at, kx, ky, scheme="ad"):
     are (:meth:`Jet.dense` indexes by monomial, so they read bit for bit as
     the (kx, ky) jets); otherwise the jet is computed, by derivative shifts
     when the model has F, else by differentiating the spray evaluation.
-    FD jets are always computed at the order asked for."""
+    FD jets are always computed at the order asked for; FD evaluates the
+    spray of a model with F at the jet's stencil points in batches of
+    Taylor rows (``_spray_rows``)."""
     key = (m, kx, ky, scheme)
     if key in at.jets:
         return at.jets[key]
@@ -248,8 +310,10 @@ def spray_jets(m, at, kx, ky, scheme="ad"):
     elif scheme == "ad" and m.F is not None:
         jets = _shifted_spray_jets(m, at, kx, ky)
     else:
+        rows = (lambda xs, ys: _spray_rows(m, xs, ys)) \
+            if scheme == "fd" and m.F is not None else None
         jets = jet_of_many(lambda xs, ys: _spray_scalars(m, xs, ys),
-                           (at.x, at.y), (kx, ky), scheme=scheme)
+                           (at.x, at.y), (kx, ky), scheme=scheme, rows=rows)
     at.jets[key] = jets
     return jets
 

@@ -1,6 +1,8 @@
 """Tensor pipeline against hand oracles and catalogue closed forms."""
 
+import ast
 import inspect
+import math
 from collections import Counter
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 from finslercheck import (analysis, catalogue, cli, forms, geometry, scalars,
                           taylor)
 from finslercheck.calculus import TangentSample, jet_of, jet_of_many
-from finslercheck.errors import DegenerateMetric, FinslerCheckError
+from finslercheck.errors import (DegenerateMetric, FinslerCheckError,
+                                 NonFiniteValue)
 from finslercheck.geometry import Domain, MetricModel
 from finslercheck.sampling import tangent_samples
 
@@ -394,9 +397,9 @@ def test_fd_spray_jets_are_never_cut(monkeypatch):
     orders = []
     many = geometry.jet_of_many
 
-    def counted(fn, groups, caps, scheme="ad"):
+    def counted(fn, groups, caps, scheme="ad", **kwargs):
         orders.append((caps, scheme))
-        return many(fn, groups, caps, scheme)
+        return many(fn, groups, caps, scheme, **kwargs)
 
     monkeypatch.setattr(geometry, "jet_of_many", counted)
     geometry.spray_jets(m, at, 0, 1, "fd")
@@ -579,3 +582,57 @@ def test_euler_term_from_notes_equals_recomputation(name):
         ref = _recomputed_euler_term(model, TangentSample(at.x, at.y))
         G = geometry.spray_coefficients(model, at)
         assert cli._euler_term(G, *cli._chain(model, at)) == ref
+
+
+def _pivoting_F(x, y):
+    # Randers-perturbed Riemannian metric whose g_00 crosses |g_10| = 0.3
+    # with x0, so rows of one batch pick different pivots in column 0
+    q = ((0.05 + x[0] * x[0]) * y[0] * y[0] + 0.6 * y[0] * y[1]
+         + y[1] * y[1] + y[2] * y[2])
+    return scalars.sqrt(q) + 0.05 * y[2] * (1.0 + x[1])
+
+
+def test_fd_spray_rows_equal_per_point_spray_with_mixed_pivots():
+    m = MetricModel(3, _pivoting_F, name="pivoting")
+    rng = np.random.default_rng(5)
+    xs = np.column_stack([np.linspace(0.0, 0.8, 12),
+                          rng.uniform(-0.3, 0.3, (12, 2))])
+    ys = rng.uniform(-1.0, 1.0, (12, 3)) + np.array([1.5, 0.0, 0.0])
+    g = geometry.jet_of_rows(m.energy, (xs, ys), (1, 2)).dense(0, 2)
+    pivots = np.argmax(np.abs(g[:, 0, :]), axis=0)
+    assert set(pivots) == {0, 1}
+    got = geometry._spray_rows(m, xs, ys)
+    ref = [geometry._spray_scalars(m, tuple(x), tuple(y))
+           for x, y in zip(xs.tolist(), ys.tolist())]
+    assert np.array_equal(got, np.array(ref, dtype=float))
+
+
+def test_fd_spray_rows_equal_per_point_spray_on_the_catalogue():
+    m = catalogue.entry("general_berwald", n=3, a=(0.1, 0.05, 0.0)).model
+    samples = tangent_samples(3, 9, seed=3, radius=0.5)
+    xs = np.array([at.x for at in samples])
+    ys = np.array([at.y for at in samples])
+    ref = [geometry._spray_scalars(m, at.x, at.y) for at in samples]
+    assert np.array_equal(geometry._spray_rows(m, xs, ys),
+                          np.array(ref, dtype=float))
+
+
+def test_fd_domain_error_names_its_first_failing_stencil_point():
+    # the klein stencil around |x| = 0.995 leaves the unit ball; the batched
+    # spray reports the point and value that point-by-point FD meets first
+    m = catalogue.entry("klein", n=2).model
+    at = TangentSample((0.995, 0.0), (0.0, 1.0))
+    with pytest.raises(NonFiniteValue) as batched:
+        geometry.spray_jets(m, at, 1, 2, "fd")
+    with pytest.raises(NonFiniteValue) as single:
+        jet_of_many(lambda xs, ys: geometry._spray_scalars(m, xs, ys),
+                    (at.x, at.y), (1, 2), scheme="fd")
+    message = str(batched.value)
+    assert message == str(single.value)
+    assert message.startswith("sqrt of non-positive Taylor value "
+                              "-0.013203914556821905 at the FD stencil "
+                              "point ((")
+    x, y = ast.literal_eval(message.split("stencil point ")[1])
+    assert math.hypot(*x) > 1.0
+    with pytest.raises(NonFiniteValue):
+        geometry._spray_scalars(m, x, y)
