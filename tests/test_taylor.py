@@ -342,3 +342,12 @@ def test_rows_domain_error_names_the_first_failing_value():
         rows.sqrt()
     with pytest.raises(NonFiniteValue, match="non-positive base -0.25"):
         rows ** 0.5
+
+
+def test_rows_absolute_negates_a_nan_row_like_a_single_series():
+    alg = algebra(((2, 1), (2, 2)))
+    c = np.arange(3 * alg.size, dtype=float).reshape(3, alg.size)
+    c[:, 0] = [-1.0, np.nan, 0.0]
+    got = TRows(alg, c).absolute().c
+    ref = [TNum(alg, row.copy()).absolute().c for row in c]
+    assert np.array_equal(got, np.array(ref), equal_nan=True)
