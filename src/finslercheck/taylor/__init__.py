@@ -587,9 +587,3 @@ class TRows(TNum):
         # TNum negates unless value >= 0, so a NaN row is negated too
         flip = ~(self.c[:, 0] >= 0.0)
         return TRows(self.alg, np.where(flip[:, None], -self.c, self.c))
-
-    def partial(self, multi, target):
-        raise NotImplementedError("derivative shifts of Taylor rows")
-
-    def coefficient(self, multi):
-        return self.c[:, self.alg.flat_index(multi)]
