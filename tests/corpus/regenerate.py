@@ -89,6 +89,10 @@ CASES = {
     "invariants-phi-sin-fd": ["invariants", "--phi", "sin(s)+2",
                               "--dim", "2", "--samples", "10",
                               "--scheme", "fd"],
+    # an (r, s) grid of two Taylor-row batches, the last one partial
+    "sphsym-ragged": ["sphsym", "--phi", "sqrt(1+s*s)+r", "--f", "1+r*r",
+                      "--P", "r-s", "--grid-nr", "7", "--grid-ns", "11",
+                      "--samples", "20", "--sweep", "{sweep}"],
 }
 SEED = 0
 
