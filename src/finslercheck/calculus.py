@@ -113,6 +113,8 @@ class Jet:
     or series of ``alg`` (a trailing table axis) for Taylor-valued inputs.
     A flat AD jet also keeps the Taylor scalar it was read from as ``series``
     and that series' ``stair``; partials outside the stair raise KeyError.
+    A jet of Taylor rows has a row axis before the coefficient axis: its
+    float entries are per-row arrays, its series entries :class:`TRows`.
     """
 
     def __init__(self, nvars, caps, table, series=None, alg=None,
@@ -129,7 +131,9 @@ class Jet:
 
     def _entry(self, pos):
         e = self.table[pos]
-        return e if self.alg is None else TNum(self.alg, e)
+        if self.alg is None:
+            return e
+        return (TRows if e.ndim > 1 else TNum)(self.alg, e)
 
     @property
     def value(self):
@@ -182,11 +186,19 @@ def _dense_index(nvars, caps, orders, stair=None):
 
 def _ad_series(fn, groups, caps, *, stair=None):
     """Taylor series of each component of ``fn`` at the float point
-    ``groups``, one block per group, kept on ``stair`` if given."""
+    ``groups``, one block per group, kept on ``stair`` if given; at
+    per-row float arrays, as :class:`TRows` with one row per point."""
     alg = algebra(tuple((len(g), c) for g, c in zip(groups, caps)), stair)
-    seeded = [tuple(alg.variable(bi, vi, v) for vi, v in enumerate(g))
+    rows = [len(v) for g in groups for v in g if isinstance(v, np.ndarray)]
+    if rows:
+        def seed(bi, vi, v):
+            return TRows.variable(alg, bi, vi, np.broadcast_to(v, rows[0]))
+        const = TRows(alg, np.zeros((rows[0], alg.size)))._constant
+    else:
+        seed, const = alg.variable, alg.constant
+    seeded = [tuple(seed(bi, vi, v) for vi, v in enumerate(g))
               for bi, g in enumerate(groups)]
-    out = [r if isinstance(r, TNum) else alg.constant(scalars.value(r))
+    out = [r if isinstance(r, TNum) else const(scalars.value(r))
            for r in fn(*seeded)]
     if any(r.alg is not alg for r in out):
         raise ValueError("field result from another Taylor algebra")
@@ -202,10 +214,14 @@ def _weights(alg):
 
 
 def series_jet(t):
-    """Partials table of a flat Taylor scalar, one group per block."""
+    """Partials table of a flat Taylor scalar, one group per block; of
+    Taylor rows, with a trailing row axis."""
     nvars, caps = zip(*t.alg.blocks)
-    return Jet(nvars, caps, t.c.reshape(t.alg.sizes) * _weights(t.alg),
-               series=t, stair=t.alg.stair)
+    if t.c.ndim == 1:
+        table = t.c.reshape(t.alg.sizes) * _weights(t.alg)
+    else:
+        table = t.c.T.reshape(t.alg.sizes + (-1,)) * _weights(t.alg)[..., None]
+    return Jet(nvars, caps, table, series=t, stair=t.alg.stair)
 
 
 def _ad_jets(fn, groups, caps, *, stair=None):
@@ -215,7 +231,10 @@ def _ad_jets(fn, groups, caps, *, stair=None):
 
         d^beta fn(v) = sum_{|alpha| <= K} d^(alpha+beta) fn(v0) delta^alpha / alpha!,
 
-    exact in A because delta^alpha vanishes past degree K."""
+    exact in A because delta^alpha vanishes past degree K.  At per-row
+    float arrays, or Taylor rows of A, every step runs on rows, and row r
+    equals the jet at row r alone bit for bit as long as a power of the
+    deltas vanishes at every row or at none (it does for seeded inputs)."""
     algs = {v.alg for g in groups for v in g if isinstance(v, TNum)}
     if len(algs) > 1:
         raise ValueError("inputs from different Taylor algebras")
@@ -232,7 +251,7 @@ def _ad_jets(fn, groups, caps, *, stair=None):
     # and so are its multiples, and each group's cap is raised by the
     # largest degree of the rows kept
     alphas = _monomials(len(deltas), outer.total_cap)
-    rows = {alphas[0]: outer.constant(1.0)}
+    rows = {alphas[0]: deltas[0][2]._constant(1.0)}
     for alpha in alphas[1:]:
         j = max(k for k, e in enumerate(alpha) if e)
         prev = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
@@ -248,11 +267,16 @@ def _ad_jets(fn, groups, caps, *, stair=None):
                         raised)
     target = algebra(tuple(zip(nvars, caps)))
     D = np.array([row.c for row in rows.values()])
-    w = _weights(target)[..., None]
+    w = _weights(target)[(...,) + (None,) * (D.ndim - 1)]
     jets = []
     for t in series:
         shifted = np.array([t.partial(m, target).c for m in multis])
-        table = w * (shifted.T @ D).reshape(target.sizes + (-1,))
+        if D.ndim == 2:
+            prod = shifted.T @ D
+        else:  # Taylor rows: each row's product, stacked
+            prod = (shifted.transpose(1, 2, 0)
+                    @ D.transpose(1, 0, 2)).transpose(1, 0, 2)
+        table = w * prod.reshape(target.sizes + prod.shape[1:-1] + (-1,))
         jets.append(Jet(nvars, caps, table, alg=outer).check_finite())
     return jets
 
@@ -263,17 +287,8 @@ def jet_of_rows(fn, groups, caps):
     of :class:`TRows`.  The table carries a trailing row axis, so a partial
     reads as one value per row, and row r equals the jet of ``fn`` at row r
     alone bit for bit."""
-    alg = algebra(tuple((g.shape[1], c) for g, c in zip(groups, caps)))
-    seeded = [tuple(TRows.variable(alg, bi, vi, g[:, vi])
-                    for vi in range(g.shape[1]))
-              for bi, g in enumerate(groups)]
-    t = fn(*seeded)
-    if not isinstance(t, TRows):
-        t = TRows(alg, np.zeros((len(groups[0]), alg.size))) + t
-    if t.alg is not alg:
-        raise ValueError("field result from another Taylor algebra")
-    table = t.c.T.reshape(alg.sizes + (-1,)) * _weights(alg)[..., None]
-    return Jet([g.shape[1] for g in groups], caps, table).check_finite()
+    return _ad_jets(lambda *gs: (fn(*gs),), [tuple(g.T) for g in groups],
+                    caps)[0]
 
 
 def jet_of(fn, groups, caps, scheme="ad", *, stair=None):
@@ -400,16 +415,26 @@ def _field_values(fn, nvars, points, rows=None):
 
     if rows is None:
         return np.array([one(z) for z in points.tolist()], dtype=float)
+    return np.concatenate(batched(
+        lambda batch: rows(*(batch[:, a:b] for a, b in spans)), points, one))
+
+
+def batched(rows, points, one):
+    """The results of ``rows`` on the array ``points`` in batches of at
+    most ``FD_BATCH`` rows, one per batch.  A batch that raises
+    FinslerCheckError is evaluated again point by point, each row as a
+    list, with ``one``, so that the error raised is the first failing
+    point's own; should every point pass, the batch's error stands."""
     out = []
     for lo in range(0, len(points), FD_BATCH):
         batch = points[lo:lo + FD_BATCH]
         try:
-            out.append(rows(*(batch[:, a:b] for a, b in spans)))
+            out.append(rows(batch))
         except FinslerCheckError:
             for z in batch.tolist():
                 one(z)
             raise
-    return np.concatenate(out)
+    return out
 
 
 def _fd_jets(fn, groups, caps, rows=None):

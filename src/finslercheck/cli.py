@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import analysis, catalogue, expressions, forms, geometry, sphsym
-from .calculus import homogeneity_check
+from .calculus import batched, homogeneity_check
 from .config import MAX_DIM, build_config, parse_config_file
 from .errors import (
     BadParameter, ConfigError, DegenerateMetric, FinslerCheckError,
@@ -296,21 +296,25 @@ def run_sphsym(cfg):
     samples = tangent_samples(cfg.dim, max(10, cfg.samples // 5), cfg.seed,
                               _sample_radius(cfg, model), r_min=0.05)
     pq = sphsym.pq_from_profile(profile)
-    grid = rs_grid(nr=cfg.grid_nr, ns=cfg.grid_ns)
+    grid = np.array(rs_grid(nr=cfg.grid_nr, ns=cfg.grid_ns))
     tol = cfg.tol if cfg.tol is not None else 1e-7
 
-    worst1 = worst2 = max_q = 0.0
-    min_phi = float("inf")
-    jets, sweep_rows = [], []
-    for rs in grid:
-        jet = profile.jet(*rs)
-        jets.append(jet)
-        r1, r2 = sphsym.metrizability_residuals(jet, pq, rs)
-        pv, qv = sphsym.pq_of_jet(jet, *rs)
-        worst1, worst2 = max(worst1, r1), max(worst2, r2)
-        max_q = max(max_q, abs(qv))
-        min_phi = min(min_phi, float(profile.phi(*rs)))
-        sweep_rows.append((rs[0], rs[1], pv, qv, r1, r2))
+    def metrizability(r, s):
+        jet = profile.jet(r, s)
+        r1, r2 = sphsym.metrizability_residuals(jet, pq, (r, s))
+        pv, qv = sphsym.pq_of_jet(jet, r, s)
+        phi = [float(profile.phi(*rs))
+               for rs in zip(np.ravel(r).tolist(), np.ravel(s).tolist())]
+        return jet, np.column_stack([r, s, pv, qv, r1, r2]), phi
+
+    jets, rows, phis = zip(*_over_grid(metrizability, grid))
+    sweep = np.concatenate(rows)
+    # Python's max and min over the points in grid order, as they were
+    # taken point by point
+    worst1 = max([0.0, *sweep[:, 4].tolist()])
+    worst2 = max([0.0, *sweep[:, 5].tolist()])
+    max_q = max([0.0, *np.abs(sweep[:, 3]).tolist()])
+    min_phi = min([float("inf"), *(v for phi in phis for v in phi)])
     npts = len(grid)
     report.add(CheckRecord("positivity_phi", None, None, min_phi > 0.0,
                            npts, cfg.seed, notes={"min_phi": min_phi}))
@@ -329,17 +333,20 @@ def run_sphsym(cfg):
                             / (1.0 + float(np.max(np.abs(G_ad)))))
     report.add(CheckRecord("pq_spray_closure", worst_closure, tol,
                            worst_closure <= tol, len(samples), cfg.seed))
-    report.verdicts["classification"] = sphsym.classify_profile(jets, grid)
+    report.verdicts["classification"] = sphsym.classify_profile(
+        jets, [(b[:, 0], b[:, 1]) for b in rows])
 
     if cfg.f is not None or cfg.P is not None:
         factor = RadialFactor(
             expressions.compile_scalar(cfg.f or "1", ("r",)), name=cfg.f or "1")
         p_map = expressions.compile_scalar(cfg.P or "0", ("r", "s"))
         char_pq = sphsym.parallel_pq(factor, p_map)
-        worst_sss = 0.0
-        for rs in grid:
-            r1, r2, _ = sphsym.sss_residuals(factor, char_pq, rs)
-            worst_sss = max(worst_sss, abs(r1), abs(r2))
+
+        def sss(r, s):
+            r1, r2, _ = sphsym.sss_residuals(factor, char_pq, (r, s))
+            return np.column_stack([np.abs(r1), np.abs(r2)]).ravel()
+
+        worst_sss = max([0.0, *np.concatenate(_over_grid(sss, grid)).tolist()])
         report.add(CheckRecord("characterised_q_identity", worst_sss, 1e-10,
                                worst_sss <= 1e-10, npts, cfg.seed))
         psamples = tangent_samples(cfg.dim, cfg.samples, cfg.seed,
@@ -355,8 +362,26 @@ def run_sphsym(cfg):
     if cfg.sweep:
         _write(cfg.sweep, "r,s,P,Q,metrizability_res1,metrizability_res2\n"
                + "".join(",".join(format(v, ".17g") for v in row) + "\n"
-                         for row in sweep_rows))
+                         for row in sweep.tolist()))
     return report
+
+
+def _over_grid(check, grid):
+    """The results of ``check(r, s)`` over the ``(points, 2)`` (r, s) grid,
+    one per batch of Taylor rows (arrays r, s).  A batch that fails is
+    checked again point by point at float (r, s), so the error is the
+    first failing point's own; one that does not name its point gets the
+    point appended."""
+    def one(rs):
+        try:
+            check(*rs)
+        except FinslerCheckError as exc:
+            where = "(r, s) = ({:g}, {:g})".format(*rs)
+            if where not in str(exc):
+                exc.args = (f"{exc} at the grid point {where}",)
+            raise
+
+    return batched(lambda rs: check(*rs.T), grid, one)
 
 
 def _write(path, text):

@@ -6,13 +6,18 @@ against these helpers so the same code path yields values and derivatives.
 
 import math
 
+import numpy as np
+
 from .errors import NonFiniteValue
 from .taylor import TNum
 
 
 def value(z):
-    """Constant (0th-order) part of a scalar."""
-    return z.value() if isinstance(z, TNum) else float(z)
+    """Constant (0th-order) part of a scalar; per-row arrays of floats (one
+    value per Taylor row) are their own."""
+    if isinstance(z, TNum):
+        return z.value()
+    return z if isinstance(z, np.ndarray) else float(z)
 
 
 def _lift_math(fn, name):

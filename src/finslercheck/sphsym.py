@@ -14,8 +14,14 @@ b_i = f(r) x_i, with Q determined by f and P while P stays free.
 
 All (r, s)-level derivatives (phi_r, phi_s, phi_ss, P_s, Q_s, ...) come
 from the Taylor engine applied to the profile, never from grid
-differencing.  A grid sweep takes one (1, 2) profile jet per (r, s) point;
-the metrizability residuals, P, Q and the classification all read it.
+differencing.  The grid functions (profile and P/Q jets, ``pq_of_jet``,
+the metrizability and characterised-Q residuals, the classification) run
+the same code at a float (r, s), at Taylor scalars, or at per-row float
+arrays r, s, where every jet is one pipeline of Taylor rows
+(:class:`finslercheck.taylor.TRows`) and each row equals that point's
+result bit for bit.  A grid sweep evaluates its points in such batches,
+with one (1, 2) profile jet per batch that the metrizability residuals,
+P, Q and the classification all read.
 """
 
 from dataclasses import dataclass
@@ -48,7 +54,7 @@ class SphSymProfile:
     name: str = ""
 
     def jet(self, r, s):
-        """The (1, 2) jet of phi at (r, s)."""
+        """The (1, 2) jet of phi at (r, s), or at each row of arrays r, s."""
         return jet_of(lambda rg, sg: self.phi(rg[0], sg[0]),
                       ((r,), (s,)), (1, 2))
 
@@ -63,7 +69,8 @@ class PQPair:
     source: str = ""
 
     def jets(self, r, s):
-        """(P, P_s, Q, Q_s) at float (r, s), from one jet of the pair."""
+        """(P, P_s, Q, Q_s) at float (r, s), or per row at float arrays
+        r, s, from one jet of the pair."""
         pjet, qjet = jet_of_many(lambda rg, sg: self.PQ(rg[0], sg[0]),
                                  ((r,), (s,)), (0, 1))
         return (pjet.partial((0,), (0,)), pjet.partial((0,), (1,)),
@@ -97,7 +104,7 @@ def pq_of_jet(jet, r, s):
 
     SingularDenominator is raised when the Q-denominator
     phi - s phi_s + (r^2 - s^2) phi_ss vanishes (loss of regularity of the
-    metric).
+    metric), naming the first such row.
     """
     phi = jet.partial((0,), (0,))
     phi_r = jet.partial((1,), (0,))
@@ -106,14 +113,34 @@ def pq_of_jet(jet, r, s):
     phi_ss = jet.partial((0,), (2,))
     den = phi - s * phi_s + (r * r - s * s) * phi_ss
     dval = scalars.value(den)
-    if abs(dval) <= DENOMINATOR_TOL * (1.0 + abs(scalars.value(phi))):
+    i = _first(np.abs(dval)
+               <= DENOMINATOR_TOL * (1.0 + np.abs(scalars.value(phi))))
+    if i is not None:
         raise SingularDenominator(
-            f"Q-denominator vanishes at (r, s) = ({scalars.value(r):g}, "
-            f"{scalars.value(s):g})")
+            f"Q-denominator vanishes at (r, s) = ({_row(r, i):g}, "
+            f"{_row(s, i):g})")
     q = (-phi_r + s * phi_rs + r * phi_ss) / (2.0 * r * den)
     p = (-(q / phi) * (s * phi + (r * r - s * s) * phi_s)
          + (s * phi_r + r * phi_s) / (2.0 * r * phi))
     return p, q
+
+
+def _first(bad):
+    """Index of the first failing row of a per-row test (0 for a failing
+    scalar test), or None."""
+    hit = np.flatnonzero(bad)
+    return hit[0] if hit.size else None
+
+
+def _row(z, i):
+    """Row i of a per-row value; a value shared by all rows is its own."""
+    v = np.ravel(scalars.value(z))
+    return v[i if v.size > 1 else 0]
+
+
+def _real(*values):
+    """Python floats at a point, per-row arrays over rows."""
+    return tuple(v if np.ndim(v) else float(v) for v in values)
 
 
 def pq_from_profile(profile):
@@ -177,7 +204,7 @@ def metrizability_residuals(jet, pq, rs):
     must satisfy to be generated by the given (P, Q); r = 0 is excluded
     (the second PDE divides by r)."""
     r, s = rs
-    if r == 0.0:
+    if np.any(np.equal(r, 0.0)):
         raise SingularDenominator("metrizability residuals need r > 0")
     phi = jet.partial((0,), (0,))
     phi_r = jet.partial((1,), (0,))
@@ -187,7 +214,7 @@ def metrizability_residuals(jet, pq, rs):
     res1 = abs((1.0 + s * P - w * (2.0 * Q - s * Q_s)) * phi_s
                + (s * P_s - 2.0 * P - s * (2.0 * Q - s * Q_s)) * phi)
     res2 = abs(phi_r / r - (P + Q_s * w) * phi_s - (P_s + s * Q_s) * phi)
-    return float(res1), float(res2)
+    return _real(res1, res2)
 
 
 def parallel_q(factor, P, rs):
@@ -195,9 +222,11 @@ def parallel_q(factor, P, rs):
     Q = s^2 f'/(2 r^3 f) - s P / r^2 + 1/(2 r^2)."""
     r, s = rs
     rv, fv = scalars.value(r), scalars.value(factor.f(r))
-    if rv == 0.0 or fv == 0.0:
+    i = _first(np.equal(rv, 0.0) | np.equal(fv, 0.0))
+    if i is not None:
         raise SingularDenominator(
-            f"parallel_q needs r > 0 and f(r) != 0 (r={rv:g}, f={fv:g})")
+            f"parallel_q needs r > 0 and f(r) != 0 (r={_row(rv, i):g}, "
+            f"f={_row(fv, i):g})")
     Pv = P(r, s) if callable(P) else P
     return (s * s * factor.d(r) / (2.0 * r ** 3 * factor.f(r))
             - s * Pv / (r * r) + 1.0 / (2.0 * r * r))
@@ -214,17 +243,27 @@ def parallel_pq(factor, P):
 def sss_residuals(factor, pq, rs):
     """The three scalar conditions equivalent to delta_i beta = 0 for
     beta = f(r) <x, y> and the (P, Q) spray: the x-coefficient, the
-    y-coefficient, and their s-weighted combination."""
+    y-coefficient, and their s-weighted combination.  Over rows, f and f'
+    are evaluated once per distinct r."""
     r, s = rs
-    fv = factor.f(r)
-    dfv = factor.d(r)
+    fv = _per_r(factor.f, r)
+    dfv = _per_r(factor.d, r)
     Pv, P_s, Qv, Q_s = pq.jets(r, s)
     r2 = r * r
     res1 = s * dfv / r - s * fv * P_s - fv * Pv - fv * r2 * Q_s
     res2 = (fv - fv * s * Pv + fv * s * s * P_s - 2.0 * fv * r2 * Qv
             + fv * s * r2 * Q_s)
     res3 = s * s * dfv / r + fv - 2.0 * fv * s * Pv - 2.0 * fv * r2 * Qv
-    return float(res1), float(res2), float(res3)
+    return _real(res1, res2, res3)
+
+
+def _per_r(fn, r):
+    """fn at a float r, or at each entry of the array r, evaluated once
+    per distinct value (fn returns floats)."""
+    if not np.ndim(r):
+        return fn(r)
+    distinct, where = np.unique(r, return_inverse=True)
+    return np.array([fn(v) for v in distinct.tolist()])[where]
 
 
 def _delta_beta_expansion(factor, pq, at):
@@ -257,16 +296,19 @@ def parallel_form_check(pq, factor, samples, n=3, tol=None):
 
 def classify_profile(jets, grid):
     """Detect the two special branches of the parallel-form analysis from
-    the profile jets at the grid points: phi independent of s (Riemannian,
-    F = psi(r) u) and phi = c(r) s (fiberwise-linear F, degenerate metric
-    tensor)."""
+    the profile jets at the grid points, or at batches of them (jets of
+    rows, with arrays s): phi independent of s (Riemannian, F = psi(r) u)
+    and phi = c(r) s (fiberwise-linear F, degenerate metric tensor).  The
+    maxima are taken point by point in grid order, as Python's ``max``
+    takes them, so a NaN after the first point is passed over."""
     max_phi_s = 0.0
     max_lin = 0.0
     for jet, (_, s) in zip(jets, grid):
         phi = jet.partial((0,), (0,))
         phi_s = jet.partial((0,), (1,))
-        max_phi_s = max(max_phi_s, abs(phi_s) / (1.0 + abs(phi)))
-        max_lin = max(max_lin, abs(s * phi_s / phi - 1.0))
+        max_phi_s = max([max_phi_s,
+                         *np.ravel(abs(phi_s) / (1.0 + abs(phi))).tolist()])
+        max_lin = max([max_lin, *np.ravel(abs(s * phi_s / phi - 1.0)).tolist()])
     if max_phi_s <= RIEMANNIAN_TOL:
         return "riemannian"
     if max_lin <= RIEMANNIAN_TOL:

@@ -146,6 +146,7 @@ class Algebra:
             [self.keeps((sum(m0), sum(m1)))
              for m0 in self.monos[0] for m1 in self.monos[1]])
         self._tables = None
+        self._row_bins = {}
         self._partial_maps = {}
 
     def keeps(self, degrees):
@@ -173,6 +174,17 @@ class Algebra:
                 ii, jj, oo = ii[keep], jj[keep], oo[keep]
             self._tables = (ii, jj, oo)
         return self._tables
+
+    def row_bins(self, rows):
+        """The kernel's output bins for ``rows`` series at once: each
+        triple's output slot plus ``size`` times its row, flattened row by
+        row.  Cached per row count like :meth:`tables`."""
+        bins = self._row_bins.get(rows)
+        if bins is None:
+            oo = self.tables()[2]
+            bins = self._row_bins[rows] = \
+                (oo + self.size * np.arange(rows)[:, None]).ravel()
+        return bins
 
     def partial_map(self, multi, target):
         """(source index, weight, target slots) for the partial derivative
@@ -248,6 +260,11 @@ class Algebra:
         return flat
 
 
+def _integral(p):
+    return isinstance(p, (int, np.integer)) or (
+        isinstance(p, float) and p.is_integer())
+
+
 class TNum:
     """A truncated Taylor polynomial (scalar with carried derivatives).
 
@@ -266,6 +283,9 @@ class TNum:
 
     def value(self):
         return self.c[0]
+
+    def _constant(self, v):
+        return self.alg.constant(v)
 
     def __float__(self):
         raise TypeError("TNum carries derivatives; use scalars.value() "
@@ -330,12 +350,11 @@ class TNum:
         return self._reciprocal() * other
 
     def __pow__(self, p):
-        if isinstance(p, (int, np.integer)) or (
-                isinstance(p, float) and p.is_integer()):
+        if _integral(p):
             k = int(p)
             if k < 0:
                 return self._reciprocal() ** (-k)
-            out = self.alg.constant(1.0)
+            out = self._constant(1.0)
             base = self
             while k:
                 if k & 1:
@@ -355,10 +374,11 @@ class TNum:
     # -- analytic functions (truncated composition) -------------------------
 
     def _compose(self, derivs):
-        """sum_k derivs[k]/k! * (self - value)^k, Horner-evaluated."""
-        e = TNum(self.alg, self.c.copy())
-        e.c[0] = 0.0
-        acc = self.alg.constant(derivs[-1] / math.factorial(len(derivs) - 1))
+        """sum_k derivs[k]/k! * (self - value)^k, Horner-evaluated; for
+        :class:`TRows` row-wise, ``derivs[k]`` holding one value per row."""
+        e = type(self)(self.alg, self.c.copy())
+        e.c[..., 0] = 0.0
+        acc = self._constant(derivs[-1] / math.factorial(len(derivs) - 1))
         for k in range(len(derivs) - 2, -1, -1):
             acc = acc * e + derivs[k] / math.factorial(k)
         return acc
@@ -419,13 +439,14 @@ class TNum:
 
     def partial(self, multi, target):
         """The partial derivative d^multi of this series (per-block exponent
-        tuples), as a series of the smaller algebra ``target``."""
+        tuples), as a series of the smaller algebra ``target``; of each
+        row for :class:`TRows`."""
         idx, w, pos = self.alg.partial_map(multi, target)
         if pos is None:
-            return TNum(target, self.c[idx] * w)
-        c = np.zeros(target.size)
-        c[pos] = self.c[idx] * w
-        return TNum(target, c)
+            return type(self)(target, self.c[..., idx] * w)
+        c = np.zeros(self.c.shape[:-1] + (target.size,))
+        c[..., pos] = self.c[..., idx] * w
+        return type(self)(target, c)
 
     # -- coefficient access --------------------------------------------------
 
@@ -515,10 +536,11 @@ class TRows(TNum):
         o = self._coerce(other)
         if o is None:
             return TRows(self.alg, self.c * other)
-        ii, jj, oo = self.alg.tables()
+        ii, jj, _ = self.alg.tables()
         return TRows(self.alg,
-                     _backend.mul_accumulate(ii, jj, oo, self.c, o.c,
-                                             self.alg.size))
+                     _backend.mul_accumulate(ii, jj,
+                                             self.alg.row_bins(len(self.c)),
+                                             self.c, o.c, self.alg.size))
 
     __rmul__ = __mul__
 
@@ -532,19 +554,8 @@ class TRows(TNum):
         return self._reciprocal() * other
 
     def __pow__(self, p):
-        if isinstance(p, (int, np.integer)) or (
-                isinstance(p, float) and p.is_integer()):
-            k = int(p)
-            if k < 0:
-                return self._reciprocal() ** (-k)
-            out = self._constant(1.0)
-            base = self
-            while k:
-                if k & 1:
-                    out = out * base
-                base = base * base
-                k >>= 1
-            return out
+        if _integral(p):
+            return TNum.__pow__(self, p)
         return self._per_row(TNum.__pow__, p)
 
     # -- analytic functions (truncated composition) -------------------------
@@ -553,17 +564,6 @@ class TRows(TNum):
         """Compose with the derivative lists ``method`` gives per row."""
         derivs = [method(_RowDerivs(self.alg, row), *args) for row in self.c]
         return self._compose(np.array(derivs, dtype=float).T)
-
-    def _compose(self, derivs):
-        """Row-wise sum_k derivs[k]/k! * (self - value)^k, Horner-evaluated
-        as in :meth:`TNum._compose`; ``derivs[k]`` holds one value per
-        row."""
-        e = TRows(self.alg, self.c.copy())
-        e.c[:, 0] = 0.0
-        acc = self._constant(derivs[-1] / math.factorial(len(derivs) - 1))
-        for k in range(len(derivs) - 2, -1, -1):
-            acc = acc * e + derivs[k] / math.factorial(k)
-        return acc
 
     def _reciprocal(self):
         return self._per_row(TNum._reciprocal)

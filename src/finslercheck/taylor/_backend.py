@@ -1,8 +1,9 @@
 """The truncated-Taylor multiply kernel: out[oo[t]] += a[ii[t]] * b[jj[t]]
 over an algebra's precomputed sparse index triples, as one numpy
-``bincount``.  For a batch of rows (2-D ``a``, one series per row) the
-outputs of row r go to bins ``oo + size * r`` of the same ``bincount``, so
-each row sums its triples in the same order as a single series does."""
+``bincount``.  For a batch of rows (2-D ``a``, one series per row) ``oo``
+holds the flattened bins ``oo + size * r`` of every row r (the algebra
+caches them per row count, ``Algebra.row_bins``), so each row sums its
+triples in the same order as a single series does."""
 
 import numpy as np
 
@@ -13,6 +14,5 @@ def mul_accumulate(ii, jj, oo, a, b, size):
     if a.ndim == 1:
         return np.bincount(oo, weights=a[ii] * b[jj], minlength=size)
     rows = len(a)
-    bins = oo + size * np.arange(rows)[:, None]
-    return np.bincount(bins.ravel(), weights=(a[:, ii] * b[..., jj]).ravel(),
+    return np.bincount(oo, weights=(a[:, ii] * b[..., jj]).ravel(),
                        minlength=size * rows).reshape(rows, size)

@@ -1,21 +1,24 @@
 """Spherically symmetric machinery: P/Q extraction, metrizability PDEs,
 and the parallel-form characterisation."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from finslercheck import catalogue, cli, geometry, sphsym, taylor
-from finslercheck.calculus import TangentSample, jet_of
-from finslercheck.errors import SingularDenominator
+from finslercheck.calculus import FD_BATCH, TangentSample, jet_of
+from finslercheck.config import build_config
+from finslercheck.errors import FinslerCheckError, SingularDenominator
+from finslercheck.expressions import compile_scalar
 from finslercheck.forms import Verdict
 from finslercheck.sampling import rs_grid, tangent_samples
 from finslercheck.sphsym import (
     PQPair, RadialFactor, SphSymProfile, classify_profile,
     connection_from_pq, metrizability_residuals, parallel_form_check,
-    parallel_pq, parallel_q, pq_from_profile, profile_metric, spray_from_pq,
-    spray_model_from_pq, sss_residuals,
+    parallel_pq, parallel_q, pq_from_profile, pq_of_jet, profile_metric,
+    spray_from_pq, spray_model_from_pq, sss_residuals,
 )
 
 
@@ -131,9 +134,9 @@ def test_one_profile_jet_per_pq_evaluation(classic_profile, monkeypatch):
     assert len(calls) == 5
 
 
-def test_sphsym_takes_one_profile_jet_per_grid_point(monkeypatch, capsys):
-    # per grid point one float jet and one inside pq.jets at Taylor-valued
-    # (r, s); one per closure sample for the (P, Q) spray
+def test_sphsym_takes_two_profile_jets_per_grid_batch(monkeypatch, capsys):
+    # per batch of grid points one float jet of rows and one inside
+    # pq.jets at Taylor rows; one per closure sample for the (P, Q) spray
     calls = []
     jet = SphSymProfile.jet
 
@@ -143,10 +146,121 @@ def test_sphsym_takes_one_profile_jet_per_grid_point(monkeypatch, capsys):
 
     monkeypatch.setattr(SphSymProfile, "jet", counted)
     argv = ["sphsym", "--phi", "berwald_classic", "--samples", "10",
-            "--grid-nr", "4", "--grid-ns", "4"]
+            "--grid-nr", "7", "--grid-ns", "11"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert len(calls) == 2 * 4 * 4 + 10
+    batches = -(-7 * 11 // FD_BATCH)
+    assert batches == 2
+    assert len(calls) == 2 * batches + 10
+
+
+GRID_PROFILES = ["berwald_classic", "exp(0.1*s)+r*r", "sin(s)+2",
+                 "sqrt(1+s*s)+r"]
+
+
+def _profile(name):
+    if name == "berwald_classic":
+        return SphSymProfile(catalogue.berwald_classic_phi, name=name)
+    return SphSymProfile(compile_scalar(name, ("r", "s")), name=name)
+
+
+def _ragged_grid():
+    grid = np.array(rs_grid(nr=7, ns=11))
+    assert len(grid) > FD_BATCH and len(grid) % FD_BATCH
+    return grid
+
+
+@pytest.mark.parametrize("name", GRID_PROFILES)
+def test_grid_rows_equal_the_per_point_functions(name):
+    # every grid function on a batch of rows equals, bit for bit, the
+    # same function at each of its points
+    profile = _profile(name)
+    pq = pq_from_profile(profile)
+    factor = RadialFactor(compile_scalar("exp(r)+r*r", ("r",)))
+    char_pq = parallel_pq(factor, compile_scalar("r*s/10-s", ("r", "s")))
+    grid = _ragged_grid()
+    for lo in range(0, len(grid), FD_BATCH):
+        r, s = grid[lo:lo + FD_BATCH].T
+        jet = profile.jet(r, s)
+        got = (*pq.jets(r, s), *metrizability_residuals(jet, pq, (r, s)),
+               *pq_of_jet(jet, r, s),
+               *sss_residuals(factor, char_pq, (r, s)))
+        assert all(v.shape == r.shape for v in got)
+        for i, rs in enumerate(zip(r.tolist(), s.tolist())):
+            jet = profile.jet(*rs)
+            ref = (*pq.jets(*rs), *metrizability_residuals(jet, pq, rs),
+                   *pq_of_jet(jet, *rs),
+                   *sss_residuals(factor, char_pq, rs))
+            assert np.array_equal([v[i] for v in got], ref), rs
+
+
+@pytest.mark.parametrize("name", GRID_PROFILES)
+def test_sphsym_grid_equals_the_per_point_loop(name, tmp_path, capsys):
+    # the sweep, the residual maxima and the classification of the batched
+    # command are those of a loop over the grid points
+    profile = _profile(name)
+    pq = pq_from_profile(profile)
+    grid = [tuple(rs) for rs in _ragged_grid().tolist()]
+    rows, jets = [], []
+    for rs in grid:
+        jets.append(profile.jet(*rs))
+        pv, qv = pq_of_jet(jets[-1], *rs)
+        rows.append((*rs, pv, qv,
+                     *metrizability_residuals(jets[-1], pq, rs)))
+    sweep = tmp_path / "sweep.csv"
+    out = tmp_path / "report.json"
+    assert cli.main(["sphsym", "--phi", name, "--samples", "10",
+                     "--grid-nr", "7", "--grid-ns", "11",
+                     "--sweep", str(sweep), "--out", str(out)]) in (0, 1)
+    capsys.readouterr()
+    lines = sweep.read_text().splitlines()[1:]
+    assert lines == [",".join(format(v, ".17g") for v in row) for row in rows]
+    report = json.loads(out.read_text())
+    checks = {c["name"]: c["max_residual"] for c in report["checks"]}
+    assert checks["metrizability_pde_1"] == max(row[4] for row in rows)
+    assert checks["metrizability_pde_2"] == max(row[5] for row in rows)
+    assert checks["max_abs_Q"] == max(abs(row[3]) for row in rows)
+    assert report["verdicts"]["classification"] \
+        == classify_profile(jets, grid)
+
+
+def _first_error(profile, grid):
+    """The first error of the per-point grid loop, and its point."""
+    pq = pq_from_profile(profile)
+    for rs in grid:
+        try:
+            jet = profile.jet(*rs)
+            metrizability_residuals(jet, pq, rs)
+            pq_of_jet(jet, *rs)
+            float(profile.phi(*rs))
+        except FinslerCheckError as exc:
+            return exc, rs
+    raise AssertionError("the per-point loop raised no error")
+
+
+# the Q-denominator 2 (r - r5)^2 vanishes at the sixth r of the 7 x 11
+# grid, in the first batch; sqrt leaves its domain at the last r, in the
+# second
+FAILING_PROFILES = ["(r-0.50833333333333330)^2*(2+s)", "sqrt(0.55-r)+0.1*s"]
+
+
+@pytest.mark.parametrize("phi", FAILING_PROFILES)
+def test_grid_failure_is_the_first_failing_points_own(phi, capsys):
+    grid = [tuple(rs) for rs in _ragged_grid().tolist()]
+    ref, (r, s) = _first_error(_profile(phi), grid)
+    where = f"(r, s) = ({r:g}, {s:g})"
+    want = str(ref) if where in str(ref) \
+        else f"{ref} at the grid point {where}"
+    argv = ["sphsym", "--phi", phi, "--grid-nr", "7", "--grid-ns", "11",
+            "--samples", "10"]
+    cfg = build_config("sphsym", {}, {"phi": phi, "grid_nr": "7",
+                                      "grid_ns": "11", "samples": "10"})
+    with pytest.raises(type(ref)) as err:
+        cli.run_sphsym(cfg)
+    assert str(err.value) == want
+    assert 0 < grid.index((r, s)) < len(grid) - 1
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == f"numeric domain error: {want}\n"
 
 
 def test_metrizability_residuals_trivial(flat_profile):

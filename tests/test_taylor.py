@@ -351,3 +351,27 @@ def test_rows_absolute_negates_a_nan_row_like_a_single_series():
     got = TRows(alg, c).absolute().c
     ref = [TNum(alg, row.copy()).absolute().c for row in c]
     assert np.array_equal(got, np.array(ref), equal_nan=True)
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64])
+@pytest.mark.parametrize("blocks", [((1, 0), (1, 1)), ((2, 1), (2, 2))])
+def test_rows_multiply_equals_per_row_product(blocks, rows):
+    # the cached row bins sum each row's triples as a single series does
+    alg = algebra(blocks)
+    ca, cb = np.random.default_rng(rows).normal(size=(2, rows, alg.size))
+    got = TRows(alg, ca) * TRows(alg, cb)
+    ref = [(TNum(alg, a.copy()) * TNum(alg, b.copy())).c
+           for a, b in zip(ca, cb)]
+    assert np.array_equal(got.c, np.array(ref))
+    assert alg.row_bins(rows) is alg.row_bins(rows)
+
+
+def test_rows_partial_shifts_each_row():
+    src = algebra(((2, 2), (2, 4)), (4, 3, 2))
+    target = algebra(((2, 1), (2, 2)), (2, 1))
+    c = np.random.default_rng(3).normal(size=(5, src.size))
+    c[:, ~src.kept] = 0.0
+    got = TRows(src, c).partial(((1, 0), (0, 1)), target)
+    ref = [TNum(src, row).partial(((1, 0), (0, 1)), target).c for row in c]
+    assert isinstance(got, TRows)
+    assert np.array_equal(got.c, np.array(ref))
