@@ -439,14 +439,13 @@ class TNum:
 
     def partial(self, multi, target):
         """The partial derivative d^multi of this series (per-block exponent
-        tuples), as a series of the smaller algebra ``target``; of each
-        row for :class:`TRows`."""
+        tuples), as a series of the smaller algebra ``target``."""
         idx, w, pos = self.alg.partial_map(multi, target)
         if pos is None:
-            return type(self)(target, self.c[..., idx] * w)
-        c = np.zeros(self.c.shape[:-1] + (target.size,))
-        c[..., pos] = self.c[..., idx] * w
-        return type(self)(target, c)
+            return TNum(target, self.c[idx] * w)
+        c = np.zeros(target.size)
+        c[pos] = self.c[idx] * w
+        return TNum(target, c)
 
     # -- coefficient access --------------------------------------------------
 
@@ -587,3 +586,14 @@ class TRows(TNum):
         # TNum negates unless value >= 0, so a NaN row is negated too
         flip = ~(self.c[:, 0] >= 0.0)
         return TRows(self.alg, np.where(flip[:, None], -self.c, self.c))
+
+    # -- derivative shift ----------------------------------------------------
+
+    def partial(self, multi, target):
+        """:meth:`TNum.partial` of each row."""
+        idx, w, pos = self.alg.partial_map(multi, target)
+        if pos is None:
+            return TRows(target, self.c[:, idx] * w)
+        c = np.zeros((len(self.c), target.size))
+        c[:, pos] = self.c[:, idx] * w
+        return TRows(target, c)
