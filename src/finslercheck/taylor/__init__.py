@@ -146,7 +146,7 @@ class Algebra:
             [self.keeps((sum(m0), sum(m1)))
              for m0 in self.monos[0] for m1 in self.monos[1]])
         self._tables = None
-        self._row_bins = {}
+        self._row_bins = np.zeros(0, dtype=np.intp)
         self._partial_maps = {}
 
     def keeps(self, degrees):
@@ -178,13 +178,12 @@ class Algebra:
     def row_bins(self, rows):
         """The kernel's output bins for ``rows`` series at once: each
         triple's output slot plus ``size`` times its row, flattened row by
-        row.  Cached per row count like :meth:`tables`."""
-        bins = self._row_bins.get(rows)
-        if bins is None:
-            oo = self.tables()[2]
-            bins = self._row_bins[rows] = \
-                (oo + self.size * np.arange(rows)[:, None]).ravel()
-        return bins
+        row.  Fewer rows take a prefix of the same bins, so one array is
+        cached, grown to the most rows asked for."""
+        oo = self.tables()[2]
+        if len(self._row_bins) < rows * len(oo):
+            self._row_bins = (oo + self.size * np.arange(rows)[:, None]).ravel()
+        return self._row_bins[:rows * len(oo)]
 
     def partial_map(self, multi, target):
         """(source index, weight, target slots) for the partial derivative
