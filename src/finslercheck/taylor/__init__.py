@@ -39,12 +39,12 @@ jets on the staircases the tensor ops read.
 :class:`TRows` carries a batch of series of one algebra, one per row of a
 ``(rows, size)`` coefficient array, through one pipeline (vector-mode
 Taylor propagation, Griewank & Walther ch. 13).  The finite-difference
-oracle evaluates a jet's stencil points this way.  Each row is bit for bit
-the series computed from that row alone: the kernel sums each row's
-triples in the single-series order, and the value-dependent parts (domain
-checks, the derivative lists of the analytic functions) run TNum's own
-code on each row's value, never a numpy ufunc, whose vectorised
-transcendentals may round differently.
+oracle evaluates a jet's stencil points this way, and ``sphsym`` its
+(r, s) grid.  Each row is bit for bit the series computed from that row
+alone: the kernel sums each row's triples in the single-series order,
+and the value-dependent parts (domain checks, the derivative lists of
+the analytic functions) run TNum's own code on each row's value, never a
+numpy ufunc, whose vectorised transcendentals may round differently.
 
 Arithmetic is exact to machine rounding: results agree with symbolic
 differentiation up to float64 round-off.

@@ -1,9 +1,9 @@
 """The truncated-Taylor multiply kernel: out[oo[t]] += a[ii[t]] * b[jj[t]]
 over an algebra's precomputed sparse index triples, as one numpy
 ``bincount``.  For a batch of rows (2-D ``a``, one series per row) ``oo``
-holds the flattened bins ``oo + size * r`` of every row r (the algebra
-caches them per row count, ``Algebra.row_bins``), so each row sums its
-triples in the same order as a single series does."""
+holds the flattened bins ``oo + size * r`` of every row r (cached on the
+algebra, ``Algebra.row_bins``), so each row sums its triples in the same
+order as a single series does."""
 
 import numpy as np
 
