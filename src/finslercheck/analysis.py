@@ -131,14 +131,13 @@ def _rank_of(mat):
 
 
 def parallel_obstruction_scan(m, x_points=5, y_per_point=20, rows="both",
-                              seed=0, scheme="ad", threads=1):
+                              seed=0, scheme="ad"):
     """Stack b |-> G^h_ijk b_h and b |-> R^h_jk b_h rows over fiber samples
     at each base point and measure the kernel dimension (columns = n).
 
     ``x_points`` may be an integer (seeded base points) or an explicit list
     of base points.  ``rows`` selects which constraints enter: "berwald",
-    "curvature", or "both".  Base points are processed independently and
-    may be spread over a thread pool.
+    "curvature", or "both".  Base points are processed independently.
     """
     n = m.n
     if y_per_point < n + 2:
@@ -172,7 +171,7 @@ def parallel_obstruction_scan(m, x_points=5, y_per_point=20, rows="both",
         return np.array(rows_x)
 
     report = KernelScanReport(rows_mode=rows)
-    mats = map_samples(rows_for, xs, threads)
+    mats = map_samples(rows_for, xs)
     for x, mat in zip(xs, mats):
         rank, sv = _rank_of(mat)
         report.per_x.append({

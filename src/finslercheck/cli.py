@@ -7,8 +7,8 @@ suite), ``scalar-curvature`` (fit of the Jacobi endomorphism), and
 ``invariants`` (the full identity battery for one metric).
 
 ``tensors`` serialises and ``invariants`` checks one per-sample pass,
-``_pass``, which takes each pipeline tensor once.  ``scan``, ``tensors``,
-``invariants`` and ``check-parallel`` spread samples over ``--threads``.
+``_pass``, which takes each pipeline tensor once.  Every command runs its
+samples in order on one thread.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 configuration or parse
 error, 3 numeric domain error, 4 internal self-check failure (an identity
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, catalogue, expressions, forms, geometry, sphsym
 from .calculus import batched, homogeneity_check
-from .config import MAX_DIM, build_config, parse_config_file
+from .config import MAX_DIM, MAX_THREADS, build_config, parse_config_file
 from .errors import (
     BadParameter, ConfigError, DegenerateMetric, FinslerCheckError,
     InsufficientSamples, NonFiniteValue, NotPositive, ParseError,
@@ -143,7 +143,7 @@ def run_tensors(cfg):
         out["curvature_R_orientation"] = tensors["curvature_R"].notes["orientation"]
         return out, term
 
-    outs, terms = zip(*map_samples(one, samples, cfg.threads))
+    outs, terms = zip(*map_samples(one, samples))
     report.data = {"samples": list(outs)}
     worst = max(terms)
     report.add(CheckRecord("euler_chain", worst, EULER_CHAIN_TOL,
@@ -157,7 +157,7 @@ def run_check_parallel(cfg):
     report = Report("check-parallel", cfg.echo())
     samples = _samples(cfg, model)
     rep = forms.is_parallel(model, omega, samples, tol=cfg.tol,
-                            scheme=cfg.scheme, threads=cfg.threads)
+                            scheme=cfg.scheme)
     for name, key, value in (
             ("covariant_derivative", "covariant", rep.max_covariant),
             ("delta_beta", "delta", rep.max_delta),
@@ -181,8 +181,7 @@ def run_scan(cfg):
                      _sample_radius(cfg, model))
     rep = analysis.parallel_obstruction_scan(
         model, x_points=xs, y_per_point=cfg.y_samples,
-        rows=cfg.rows, seed=cfg.seed, scheme=cfg.scheme,
-        threads=cfg.threads)
+        rows=cfg.rows, seed=cfg.seed, scheme=cfg.scheme)
     for i, rec in enumerate(rep.per_x):
         report.add(CheckRecord(
             f"kernel_at_x{i}", float(rec["kernel_dim"]), None, True,
@@ -262,7 +261,7 @@ def run_invariants(cfg):
                 np.asarray(berwald_cf(at.x, at.y)))
         return terms
 
-    for terms in map_samples(check, samples, cfg.threads):
+    for terms in map_samples(check, samples):
         min_f = min(min_f, terms.pop("F", min_f))
         for key, value in terms.items():
             worst[key] = max(worst[key], value)
@@ -426,7 +425,8 @@ def _add_common(p):
     p.add_argument("--scheme", help="ad (default) or fd")
     p.add_argument("--out", help="report output path")
     p.add_argument("--format", help="json (default) or csv")
-    p.add_argument("--threads", help="worker threads (default 1)")
+    p.add_argument("--threads", help=f"no effect; accepted (1 to "
+                   f"{MAX_THREADS}) so old command lines keep their exit code")
 
 
 def _build_parser():

@@ -15,7 +15,8 @@ from .errors import ConfigError
 COMMANDS = ("tensors", "check-parallel", "scan", "sphsym",
             "scalar-curvature", "invariants")
 
-# Upper bound of ``threads``: a run's worker pool never exceeds it.
+# Upper bound of ``threads``, which nothing reads (runs are sequential); it
+# stays so old command lines and config files keep their exit codes.
 MAX_THREADS = 64
 # Upper bound of ``dim``: jet algebras grow steeply with n (the klein
 # tensors take 1.7 s at n = 6 and 4.7 s at n = 7).

@@ -144,11 +144,10 @@ def homogeneity_residual(omega, at):
     return abs(dC - jet.value)
 
 
-def is_parallel(m, omega, samples, tol=None, scheme="ad", threads=1):
+def is_parallel(m, omega, samples, tol=None, scheme="ad"):
     """Aggregate the three parallelness residuals over >= 10 samples from
     C, delta beta (kept in the report), Phi and R, each taken once per
-    sample, possibly on a thread pool (results are identical to the
-    sequential order)."""
+    sample."""
     if len(samples) < 10:
         raise InsufficientSamples("is_parallel needs at least 10 samples")
     if tol is None:
@@ -174,8 +173,8 @@ def is_parallel(m, omega, samples, tol=None, scheme="ad", threads=1):
     maxima = {"covariant": 0.0, "delta": 0.0, "curvature": 0.0}
     worst = {k: None for k in maxima}
     deltas = []
-    for at, (delta, vals) in zip(samples, sampling.map_samples(
-            residuals, samples, threads)):
+    for at, (delta, vals) in zip(samples, sampling.map_samples(residuals,
+                                                               samples)):
         deltas.append(delta)
         for k, v in vals.items():
             if v > maxima[k]:

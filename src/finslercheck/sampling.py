@@ -6,8 +6,6 @@ sphere, which suffices by homogeneity.  Coordinates are Python floats.
 Identical seeds give identical samples on every platform numpy supports.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .calculus import TangentSample
@@ -79,10 +77,6 @@ def rs_grid(r_lo=0.05, r_hi=0.6, nr=20, ns=20, s_frac=0.95):
     return pts
 
 
-def map_samples(fn, samples, threads=1):
-    """Apply fn over samples, optionally with a thread pool; order is
-    preserved so results are independent of the worker count."""
-    if threads <= 1:
-        return [fn(s) for s in samples]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, samples))
+def map_samples(fn, samples):
+    """fn applied to each sample, in order: the runners' per-sample loop."""
+    return [fn(s) for s in samples]

@@ -221,14 +221,15 @@ def parallel_q(factor, P, rs):
     """The Q characterised by a parallel form b_i = f(r) x_i and a free P:
     Q = s^2 f'/(2 r^3 f) - s P / r^2 + 1/(2 r^2)."""
     r, s = rs
-    rv, fv = scalars.value(r), scalars.value(factor.f(r))
+    f = factor.f(r)
+    rv, fv = scalars.value(r), scalars.value(f)
     i = _first(np.equal(rv, 0.0) | np.equal(fv, 0.0))
     if i is not None:
         raise SingularDenominator(
             f"parallel_q needs r > 0 and f(r) != 0 (r={_row(rv, i):g}, "
             f"f={_row(fv, i):g})")
     Pv = P(r, s) if callable(P) else P
-    return (s * s * factor.d(r) / (2.0 * r ** 3 * factor.f(r))
+    return (s * s * factor.d(r) / (2.0 * r ** 3 * f)
             - s * Pv / (r * r) + 1.0 / (2.0 * r * r))
 
 

@@ -172,14 +172,6 @@ def test_is_parallel_fd_scheme(funk3, samples10):
     assert rep_bad.verdict is Verdict.NOT_PARALLEL
 
 
-def test_is_parallel_threads_match(funk3, funk_family, samples20):
-    seq = forms.is_parallel(funk3.model, funk_family, samples20)
-    par = forms.is_parallel(funk3.model, funk_family, samples20, threads=4)
-    assert seq.max_covariant == par.max_covariant
-    assert seq.max_delta == par.max_delta
-    assert seq.max_curvature == par.max_curvature
-
-
 def test_randers_lift_euclidean(euclid3):
     omega = OneForm.constant((0.5, 0.0, 0.0))
     lift = forms.randers_lift(euclid3.model, omega)

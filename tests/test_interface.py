@@ -4,11 +4,14 @@ import contextlib
 import csv
 import io
 import json
-import threading
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import finslercheck
 from finslercheck import catalogue, cli, forms, sampling, sphsym
 from finslercheck.config import (MAX_DIM, MAX_THREADS, build_config,
                                  parse_config_file)
@@ -260,31 +263,36 @@ def test_sphsym_sweep_csv(tmp_path):
     assert len(lines) == 26
 
 
-@pytest.mark.parametrize("command,part", [("tensors", "data"),
-                                          ("invariants", "checks")],
-                         ids=["tensors", "invariants"])
-def test_threads_match_sequential(command, part, tmp_path):
-    argv = [command, "--metric", "klein", "--samples", "10", "--seed", "4"]
-    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert cli.main(argv + ["--out", str(out1)]) == 0
-    assert cli.main(argv + ["--threads", "4", "--out", str(out2)]) == 0
-    a = json.loads(out1.read_text())
-    b = json.loads(out2.read_text())
-    assert a[part] == b[part]
+def _report_without_threads(path, threads):
+    """The report at path, less its timestamp and output path, with the
+    echoed ``threads`` checked and removed."""
+    report = json.loads(path.read_text())
+    del report["generated_at"]
+    config = report["config"]
+    del config["out"]
+    assert config.pop("threads") == threads
+    return report
 
 
-def test_invariants_spreads_samples_over_threads(monkeypatch, capsys):
-    counts = []
-    spread = cli.map_samples
-
-    def counted(fn, samples, threads=1):
-        counts.append(threads)
-        return spread(fn, samples, threads)
-
-    monkeypatch.setattr(cli, "map_samples", counted)
-    assert cli.main(["invariants", "--metric", "klein", "--samples", "10",
-                     "--threads", "2"]) == 0
-    assert counts == [2]
+@pytest.mark.parametrize("argv", [
+    ["check-parallel", "--metric", "funk_parallel", "--a", "0.5,0.1,0",
+     "--c", "1", "--cmu", "0,0.2", "--samples", "10"],
+    ["scan", "--metric", "klein", "--x-points", "2", "--y-samples", "5"],
+], ids=["check-parallel", "scan"])
+def test_threads_key_is_inert(argv, tmp_path):
+    # --threads is accepted and echoed, but every run is the same
+    # sequential loop: only the echoed value differs
+    command = argv[0]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[{command}]\nthreads = 4\n")
+    ref, flag, conf = (tmp_path / f"{n}.json" for n in ("ref", "flag", "conf"))
+    assert cli.main(argv + ["--threads", "1", "--out", str(ref)]) == 0
+    assert cli.main(argv + ["--threads", "4", "--out", str(flag)]) == 0
+    assert cli.main(["--config", str(cfg)] + argv
+                    + ["--out", str(conf)]) == 0
+    expected = _report_without_threads(ref, 1)
+    assert _report_without_threads(flag, 4) == expected
+    assert _report_without_threads(conf, 4) == expected
 
 
 @pytest.mark.parametrize("command", ["tensors", "invariants"])
@@ -301,12 +309,20 @@ def test_euler_chain_keeps_ad_tolerance_under_fd(command, tmp_path):
     assert checks["euler_chain"]["pass"]
 
 
-def test_threads_capped_at_config_time(monkeypatch, capsys):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was created")
+def test_cli_imports_no_thread_pool():
+    # a fresh interpreter: importing the CLI loads no concurrent.futures
+    # (numpy alone does not either), which costs every run import time
+    src = str(Path(finslercheck.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import finslercheck.cli; "
+            "print(sorted(m for m in sys.modules if m == 'concurrent' "
+            "or m.startswith('concurrent.')))")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
-    monkeypatch.setattr(sampling, "ThreadPoolExecutor", no_pool)
-    monkeypatch.setattr(threading.Thread, "start", no_pool)
+
+def test_threads_capped_at_config_time(capsys):
     assert build_config("scan", overrides={"threads": MAX_THREADS}).threads \
         == MAX_THREADS
     with pytest.raises(ConfigError, match="threads"):
@@ -420,8 +436,9 @@ _OPTIONAL = {
     # output paths the run rejects before computing: nothing is written
     "--out": st.sampled_from(("/nonexistent-dir/r.json", ".")),
     "--format": _choice("json", "csv", "xml"),
-    # 1 or outside 1..MAX_THREADS: no thread pool is ever started
-    "--threads": _choice("1", "0", "-4", str(MAX_THREADS + 1), "10000"),
+    # accepted in 1..MAX_THREADS with no effect, rc 2 outside it
+    "--threads": _choice("1", "2", str(MAX_THREADS), "0", "-4",
+                         str(MAX_THREADS + 1), "10000"),
     "--x-points": _int(-2, 4) | _FLOAT,
     "--y-samples": _int(-1, 6),
     "--grid-nr": _int(-2, 4) | _FLOAT,

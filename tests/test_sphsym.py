@@ -298,6 +298,20 @@ def test_parallel_q_values():
         parallel_q(fzero, 0.0, (0.5, 0.1))
 
 
+def test_parallel_q_evaluates_f_once_and_its_jet_once():
+    # one float f(r) serves the guard and the formula; f' takes one jet
+    calls = []
+
+    def f(r):
+        calls.append(r)
+        return 1.0 + r * r
+
+    q = parallel_q(RadialFactor(f), lambda r, s: r * s / 10.0, (0.5, 0.2))
+    assert len(calls) == 2
+    assert q == pytest.approx(0.2 ** 2 * 1.0 / (2 * 0.5 ** 3 * 1.25)
+                              - 0.2 * 0.01 / 0.25 + 1 / (2 * 0.25))
+
+
 FACTORS = [
     RadialFactor(lambda r: 1.0, df=lambda r: 0.0, name="1"),
     RadialFactor(lambda r: 1.0 + r * r, df=lambda r: 2.0 * r, name="1+r^2"),
