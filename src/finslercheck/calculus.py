@@ -113,8 +113,9 @@ class Jet:
     or series of ``alg`` (a trailing table axis) for Taylor-valued inputs.
     A flat AD jet also keeps the Taylor scalar it was read from as ``series``
     and that series' ``stair``; partials outside the stair raise KeyError.
-    A jet of Taylor rows has a row axis before the coefficient axis: its
-    float entries are per-row arrays, its series entries :class:`TRows`.
+    A jet of Taylor rows has a trailing row axis, after the coefficient
+    axis: its float entries are per-row arrays, its series entries
+    :class:`TRows`.
     """
 
     def __init__(self, nvars, caps, table, series=None, alg=None,
@@ -155,7 +156,8 @@ class Jet:
     def dense(self, *orders):
         """Every partial of the given order per group, one axis per
         differentiation: ``dense(1, 2)[k, i, j]`` is ``pvars((k,), (i, j))``.
-        Series entries keep their trailing coefficient axis."""
+        Series entries keep their trailing coefficient axis, and rows
+        their row axis last."""
         ix, shape = _dense_index(self.nvars, self.caps, orders, self.stair)
         return self.table[ix].reshape(shape + self.table.shape[len(ix):])
 
@@ -193,7 +195,7 @@ def _ad_series(fn, groups, caps, *, stair=None):
     if rows:
         def seed(bi, vi, v):
             return TRows.variable(alg, bi, vi, np.broadcast_to(v, rows[0]))
-        const = TRows(alg, np.zeros((rows[0], alg.size)))._constant
+        const = TRows(alg, np.zeros((alg.size, rows[0])))._constant
     else:
         seed, const = alg.variable, alg.constant
     seeded = [tuple(seed(bi, vi, v) for vi, v in enumerate(g))
@@ -215,12 +217,11 @@ def _weights(alg):
 
 def series_jet(t):
     """Partials table of a flat Taylor scalar, one group per block; of
-    Taylor rows, with a trailing row axis."""
+    Taylor rows, with their trailing row axis kept last."""
     nvars, caps = zip(*t.alg.blocks)
-    if t.c.ndim == 1:
-        table = t.c.reshape(t.alg.sizes) * _weights(t.alg)
-    else:
-        table = t.c.T.reshape(t.alg.sizes + (-1,)) * _weights(t.alg)[..., None]
+    rows = t.c.shape[1:]
+    table = (t.c.reshape(t.alg.sizes + rows)
+             * _weights(t.alg).reshape(t.alg.sizes + (1,) * len(rows)))
     return Jet(nvars, caps, table, series=t, stair=t.alg.stair)
 
 
@@ -273,10 +274,10 @@ def _ad_jets(fn, groups, caps, *, stair=None):
         shifted = np.array([t.partial(m, target).c for m in multis])
         if D.ndim == 2:
             prod = shifted.T @ D
-        else:  # Taylor rows: each row's product, stacked
-            prod = (shifted.transpose(1, 2, 0)
-                    @ D.transpose(1, 0, 2)).transpose(1, 0, 2)
-        table = w * prod.reshape(target.sizes + prod.shape[1:-1] + (-1,))
+        else:  # Taylor rows: each row's product, stacked, row axis last
+            prod = (shifted.transpose(2, 1, 0)
+                    @ D.transpose(2, 0, 1)).transpose(1, 2, 0)
+        table = w * prod.reshape(target.sizes + prod.shape[1:])
         jets.append(Jet(nvars, caps, table, alg=outer).check_finite())
     return jets
 
@@ -284,9 +285,9 @@ def _ad_jets(fn, groups, caps, *, stair=None):
 def jet_of_rows(fn, groups, caps):
     """AD jet of the scalar field ``fn`` at each row of the float arrays
     ``groups`` (one ``(rows, nvars)`` array per group), from one pipeline
-    of :class:`TRows`.  The table carries a trailing row axis, so a partial
-    reads as one value per row, and row r equals the jet of ``fn`` at row r
-    alone bit for bit."""
+    of :class:`TRows`.  The table carries the rows' trailing axis, so a
+    partial reads as one value per row, and row r equals the jet of ``fn``
+    at row r alone bit for bit."""
     return _ad_jets(lambda *gs: (fn(*gs),), [tuple(g.T) for g in groups],
                     caps)[0]
 

@@ -9,7 +9,7 @@ Identical seeds give identical samples on every platform numpy supports.
 import numpy as np
 
 from .calculus import TangentSample
-from .errors import BadParameter
+from .errors import BadParameter, FinslerCheckError
 
 DEFAULT_RADIUS = 0.6
 
@@ -78,5 +78,13 @@ def rs_grid(r_lo=0.05, r_hi=0.6, nr=20, ns=20, s_frac=0.95):
 
 
 def map_samples(fn, samples):
-    """fn applied to each sample, in order: the runners' per-sample loop."""
-    return [fn(s) for s in samples]
+    """fn applied to each sample, in order: the runners' per-sample loop.
+    An error names the sample it was raised at."""
+    out = []
+    for s in samples:
+        try:
+            out.append(fn(s))
+        except FinslerCheckError as exc:
+            exc.args = (f"{exc} at the sample {s!r}",)
+            raise
+    return out

@@ -36,15 +36,18 @@ functions, and with it their rounding); the dropped slots are never
 written and stay zero.  The geometry pipeline keeps its energy and spray
 jets on the staircases the tensor ops read.
 
-:class:`TRows` carries a batch of series of one algebra, one per row of a
-``(rows, size)`` coefficient array, through one pipeline (vector-mode
-Taylor propagation, Griewank & Walther ch. 13).  The finite-difference
-oracle evaluates a jet's stencil points this way, and ``sphsym`` its
-(r, s) grid.  Each row is bit for bit the series computed from that row
-alone: the kernel sums each row's triples in the single-series order,
-and the value-dependent parts (domain checks, the derivative lists of
-the analytic functions) run TNum's own code on each row's value, never a
-numpy ufunc, whose vectorised transcendentals may round differently.
+:class:`TRows` carries a batch of series of one algebra, one per row, through
+one pipeline (vector-mode Taylor propagation, Griewank & Walther ch. 13).
+Its coefficients are stored coefficient-major, as a ``(size, rows)`` array
+with the row axis last, so ``c[0]`` is the value and ``c[idx]`` a shift
+whether ``c`` holds one series or a batch, and TRows runs TNum's own
+operations.  The finite-difference oracle evaluates a jet's stencil points
+this way, and ``sphsym`` its (r, s) grid.  Each row is bit for bit the
+series computed from that row alone: the kernel sums each row's triples in
+the single-series order, and the derivative lists of the analytic
+functions, domain checks included, come from the same scalar functions
+at each row's value, never from a numpy ufunc, whose vectorised
+transcendentals may round differently.
 
 Arithmetic is exact to machine rounding: results agree with symbolic
 differentiation up to float64 round-off.
@@ -146,7 +149,7 @@ class Algebra:
             [self.keeps((sum(m0), sum(m1)))
              for m0 in self.monos[0] for m1 in self.monos[1]])
         self._tables = None
-        self._row_bins = np.zeros(0, dtype=np.intp)
+        self._row_bins = (0, None)
         self._partial_maps = {}
 
     def keeps(self, degrees):
@@ -176,14 +179,17 @@ class Algebra:
         return self._tables
 
     def row_bins(self, rows):
-        """The kernel's output bins for ``rows`` series at once: each
-        triple's output slot plus ``size`` times its row, flattened row by
-        row.  Fewer rows take a prefix of the same bins, so one array is
-        cached, grown to the most rows asked for."""
-        oo = self.tables()[2]
-        if len(self._row_bins) < rows * len(oo):
-            self._row_bins = (oo + self.size * np.arange(rows)[:, None]).ravel()
-        return self._row_bins[:rows * len(oo)]
+        """The kernel's output bins for ``rows`` series at once, with the
+        row axis last: each triple's output slot times ``rows``, plus its
+        row.  Only the last row count's bins are cached: a batch runs all
+        its multiplies at one row count, so they are built about once per
+        batch, where one array per row count would hold up to
+        ``calculus.FD_BATCH`` of them for good."""
+        if self._row_bins[0] != rows:
+            oo = self.tables()[2]
+            self._row_bins = (rows,
+                              (oo[:, None] * rows + np.arange(rows)).ravel())
+        return self._row_bins[1]
 
     def partial_map(self, multi, target):
         """(source index, weight, target slots) for the partial derivative
@@ -264,13 +270,63 @@ def _integral(p):
         isinstance(p, float) and p.is_integer())
 
 
+def _pow_derivs(v, cap, p):
+    """The derivatives of x**p at v, orders 0..cap."""
+    if not (v > 0.0):
+        raise NonFiniteValue(f"x**{p} with non-positive base {v}")
+    derivs, fall = [], 1.0
+    for k in range(cap + 1):
+        derivs.append(fall * v ** (p - k))
+        fall *= (p - k)
+    return derivs
+
+
+def _sqrt_derivs(v, cap):
+    if not (v > 0.0):
+        raise NonFiniteValue(f"sqrt of non-positive Taylor value {v}")
+    return _pow_derivs(v, cap, 0.5)
+
+
+def _reciprocal_derivs(v, cap):
+    if v == 0.0 or not math.isfinite(v):
+        raise NonFiniteValue("division by a Taylor scalar with zero "
+                             "or non-finite value")
+    return [math.factorial(k) * (-1.0) ** k / v ** (k + 1)
+            for k in range(cap + 1)]
+
+
+def _exp_derivs(v, cap):
+    try:
+        ev = math.exp(v)
+    except OverflowError:
+        raise NonFiniteValue(f"exp overflow at {v}") from None
+    return [ev] * (cap + 1)
+
+
+def _log_derivs(v, cap):
+    if not (v > 0.0):
+        raise NonFiniteValue(f"log of non-positive Taylor value {v}")
+    derivs = [math.log(v)]
+    for k in range(1, cap + 1):
+        derivs.append(math.factorial(k - 1) * (-1.0) ** (k - 1) / v ** k)
+    return derivs
+
+
+def _sin_derivs(v, cap, quarter=0):
+    """The derivatives of sin(x + quarter * pi/2) at v; cos at quarter 1."""
+    cyc = (math.sin(v), math.cos(v), -math.sin(v), -math.cos(v))
+    return [cyc[(k + quarter) % 4] for k in range(cap + 1)]
+
+
 class TNum:
     """A truncated Taylor polynomial (scalar with carried derivatives).
 
     Supports +, -, *, /, ** with other TNums of the same algebra and with
     plain numbers, plus the analytic functions needed by the metric
     catalogue (sqrt/exp/log/sin/cos/abs).  Values that leave the real
-    domain raise :class:`NonFiniteValue`.
+    domain raise :class:`NonFiniteValue`.  Every operation indexes the
+    coefficient axis first and builds ``type(self)``, so :class:`TRows`
+    runs the same code.
     """
 
     __slots__ = ("alg", "c")
@@ -284,7 +340,9 @@ class TNum:
         return self.c[0]
 
     def _constant(self, v):
-        return self.alg.constant(v)
+        c = np.zeros(self.c.shape)
+        c[0] = v
+        return type(self)(self.alg, c)
 
     def __float__(self):
         raise TypeError("TNum carries derivatives; use scalars.value() "
@@ -305,44 +363,46 @@ class TNum:
     def __add__(self, other):
         o = self._coerce(other)
         if o is not None:
-            return TNum(self.alg, self.c + o.c)
+            return type(self)(self.alg, self.c + o.c)
         c = self.c.copy()
         c[0] += other
-        return TNum(self.alg, c)
+        return type(self)(self.alg, c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TNum(self.alg, -self.c)
+        return type(self)(self.alg, -self.c)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is not None:
-            return TNum(self.alg, self.c - o.c)
+            return type(self)(self.alg, self.c - o.c)
         c = self.c.copy()
         c[0] -= other
-        return TNum(self.alg, c)
+        return type(self)(self.alg, c)
 
     def __rsub__(self, other):
         c = -self.c
         c[0] += other
-        return TNum(self.alg, c)
+        return type(self)(self.alg, c)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            return TNum(self.alg, self.c * other)
+            return type(self)(self.alg, self.c * other)
         ii, jj, oo = self.alg.tables()
-        return TNum(self.alg,
-                    _backend.mul_accumulate(ii, jj, oo, self.c, o.c,
-                                            self.alg.size))
+        if self.c.ndim > 1:
+            oo = self.alg.row_bins(self.c.shape[1])
+        return type(self)(self.alg,
+                          _backend.mul_accumulate(ii, jj, oo, self.c, o.c,
+                                                  self.alg.size))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            return TNum(self.alg, self.c / other)
+            return type(self)(self.alg, self.c / other)
         return self * o._reciprocal()
 
     def __rtruediv__(self, other):
@@ -361,74 +421,42 @@ class TNum:
                 base = base * base
                 k >>= 1
             return out
-        v = self.value()
-        if not (v > 0.0):
-            raise NonFiniteValue(f"x**{p} with non-positive base {v}")
-        derivs, fall = [], 1.0
-        for k in range(self.alg.total_cap + 1):
-            derivs.append(fall * v ** (p - k))
-            fall *= (p - k)
-        return self._compose(derivs)
+        return self._analytic(_pow_derivs, p)
 
     # -- analytic functions (truncated composition) -------------------------
+
+    def _analytic(self, derivs, *args):
+        """Compose with the derivative list ``derivs(v, cap, *args)``
+        gives at the value v."""
+        return self._compose(derivs(self.value(), self.alg.total_cap, *args))
 
     def _compose(self, derivs):
         """sum_k derivs[k]/k! * (self - value)^k, Horner-evaluated; for
         :class:`TRows` row-wise, ``derivs[k]`` holding one value per row."""
         e = type(self)(self.alg, self.c.copy())
-        e.c[..., 0] = 0.0
+        e.c[0] = 0.0
         acc = self._constant(derivs[-1] / math.factorial(len(derivs) - 1))
         for k in range(len(derivs) - 2, -1, -1):
             acc = acc * e + derivs[k] / math.factorial(k)
         return acc
 
     def _reciprocal(self):
-        v = self.value()
-        if v == 0.0 or not np.isfinite(v):
-            raise NonFiniteValue("division by a Taylor scalar with zero "
-                                 "or non-finite value")
-        derivs = [math.factorial(k) * (-1.0) ** k / v ** (k + 1)
-                  for k in range(self.alg.total_cap + 1)]
-        return self._compose(derivs)
+        return self._analytic(_reciprocal_derivs)
 
     def sqrt(self):
-        v = self.value()
-        if not (v > 0.0):
-            raise NonFiniteValue(f"sqrt of non-positive Taylor value {v}")
-        derivs, fall = [], 1.0
-        for k in range(self.alg.total_cap + 1):
-            derivs.append(fall * v ** (0.5 - k))
-            fall *= (0.5 - k)
-        return self._compose(derivs)
+        return self._analytic(_sqrt_derivs)
 
     def exp(self):
-        v = self.value()
-        try:
-            ev = math.exp(v)
-        except OverflowError:
-            raise NonFiniteValue(f"exp overflow at {v}") from None
-        return self._compose([ev] * (self.alg.total_cap + 1))
+        return self._analytic(_exp_derivs)
 
     def log(self):
-        v = self.value()
-        if not (v > 0.0):
-            raise NonFiniteValue(f"log of non-positive Taylor value {v}")
-        derivs = [math.log(v)]
-        for k in range(1, self.alg.total_cap + 1):
-            derivs.append(math.factorial(k - 1) * (-1.0) ** (k - 1) / v ** k)
-        return self._compose(derivs)
+        return self._analytic(_log_derivs)
 
     def sin(self):
-        v = self.value()
-        cyc = (math.sin(v), math.cos(v), -math.sin(v), -math.cos(v))
-        return self._compose([cyc[k % 4]
-                              for k in range(self.alg.total_cap + 1)])
+        return self._analytic(_sin_derivs)
 
     def cos(self):
-        v = self.value()
-        cyc = (math.cos(v), -math.sin(v), -math.cos(v), math.sin(v))
-        return self._compose([cyc[k % 4]
-                              for k in range(self.alg.total_cap + 1)])
+        return self._analytic(_sin_derivs, 1)
 
     def absolute(self):
         # non-differentiable at 0; callers sample away from the crease
@@ -440,11 +468,15 @@ class TNum:
         """The partial derivative d^multi of this series (per-block exponent
         tuples), as a series of the smaller algebra ``target``."""
         idx, w, pos = self.alg.partial_map(multi, target)
+        shape = target.size
+        if self.c.ndim > 1:  # rows: broadcast the weights over the row axis
+            w = w[:, None]
+            shape = (shape, self.c.shape[1])
         if pos is None:
-            return TNum(target, self.c[idx] * w)
-        c = np.zeros(target.size)
+            return type(self)(target, self.c[idx] * w)
+        c = np.zeros(shape)
         c[pos] = self.c[idx] * w
-        return TNum(target, c)
+        return type(self)(target, c)
 
     # -- coefficient access --------------------------------------------------
 
@@ -456,28 +488,17 @@ class TNum:
         return bool(np.isfinite(self.c).all())
 
 
-class _RowDerivs(TNum):
-    """One row of a :class:`TRows` as a single series: TNum's
-    value-dependent methods run on it unchanged, domain checks included,
-    and return their derivative lists instead of composing them."""
-
-    __slots__ = ()
-
-    def _compose(self, derivs):
-        return derivs
-
-
 class TRows(TNum):
-    """A batch of truncated Taylor polynomials of one algebra, one per row
-    of ``c`` (shape ``(rows, size)``), carried through one pipeline.
+    """A batch of truncated Taylor polynomials of one algebra, carried
+    through TNum's own operations: ``c`` has shape ``(size, rows)``, and
+    row r of the batch is its column r.
 
     Row r of every result equals, bit for bit, the TNum computed from row r
     alone: the kernel sums each row's triples in the single-series order,
-    the other ring operations are elementwise, and the value-dependent
-    parts (domain checks, the derivative lists of the analytic functions,
-    the sign of ``absolute``) run TNum's own code on each row's value.  A
-    domain error names the first failing row's value.  Plain operands are
-    numbers, or per-row arrays in + and -.
+    the other ring operations are elementwise, and the derivative lists of
+    the analytic functions, domain checks included, are computed from each
+    row's value by the same scalar code.  A domain error names the first
+    failing row's value.  Plain operands are numbers or per-row arrays.
     """
 
     __slots__ = ()
@@ -486,113 +507,19 @@ class TRows(TNum):
     def variable(cls, alg, block, var, base):
         """``alg.variable(block, var, b)`` for each b of the array
         ``base``."""
-        c = np.repeat(alg.variable(block, var, 0.0).c[None, :], len(base),
-                      axis=0)
-        c[:, 0] = base
+        c = np.repeat(alg.variable(block, var, 0.0).c[:, None], len(base),
+                      axis=1)
+        c[0] = base
         return cls(alg, c)
 
-    def value(self):
-        return self.c[:, 0]
-
     def __repr__(self):
-        return f"TRows(rows={len(self.c)}, blocks={self.alg.blocks})"
+        return f"TRows(rows={self.c.shape[1]}, blocks={self.alg.blocks})"
 
-    def _constant(self, v):
-        c = np.zeros(self.c.shape)
-        c[:, 0] = v
-        return TRows(self.alg, c)
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is not None:
-            return TRows(self.alg, self.c + o.c)
-        c = self.c.copy()
-        c[:, 0] += other
-        return TRows(self.alg, c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TRows(self.alg, -self.c)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is not None:
-            return TRows(self.alg, self.c - o.c)
-        c = self.c.copy()
-        c[:, 0] -= other
-        return TRows(self.alg, c)
-
-    def __rsub__(self, other):
-        c = -self.c
-        c[:, 0] += other
-        return TRows(self.alg, c)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return TRows(self.alg, self.c * other)
-        ii, jj, _ = self.alg.tables()
-        return TRows(self.alg,
-                     _backend.mul_accumulate(ii, jj,
-                                             self.alg.row_bins(len(self.c)),
-                                             self.c, o.c, self.alg.size))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return TRows(self.alg, self.c / other)
-        return self * o._reciprocal()
-
-    def __rtruediv__(self, other):
-        return self._reciprocal() * other
-
-    def __pow__(self, p):
-        if _integral(p):
-            return TNum.__pow__(self, p)
-        return self._per_row(TNum.__pow__, p)
-
-    # -- analytic functions (truncated composition) -------------------------
-
-    def _per_row(self, method, *args):
-        """Compose with the derivative lists ``method`` gives per row."""
-        derivs = [method(_RowDerivs(self.alg, row), *args) for row in self.c]
-        return self._compose(np.array(derivs, dtype=float).T)
-
-    def _reciprocal(self):
-        return self._per_row(TNum._reciprocal)
-
-    def sqrt(self):
-        return self._per_row(TNum.sqrt)
-
-    def exp(self):
-        return self._per_row(TNum.exp)
-
-    def log(self):
-        return self._per_row(TNum.log)
-
-    def sin(self):
-        return self._per_row(TNum.sin)
-
-    def cos(self):
-        return self._per_row(TNum.cos)
+    def _analytic(self, derivs, *args):
+        cap = self.alg.total_cap
+        per_row = [derivs(v, cap, *args) for v in self.value().tolist()]
+        return self._compose(np.array(per_row, dtype=float).T)
 
     def absolute(self):
         # TNum negates unless value >= 0, so a NaN row is negated too
-        flip = ~(self.c[:, 0] >= 0.0)
-        return TRows(self.alg, np.where(flip[:, None], -self.c, self.c))
-
-    # -- derivative shift ----------------------------------------------------
-
-    def partial(self, multi, target):
-        """:meth:`TNum.partial` of each row."""
-        idx, w, pos = self.alg.partial_map(multi, target)
-        if pos is None:
-            return TRows(target, self.c[:, idx] * w)
-        c = np.zeros((len(self.c), target.size))
-        c[:, pos] = self.c[:, idx] * w
-        return TRows(target, c)
+        return TRows(self.alg, np.where(self.value() >= 0.0, self.c, -self.c))

@@ -1,7 +1,8 @@
 """The truncated-Taylor multiply kernel: out[oo[t]] += a[ii[t]] * b[jj[t]]
 over an algebra's precomputed sparse index triples, as one numpy
-``bincount``.  For a batch of rows (2-D ``a``, one series per row) ``oo``
-holds the flattened bins ``oo + size * r`` of every row r (cached on the
+``bincount``.  For a batch of series (2-D ``a`` of shape ``(size, rows)``,
+the row axis last) ``a[ii]`` gathers whole coefficient rows, and ``oo``
+holds the flattened bins ``oo * rows + r`` of every row r (cached on the
 algebra, ``Algebra.row_bins``), so each row sums its triples in the same
 order as a single series does."""
 
@@ -13,6 +14,5 @@ import numpy as np
 def mul_accumulate(ii, jj, oo, a, b, size):
     if a.ndim == 1:
         return np.bincount(oo, weights=a[ii] * b[jj], minlength=size)
-    rows = len(a)
-    return np.bincount(oo, weights=(a[:, ii] * b[..., jj]).ravel(),
-                       minlength=size * rows).reshape(rows, size)
+    return np.bincount(oo, weights=(a[ii] * b[jj]).ravel(),
+                       minlength=a.size).reshape(a.shape)

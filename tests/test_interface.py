@@ -144,6 +144,28 @@ def test_cli_domain_error_exit_three(capsys):
     assert "domain error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, options, rc, prefix", [
+    ("check-parallel", {"metric": "euclidean", "form": "log(x1),0,0"},
+     3, "numeric domain error: log of non-positive Taylor value "),
+    ("invariants", {"metric": "funk_parallel", "a": "0.99999999,0,0"},
+     4, "internal self-check failure: spray component 0 is not "
+        "2-homogeneous"),
+])
+def test_cli_error_names_the_failing_sample(command, options, rc, prefix,
+                                            capsys):
+    options = dict(options, samples="10")
+    argv = [command] + [a for k, v in options.items() for a in (f"--{k}", v)]
+    assert cli.main(argv) == rc
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(prefix)
+    cfg = build_config(command, overrides=options)
+    named = [at for at in cli._samples(cfg, cli._resolve_metric(cfg)[1])
+             if err.endswith(f" at the sample {at!r}")]
+    assert len(named) == 1
+    if rc == 3:  # log(x1) fails at the named sample's own x1
+        assert err.startswith(f"{prefix}{named[0].x[0]!r} at the sample")
+
+
 def test_sphsym_checks_the_radius_before_the_grid(monkeypatch, capsys):
     calls = []
     residuals = sphsym.metrizability_residuals

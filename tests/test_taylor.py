@@ -287,6 +287,8 @@ def test_partial_into_a_stair_writes_only_kept_slots():
 
 
 # -- Taylor rows: a batch equals its rows one by one, bit for bit -------------
+# A batch keeps its rows in the trailing axis, ``c`` of shape (size, rows),
+# so each test below builds its rows as (rows, size) and transposes them.
 
 ROW_OPS = {
     "kernel": lambda a, b: a * b,
@@ -317,11 +319,11 @@ def test_rows_equal_single_series_bit_for_bit(blocks):
     cb = rng.normal(size=(rows, alg.size))
     cb[:, 0] = rng.uniform(-3.0, 3.0, rows)  # both signs for absolute
     for name, op in ROW_OPS.items():
-        got = op(TRows(alg, ca), TRows(alg, cb))
+        got = op(TRows(alg, ca.T.copy()), TRows(alg, cb.T.copy()))
         assert isinstance(got, TRows), name
         ref = [op(TNum(alg, ca[r].copy()), TNum(alg, cb[r].copy())).c
                for r in range(rows)]
-        assert np.array_equal(got.c, np.array(ref)), name
+        assert np.array_equal(got.c.T, np.array(ref)), name
 
 
 def test_rows_seed_variables_like_single_series():
@@ -329,42 +331,64 @@ def test_rows_seed_variables_like_single_series():
     base = np.array([0.5, -1.25, 3.0])
     rows = TRows.variable(alg, 1, 0, base)
     for r, b in enumerate(base):
-        assert np.array_equal(rows.c[r], alg.variable(1, 0, b).c)
+        assert np.array_equal(rows.c[:, r], alg.variable(1, 0, b).c)
+
+
+# analytic ops with the values of four rows: the second row fails first
+ROW_DOMAIN_ERRORS = {
+    "log": (lambda a: a.log(), [1.0, -0.25, 2.0, -3.0]),
+    "reciprocal": (lambda a: 1.0 / a, [1.0, 0.0, 2.0, np.inf]),
+    "pow_neg_float": (lambda a: a ** -0.3, [1.0, 0.0, 2.0, -3.0]),
+    "exp": (lambda a: a.exp(), [1.0, 800.0, 2.0, 900.0]),
+}
 
 
 def test_rows_domain_error_names_the_first_failing_value():
     alg = algebra(((2, 1), (2, 2)))
     c = np.zeros((4, alg.size))
     c[:, 0] = [1.0, -0.25, 2.0, -3.0]
-    rows = TRows(alg, c)
+    rows = TRows(alg, c.T.copy())
     with pytest.raises(NonFiniteValue, match=r"sqrt of non-positive "
                        r"Taylor value -0\.25$"):
         rows.sqrt()
     with pytest.raises(NonFiniteValue, match="non-positive base -0.25"):
         rows ** 0.5
+    # every other analytic op raises the first failing row's own message
+    for name, (op, values) in ROW_DOMAIN_ERRORS.items():
+        c[:, 0] = values
+        with pytest.raises(NonFiniteValue) as single:
+            op(TNum(alg, c[1].copy()))
+        with pytest.raises(NonFiniteValue) as batch:
+            op(TRows(alg, c.T.copy()))
+        assert str(batch.value) == str(single.value), name
 
 
 def test_rows_absolute_negates_a_nan_row_like_a_single_series():
     alg = algebra(((2, 1), (2, 2)))
     c = np.arange(3 * alg.size, dtype=float).reshape(3, alg.size)
     c[:, 0] = [-1.0, np.nan, 0.0]
-    got = TRows(alg, c).absolute().c
+    got = TRows(alg, c.T.copy()).absolute().c.T
     ref = [TNum(alg, row.copy()).absolute().c for row in c]
     assert np.array_equal(got, np.array(ref), equal_nan=True)
 
 
-@pytest.mark.parametrize("rows", [1, 63, 64])
-@pytest.mark.parametrize("blocks", [((1, 0), (1, 1)), ((2, 1), (2, 2))])
+# the staircase of the (1, 3) energy jet at n = 3, the largest the
+# geometry pipeline multiplies
+STAIRS = {((3, 2), (3, 5)): (5, 4, 2)}
+
+
+@pytest.mark.parametrize("rows", [1, 63, 64, 65])
+@pytest.mark.parametrize("blocks", [((1, 0), (1, 1)), ((2, 1), (2, 2)),
+                                    ((3, 2), (3, 5))])
 def test_rows_multiply_equals_per_row_product(blocks, rows):
     # the cached row bins sum each row's triples as a single series does
-    alg = algebra(blocks)
+    alg = algebra(blocks, STAIRS.get(blocks))
     ca, cb = np.random.default_rng(rows).normal(size=(2, rows, alg.size))
-    got = TRows(alg, ca) * TRows(alg, cb)
+    got = TRows(alg, ca.T.copy()) * TRows(alg, cb.T.copy())
     ref = [(TNum(alg, a.copy()) * TNum(alg, b.copy())).c
            for a, b in zip(ca, cb)]
-    assert np.array_equal(got.c, np.array(ref))
-    bins = alg.row_bins(64)
-    assert np.shares_memory(alg.row_bins(rows), bins)
+    assert np.array_equal(got.c.T, np.array(ref))
+    assert alg.row_bins(rows) is alg.row_bins(rows)
 
 
 def test_rows_partial_shifts_each_row():
@@ -372,7 +396,7 @@ def test_rows_partial_shifts_each_row():
     target = algebra(((2, 1), (2, 2)), (2, 1))
     c = np.random.default_rng(3).normal(size=(5, src.size))
     c[:, ~src.kept] = 0.0
-    got = TRows(src, c).partial(((1, 0), (0, 1)), target)
+    got = TRows(src, c.T.copy()).partial(((1, 0), (0, 1)), target)
     ref = [TNum(src, row).partial(((1, 0), (0, 1)), target).c for row in c]
     assert isinstance(got, TRows)
-    assert np.array_equal(got.c, np.array(ref))
+    assert np.array_equal(got.c.T, np.array(ref))
