@@ -58,17 +58,20 @@ def scalar_curvature_fit(m, samples, tol=1e-6, scheme="ad"):
     """Fit K per sample from trace(Phi) = K (n-1) F^2 and measure the
     residual of Phi - K (F^2 d^h_i - y_i y^h) with metric-lowered y_i."""
     n = m.n
-    ks, worst, scale = [], 0.0, 1.0
-    for at in samples:
+
+    def fit(at):
         phi = geometry.jacobi_endomorphism(m, at, scheme).components
         f2 = 2.0 * geometry.energy(m, at)
         y_up = np.asarray(at.y, dtype=float)
         y_low = geometry.metric_tensor(m, at, scheme).components @ y_up
         k = float(np.trace(phi)) / ((n - 1) * f2)
         model = k * (f2 * np.eye(n) - np.outer(y_up, y_low))
-        worst = max(worst, float(np.max(np.abs(phi - model))))
-        scale = max(scale, f2 * (1.0 + abs(k)))
-        ks.append(k)
+        return k, float(np.max(np.abs(phi - model))), f2 * (1.0 + abs(k))
+
+    fits = map_samples(fit, samples)
+    ks = [k for k, _, _ in fits]
+    worst = max([0.0, *(res for _, res, _ in fits)])
+    scale = max([1.0, *(sc for _, _, sc in fits)])
     verdict = (ScalarCurvatureVerdict.SCALAR_CURVATURE
                if worst <= tol * scale else ScalarCurvatureVerdict.NOT_SCALAR)
     return ScalarCurvatureFit(ks, worst, scale, tol, verdict,

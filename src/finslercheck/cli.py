@@ -323,13 +323,13 @@ def run_sphsym(cfg):
                            worst2 <= tol, npts, cfg.seed))
     report.add(CheckRecord("max_abs_Q", max_q, None, True, npts, cfg.seed))
 
-    worst_closure = 0.0
-    for at in samples:
+    def closure(at):
         G_pq = sphsym.spray_from_pq(pq, at).components
         G_ad = geometry.spray_coefficients(model, at).components
-        worst_closure = max(worst_closure,
-                            float(np.max(np.abs(G_pq - G_ad)))
-                            / (1.0 + float(np.max(np.abs(G_ad)))))
+        return (float(np.max(np.abs(G_pq - G_ad)))
+                / (1.0 + float(np.max(np.abs(G_ad)))))
+
+    worst_closure = max([0.0, *map_samples(closure, samples)])
     report.add(CheckRecord("pq_spray_closure", worst_closure, tol,
                            worst_closure <= tol, len(samples), cfg.seed))
     report.verdicts["classification"] = sphsym.classify_profile(

@@ -132,15 +132,27 @@ class MetricModel:
 
 
 def solve_linear(A, b):
-    """Solve A z = b by Gauss elimination with value-part pivoting; entries
-    may be floats or Taylor scalars."""
+    """Solve A z = b by Gauss-Jordan elimination with value-part pivoting.
+    Entries may be floats, Taylor scalars, or per-row float arrays of one
+    length; for arrays the pivot is taken per row, so row r does the float
+    operations of solving row r alone.  A zero pivot in any row raises
+    DegenerateMetric."""
     n = len(A)
     M = [list(row) + [b[i]] for i, row in enumerate(A)]
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(scalars.value(M[r][col])))
-        if abs(scalars.value(M[piv][col])) == 0.0:
+        mags = np.abs([scalars.value(M[r][col]) for r in range(col, n)])
+        if not mags.max(axis=0).all():
             raise DegenerateMetric("singular linear system in spray assembly")
-        M[col], M[piv] = M[piv], M[col]
+        # argmax, like max, takes the first of equal candidates
+        piv = col + mags.argmax(axis=0)
+        if mags.ndim > 1:
+            top = M[col]
+            for r in range(col + 1, n):
+                here = piv == r
+                M[col] = [np.where(here, er, ec) for ec, er in zip(M[col], M[r])]
+                M[r] = [np.where(here, et, er) for et, er in zip(top, M[r])]
+        else:
+            M[col], M[piv] = M[piv], M[col]
         inv = 1.0 / M[col][col]
         M[col] = [e * inv for e in M[col]]
         for r in range(n):
@@ -150,49 +162,16 @@ def solve_linear(A, b):
     return [M[i][n] for i in range(n)]
 
 
-def _solve_rows(A, b):
-    """:func:`solve_linear` on stacked float systems, ``A`` of shape
-    (rows, n, n) and ``b`` of shape (rows, n), with the pivot taken per
-    row: row r does the float operations of solving row r alone."""
-    rows, n = b.shape
-    M = np.concatenate([A, b[:, :, None]], axis=2)
-    at = np.arange(rows)
-    for col in range(n):
-        # argmax, like max, takes the first of equal candidates
-        piv = col + np.argmax(np.abs(M[:, col:, col]), axis=1)
-        if not np.abs(M[at, piv, col]).all():
-            raise DegenerateMetric("singular linear system in spray assembly")
-        top = M[at, piv]
-        M[at, piv] = M[:, col]
-        M[:, col] = top
-        inv = 1.0 / M[:, col, col]
-        M[:, col] = M[:, col] * inv[:, None]
-        for r in range(n):
-            if r != col:
-                M[:, r] = M[:, r] - M[:, r, col][:, None] * M[:, col]
-    return M[:, :, n]
-
-
-def _det_value(g):
-    return float(np.linalg.det(np.asarray(g, dtype=float)))
-
-
 DEGENERACY_REL = 1e-10
 
 
-def _check_nondegenerate(gv, n, context=""):
-    scale = float(np.mean(np.abs(np.diagonal(gv)))) or 1.0
-    det = _det_value(gv)
-    if abs(det) <= DEGENERACY_REL * scale ** n:
-        raise DegenerateMetric(
-            f"metric tensor degenerate (det={det:.3e}, scale={scale:.3e})"
-            + (f" {context}" if context else ""))
-
-
-def _check_nondegenerate_rows(g):
-    """:func:`_check_nondegenerate` on each (n, n) matrix of the stack
-    ``g``, with the same float operations per matrix."""
-    n = g.shape[-1]
+def _check_nondegenerate(g):
+    """Raise DegenerateMetric unless |det g| exceeds DEGENERACY_REL times
+    the n-th power of the mean |diagonal| entry.  ``g`` is one (n, n) value
+    matrix or a stack of them with the row axis last, checked row by row
+    with the same float operations as one matrix."""
+    n = len(g)
+    g = np.reshape(g, (n, n, -1)).transpose(2, 0, 1)
     scales = np.mean(np.abs(np.diagonal(g, axis1=1, axis2=2)), axis=1)
     for scale, det in zip(scales.tolist(), np.linalg.det(g).tolist()):
         scale = scale or 1.0
@@ -221,24 +200,22 @@ def _spray_system(n, y, d):
 
 def _assemble_spray(n, y, d):
     """G^i = 1/2 g^{ih} (y^j d_j dy_h E - d_h E) from the energy partials
-    ``d(xvars, yvars)``, floats or Taylor scalars of one algebra."""
+    ``d(xvars, yvars)``: floats, Taylor scalars of one algebra, or float
+    arrays over rows."""
     g, rhs = _spray_system(n, y, d)
-    gv = [[scalars.value(g[i][j]) for j in range(n)] for i in range(n)]
-    _check_nondegenerate(np.asarray(gv), n)
-    w = solve_linear(g, rhs)
-    return tuple(0.5 * wi for wi in w)
+    _check_nondegenerate(np.array([[scalars.value(e) for e in row]
+                                   for row in g]))
+    return tuple(0.5 * wi for wi in solve_linear(g, rhs))
 
 
 def _spray_rows(m, xs, ys):
     """The spray of an F-model at each row of the float arrays ``xs``,
     ``ys`` (rows, n), as one (rows, n) array: one (1, 2) energy jet over
-    the rows, partials read off per row, and the solve pivoted per row, so
-    row r equals ``_spray_scalars(m, xs[r], ys[r])`` bit for bit."""
+    the rows, assembled and solved by the single-sample code on its
+    per-row partials, so row r equals ``_spray_scalars(m, xs[r], ys[r])``
+    bit for bit."""
     jet = jet_of_rows(m.energy, (xs, ys), (1, 2))
-    g, rhs = _spray_system(m.n, ys.T, jet.pvars)
-    g = np.moveaxis(np.array(g), -1, 0)
-    _check_nondegenerate_rows(g)
-    return 0.5 * _solve_rows(g, np.transpose(rhs))
+    return np.transpose(_assemble_spray(m.n, ys.T, jet.pvars))
 
 
 def _spray_scalars(m, x, y):
@@ -351,7 +328,7 @@ def metric_tensor(m, at, scheme="ad"):
     m.require_F()
     jet = eval_jet(m.energy, at, JetOrder(0, 2), scheme=scheme)
     g = jet.dense(0, 2)
-    _check_nondegenerate(g, at.n)
+    _check_nondegenerate(g)
     return TensorValue(g, (("sym", (0, 1)),))
 
 

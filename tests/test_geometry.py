@@ -190,6 +190,8 @@ def test_degenerate_metric_detected():
         geometry.metric_tensor(m, at)
     with pytest.raises(DegenerateMetric):
         geometry.spray_coefficients(m, at)
+    with pytest.raises(DegenerateMetric):  # FD solves its stencil as rows
+        geometry.nonlinear_connection(m, at, scheme="fd")
 
 
 def test_delta_derivative_examples(euclid3, funk3):
@@ -605,6 +607,46 @@ def test_fd_spray_rows_equal_per_point_spray_with_mixed_pivots():
     ref = [geometry._spray_scalars(m, tuple(x), tuple(y))
            for x, y in zip(xs.tolist(), ys.tolist())]
     assert np.array_equal(got, np.array(ref, dtype=float))
+
+
+def _pivot_rows(A):
+    """The row each column's pivot is taken from by partial pivoting."""
+    M = [list(row) for row in A]
+    out = []
+    for col in range(len(M)):
+        p = max(range(col, len(M)), key=lambda r: abs(M[r][col]))
+        M[col], M[p] = M[p], M[col]
+        for r in range(col + 1, len(M)):
+            f = M[r][col] / M[col][col]
+            M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+        out.append(p)
+    return out
+
+
+def test_solve_linear_on_rows_equals_each_row_bit_for_bit():
+    # one diagonally dominant matrix with its rows in every order, so the
+    # pivots of columns 0 and 1 come from different rows per batch row
+    rng = np.random.default_rng(7)
+    D = np.diag([4.0, 3.0, 2.0]) + rng.uniform(-0.3, 0.3, (3, 3))
+    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    A = np.array([D[list(p)] for p in perms * 2]) \
+        + rng.uniform(-0.01, 0.01, (12, 3, 3))
+    b = rng.normal(size=(12, 3))
+    pivots = np.array([_pivot_rows(a) for a in A.tolist()])
+    assert set(pivots[:, 0]) == {0, 1, 2} and set(pivots[:, 1]) == {1, 2}
+    got = geometry.solve_linear(
+        [[A[:, i, j] for j in range(3)] for i in range(3)], list(b.T))
+    ref = [geometry.solve_linear(a, r) for a, r in zip(A.tolist(), b.tolist())]
+    assert np.array_equal(np.transpose(got), np.array(ref))
+
+
+def test_solve_linear_on_rows_rejects_one_singular_row():
+    A = np.array([np.eye(3) + 0.1 * k for k in range(5)])
+    A[3, :, 1] = 0.0
+    with pytest.raises(DegenerateMetric, match="singular linear system"):
+        geometry.solve_linear(
+            [[A[:, i, j] for j in range(3)] for i in range(3)],
+            [np.ones(5)] * 3)
 
 
 def test_fd_spray_rows_equal_per_point_spray_on_the_catalogue():

@@ -150,6 +150,9 @@ def test_cli_domain_error_exit_three(capsys):
     ("invariants", {"metric": "funk_parallel", "a": "0.99999999,0,0"},
      4, "internal self-check failure: spray component 0 is not "
         "2-homogeneous"),
+    ("scalar-curvature", {"metric": "funk_parallel", "a": "0.99999999,0,0"},
+     4, "internal self-check failure: Jacobi endomorphism failed its Euler "
+        "contraction"),
 ])
 def test_cli_error_names_the_failing_sample(command, options, rc, prefix,
                                             capsys):
@@ -164,6 +167,25 @@ def test_cli_error_names_the_failing_sample(command, options, rc, prefix,
     assert len(named) == 1
     if rc == 3:  # log(x1) fails at the named sample's own x1
         assert err.startswith(f"{prefix}{named[0].x[0]!r} at the sample")
+
+
+def test_sphsym_closure_error_names_the_failing_sample(capsys):
+    # the profile passes the grid and leaves sqrt's domain at a closure
+    # sample, drawn by sphsym's own sampler
+    options = {"phi": "sqrt(0.96*r-s)", "dim": "2", "samples": "100",
+               "seed": "0"}
+    argv = ["sphsym"] + [a for k, v in options.items() for a in (f"--{k}", v)]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("numeric domain error: sqrt of non-positive Taylor "
+                          "value ")
+    cfg = build_config("sphsym", overrides=options)
+    model = sphsym.profile_metric(cli._resolve_profile(cfg), cfg.dim)
+    samples = sampling.tangent_samples(
+        cfg.dim, max(10, cfg.samples // 5), cfg.seed,
+        cli._sample_radius(cfg, model), r_min=0.05)
+    named = [at for at in samples if err.endswith(f" at the sample {at!r}")]
+    assert len(named) == 1
 
 
 def test_sphsym_checks_the_radius_before_the_grid(monkeypatch, capsys):
@@ -372,8 +394,9 @@ def test_sphsym_expansion_gap_is_a_self_check_failure(monkeypatch, capsys):
     factor = sphsym.RadialFactor(lambda r: 1.0, df=lambda r: 0.0)
     pq = sphsym.parallel_pq(factor, lambda r, s: r * s / 10.0)
     samples = sampling.tangent_samples(3, 10, seed=5, radius=0.9, r_min=0.1)
-    with pytest.raises(SelfCheckFailure, match="expansion"):
+    with pytest.raises(SelfCheckFailure, match="expansion") as gap:
         sphsym.parallel_form_check(pq, factor, samples)
+    assert str(gap.value).endswith(f" at the sample {samples[0]!r}")
     rc = cli.main(["sphsym", "--phi", "berwald_classic", "--samples", "10",
                    "--grid-nr", "4", "--grid-ns", "4", "--f", "1",
                    "--P", "r*s/10"])
