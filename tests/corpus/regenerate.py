@@ -62,6 +62,9 @@ CASES = {
                          "--samples", "20"],
     "invariants-funk_parallel": ["invariants", "--metric", "funk_parallel",
                                  "--a", "0.5,0.1,0", "--samples", "20"],
+    "invariants-funk_parallel-2d": ["invariants", "--metric",
+                                    "funk_parallel", "--dim", "2",
+                                    "--a", "0.5,0.1", "--samples", "20"],
     "invariants-berwald_classic": ["invariants", "--metric",
                                    "berwald_classic", "--samples", "20"],
     "invariants-euclidean": ["invariants", "--metric", "euclidean",
