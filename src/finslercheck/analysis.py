@@ -3,8 +3,6 @@
 * scalar-curvature fit: least-structure fit of the Jacobi endomorphism to
   K (F^2 I - y ycol) with metric-lowered y; constancy and residual feed the
   no-parallel-form argument for K != 0.
-* mean Berwald rank: numerical rank of E_jk per sample (Landsberg metrics
-  carrying a parallel form must stay at rank <= n-2).
 * parallel obstruction scan: for each base point, stack the linear
   constraints a parallel form's coefficients must satisfy (Berwald-curvature
   contractions and curvature rows) and measure the kernel.  Kernel dimension
@@ -25,8 +23,8 @@ from .calculus import TangentSample
 
 __all__ = [
     "ScalarCurvatureVerdict", "ScalarCurvatureFit", "scalar_curvature_fit",
-    "mean_berwald_rank", "KernelScanReport", "parallel_obstruction_scan",
-    "landsberg_residual", "kernel_residual",
+    "numerical_rank", "KernelScanReport", "parallel_obstruction_scan",
+    "kernel_residual",
 ]
 
 
@@ -86,16 +84,13 @@ RANK_THRESHOLD = 1e-7
 ZERO_FLOOR = 1e-10
 
 
-def mean_berwald_rank(m, samples, scheme="ad"):
-    """Maximum numerical rank of the mean Berwald curvature over samples."""
-    best = 0
-    per_sample = []
-    for at in samples:
-        B = geometry.berwald_curvature(m, at, scheme)
-        rank, _ = _rank_of(geometry.mean_berwald(B).components)
-        per_sample.append(rank)
-        best = max(best, rank)
-    return best, per_sample
+def numerical_rank(mat):
+    """(rank, singular values) of ``mat``: the count of singular values
+    above both RANK_THRESHOLD times the largest and ZERO_FLOOR."""
+    sv = np.linalg.svd(mat, compute_uv=False)
+    if sv.size == 0 or sv[0] <= ZERO_FLOOR:
+        return 0, sv
+    return int(np.sum(sv > max(RANK_THRESHOLD * sv[0], ZERO_FLOOR))), sv
 
 
 @dataclass
@@ -124,13 +119,6 @@ class KernelScanReport:
     @property
     def obstructed(self):
         return self.branch in ("pointwise", "intersection")
-
-
-def _rank_of(mat):
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] <= ZERO_FLOOR:
-        return 0, sv
-    return int(np.sum(sv > max(RANK_THRESHOLD * sv[0], ZERO_FLOOR))), sv
 
 
 def parallel_obstruction_scan(m, x_points=5, y_per_point=20, rows="both",
@@ -176,14 +164,14 @@ def parallel_obstruction_scan(m, x_points=5, y_per_point=20, rows="both",
     report = KernelScanReport(rows_mode=rows)
     mats = map_samples(rows_for, xs)
     for x, mat in zip(xs, mats):
-        rank, sv = _rank_of(mat)
+        rank, sv = numerical_rank(mat)
         report.per_x.append({
             "x": tuple(x), "rows": mat.shape[0],
             "singular_values": [float(v) for v in sv],
             "rank": rank, "kernel_dim": n - rank,
         })
         report.matrices.append(mat)
-    total_rank, _ = _rank_of(np.vstack(mats))
+    total_rank, _ = numerical_rank(np.vstack(mats))
     report.intersection_kernel_dim = n - total_rank
     return report
 
@@ -198,13 +186,3 @@ def kernel_residual(report, x_index, b):
     if row_scale <= ZERO_FLOOR:
         return 0.0
     return float(np.max(np.abs(mat @ b))) / row_scale
-
-
-def landsberg_residual(m, samples, scheme="ad"):
-    """max |L_ijk| over the samples (classification datum)."""
-    worst = 0.0
-    for at in samples:
-        B = geometry.berwald_curvature(m, at, scheme)
-        ell = geometry.hilbert_form(m, at, scheme)
-        worst = max(worst, geometry.landsberg_tensor(B, ell).max_abs())
-    return worst

@@ -235,7 +235,10 @@ def _ad_jets(fn, groups, caps, *, stair=None):
     exact in A because delta^alpha vanishes past degree K.  At per-row
     float arrays, or Taylor rows of A, every step runs on rows, and row r
     equals the jet at row r alone bit for bit as long as a power of the
-    deltas vanishes at every row or at none (it does for seeded inputs)."""
+    deltas vanishes at every row or at none (it does for seeded inputs),
+    and the jet's target algebra and A both have more than one coefficient:
+    on a size-1 axis numpy's ``matmul`` takes its vector path, whose sums
+    may round differently from the stacked per-row product."""
     algs = {v.alg for g in groups for v in g if isinstance(v, TNum)}
     if len(algs) > 1:
         raise ValueError("inputs from different Taylor algebras")

@@ -109,6 +109,8 @@ def _pass(model, at, scheme):
 
 # the Euler chain is always computed with AD, whatever --scheme says
 EULER_CHAIN_TOL = 1e-8
+# max |L| up to which the samples count as Landsberg
+LANDSBERG_TOL = 1e-9
 
 
 def _chain(model, at, scheme="ad"):
@@ -226,10 +228,14 @@ def run_invariants(cfg):
     tol = 1e-8 if scheme == "ad" else 1e-3
     probe = forms.OneForm.constant(tuple([1.0] + [0.3] * (cfg.dim - 1)))
     worst = dict.fromkeys(("hom", "euler", "sym", "trace", "dc", "cov_delta",
-                           "cf_spray", "cf_berwald"), 0.0)
+                           "cf_spray", "cf_berwald", "landsberg", "rank"), 0.0)
     min_f = float("inf")
     spray_cf = ent.spray_cf if ent is not None else None
     berwald_cf = ent.berwald_curvature_cf if ent is not None else None
+    # the paper's rank bound needs a parallel form; under fd the rank of E
+    # would count the scheme's noise
+    rank_bound = (scheme == "ad" and ent is not None
+                  and ent.parallel_family is not None)
 
     def rel_gap(got, ref):
         return float(np.max(np.abs(got - ref))) \
@@ -244,6 +250,10 @@ def run_invariants(cfg):
             g, h = t["metric"].components, t["angular_metric"].components
             terms["trace"] = abs(float(np.trace(np.linalg.inv(g) @ h))
                                  - (cfg.dim - 1))
+            terms["landsberg"] = t["landsberg"].max_abs()
+        if rank_bound:
+            terms["rank"] = float(analysis.numerical_rank(
+                t["mean_berwald"].components)[0])
         terms["sym"] = max(v.symmetry_violation() / (1.0 + v.max_abs())
                            for v in t.values())
         terms["dc"] = forms.homogeneity_residual(probe, at)
@@ -283,6 +293,17 @@ def run_invariants(cfg):
     add("closed_form_spray", "cf_spray", 1e-6, spray_cf is not None)
     add("closed_form_berwald_curvature", "cf_berwald", 1e-6,
         berwald_cf is not None)
+    if model.F:
+        report.add(CheckRecord("max_abs_landsberg", worst["landsberg"], None,
+                               True, count, seed))
+    if rank_bound:  # a Landsberg metric with a parallel form: rank E <= n-2
+        limit = float(cfg.dim - 2) \
+            if worst["landsberg"] <= LANDSBERG_TOL else None
+        report.add(CheckRecord(
+            "mean_berwald_rank_at_most_n_minus_2", worst["rank"], limit,
+            limit is None or worst["rank"] <= limit, count, seed,
+            notes={"note": "not Landsberg at the samples"} if limit is None
+            else {}))
     report.verdicts["metric"] = model.name
     return report
 

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import geometry, sampling, scalars
+from . import analysis, geometry, sampling, scalars
 from .calculus import JetOrder, eval_jet, jet_of_many
 from .errors import FinslerCheckError, InsufficientSamples, NotPositive
 from .geometry import MetricModel, TensorValue
@@ -215,8 +215,6 @@ PHI_CHOICES = {
     "exp": scalars.exp,
 }
 
-RANK_THRESHOLD = 1e-8
-
 
 def functional_independence(m, omega, phi_choice="randers", samples=()):
     """Maximum numerical rank over samples of the 2 x 2n Jacobian of
@@ -235,9 +233,7 @@ def functional_independence(m, omega, phi_choice="randers", samples=()):
         for fn in (m.F, fbar):
             jet = eval_jet(fn, at, JetOrder(1, 1))
             rows.append(np.concatenate([jet.dense(1, 0), jet.dense(0, 1)]))
-        sv = np.linalg.svd(np.asarray(rows), compute_uv=False)
-        rank = int(np.sum(sv > RANK_THRESHOLD * sv[0])) if sv[0] > 0 else 0
-        best = max(best, rank)
+        best = max(best, analysis.numerical_rank(np.asarray(rows))[0])
     return best
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from finslercheck import analysis, catalogue, forms, geometry
+from finslercheck import analysis, catalogue, cli, forms
 from finslercheck.analysis import ScalarCurvatureVerdict
 from finslercheck.errors import InsufficientSamples
 from finslercheck.forms import OneForm
@@ -34,12 +34,26 @@ def test_fit_klein_constant_minus_one(klein3):
     assert fit.max_residual <= 1e-6 * fit.scale
 
 
+def _worst(model, samples, read):
+    """The largest ``read(tensors)`` over the samples' pipeline passes, as
+    ``invariants`` takes them."""
+    return max(read(cli._pass(model, at, "ad")[0]) for at in samples)
+
+
+def _rank_E(t):
+    return analysis.numerical_rank(t["mean_berwald"].components)[0]
+
+
+def _max_L(t):
+    return t["landsberg"].max_abs()
+
+
 def test_mean_berwald_rank(euclid3, funk3, gb3, samples10):
-    rank_e, _ = analysis.mean_berwald_rank(euclid3.model, samples10[:5])
+    rank_e = _worst(euclid3.model, samples10[:5], _rank_E)
     assert rank_e == 0
-    rank_f, _ = analysis.mean_berwald_rank(funk3.model, samples10[:5])
+    rank_f = _worst(funk3.model, samples10[:5], _rank_E)
     assert rank_f == 0  # Berwald with a parallel form: rank <= n-2 = 1
-    rank_g, _ = analysis.mean_berwald_rank(gb3.model, samples10[:5])
+    rank_g = _worst(gb3.model, samples10[:5], _rank_E)
     assert 0 <= rank_g <= 3
 
 
@@ -104,9 +118,9 @@ def test_nonzero_scalar_curvature_blocks_forms(klein3):
 
 
 def test_landsberg_residual(euclid3, funk3, gb3, samples10):
-    assert analysis.landsberg_residual(euclid3.model, samples10[:4]) <= 1e-12
-    assert analysis.landsberg_residual(funk3.model, samples10[:4]) <= 1e-9
-    assert analysis.landsberg_residual(gb3.model, samples10[:4]) > 1e-3
+    assert _worst(euclid3.model, samples10[:4], _max_L) <= 1e-12
+    assert _worst(funk3.model, samples10[:4], _max_L) <= 1e-9
+    assert _worst(gb3.model, samples10[:4], _max_L) > 1e-3
 
 
 def test_surface_case_berwald_landsberg_cooccurrence():
@@ -116,11 +130,10 @@ def test_surface_case_berwald_landsberg_cooccurrence():
     samples = tangent_samples(2, 6, seed=17)
     for name in catalogue.names():
         ent = catalogue.entry(name, n=2)
-        lres = analysis.landsberg_residual(ent.model, samples)
+        passes = [cli._pass(ent.model, at, "ad")[0] for at in samples]
+        lres = max(_max_L(t) for t in passes)
         rep = analysis.parallel_obstruction_scan(ent.model, x_points=3,
                                                  y_per_point=6, seed=19)
         if lres <= tol and rep.max_kernel_dim > 0:
-            worst_b = max(
-                geometry.berwald_curvature(ent.model, at).max_abs()
-                for at in samples)
+            worst_b = max(t["berwald_curvature"].max_abs() for t in passes)
             assert worst_b <= tol

@@ -296,6 +296,44 @@ def test_invariants_command(capsys):
     assert "euler_chain" in out and "closed_form_spray" in out
 
 
+def test_invariants_reports_the_landsberg_rank_bound(tmp_path, monkeypatch):
+    def checks(*argv):
+        out = tmp_path / "inv.json"
+        rc = cli.main(["invariants", *argv, "--samples", "10",
+                       "--out", str(out)])
+        report = json.loads(out.read_text(encoding="utf-8"))
+        return rc, {c["name"]: c for c in report["checks"]}
+
+    rank = "mean_berwald_rank_at_most_n_minus_2"
+    funk = {2: ("--a", "0.5,0.1"), 3: ("--a", "0.5,0.1,0")}
+    for n, a in funk.items():
+        rc, got = checks("--metric", "funk_parallel", "--dim", str(n), *a)
+        assert rc == 0
+        assert got["max_abs_landsberg"]["max_residual"] <= 1e-9
+        assert got["max_abs_landsberg"]["tolerance"] is None
+        assert got[rank]["tolerance"] == n - 2 and got[rank]["pass"]
+        assert got[rank]["max_residual"] <= n - 2
+    rc, got = checks("--metric", "general_berwald")
+    assert got["max_abs_landsberg"]["max_residual"] > 1e-3
+    assert got["max_abs_landsberg"]["pass"] and rank not in got
+    rc, got = checks("--metric", "funk_parallel", "--dim", "2", *funk[2],
+                     "--scheme", "fd")
+    assert "max_abs_landsberg" in got and rank not in got
+    # a premise that does not hold leaves the bound unchecked
+    monkeypatch.setattr(cli, "LANDSBERG_TOL", 0.0)
+    rc, got = checks("--metric", "funk_parallel", "--dim", "2", *funk[2])
+    assert got[rank]["tolerance"] is None and got[rank]["pass"]
+    assert "not Landsberg" in got[rank]["notes"]["note"]
+    monkeypatch.undo()
+    # a rank above n - 2 fails the record and the run
+    monkeypatch.setattr(cli.analysis, "numerical_rank",
+                        lambda mat: (len(mat) - 1, None))
+    for n, a in funk.items():
+        rc, got = checks("--metric", "funk_parallel", "--dim", str(n), *a)
+        assert got[rank]["max_residual"] == n - 1
+        assert not got[rank]["pass"] and rc == 1
+
+
 def test_sphsym_sweep_csv(tmp_path):
     sweep = tmp_path / "sweep.csv"
     rc = cli.main(["sphsym", "--phi", "berwald_classic", "--samples", "10",
