@@ -57,6 +57,9 @@ def scalar_curvature_fit(m, samples, tol=1e-6, scheme="ad"):
     residual of Phi - K (F^2 d^h_i - y_i y^h) with metric-lowered y_i."""
     n = m.n
 
+    if scheme == "ad":
+        geometry.fill_spray_jets(m, samples, 1, 2)
+
     def fit(at):
         phi = geometry.jacobi_endomorphism(m, at, scheme).components
         f2 = 2.0 * geometry.energy(m, at)
@@ -145,10 +148,15 @@ def parallel_obstruction_scan(m, x_points=5, y_per_point=20, rows="both",
     triples = [(i, j, k) for i in range(n) for j in range(i, n)
                for k in range(j, n)]
 
+    samples = {x: [TangentSample(x, y) for y in ys] for x in xs}
+    if scheme == "ad":  # the curvature rows alone read the (1, 2) tier
+        geometry.fill_spray_jets(
+            m, [at for per_x in samples.values() for at in per_x], 1,
+            2 if rows == "curvature" else 3)
+
     def rows_for(x):
         rows_x = []
-        for y in ys:
-            at = TangentSample(x, y)
+        for at in samples[x]:
             if rows in ("both", "berwald"):
                 B = geometry.berwald_curvature(m, at, scheme).components
                 for (i, j, k) in triples:

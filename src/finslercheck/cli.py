@@ -134,6 +134,7 @@ def run_tensors(cfg):
     ent, model = _resolve_metric(cfg)
     report = Report("tensors", cfg.echo())
     samples = _samples(cfg, model)
+    geometry.fill_spray_jets(model, samples, 1, 3)  # _pass reads AD (1, 3)
 
     def one(at):
         tensors, term = _pass(model, at, cfg.scheme)
@@ -224,6 +225,7 @@ def run_invariants(cfg):
     ent, model = _resolve_metric(cfg)
     report = Report("invariants", cfg.echo())
     samples = _samples(cfg, model)
+    geometry.fill_spray_jets(model, samples, 1, 3)  # _pass reads AD (1, 3)
     seed, count, scheme = cfg.seed, len(samples), cfg.scheme
     tol = 1e-8 if scheme == "ad" else 1e-3
     probe = forms.OneForm.constant(tuple([1.0] + [0.3] * (cfg.dim - 1)))

@@ -152,6 +152,8 @@ def is_parallel(m, omega, samples, tol=None, scheme="ad"):
         raise InsufficientSamples("is_parallel needs at least 10 samples")
     if tol is None:
         tol = PARALLEL_TOL[scheme]
+    if scheme == "ad":
+        geometry.fill_spray_jets(m, samples, 1, 2)
 
     def residuals(at):
         hres = homogeneity_residual(omega, at)

@@ -14,13 +14,18 @@ A spray jet of order (kx, ky) needs energy partials of order (kx + 1,
 ky + 2).  Under AD they are all read off one flat energy jet of that order
 by derivative shifts (:meth:`TNum.partial`) into the (kx, ky) algebra,
 where the spray is assembled and solved; no jet is taken of Taylor-valued
-inputs.  Spray-only models and the FD scheme differentiate the spray
-evaluation itself.  FD evaluates the spray of a model with F at a jet's
-distinct stencil points in batches of Taylor rows: one (1, 2) energy jet
-per batch, the partials read off per row, the non-degeneracy check and
-the solve's pivot taken per row, so each row is bit for bit the spray at
-that point alone.  Under AD a lower tier reads the (1, 3) jet already on
-the sample.
+inputs.  A command takes the AD spray jets of all its samples at once
+before its per-sample loop (:func:`fill_spray_jets`): in batches of
+``SPRAY_BATCH`` samples, one staircase energy jet of Taylor rows per
+batch, the spray assembled and solved on the rows, and each row's jets
+stored on its sample, bit for bit the jets of that sample alone.  The ops
+then find them there.  Spray-only models and the FD scheme differentiate
+the spray evaluation itself.  FD evaluates the spray of a model with F at
+a jet's distinct stencil points in batches of Taylor rows: one (1, 2)
+energy jet per batch, the partials read off per row, the non-degeneracy
+check and the solve's pivot taken per row, so each row is bit for bit the
+spray at that point alone.  Under AD a lower tier reads the (1, 3) jet
+already on the sample.
 
 An AD tier keeps only its demand staircase (``_AD_STAIRS``): the spray
 partials the ops read, of x-order 0 up to the tier's y-order and of
@@ -49,12 +54,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import scalars
-from .calculus import (JetOrder, TangentSample, eval_jet, homogeneity_check,
-                       jet_of, jet_of_many, jet_of_rows, series_jet,
-                       var_exponents)
+from .calculus import (Jet, JetOrder, TangentSample, eval_jet,
+                       homogeneity_check, jet_of, jet_of_many, jet_of_rows,
+                       series_jet, var_exponents)
 from .errors import (ConventionMismatch, DegenerateMetric, FinslerCheckError,
                      NonFiniteValue)
-from .taylor import algebra
+from .taylor import Algebra, TRows, algebra
 
 __all__ = [
     "TensorValue", "Domain", "MetricModel",
@@ -131,12 +136,20 @@ class MetricModel:
 # linear algebra over generic scalars
 
 
+def _where(here, a, b):
+    """``a`` at the rows where ``here`` holds, else ``b``: per-row float
+    arrays or Taylor rows."""
+    if isinstance(a, TRows):
+        return TRows(a.alg, np.where(here, a.c, b.c))
+    return np.where(here, a, b)
+
+
 def solve_linear(A, b):
     """Solve A z = b by Gauss-Jordan elimination with value-part pivoting.
-    Entries may be floats, Taylor scalars, or per-row float arrays of one
-    length; for arrays the pivot is taken per row, so row r does the float
-    operations of solving row r alone.  A zero pivot in any row raises
-    DegenerateMetric."""
+    Entries may be floats, Taylor scalars, or per-row float arrays or
+    Taylor rows of one row count; for rows the pivot is taken per row, so
+    row r does the operations of solving row r alone.  A zero pivot in any
+    row raises DegenerateMetric."""
     n = len(A)
     M = [list(row) + [b[i]] for i, row in enumerate(A)]
     for col in range(n):
@@ -149,8 +162,8 @@ def solve_linear(A, b):
             top = M[col]
             for r in range(col + 1, n):
                 here = piv == r
-                M[col] = [np.where(here, er, ec) for ec, er in zip(M[col], M[r])]
-                M[r] = [np.where(here, et, er) for et, er in zip(top, M[r])]
+                M[col] = [_where(here, er, ec) for ec, er in zip(M[col], M[r])]
+                M[r] = [_where(here, et, er) for et, er in zip(top, M[r])]
         else:
             M[col], M[piv] = M[piv], M[col]
         inv = 1.0 / M[col][col]
@@ -233,14 +246,18 @@ def _spray_scalars(m, x, y):
     return _assemble_spray(m.n, y, jet.pvars)
 
 
-def _shifted_spray_jets(m, at, kx, ky):
+def _shifted_spray_jets(m, x, y, kx, ky):
     """Spray jets of order (kx, ky) from one flat energy jet of order
     (kx + 1, ky + 2): each energy partial is a derivative shift of its
     series into the (kx, ky) algebra, where the spray is assembled.  Both
-    algebras keep the tier's demand staircase if it has one."""
-    n = at.n
+    algebras keep the tier's demand staircase if it has one.  ``x``, ``y``
+    are the float coordinates of one sample, or per-row float arrays, one
+    row per sample; then the jets are of Taylor rows, with the row axis
+    last, and row r is bit for bit the jet at row r alone.  The caller
+    checks that the jets are finite."""
+    n = m.n
     spray_stair, energy_stair = _AD_STAIRS.get((kx, ky), (None, None))
-    series = jet_of(m.energy, (at.x, at.y), (kx + 1, ky + 2),
+    series = jet_of(m.energy, (x, y), (kx + 1, ky + 2),
                     stair=energy_stair).series
     target = algebra(((n, kx), (n, ky)), spray_stair)
 
@@ -248,8 +265,47 @@ def _shifted_spray_jets(m, at, kx, ky):
         return series.partial((var_exponents(n, xvars),
                                var_exponents(n, yvars)), target)
 
-    y = [target.variable(1, j, v) for j, v in enumerate(at.y)]
-    return [series_jet(G).check_finite() for G in _assemble_spray(n, y, d)]
+    variable = TRows.variable if isinstance(series, TRows) \
+        else Algebra.variable
+    y = [variable(target, 1, j, v) for j, v in enumerate(y)]
+    return [series_jet(G) for G in _assemble_spray(n, y, d)]
+
+
+# Samples per batch of fill_spray_jets.  Each row carries the (1, 3) energy
+# jet's box of coefficients (560 at n = 3) through every multiply, so the
+# batch bounds the memory a command's spray jets take at once.
+SPRAY_BATCH = 16
+
+
+def fill_spray_jets(m, samples, kx, ky):
+    """Put the AD spray jets of order (kx, ky) on each of ``samples`` that
+    does not hold them yet, computed as Taylor rows in batches of at most
+    ``SPRAY_BATCH`` samples: one staircase energy jet per batch, the
+    spray assembled and solved on the rows, then each row's jets stored
+    on its sample, bit for bit the tables :func:`spray_jets` computes at
+    that sample alone (the stored jets keep no ``series``; nothing reads a
+    spray jet's).  Does nothing for a spray-only model.
+
+    A batch that raises FinslerCheckError stores nothing, and a row whose
+    jets are not finite is not stored: those samples take their jets one
+    by one in the caller's per-sample loop, which raises the sample's own
+    error there."""
+    if m.F is None:
+        return
+    todo = [at for at in samples if not _held(m, at, kx, ky)]
+    for lo in range(0, len(todo), SPRAY_BATCH):
+        batch = todo[lo:lo + SPRAY_BATCH]
+        xs = np.array([at.x for at in batch]).T
+        ys = np.array([at.y for at in batch]).T
+        try:
+            rows = _shifted_spray_jets(m, tuple(xs), tuple(ys), kx, ky)
+        except FinslerCheckError:
+            continue
+        for r, at in enumerate(batch):
+            jets = [Jet(j.nvars, j.caps, j.table[..., r].copy(), stair=j.stair)
+                    for j in rows]
+            if all(np.isfinite(j.table).all() for j in jets):
+                at.jets[(m, kx, ky, "ad")] = jets
 
 
 # jet orders requested per tier; AD shares one generous jet per tier, FD
@@ -267,26 +323,33 @@ _FD_TIERS = {
 }
 
 
+def _held(m, at, kx, ky):
+    """AD jets of ``m`` on the sample with caps at least (kx, ky), or
+    None."""
+    return next((jets for (model, jx, jy, s), jets in at.jets.items()
+                 if model is m and s == "ad" and jx >= kx and jy >= ky),
+                None)
+
+
 def spray_jets(m, at, kx, ky, scheme="ad"):
     """Per-component jets of the spray coefficients at a float sample,
     kept on the sample per (model, order, scheme).  Under AD jets of the
     model already there with caps at least (kx, ky) are returned as they
     are (:meth:`Jet.dense` indexes by monomial, so they read bit for bit as
-    the (kx, ky) jets); otherwise the jet is computed, by derivative shifts
-    when the model has F, else by differentiating the spray evaluation.
-    FD jets are always computed at the order asked for; FD evaluates the
-    spray of a model with F at the jet's stencil points in batches of
-    Taylor rows (``_spray_rows``)."""
+    the (kx, ky) jets); a command puts them there for all its samples at
+    once with :func:`fill_spray_jets`.  Otherwise the jet is computed, by
+    derivative shifts when the model has F, else by differentiating the
+    spray evaluation.  FD jets are always computed at the order asked for;
+    FD evaluates the spray of a model with F at the jet's stencil points
+    in batches of Taylor rows (``_spray_rows``)."""
     key = (m, kx, ky, scheme)
     if key in at.jets:
         return at.jets[key]
-    held = [jets for (model, jx, jy, s), jets in at.jets.items()
-            if model is m and s == scheme == "ad" and jx >= kx and jy >= ky]
-    if held:
-        jets = held[0]
-    elif scheme == "ad" and m.F is not None:
-        jets = _shifted_spray_jets(m, at, kx, ky)
-    else:
+    jets = _held(m, at, kx, ky) if scheme == "ad" else None
+    if jets is None and scheme == "ad" and m.F is not None:
+        jets = [j.check_finite()
+                for j in _shifted_spray_jets(m, at.x, at.y, kx, ky)]
+    elif jets is None:
         rows = (lambda xs, ys: _spray_rows(m, xs, ys)) \
             if scheme == "fd" and m.F is not None else None
         jets = jet_of_many(lambda xs, ys: _spray_scalars(m, xs, ys),

@@ -12,7 +12,9 @@ import numpy as np
 # Kept in its own module: perfbench's tracer rebinds it here, where
 # TNum.__mul__ looks it up on every call.
 def mul_accumulate(ii, jj, oo, a, b, size):
+    w = a[ii]
+    w *= b[jj]  # in place: one gathered (triples, rows) array fewer
     if a.ndim == 1:
-        return np.bincount(oo, weights=a[ii] * b[jj], minlength=size)
-    return np.bincount(oo, weights=(a[ii] * b[jj]).ravel(),
+        return np.bincount(oo, weights=w, minlength=size)
+    return np.bincount(oo, weights=w.ravel(),
                        minlength=a.size).reshape(a.shape)

@@ -1,14 +1,11 @@
 """Theorem-level verifiers: scalar-curvature fit, ranks, kernel scans."""
 
-import numpy as np
 import pytest
 
-from finslercheck import analysis, catalogue, cli, forms
+from finslercheck import analysis, catalogue, cli
 from finslercheck.analysis import ScalarCurvatureVerdict
 from finslercheck.errors import InsufficientSamples
-from finslercheck.forms import OneForm
-from finslercheck.sampling import base_points, fiber_samples, tangent_samples
-from finslercheck.calculus import TangentSample
+from finslercheck.sampling import base_points, tangent_samples
 
 
 def test_fit_euclidean(euclid3, samples10):

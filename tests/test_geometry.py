@@ -8,9 +8,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from finslercheck import (analysis, catalogue, cli, forms, geometry, scalars,
-                          taylor)
+from finslercheck import (analysis, catalogue, cli, forms, geometry, sampling,
+                          scalars, taylor)
 from finslercheck.calculus import TangentSample, jet_of, jet_of_many
+from finslercheck.config import build_config
 from finslercheck.errors import (DegenerateMetric, FinslerCheckError,
                                  NonFiniteValue)
 from finslercheck.geometry import Domain, MetricModel
@@ -322,9 +323,9 @@ def test_spray_jets_live_on_the_sample(monkeypatch):
     computed = []
     shifted = geometry._shifted_spray_jets
 
-    def counted(m, at, kx, ky):
-        computed.append((m, at))
-        return shifted(m, at, kx, ky)
+    def counted(m, x, y, kx, ky):
+        computed.append((m, x, y))
+        return shifted(m, x, y, kx, ky)
 
     monkeypatch.setattr(geometry, "_shifted_spray_jets", counted)
     klein = catalogue.entry("klein", n=3).model
@@ -333,25 +334,38 @@ def test_spray_jets_live_on_the_sample(monkeypatch):
     at = TangentSample(x, y)
     first = geometry.spray_jets(klein, at, 1, 2)
     assert geometry.spray_jets(klein, at, 1, 2) is first
-    assert computed == [(klein, at)]
+    assert computed == [(klein, x, y)]
     again = TangentSample(x, y)
     fresh = geometry.spray_jets(klein, again, 1, 2)
     assert fresh is not first
     assert all(np.array_equal(a.table, b.table) for a, b in zip(fresh, first))
     geometry.spray_jets(funk, at, 1, 2)
-    assert computed == [(klein, at), (klein, again), (funk, at)]
+    assert computed == [(klein, x, y), (klein, x, y), (funk, x, y)]
 
 
 def _count_energy_jets(monkeypatch):
+    """Each energy jet taken for spray jets, in order: the (x, y) points of
+    its rows for a batch, None for a jet at one sample."""
     built = []
     shifted = geometry._shifted_spray_jets
 
-    def counted(m, at, kx, ky):
-        built.append(at)
-        return shifted(m, at, kx, ky)
+    def counted(m, x, y, kx, ky):
+        rows = isinstance(x[0], np.ndarray)
+        built.append([(tuple(map(float, px)), tuple(map(float, py)))
+                      for px, py in zip(zip(*x), zip(*y))] if rows else None)
+        return shifted(m, x, y, kx, ky)
 
     monkeypatch.setattr(geometry, "_shifted_spray_jets", counted)
     return built
+
+
+def _assert_built_once_in_batches(built, points):
+    # no energy jet at one sample, ceil(samples / SPRAY_BATCH) batches, and
+    # each sample in exactly one batch
+    assert None not in built
+    assert len(built) == math.ceil(len(points) / geometry.SPRAY_BATCH)
+    rows = [p for batch in built for p in batch]
+    assert len(rows) == len(set(rows)) and set(rows) == set(points)
 
 
 def _assert_reads_equal(got, ref):
@@ -374,7 +388,7 @@ def test_cut_spray_jets_equal_direct_jets(name, n, a, monkeypatch):
     built = _count_energy_jets(monkeypatch)
     for at, jets in zip(samples, held):
         assert geometry.spray_jets(m, at, 1, 2) is jets
-        _assert_reads_equal(jets, direct(m, at, 1, 2))
+        _assert_reads_equal(jets, direct(m, at.x, at.y, 1, 2))
     assert built == []
 
 
@@ -409,20 +423,88 @@ def test_fd_spray_jets_are_never_cut(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_scan_takes_one_energy_jet_per_sample(n, monkeypatch):
+def test_scan_builds_each_samples_spray_jets_once_in_batches(n, monkeypatch):
     built = _count_energy_jets(monkeypatch)
     m = catalogue.entry("general_berwald", n=n).model
-    analysis.parallel_obstruction_scan(m, x_points=2, y_per_point=n + 2)
-    assert len(built) == len(set(map(id, built))) == 2 * (n + 2)
+    xs = sampling.base_points(n, 3, 0, m.domain.default_sample_radius())
+    ys = sampling.fiber_samples(n, n + 4, 104729)
+    analysis.parallel_obstruction_scan(m, x_points=3, y_per_point=n + 4)
+    _assert_built_once_in_batches(built, [(x, y) for x in xs for y in ys])
 
 
 @pytest.mark.parametrize("command", ["tensors", "invariants"])
-def test_commands_take_one_energy_jet_per_sample(command, monkeypatch,
-                                                 capsys):
+def test_commands_build_each_samples_spray_jets_once_in_batches(
+        command, monkeypatch, capsys):
     built = _count_energy_jets(monkeypatch)
     assert cli.main([command, "--metric", "general_berwald",
-                     "--samples", "10"]) == 0
-    assert len(built) == len(set(map(id, built))) == 10
+                     "--samples", "20"]) == 0
+    cfg = build_config(command, overrides={"metric": "general_berwald",
+                                           "samples": "20"})
+    samples = cli._samples(cfg, cli._resolve_metric(cfg)[1])
+    _assert_built_once_in_batches(built, [(at.x, at.y) for at in samples])
+
+
+@pytest.mark.parametrize("kx,ky", [(1, 2), (1, 3)])
+@pytest.mark.parametrize("name,n", [
+    (name, n) for name in ("general_berwald", "funk_parallel", "klein",
+                           "berwald_classic") for n in (2, 3)])
+def test_batched_spray_jets_equal_per_sample_jets(name, n, kx, ky):
+    # one, part of one, exactly one, one and a bit, and two and a bit
+    # batches: every stored jet is the sample's own, bit for bit
+    m = catalogue.entry(name, n=n).model
+    points = [(at.x, at.y)
+              for at in tangent_samples(n, 33, seed=13, radius=0.5)]
+    ref = [geometry._shifted_spray_jets(m, x, y, kx, ky) for x, y in points]
+    for count in (1, 15, 16, 17, 33):
+        samples = [TangentSample(x, y) for x, y in points[:count]]
+        geometry.fill_spray_jets(m, samples, kx, ky)
+        for at, jets in zip(samples, ref):
+            got = at.jets[(m, kx, ky, "ad")]
+            assert len(got) == len(jets) == n
+            for a, b in zip(got, jets):
+                assert a.table.shape == b.table.shape
+                assert a.table.tobytes() == b.table.tobytes()
+
+
+def test_fill_spray_jets_keeps_held_jets_and_skips_spray_only_models():
+    klein = catalogue.entry("klein", n=3)
+    spray_only = MetricModel(3, domain=klein.model.domain,
+                             spray_override=klein.spray_cf, name="spray")
+    samples = tangent_samples(3, 3, seed=2, radius=0.5)
+    held = geometry.spray_jets(klein.model, samples[1], 1, 3)
+    geometry.fill_spray_jets(klein.model, samples, 1, 2)
+    geometry.fill_spray_jets(spray_only, samples, 1, 3)
+    assert samples[1].jets == {(klein.model, 1, 3, "ad"): held}
+    assert [list(at.jets) for at in samples[::2]] \
+        == [[(klein.model, 1, 2, "ad")]] * 2
+
+
+def test_fill_spray_jets_leaves_a_failing_batch_and_non_finite_rows(
+        monkeypatch):
+    # a batch whose metric degenerates at one row stores nothing; a row
+    # whose jets are not finite is left alone, the other rows stored
+    m = catalogue.entry("general_berwald", n=2).model
+    samples = tangent_samples(2, 20, seed=4, radius=0.5)
+    assemble = geometry._assemble_spray
+
+    def degenerate_in_first_batch(n, y, d):
+        if isinstance(y[0], taylor.TRows) and y[0].c.shape[1] == 16:
+            raise DegenerateMetric("forced")
+        return assemble(n, y, d)
+
+    monkeypatch.setattr(geometry, "_assemble_spray", degenerate_in_first_batch)
+    geometry.fill_spray_jets(m, samples, 1, 3)
+    assert [bool(at.jets) for at in samples] == [False] * 16 + [True] * 4
+
+    def nan_in_row_one(n, y, d):
+        out = assemble(n, y, d)
+        out[0].c[1:, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(geometry, "_assemble_spray", nan_in_row_one)
+    fresh = [TangentSample(at.x, at.y) for at in samples[:3]]
+    geometry.fill_spray_jets(m, fresh, 1, 3)
+    assert [bool(at.jets) for at in fresh] == [True, False, True]
 
 
 # Calls per sample and scheme of one pipeline pass.
@@ -638,6 +720,35 @@ def test_solve_linear_on_rows_equals_each_row_bit_for_bit():
         [[A[:, i, j] for j in range(3)] for i in range(3)], list(b.T))
     ref = [geometry.solve_linear(a, r) for a, r in zip(A.tolist(), b.tolist())]
     assert np.array_equal(np.transpose(got), np.array(ref))
+
+
+def test_solve_linear_on_taylor_rows_equals_each_rows_series_solve():
+    # the pivots of columns 0 and 1 come from different rows per batch row;
+    # the value parts are those of the float test above, the rest random
+    rng = np.random.default_rng(11)
+    D = np.diag([4.0, 3.0, 2.0]) + rng.uniform(-0.3, 0.3, (3, 3))
+    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    values = np.array([D[list(p)] for p in perms * 2]) \
+        + rng.uniform(-0.01, 0.01, (12, 3, 3))
+    pivots = np.array([_pivot_rows(a) for a in values.tolist()])
+    assert set(pivots[:, 0]) == {0, 1, 2} and set(pivots[:, 1]) == {1, 2}
+    alg = taylor.algebra(((2, 1), (2, 2)))
+
+    def rows(value):
+        return taylor.TRows(alg, np.vstack(
+            [value, rng.normal(size=(alg.size - 1, len(value)))]))
+
+    A = [[rows(values[:, i, j]) for j in range(3)] for i in range(3)]
+    b = [rows(rng.normal(size=12)) for _ in range(3)]
+    got = geometry.solve_linear(A, b)
+    assert all(isinstance(z, taylor.TRows) for z in got)
+    for r in range(12):
+        def row(t):
+            return taylor.TNum(alg, t.c[:, r].copy())
+        ref = geometry.solve_linear([[row(e) for e in line] for line in A],
+                                    [row(e) for e in b])
+        for z, zr in zip(got, ref):
+            assert z.c[:, r].tobytes() == zr.c.tobytes()
 
 
 def test_solve_linear_on_rows_rejects_one_singular_row():

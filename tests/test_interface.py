@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finslercheck
-from finslercheck import catalogue, cli, forms, sampling, sphsym
+from finslercheck import (catalogue, cli, forms, geometry, sampling, scalars,
+                          sphsym)
 from finslercheck.config import (MAX_DIM, MAX_THREADS, build_config,
                                  parse_config_file)
 from finslercheck.errors import ConfigError, NotPositive, SelfCheckFailure
@@ -167,6 +168,59 @@ def test_cli_error_names_the_failing_sample(command, options, rc, prefix,
     assert len(named) == 1
     if rc == 3:  # log(x1) fails at the named sample's own x1
         assert err.startswith(f"{prefix}{named[0].x[0]!r} at the sample")
+
+
+def _euclidean_broken_at(target, kind):
+    """catalogue.entry, with euclidean changed so that at the base point
+    ``target`` F leaves sqrt's domain ("sqrt") or g has rank n - 1
+    ("degenerate"); elsewhere F stays a Finsler function."""
+    entry = catalogue.entry
+
+    def broken(name, **kwargs):
+        ent = entry(name, **kwargs)
+        if name != "euclidean":
+            return ent
+
+        def F(x, y):
+            gap = scalars.norm_sq([xi - ti for xi, ti in zip(x, target)])
+            if kind == "sqrt":
+                return scalars.sqrt(scalars.norm_sq(y)) \
+                    * scalars.sqrt(gap - 1e-8)
+            return scalars.sqrt(scalars.norm_sq(y) - (1.0 - gap) * y[0] * y[0])
+
+        ent.model.F = F
+        return ent
+
+    return broken
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("sqrt", "numeric domain error: sqrt of non-positive Taylor value "),
+    ("degenerate", "numeric domain error: metric tensor degenerate ")])
+@pytest.mark.parametrize("command", ["scan", "check-parallel"])
+def test_a_failing_spray_jet_batch_fails_as_its_first_sample(
+        command, kind, message, monkeypatch, capsys):
+    # the failing samples lie in the second batch of fill_spray_jets; the
+    # run must end as it does when every sample takes its own spray jets
+    if command == "scan":
+        options = {"x-points": "3", "y-samples": "8"}  # 2 x 8 rows, then 8
+        target = sampling.base_points(3, 3, 0, 0.6)[2]
+    else:
+        options = {"form": "1,0,0", "samples": "20"}  # 16 rows, then 4
+        target = sampling.tangent_samples(3, 20, 0, 0.6)[17].x
+    argv = [command, "--metric", "euclidean"] \
+        + [a for k, v in options.items() for a in (f"--{k}", v)]
+    monkeypatch.setattr(catalogue, "entry", _euclidean_broken_at(target, kind))
+    outcomes = []
+    for fill in (geometry.fill_spray_jets, lambda *args: None):
+        monkeypatch.setattr(geometry, "fill_spray_jets", fill)
+        rc = cli.main(argv)
+        outcomes.append((rc, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+    rc, err = outcomes[0]
+    assert rc == 3 and err.startswith(message)
+    assert f" at the sample {target!r}\n" in err \
+        or f" at the sample TangentSample(x={target!r}, " in err
 
 
 def test_sphsym_closure_error_names_the_failing_sample(capsys):
