@@ -154,23 +154,23 @@ def parallel_obstruction_scan(m, x_points=5, y_per_point=20, rows="both",
             m, [at for per_x in samples.values() for at in per_x], 1,
             2 if rows == "curvature" else 3)
 
-    def rows_for(x):
-        rows_x = []
-        for at in samples[x]:
-            if rows in ("both", "berwald"):
-                B = geometry.berwald_curvature(m, at, scheme).components
-                for (i, j, k) in triples:
-                    rows_x.append(B[:, i, j, k])
-            if rows in ("both", "curvature"):
-                phi = geometry.jacobi_endomorphism(m, at, scheme)
-                R = geometry.curvature_R(m, at, phi, scheme).components
-                for j in range(n):
-                    for k in range(j + 1, n):
-                        rows_x.append(R[:, j, k])
-        return np.array(rows_x)
+    def rows_at(at):
+        out = []
+        if rows in ("both", "berwald"):
+            B = geometry.berwald_curvature(m, at, scheme).components
+            for (i, j, k) in triples:
+                out.append(B[:, i, j, k])
+        if rows in ("both", "curvature"):
+            phi = geometry.jacobi_endomorphism(m, at, scheme)
+            R = geometry.curvature_R(m, at, phi, scheme).components
+            for j in range(n):
+                for k in range(j + 1, n):
+                    out.append(R[:, j, k])
+        return out
 
     report = KernelScanReport(rows_mode=rows)
-    mats = map_samples(rows_for, xs)
+    mats = [np.array(map_samples(rows_at, samples[x])).reshape(-1, n)
+            for x in xs]
     for x, mat in zip(xs, mats):
         rank, sv = numerical_rank(mat)
         report.per_x.append({

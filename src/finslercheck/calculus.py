@@ -161,10 +161,9 @@ class Jet:
         ix, shape = _dense_index(self.nvars, self.caps, orders, self.stair)
         return self.table[ix].reshape(shape + self.table.shape[len(ix):])
 
-    def check_finite(self, context=""):
+    def check_finite(self):
         if not np.isfinite(self.table).all():
-            raise NonFiniteValue(
-                f"non-finite derivative encountered{': ' + context if context else ''}")
+            raise NonFiniteValue("non-finite derivative encountered")
         return self
 
 
@@ -195,11 +194,11 @@ def _ad_series(fn, groups, caps, *, stair=None):
     if rows:
         def seed(bi, vi, v):
             return TRows.variable(alg, bi, vi, np.broadcast_to(v, rows[0]))
-        const = TRows(alg, np.zeros((alg.size, rows[0])))._constant
     else:
-        seed, const = alg.variable, alg.constant
+        seed = alg.variable
     seeded = [tuple(seed(bi, vi, v) for vi, v in enumerate(g))
               for bi, g in enumerate(groups)]
+    const = seeded[0][0]._constant
     out = [r if isinstance(r, TNum) else const(scalars.value(r))
            for r in fn(*seeded)]
     if any(r.alg is not alg for r in out):
@@ -404,31 +403,33 @@ def _field_values(fn, nvars, points, rows=None):
     """``(P, ncomp)`` component values of the vector field ``fn`` at each
     row of ``points``: point by point, or through ``rows`` in batches of at
     most ``FD_BATCH`` points.  An error names the first failing point, in
-    row order; a failed batch is evaluated again point by point to find
-    it."""
+    row order (see :func:`batched`)."""
     ends = list(accumulate(nvars))
     spans = list(zip([0] + ends, ends))
 
+    def groups(z):
+        return tuple(tuple(z[a:b]) for a, b in spans)
+
     def one(z):
-        groups = tuple(tuple(z[a:b]) for a, b in spans)
-        try:
-            return [scalars.value(c) for c in fn(*groups)]
-        except FinslerCheckError as exc:
-            exc.args = (f"{exc} at the FD stencil point {groups}",)
-            raise
+        return [scalars.value(c) for c in fn(*groups(z))]
 
-    if rows is None:
-        return np.array([one(z) for z in points.tolist()], dtype=float)
+    def many(batch):
+        if rows is None:
+            return np.array([one(z) for z in batch.tolist()], dtype=float)
+        return rows(*(batch[:, a:b] for a, b in spans))
+
     return np.concatenate(batched(
-        lambda batch: rows(*(batch[:, a:b] for a, b in spans)), points, one))
+        many, points, one,
+        lambda z: f"the FD stencil point {groups(z)}"))
 
 
-def batched(rows, points, one):
+def batched(rows, points, one, where):
     """The results of ``rows`` on the array ``points`` in batches of at
     most ``FD_BATCH`` rows, one per batch.  A batch that raises
     FinslerCheckError is evaluated again point by point, each row as a
-    list, with ``one``, so that the error raised is the first failing
-    point's own; should every point pass, the batch's error stands."""
+    list, with ``one``, and the first failing point's own error is raised
+    with `` at `` and ``where(point)`` appended; should every point pass,
+    the batch's error stands."""
     out = []
     for lo in range(0, len(points), FD_BATCH):
         batch = points[lo:lo + FD_BATCH]
@@ -436,7 +437,11 @@ def batched(rows, points, one):
             out.append(rows(batch))
         except FinslerCheckError:
             for z in batch.tolist():
-                one(z)
+                try:
+                    one(z)
+                except FinslerCheckError as exc:
+                    exc.args = (f"{exc} at {where(z)}",)
+                    raise
             raise
     return out
 

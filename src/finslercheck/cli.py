@@ -392,18 +392,10 @@ def _over_grid(check, grid):
     """The results of ``check(r, s)`` over the ``(points, 2)`` (r, s) grid,
     one per batch of Taylor rows (arrays r, s).  A batch that fails is
     checked again point by point at float (r, s), so the error is the
-    first failing point's own; one that does not name its point gets the
-    point appended."""
-    def one(rs):
-        try:
-            check(*rs)
-        except FinslerCheckError as exc:
-            where = "(r, s) = ({:g}, {:g})".format(*rs)
-            if where not in str(exc):
-                exc.args = (f"{exc} at the grid point {where}",)
-            raise
-
-    return batched(lambda rs: check(*rs.T), grid, one)
+    first failing point's own, with the point appended."""
+    return batched(
+        lambda rs: check(*rs.T), grid, lambda rs: check(*rs),
+        lambda rs: "the grid point (r, s) = ({:g}, {:g})".format(*rs))
 
 
 def _write(path, text):

@@ -16,8 +16,8 @@ All (r, s)-level derivatives (phi_r, phi_s, phi_ss, P_s, Q_s, ...) come
 from the Taylor engine applied to the profile, never from grid
 differencing.  The grid functions (profile and P/Q jets, ``pq_of_jet``,
 the metrizability and characterised-Q residuals, the classification) run
-the same code at a float (r, s), at Taylor scalars, or at per-row float
-arrays r, s, where every jet is one pipeline of Taylor rows
+the same code at a float point (r, s), at Taylor scalars, or at per-row
+float arrays r, s, where every jet is one pipeline of Taylor rows
 (:class:`finslercheck.taylor.TRows`) and each row equals that point's
 result bit for bit.  A grid sweep evaluates its points in such batches,
 with one (1, 2) profile jet per batch that the metrizability residuals,
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms, sampling, scalars
-from .calculus import TangentSample, jet_of, jet_of_many
+from .calculus import jet_of, jet_of_many
 from .errors import SelfCheckFailure, SingularDenominator
 from .forms import OneForm
 from .geometry import Domain, MetricModel, TensorValue
@@ -54,7 +54,7 @@ class SphSymProfile:
     name: str = ""
 
     def jet(self, r, s):
-        """The (1, 2) jet of phi at (r, s), or at each row of arrays r, s."""
+        """The (1, 2) jet of phi at one point (r, s) or per row of arrays."""
         return jet_of(lambda rg, sg: self.phi(rg[0], sg[0]),
                       ((r,), (s,)), (1, 2))
 
@@ -69,8 +69,8 @@ class PQPair:
     source: str = ""
 
     def jets(self, r, s):
-        """(P, P_s, Q, Q_s) at float (r, s), or per row at float arrays
-        r, s, from one jet of the pair."""
+        """(P, P_s, Q, Q_s) at a float point (r, s), or per row at float
+        arrays r, s, from one jet of the pair."""
         pjet, qjet = jet_of_many(lambda rg, sg: self.PQ(rg[0], sg[0]),
                                  ((r,), (s,)), (0, 1))
         return (pjet.partial((0,), (0,)), pjet.partial((0,), (1,)),
@@ -99,12 +99,12 @@ class RadialFactor:
 
 
 def pq_of_jet(jet, r, s):
-    """(P, Q) at (r, s) from the profile's (1, 2) jet there; evaluates on
-    floats or Taylor scalars.
+    """(P, Q) at the point (r, s) from the profile's (1, 2) jet there;
+    evaluates on floats or Taylor scalars.
 
     SingularDenominator is raised when the Q-denominator
     phi - s phi_s + (r^2 - s^2) phi_ss vanishes (loss of regularity of the
-    metric), naming the first such row.
+    metric).
     """
     phi = jet.partial((0,), (0,))
     phi_r = jet.partial((1,), (0,))
@@ -112,30 +112,13 @@ def pq_of_jet(jet, r, s):
     phi_rs = jet.partial((1,), (1,))
     phi_ss = jet.partial((0,), (2,))
     den = phi - s * phi_s + (r * r - s * s) * phi_ss
-    dval = scalars.value(den)
-    i = _first(np.abs(dval)
-               <= DENOMINATOR_TOL * (1.0 + np.abs(scalars.value(phi))))
-    if i is not None:
-        raise SingularDenominator(
-            f"Q-denominator vanishes at (r, s) = ({_row(r, i):g}, "
-            f"{_row(s, i):g})")
+    if np.any(np.abs(scalars.value(den))
+              <= DENOMINATOR_TOL * (1.0 + np.abs(scalars.value(phi)))):
+        raise SingularDenominator("Q-denominator vanishes")
     q = (-phi_r + s * phi_rs + r * phi_ss) / (2.0 * r * den)
     p = (-(q / phi) * (s * phi + (r * r - s * s) * phi_s)
          + (s * phi_r + r * phi_s) / (2.0 * r * phi))
     return p, q
-
-
-def _first(bad):
-    """Index of the first failing row of a per-row test (0 for a failing
-    scalar test), or None."""
-    hit = np.flatnonzero(bad)
-    return hit[0] if hit.size else None
-
-
-def _row(z, i):
-    """Row i of a per-row value; a value shared by all rows is its own."""
-    v = np.ravel(scalars.value(z))
-    return v[i if v.size > 1 else 0]
 
 
 def _real(*values):
@@ -222,12 +205,9 @@ def parallel_q(factor, P, rs):
     Q = s^2 f'/(2 r^3 f) - s P / r^2 + 1/(2 r^2)."""
     r, s = rs
     f = factor.f(r)
-    rv, fv = scalars.value(r), scalars.value(f)
-    i = _first(np.equal(rv, 0.0) | np.equal(fv, 0.0))
-    if i is not None:
-        raise SingularDenominator(
-            f"parallel_q needs r > 0 and f(r) != 0 (r={_row(rv, i):g}, "
-            f"f={_row(fv, i):g})")
+    if np.any(np.equal(scalars.value(r), 0.0)
+              | np.equal(scalars.value(f), 0.0)):
+        raise SingularDenominator("parallel_q needs r > 0 and f(r) != 0")
     Pv = P(r, s) if callable(P) else P
     return (s * s * factor.d(r) / (2.0 * r ** 3 * f)
             - s * Pv / (r * r) + 1.0 / (2.0 * r * r))
@@ -291,7 +271,7 @@ def parallel_form_check(pq, factor, samples, n=3, tol=None):
         if gap > 1e-9 * scale:
             raise SelfCheckFailure(
                 f"delta beta expansion disagrees with the pipeline "
-                f"(gap {gap:g} at x={at.x})")
+                f"(gap {gap:g})")
         return gap
 
     report.notes = {"expansion_gap": max(

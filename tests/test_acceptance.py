@@ -7,14 +7,12 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from finslercheck import analysis, catalogue, cli, forms, geometry, sphsym
 from finslercheck.analysis import ScalarCurvatureVerdict
-from finslercheck.calculus import JetOrder, TangentSample, eval_jet
 from finslercheck.config import build_config
 from finslercheck.forms import OneForm, Verdict
-from finslercheck.sampling import base_points, rs_grid, tangent_samples
+from finslercheck.sampling import rs_grid, tangent_samples
 from finslercheck.sphsym import RadialFactor, SphSymProfile
 
 

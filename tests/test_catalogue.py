@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finslercheck import catalogue, geometry, scalars
-from finslercheck.calculus import JetOrder, TangentSample, eval_jet, jet_of
+from finslercheck.calculus import TangentSample, jet_of
 from finslercheck.errors import BadParameter, NonFiniteValue
 from finslercheck.sampling import tangent_samples
 

@@ -1,9 +1,11 @@
 """Config ingestion, report serialization, CLI exit codes, determinism."""
 
+import ast
 import contextlib
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finslercheck
-from finslercheck import (catalogue, cli, forms, geometry, sampling, scalars,
-                          sphsym)
+from finslercheck import (catalogue, cli, expressions, forms, geometry,
+                          sampling, scalars, sphsym)
+from finslercheck.calculus import TangentSample
 from finslercheck.config import (MAX_DIM, MAX_THREADS, build_config,
                                  parse_config_file)
-from finslercheck.errors import ConfigError, NotPositive, SelfCheckFailure
+from finslercheck.errors import (ConfigError, FinslerCheckError,
+                                 NonFiniteValue, NotPositive, SelfCheckFailure)
 from finslercheck.reporting import dumps
 
 
@@ -479,7 +483,10 @@ def test_self_check_failure_exit_four(capsys):
     assert "Traceback" not in err
 
 
-def test_sphsym_expansion_gap_is_a_self_check_failure(monkeypatch, capsys):
+def _forced_expansion_gap(monkeypatch):
+    """The SelfCheckFailure of ``parallel_form_check`` when the closed
+    expansion of delta beta is off by 1e-3 at every sample, and the
+    samples it walked."""
     expansion = sphsym._delta_beta_expansion
     monkeypatch.setattr(sphsym, "_delta_beta_expansion",
                         lambda *args: expansion(*args) + 1e-3)
@@ -488,7 +495,12 @@ def test_sphsym_expansion_gap_is_a_self_check_failure(monkeypatch, capsys):
     samples = sampling.tangent_samples(3, 10, seed=5, radius=0.9, r_min=0.1)
     with pytest.raises(SelfCheckFailure, match="expansion") as gap:
         sphsym.parallel_form_check(pq, factor, samples)
-    assert str(gap.value).endswith(f" at the sample {samples[0]!r}")
+    return gap.value, samples
+
+
+def test_sphsym_expansion_gap_is_a_self_check_failure(monkeypatch, capsys):
+    gap, samples = _forced_expansion_gap(monkeypatch)
+    assert str(gap).endswith(f" at the sample {samples[0]!r}")
     rc = cli.main(["sphsym", "--phi", "berwald_classic", "--samples", "10",
                    "--grid-nr", "4", "--grid-ns", "4", "--f", "1",
                    "--P", "r*s/10"])
@@ -499,19 +511,102 @@ def test_sphsym_expansion_gap_is_a_self_check_failure(monkeypatch, capsys):
 def test_failure_messages_print_plain_floats(monkeypatch):
     # sample coordinates are Python floats, so messages naming a point
     # read x=(0.1, ...), not x=(np.float64(0.1), ...)
-    expansion = sphsym._delta_beta_expansion
-    monkeypatch.setattr(sphsym, "_delta_beta_expansion",
-                        lambda *args: expansion(*args) + 1e-3)
-    factor = sphsym.RadialFactor(lambda r: 1.0, df=lambda r: 0.0)
-    pq = sphsym.parallel_pq(factor, lambda r, s: r * s / 10.0)
-    samples = sampling.tangent_samples(3, 10, seed=5, radius=0.9, r_min=0.1)
-    with pytest.raises(SelfCheckFailure, match=r"at x=\(") as gap:
-        sphsym.parallel_form_check(pq, factor, samples)
+    gap, _ = _forced_expansion_gap(monkeypatch)
+    assert "TangentSample(x=(" in str(gap)
     euclid = catalogue.entry("euclidean", n=3).model
     with pytest.raises(NotPositive, match=r"at x=\(") as lift:
         forms.randers_lift(euclid, forms.OneForm.constant((2.0, 0.0, 0.0)))
-    for err in (gap, lift):
-        assert "np.float64(" not in str(err.value)
+    for err in (gap, lift.value):
+        assert "np.float64(" not in str(err)
+
+
+# any text that names a location: the suffix of a loop that walks its
+# items, or a point named inside the computation at that point
+LOCATION = re.compile(
+    r" at (the sample|the grid point|the FD stencil point|x=|\(r, s\))")
+
+
+def _fd_stencil_failure(monkeypatch):
+    # the klein stencil around |x| = 0.995 leaves the unit ball
+    m = catalogue.entry("klein", n=2).model
+    with pytest.raises(NonFiniteValue) as err:
+        geometry.spray_jets(m, TangentSample((0.995, 0.0), (0.0, 1.0)), 1, 2,
+                            "fd")
+    message = str(err.value)
+    point = ast.literal_eval(message.partition(" at the FD stencil point ")[2])
+    with pytest.raises(NonFiniteValue):
+        geometry._spray_scalars(m, *point)
+    return message, f" at the FD stencil point {point}"
+
+
+def _grid_failure(phi):
+    # phi is one of test_sphsym's FAILING_PROFILES
+    def failure(monkeypatch):
+        # the first point of the 7 x 11 grid at which the command's grid
+        # check fails on its own, at float (r, s)
+        profile = sphsym.SphSymProfile(expressions.compile_scalar(phi,
+                                                                  ("r", "s")))
+        pq = sphsym.pq_from_profile(profile)
+        for r, s in sampling.rs_grid(nr=7, ns=11):
+            try:
+                jet = profile.jet(r, s)
+                sphsym.metrizability_residuals(jet, pq, (r, s))
+                sphsym.pq_of_jet(jet, r, s)
+                profile.phi(r, s)
+            except FinslerCheckError as exc:
+                ref = exc
+                break
+        cfg = build_config("sphsym", overrides={
+            "phi": phi, "grid_nr": "7", "grid_ns": "11", "samples": "10"})
+        with pytest.raises(type(ref)) as err:
+            cli.run_sphsym(cfg)
+        return (str(err.value),
+                f"{ref} at the grid point (r, s) = ({r:g}, {s:g})")
+    return failure
+
+
+def _sample_failure(monkeypatch):
+    # the Baseline run of log(x1): the first sample with x1 <= 0 fails
+    cfg = build_config("check-parallel", overrides={
+        "metric": "euclidean", "form": "log(x1),0,0", "samples": "10"})
+    at = next(at for at in cli._samples(cfg, cli._resolve_metric(cfg)[1])
+              if at.x[0] <= 0.0)
+    with pytest.raises(NonFiniteValue) as err:
+        cli.run_check_parallel(cfg)
+    return str(err.value), f"{at.x[0]!r} at the sample {at!r}"
+
+
+def _expansion_gap_failure(monkeypatch):
+    gap, samples = _forced_expansion_gap(monkeypatch)
+    return str(gap), f" at the sample {samples[0]!r}"
+
+
+def _scan_failure(monkeypatch):
+    # F leaves sqrt's domain at the third base point; its first fiber
+    # sample fails first (the scan seeds its fibers at seed + 104729)
+    target = sampling.base_points(3, 3, 0, 0.6)[2]
+    monkeypatch.setattr(catalogue, "entry",
+                        _euclidean_broken_at(target, "sqrt"))
+    cfg = build_config("scan", overrides={
+        "metric": "euclidean", "x_points": "3", "y_samples": "8"})
+    with pytest.raises(NonFiniteValue) as err:
+        cli.run_scan(cfg)
+    y = sampling.fiber_samples(3, 8, 104729)[0]
+    return str(err.value), f" at the sample {TangentSample(target, y)!r}"
+
+
+@pytest.mark.parametrize("failure", [
+    _fd_stencil_failure,
+    _grid_failure("(r-0.50833333333333330)^2*(2+s)"),
+    _grid_failure("sqrt(0.55-r)+0.1*s"),
+    _sample_failure, _expansion_gap_failure, _scan_failure],
+    ids=["fd_stencil", "grid_q_denominator", "grid_sqrt", "sample",
+         "expansion_gap", "scan"])
+def test_every_failure_names_its_item_once(failure, monkeypatch):
+    # only the loop that walks an item names it, once, at the end
+    message, named = failure(monkeypatch)
+    assert message.endswith(named)
+    assert len(LOCATION.findall(message)) == 1
 
 
 @pytest.mark.parametrize("argv", [

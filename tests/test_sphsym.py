@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from finslercheck import catalogue, cli, geometry, sphsym, taylor
-from finslercheck.calculus import FD_BATCH, TangentSample, jet_of
+from finslercheck import catalogue, cli, geometry, taylor
+from finslercheck.calculus import FD_BATCH, TangentSample
 from finslercheck.config import build_config
 from finslercheck.errors import FinslerCheckError, SingularDenominator
 from finslercheck.expressions import compile_scalar
