@@ -59,6 +59,7 @@ def scalar_curvature_fit(m, samples, tol=1e-6, scheme="ad"):
 
     if scheme == "ad":
         geometry.fill_spray_jets(m, samples, 1, 2)
+        geometry.fill_op_jets(m, samples, ("metric_tensor",))
 
     def fit(at):
         phi = geometry.jacobi_endomorphism(m, at, scheme).components

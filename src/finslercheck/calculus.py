@@ -26,6 +26,10 @@ shifts of one flat energy jet, whose series an AD :class:`Jet` keeps as
 ``series``.  Such a jet may carry only a staircase of its partials (see
 :mod:`finslercheck.taylor`, ``jet_of(..., stair=...)``): a read outside
 the stair raises KeyError instead of returning a partial never computed.
+
+A command takes its per-sample jets as Taylor rows before its loop
+(:func:`fill_jets`; ``jet`` composed with ``vmap`` in Bettencourt, Johnson
+& Duvenaud 2019), and :func:`eval_jet` and :func:`sample_rows` find them.
 """
 
 import functools
@@ -45,7 +49,8 @@ EPS = float(np.finfo(float).eps)
 MAX_KX = 2
 MAX_KY = 4
 
-# Stencil points per batched field evaluation; bounds one batch's memory.
+# Points per batch of Taylor rows (FD stencil points, grid points, filled
+# samples); bounds one batch's memory.
 FD_BATCH = 64
 
 
@@ -65,9 +70,11 @@ class JetOrder:
 class TangentSample:
     """A base point x with a nonzero fiber vector y, both float
     coordinates; jets seed their own Taylor variables at the sample.
-    ``jets`` holds the spray jets computed at the sample, keyed by (model,
-    kx, ky, scheme), so they live exactly as long as the sample; under AD
-    a key may hold jets of higher caps, which serve the lower order.
+    ``jets`` holds what was computed or filled at the sample, so it lives
+    exactly as long as the sample: spray jets keyed by (model, kx, ky,
+    scheme), where under AD jets of higher caps serve the lower order; the
+    AD jets of a field's components keyed by (field, kx, ky, "ad"); and
+    arrays an op reads through :func:`sample_rows`.
     """
 
     __slots__ = ("x", "y", "jets")
@@ -332,12 +339,63 @@ def jet_of_many(fn, groups, caps, scheme="ad", *, rows=None):
 
 def eval_jet(f, at, order, scheme="ad"):
     """All mixed partials of the scalar field ``f`` at ``at`` up to
-    ``order`` (a :class:`JetOrder`).  Raises NonFiniteValue when the field
-    or any partial is NaN/inf at the sample."""
+    ``order`` (a :class:`JetOrder`), as :func:`fill_jets` put it on the
+    sample under ``(f, kx, ky, scheme)``, else computed.  Raises
+    NonFiniteValue when the field or any partial is NaN/inf there."""
     if not isinstance(order, JetOrder):
         order = JetOrder(*order)
+    held = at.jets.get((f, order.kx, order.ky, scheme))
+    if held is not None:
+        return held[0]
     return jet_of(lambda x, y: f(x, y), (at.x, at.y),
                   (order.kx, order.ky), scheme=scheme)
+
+
+def fill_eval_jets(samples, f, order):
+    """Put on ``samples`` the AD jet of ``f`` that :func:`eval_jet` takes
+    at ``order`` there, as Taylor rows (:func:`fill_jets`)."""
+    kx, ky = order
+    fill_jets(samples, (f, kx, ky, "ad"),
+              lambda xs, ys: [jet_of(f, (xs, ys), (kx, ky))])
+
+
+def sample_rows(at, key, rows):
+    """The arrays :func:`fill_jets` put on the sample ``at`` under ``key``,
+    else those of ``rows`` at ``at`` alone, as one row."""
+    held = at.jets.get(key)
+    if held is None:
+        held = [o[..., 0] for o in rows(*_coordinates([at]))]
+    return held
+
+
+def _coordinates(samples):
+    """The samples' x and y, each as per-row float arrays, one per
+    coordinate."""
+    xs = np.array([at.x for at in samples]).T
+    ys = np.array([at.y for at in samples]).T
+    return tuple(xs), tuple(ys)
+
+
+def fill_jets(samples, key, rows, batch=FD_BATCH):
+    """Put on each of ``samples`` not holding ``key`` its row of ``rows(xs,
+    ys)``, taken at per-row float arrays (one per coordinate) of at most
+    ``batch`` samples: a list of jets of Taylor rows or arrays, row axis
+    last, each row bit for bit what the op reading ``key`` takes at that
+    sample alone.  A batch that raises FinslerCheckError stores nothing and
+    a non-finite row is not stored, so those samples fail in the caller's
+    per-sample loop with their own error."""
+    todo = [at for at in samples if key not in at.jets]
+    for lo in range(0, len(todo), batch):
+        part = todo[lo:lo + batch]
+        try:
+            out = rows(*_coordinates(part))
+        except FinslerCheckError:
+            continue
+        for r, at in enumerate(part):
+            own = [Jet(o.nvars, o.caps, o.table[..., r].copy(), stair=o.stair)
+                   if isinstance(o, Jet) else o[..., r].copy() for o in out]
+            if all(np.isfinite(getattr(o, "table", o)).all() for o in own):
+                at.jets[key] = own
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,14 @@ def _pass(model, at, scheme):
     return t, _euler_term(G, *chain)
 
 
+def _fill_pass(model, samples, scheme):
+    """Put on ``samples`` as Taylor rows what ``_pass`` reads."""
+    geometry.fill_spray_jets(model, samples, 1, 3)
+    geometry.fill_op_jets(model, samples, ("spray_coefficients",
+                                           "metric_tensor", "hilbert_form",
+                                           "angular_metric"), scheme)
+
+
 # the Euler chain is always computed with AD, whatever --scheme says
 EULER_CHAIN_TOL = 1e-8
 # max |L| up to which the samples count as Landsberg
@@ -134,7 +142,7 @@ def run_tensors(cfg):
     ent, model = _resolve_metric(cfg)
     report = Report("tensors", cfg.echo())
     samples = _samples(cfg, model)
-    geometry.fill_spray_jets(model, samples, 1, 3)  # _pass reads AD (1, 3)
+    _fill_pass(model, samples, cfg.scheme)
 
     def one(at):
         tensors, term = _pass(model, at, cfg.scheme)
@@ -225,10 +233,11 @@ def run_invariants(cfg):
     ent, model = _resolve_metric(cfg)
     report = Report("invariants", cfg.echo())
     samples = _samples(cfg, model)
-    geometry.fill_spray_jets(model, samples, 1, 3)  # _pass reads AD (1, 3)
     seed, count, scheme = cfg.seed, len(samples), cfg.scheme
     tol = 1e-8 if scheme == "ad" else 1e-3
     probe = forms.OneForm.constant(tuple([1.0] + [0.3] * (cfg.dim - 1)))
+    _fill_pass(model, samples, scheme)
+    probe.fill_jets(samples, delta=scheme == "ad")
     worst = dict.fromkeys(("hom", "euler", "sym", "trace", "dc", "cov_delta",
                            "cf_spray", "cf_berwald", "landsberg", "rank"), 0.0)
     min_f = float("inf")
@@ -345,6 +354,8 @@ def run_sphsym(cfg):
     report.add(CheckRecord("metrizability_pde_2", worst2, tol,
                            worst2 <= tol, npts, cfg.seed))
     report.add(CheckRecord("max_abs_Q", max_q, None, True, npts, cfg.seed))
+
+    geometry.fill_op_jets(model, samples, ("spray_coefficients",))
 
     def closure(at):
         G_pq = sphsym.spray_from_pq(pq, at).components

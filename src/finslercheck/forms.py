@@ -18,7 +18,8 @@ from enum import Enum
 import numpy as np
 
 from . import analysis, geometry, sampling, scalars
-from .calculus import JetOrder, eval_jet, jet_of_many
+from .calculus import (JetOrder, eval_jet, fill_eval_jets, fill_jets,
+                       jet_of_many)
 from .errors import FinslerCheckError, InsufficientSamples, NotPositive
 from .geometry import MetricModel, TensorValue
 
@@ -43,6 +44,9 @@ class OneForm:
     db: object = None
     name: str = ""
 
+    def __post_init__(self):  # one beta per form: a key for its held jets
+        self._beta = lambda x, y: scalars.dot(self.b(x), y)
+
     @staticmethod
     def constant(values, name=""):
         vals = tuple(float(v) for v in values)
@@ -52,17 +56,31 @@ class OneForm:
 
     def beta(self):
         """The scalar field beta on the slit tangent bundle."""
-        return lambda x, y: scalars.dot(self.b(x), y)
+        return self._beta
 
     def values(self, x):
         return np.array([scalars.value(v) for v in self.b(x)])
 
-    def jacobian(self, x):
-        """d_j b_i as an (i, j) matrix."""
+    def jacobian(self, x, at=None):
+        """d_j b_i as an (i, j) matrix, read at a sample ``at`` of base
+        point x from the jets of b that :meth:`fill_jets` put there."""
         if self.db is not None:
             return np.asarray(self.db(x), dtype=float)
-        jets = jet_of_many(lambda xs: self.b(xs), (x,), (1,))
+        jets = at.jets.get((self.b, 1, 0, "ad")) if at is not None else None
+        if jets is None:
+            jets = jet_of_many(lambda xs: self.b(xs), (x,), (1,))
         return np.array([jet.dense(1) for jet in jets])
+
+    def fill_jets(self, samples, delta=False):
+        """Put on ``samples`` as Taylor rows the AD jets of this form that
+        :meth:`jacobian`, :func:`homogeneity_residual` and, with
+        ``delta``, :func:`delta_beta` read (:func:`calculus.fill_jets`)."""
+        beta = self.beta()
+        if self.db is None:
+            fill_jets(samples, (self.b, 1, 0, "ad"),
+                      lambda xs, ys: jet_of_many(self.b, (xs,), (1,)))
+        for kx in (0, 1)[:1 + delta]:
+            fill_eval_jets(samples, beta, (kx, 1))
 
 
 class Verdict(Enum):
@@ -100,7 +118,7 @@ def covariant_derivative(omega, at, C, delta, scheme="ad"):
     record ``max_delta``, max |delta_j beta|, and ``delta_residual``, the
     contraction's residual max |y^i b_{i|j} - delta_j beta| relative to
     1 + max_delta."""
-    db = omega.jacobian(at.x)
+    db = omega.jacobian(at.x, at)
     b = omega.values(at.x)
     cov = db - np.einsum("kji,k->ij", C.components, b)
     y = np.asarray(at.y, dtype=float)
@@ -154,6 +172,7 @@ def is_parallel(m, omega, samples, tol=None, scheme="ad"):
         tol = PARALLEL_TOL[scheme]
     if scheme == "ad":
         geometry.fill_spray_jets(m, samples, 1, 2)
+    omega.fill_jets(samples, delta=scheme == "ad")
 
     def residuals(at):
         hres = homogeneity_residual(omega, at)

@@ -14,18 +14,19 @@ A spray jet of order (kx, ky) needs energy partials of order (kx + 1,
 ky + 2).  Under AD they are all read off one flat energy jet of that order
 by derivative shifts (:meth:`TNum.partial`) into the (kx, ky) algebra,
 where the spray is assembled and solved; no jet is taken of Taylor-valued
-inputs.  A command takes the AD spray jets of all its samples at once
-before its per-sample loop (:func:`fill_spray_jets`): in batches of
-``SPRAY_BATCH`` samples, one staircase energy jet of Taylor rows per
-batch, the spray assembled and solved on the rows, and each row's jets
-stored on its sample, bit for bit the jets of that sample alone.  The ops
-then find them there.  Spray-only models and the FD scheme differentiate
-the spray evaluation itself.  FD evaluates the spray of a model with F at
-a jet's distinct stencil points in batches of Taylor rows: one (1, 2)
-energy jet per batch, the partials read off per row, the non-degeneracy
-check and the solve's pivot taken per row, so each row is bit for bit the
-spray at that point alone.  Under AD a lower tier reads the (1, 3) jet
-already on the sample.
+inputs.  Spray-only models and the FD scheme differentiate the spray
+evaluation itself; FD evaluates it at a jet's stencil points in batches of
+Taylor rows (``_spray_rows``: one (1, 2) energy jet, with the
+non-degeneracy check and the solve's pivot per row).  Under AD a lower
+tier reads the (1, 3) jet already on the sample.
+
+Before its per-sample loop a command puts what the ops read on its samples
+as Taylor rows, each row bit for bit that sample's own (through
+:func:`calculus.fill_jets`): the AD spray jets (:func:`fill_spray_jets`,
+one staircase energy jet per ``SPRAY_BATCH`` samples for a model with F),
+and the spray values, energy jets and F jets of :func:`fill_op_jets`.  The
+ops find them there through ``spray_jets``, ``eval_jet`` and
+``sample_rows``, and take their own at a sample that holds none.
 
 An AD tier keeps only its demand staircase (``_AD_STAIRS``): the spray
 partials the ops read, of x-order 0 up to the tier's y-order and of
@@ -54,8 +55,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import scalars
-from .calculus import (Jet, JetOrder, TangentSample, eval_jet,
-                       homogeneity_check, jet_of, jet_of_many, jet_of_rows,
+from .calculus import (HOMOGENEITY_SCALES, JetOrder, TangentSample,
+                       eval_jet, fill_eval_jets, fill_jets, homogeneity_check,
+                       jet_of, jet_of_many, jet_of_rows, sample_rows,
                        series_jet, var_exponents)
 from .errors import (ConventionMismatch, DegenerateMetric, FinslerCheckError,
                      NonFiniteValue)
@@ -231,6 +233,22 @@ def _spray_rows(m, xs, ys):
     return np.transpose(_assemble_spray(m.n, ys.T, jet.pvars))
 
 
+def _spray_values(m, xs, ys):
+    """The spray at each row of the per-row float arrays ``xs``, ``ys`` and
+    at its y times each of HOMOGENEITY_SCALES, as a (1 + scales, n, rows)
+    array, each bit for bit ``_spray_scalars`` there: through one
+    ``_spray_rows`` for an F-model, else point by point."""
+    lams = (1.0,) + HOMOGENEITY_SCALES
+    X = np.tile(np.transpose(xs), (len(lams), 1))
+    Y = np.concatenate([lam * np.transpose(ys) for lam in lams])
+    if m.F is None:
+        G = np.array([[scalars.value(c) for c in _spray_scalars(m, x, y)]
+                      for x, y in zip(X.tolist(), Y.tolist())])
+    else:
+        G = _spray_rows(m, X, Y)
+    return G.reshape(len(lams), -1, m.n).transpose(0, 2, 1)
+
+
 def _spray_scalars(m, x, y):
     # Spray values always come from Taylor-mode energy jets, also under the
     # pipeline's fd scheme: there the *outer* differentiation of the spray
@@ -279,33 +297,33 @@ SPRAY_BATCH = 16
 
 def fill_spray_jets(m, samples, kx, ky):
     """Put the AD spray jets of order (kx, ky) on each of ``samples`` that
-    does not hold them yet, computed as Taylor rows in batches of at most
-    ``SPRAY_BATCH`` samples: one staircase energy jet per batch, the
-    spray assembled and solved on the rows, then each row's jets stored
-    on its sample, bit for bit the tables :func:`spray_jets` computes at
-    that sample alone (the stored jets keep no ``series``; nothing reads a
-    spray jet's).  Does nothing for a spray-only model.
-
-    A batch that raises FinslerCheckError stores nothing, and a row whose
-    jets are not finite is not stored: those samples take their jets one
-    by one in the caller's per-sample loop, which raises the sample's own
-    error there."""
-    if m.F is None:
-        return
+    does not hold them yet, as Taylor rows (:func:`calculus.fill_jets`),
+    bit for bit the tables :func:`spray_jets` computes at that sample
+    alone, without ``series``: a model with F as one staircase energy jet
+    per ``SPRAY_BATCH`` samples, the spray assembled and solved on the
+    rows; a spray-only model as the AD jets of its spray."""
     todo = [at for at in samples if not _held(m, at, kx, ky)]
-    for lo in range(0, len(todo), SPRAY_BATCH):
-        batch = todo[lo:lo + SPRAY_BATCH]
-        xs = np.array([at.x for at in batch]).T
-        ys = np.array([at.y for at in batch]).T
-        try:
-            rows = _shifted_spray_jets(m, tuple(xs), tuple(ys), kx, ky)
-        except FinslerCheckError:
-            continue
-        for r, at in enumerate(batch):
-            jets = [Jet(j.nvars, j.caps, j.table[..., r].copy(), stair=j.stair)
-                    for j in rows]
-            if all(np.isfinite(j.table).all() for j in jets):
-                at.jets[(m, kx, ky, "ad")] = jets
+    if m.F is None:
+        fill_jets(todo, (m, kx, ky, "ad"), lambda xs, ys: jet_of_many(
+            lambda x, y: _spray_scalars(m, x, y), (xs, ys), (kx, ky)))
+    else:
+        fill_jets(todo, (m, kx, ky, "ad"), lambda xs, ys: _shifted_spray_jets(
+            m, xs, ys, kx, ky), SPRAY_BATCH)
+
+
+def fill_op_jets(m, samples, ops, scheme="ad"):
+    """Put on ``samples`` what the geometry ``ops`` (names) read, as Taylor
+    rows (:func:`calculus.fill_jets`): the values of spray_coefficients
+    under either scheme, 4 rows per sample, and under AD the energy jet of
+    metric_tensor and the F jets of hilbert_form and angular_metric."""
+    fields = {"metric_tensor": (m.energy, (0, 2)),
+              "hilbert_form": (m.F, (0, 1)), "angular_metric": (m.F, (0, 2))}
+    for op in ops:
+        if op == "spray_coefficients":
+            fill_jets(samples, (m, 0, 0, "values"),
+                      lambda xs, ys: [_spray_values(m, xs, ys)], SPRAY_BATCH)
+        elif scheme == "ad" and m.F is not None:
+            fill_eval_jets(samples, *fields[op])
 
 
 # jet orders requested per tier; AD shares one generous jet per tier, FD
@@ -326,9 +344,9 @@ _FD_TIERS = {
 def _held(m, at, kx, ky):
     """AD jets of ``m`` on the sample with caps at least (kx, ky), or
     None."""
-    return next((jets for (model, jx, jy, s), jets in at.jets.items()
-                 if model is m and s == "ad" and jx >= kx and jy >= ky),
-                None)
+    return next((jets for key, jets in at.jets.items()
+                 if key[0] is m and key[-1] == "ad" and key[1] >= kx
+                 and key[2] >= ky), None)
 
 
 def spray_jets(m, at, kx, ky, scheme="ad"):
@@ -422,14 +440,15 @@ def angular_metric(m, at, g, scheme="ad"):
 
 def spray_coefficients(m, at):
     """Geodesic-spray coefficients G^i; 2-homogeneity is checked on the
-    whole spray vector (one evaluation per scale).  G is read off AD
-    energy jets under either pipeline scheme (see ``_spray_scalars``), so
-    it has no scheme."""
-    G = np.array([scalars.value(c) for c in _spray_scalars(m, at.x, at.y)])
+    whole spray vector, taken with its scalings as rows (``_spray_values``,
+    also filled by :func:`fill_op_jets`).  G is read off AD energy jets
+    under either pipeline scheme (see ``_spray_scalars``): no scheme."""
+    G, *scaled = sample_rows(at, (m, 0, 0, "values"),
+                             lambda xs, ys: [_spray_values(m, xs, ys)])[0]
     if not np.isfinite(G).all():
         raise NonFiniteValue("spray coefficients not finite at the sample")
-    residuals = homogeneity_check(lambda x, y: _spray_scalars(m, x, y),
-                                  at, 2, value=G)
+    scaled = iter(scaled)
+    residuals = homogeneity_check(lambda x, y: next(scaled), at, 2, value=G)
     for i, res in enumerate(residuals):
         if res > 1e-9:
             raise FinslerCheckError(

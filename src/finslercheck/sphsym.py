@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms, sampling, scalars
-from .calculus import jet_of, jet_of_many
+from .calculus import fill_jets, jet_of, jet_of_many, sample_rows
 from .errors import SelfCheckFailure, SingularDenominator
 from .forms import OneForm
 from .geometry import Domain, MetricModel, TensorValue
@@ -224,11 +224,12 @@ def parallel_pq(factor, P):
 def sss_residuals(factor, pq, rs):
     """The three scalar conditions equivalent to delta_i beta = 0 for
     beta = f(r) <x, y> and the (P, Q) spray: the x-coefficient, the
-    y-coefficient, and their s-weighted combination.  Over rows, f and f'
-    are evaluated once per distinct r."""
+    y-coefficient, and their s-weighted combination.  Over rows, f and a
+    closed-form f' are evaluated once per distinct r, and a jet f' is taken
+    on the rows."""
     r, s = rs
     fv = _per_r(factor.f, r)
-    dfv = _per_r(factor.d, r)
+    dfv = factor.d(r) if factor.df is None else _per_r(factor.df, r)
     Pv, P_s, Qv, Q_s = pq.jets(r, s)
     r2 = r * r
     res1 = s * dfv / r - s * fv * P_s - fv * Pv - fv * r2 * Q_s
@@ -247,12 +248,14 @@ def _per_r(fn, r):
     return np.array([fn(v) for v in distinct.tolist()])[where]
 
 
-def _delta_beta_expansion(factor, pq, at):
-    """delta_i beta written out in its x_i / y_i coefficient form: u times
-    the x-coefficient and the y-coefficient of :func:`sss_residuals`."""
-    r, s, u = _rsu(at.x, at.y)
+def _delta_beta_expansion(factor, pq, xs, ys):
+    """delta_i beta written out in its x_i / y_i coefficient form at each
+    row of the per-row float arrays ``xs``, ``ys``, as an (n, rows) array:
+    u times the x-coefficient and the y-coefficient of sss_residuals."""
+    X, Y = np.array(xs), np.array(ys)
+    r, s, u = map(np.array, zip(*map(_rsu, X.T.tolist(), Y.T.tolist())))
     res1, res2, _ = sss_residuals(factor, pq, (r, s))
-    return np.array([u * res1 * xi + res2 * yi for xi, yi in zip(at.x, at.y)])
+    return u * res1 * X + res2 * Y
 
 
 def parallel_form_check(pq, factor, samples, n=3, tol=None):
@@ -262,10 +265,16 @@ def parallel_form_check(pq, factor, samples, n=3, tol=None):
     model = spray_model_from_pq(pq, n)
     report = forms.is_parallel(model, factor.one_form(n), samples, tol=tol)
     deltas = iter(report.deltas)  # map_samples runs in sample order
+    key = (factor, pq, "expansion")
+
+    def expansion(xs, ys):
+        return [_delta_beta_expansion(factor, pq, xs, ys)]
+
+    fill_jets(samples, key, expansion)
 
     def expansion_gap(at):
         direct = next(deltas)
-        expanded = _delta_beta_expansion(factor, pq, at)
+        expanded = sample_rows(at, key, expansion)[0]
         gap = float(np.max(np.abs(direct - expanded)))
         scale = 1.0 + float(np.max(np.abs(direct)))
         if gap > 1e-9 * scale:

@@ -270,6 +270,25 @@ def _integral(p):
         isinstance(p, float) and p.is_integer())
 
 
+def _derivs_at(derivs, values, *args):
+    """``derivs(v, *args)`` at each Python float v of ``values``, so that a
+    TNum and each TRows row compute alike.  A derivative at a finite v that
+    is not finite, because a power of v overflowed or underflowed to 0
+    under a division, raises NonFiniteValue."""
+    out = []
+    for v in values:
+        try:
+            d = derivs(v, *args)
+        except (OverflowError, ZeroDivisionError):
+            d = [math.inf]
+        if not math.isfinite(sum(d)) and math.isfinite(v) \
+                and not all(map(math.isfinite, d)):
+            raise NonFiniteValue(f"{derivs.__name__[1:-7]} has a non-finite "
+                                 f"derivative at {v}")
+        out.append(d)
+    return out
+
+
 def _pow_derivs(v, cap, p):
     """The derivatives of x**p at v, orders 0..cap."""
     if not (v > 0.0):
@@ -314,6 +333,8 @@ def _log_derivs(v, cap):
 
 def _sin_derivs(v, cap, quarter=0):
     """The derivatives of sin(x + quarter * pi/2) at v; cos at quarter 1."""
+    if math.isinf(v):  # math.sin raises ValueError there
+        raise NonFiniteValue(f"sin or cos of infinite Taylor value {v}")
     cyc = (math.sin(v), math.cos(v), -math.sin(v), -math.cos(v))
     return [cyc[(k + quarter) % 4] for k in range(cap + 1)]
 
@@ -428,7 +449,8 @@ class TNum:
     def _analytic(self, derivs, *args):
         """Compose with the derivative list ``derivs(v, cap, *args)``
         gives at the value v."""
-        return self._compose(derivs(self.value(), self.alg.total_cap, *args))
+        return self._compose(_derivs_at(derivs, [float(self.value())],
+                                        self.alg.total_cap, *args)[0])
 
     def _compose(self, derivs):
         """sum_k derivs[k]/k! * (self - value)^k, Horner-evaluated; for
@@ -516,8 +538,8 @@ class TRows(TNum):
         return f"TRows(rows={self.c.shape[1]}, blocks={self.alg.blocks})"
 
     def _analytic(self, derivs, *args):
-        cap = self.alg.total_cap
-        per_row = [derivs(v, cap, *args) for v in self.value().tolist()]
+        per_row = _derivs_at(derivs, self.value().tolist(),
+                             self.alg.total_cap, *args)
         return self._compose(np.array(per_row, dtype=float).T)
 
     def absolute(self):

@@ -1,0 +1,173 @@
+"""What a command puts on its samples as Taylor rows before its per-sample
+loop: every filled row is bit for bit the sample's own result, at batch
+counts around each fill's batch size."""
+
+import numpy as np
+import pytest
+
+from finslercheck import calculus, catalogue, geometry, sphsym
+from finslercheck.calculus import (FD_BATCH, HOMOGENEITY_SCALES,
+                                   TangentSample, eval_jet)
+from finslercheck.expressions import compile_form, compile_scalar
+from finslercheck.geometry import MetricModel
+from finslercheck.sampling import tangent_samples
+
+# one, part of one, exactly one, one and a bit, and two and a bit batches
+# of SPRAY_BATCH samples, then the edges of FD_BATCH (the default of
+# calculus.fill_jets)
+COUNTS = (1, 15, 16, 17, 33)
+EDGES = (FD_BATCH - 1, FD_BATCH, FD_BATCH + 1)
+CATALOGUE = [(name, n) for name in ("general_berwald", "funk_parallel",
+                                    "klein", "berwald_classic")
+             for n in (2, 3)]
+RADIAL = ("1", "exp(r)", "1+r*r")  # the corpus's radial factors
+
+
+def _points(n, count=max(EDGES), r_min=0.0):
+    return [(at.x, at.y) for at in tangent_samples(n, count, seed=13,
+                                                   radius=0.5, r_min=r_min)]
+
+
+def _fresh(points):
+    return [TangentSample(x, y) for x, y in points]
+
+
+def _bits(v):
+    v = getattr(v, "table", v)
+    return v.shape, np.asarray(v).tobytes()
+
+
+def _assert_filled(fill, key, points, ref, counts):
+    """``fill(samples)`` puts under ``key`` on each sample of every count a
+    list whose entries equal ``ref(point)``'s bit for bit."""
+    refs = [[_bits(v) for v in ref(p)] for p in points[:max(counts)]]
+    for count in counts:
+        samples = _fresh(points[:count])
+        fill(samples)
+        for at, want in zip(samples, refs):
+            assert [_bits(v) for v in at.jets[key]] == want
+
+
+def _pq_model(f, n):
+    factor = sphsym.RadialFactor(compile_scalar(f, ("r",)), name=f)
+    pq = sphsym.parallel_pq(factor, compile_scalar("r*s/10", ("r", "s")))
+    return factor, pq, sphsym.spray_model_from_pq(pq, n)
+
+
+def _spray_only(name, n):
+    ent = catalogue.entry(name, n=n)
+    return MetricModel(n, domain=ent.model.domain,
+                       spray_override=ent.spray_cf, name=name + " spray")
+
+
+@pytest.mark.parametrize("kind,name,n", [
+    *(("spray_cf", name, n) for name, n in CATALOGUE
+      if name != "berwald_classic"),
+    *(("pq", f, n) for f in RADIAL for n in (2, 3))])
+def test_spray_only_spray_jets_fill_as_their_samples_own(kind, name, n):
+    m = _spray_only(name, n) if kind == "spray_cf" else _pq_model(name, n)[2]
+    points = _points(m.n, r_min=0.1)
+    _assert_filled(lambda s: geometry.fill_spray_jets(m, s, 1, 2),
+                   (m, 1, 2, "ad"), points,
+                   lambda p: geometry.spray_jets(m, TangentSample(*p), 1, 2),
+                   COUNTS + EDGES)
+
+
+def test_fill_spray_jets_keeps_held_jets_and_fills_spray_only_models():
+    klein = catalogue.entry("klein", n=3)
+    spray_only = MetricModel(3, domain=klein.model.domain,
+                             spray_override=klein.spray_cf, name="spray")
+    samples = tangent_samples(3, 3, seed=2, radius=0.5)
+    held = geometry.spray_jets(klein.model, samples[1], 1, 3)
+    geometry.fill_spray_jets(klein.model, samples, 1, 2)
+    held_only = geometry.spray_jets(spray_only, samples[0], 1, 3)
+    geometry.fill_spray_jets(spray_only, samples, 1, 3)
+    assert samples[1].jets[(klein.model, 1, 3, "ad")] is held
+    assert samples[0].jets[(spray_only, 1, 3, "ad")] is held_only
+    assert [list(at.jets) for at in samples] == [
+        [(klein.model, 1, 2, "ad"), (spray_only, 1, 3, "ad")],
+        [(klein.model, 1, 3, "ad"), (spray_only, 1, 3, "ad")],
+        [(klein.model, 1, 2, "ad"), (spray_only, 1, 3, "ad")]]
+
+
+@pytest.mark.parametrize("name,n", CATALOGUE)
+def test_spray_values_fill_as_each_scales_own_spray(name, n):
+    m = catalogue.entry(name, n=n).model
+
+    def ref(p):
+        x, y = p
+        return [np.array([[float(c) for c in geometry._spray_scalars(
+            m, x, tuple(lam * v for v in y))]
+            for lam in (1.0,) + HOMOGENEITY_SCALES])]
+
+    _assert_filled(
+        lambda s: geometry.fill_op_jets(m, s, ("spray_coefficients",)),
+        (m, 0, 0, "values"), _points(n), ref, COUNTS + EDGES)
+    at = TangentSample(*_points(n, 1)[0])
+    assert _bits(geometry.spray_coefficients(m, at).components) \
+        == _bits(ref((at.x, at.y))[0][0])
+
+
+@pytest.mark.parametrize("name,n", CATALOGUE)
+def test_energy_and_F_jets_fill_as_their_samples_own(name, n):
+    m = catalogue.entry(name, n=n).model
+    ops = ("metric_tensor", "hilbert_form", "angular_metric")
+    points = _points(n)
+    for f, ky in ((m.energy, 2), (m.F, 1), (m.F, 2)):
+        _assert_filled(
+            lambda s: geometry.fill_op_jets(m, s, ops), (f, 0, ky, "ad"),
+            points, lambda p: [eval_jet(f, TangentSample(*p), (0, ky))],
+            COUNTS + EDGES)
+    # under fd the ops take their own jets
+    samples = _fresh(points[:3])
+    geometry.fill_op_jets(m, samples, ops, "fd")
+    assert not any(at.jets for at in samples)
+
+
+def _forms():
+    funk = catalogue.entry("funk_parallel", n=3, a=(0.5, 0.1, 0.0))
+    out = [funk.parallel_family(c=1.0, c_mu=(0.0, 0.2)),
+           compile_form(["x2*x3", "sin(x1)", "1+x1*x1"], 3),
+           compile_form(["exp(x2)", "x1/(2+x2)"], 2)]
+    return out + [_pq_model(f, 3)[0].one_form(3) for f in RADIAL]
+
+
+@pytest.mark.parametrize("omega", _forms(), ids=lambda o: o.name)
+def test_form_jets_fill_as_their_samples_own(omega):
+    beta = omega.beta()
+    assert omega.beta() is beta
+    points = _points(omega.n, r_min=0.1)
+    fill = lambda s: omega.fill_jets(s, delta=True)  # noqa: E731
+    for kx in (0, 1):
+        _assert_filled(
+            fill, (beta, kx, 1, "ad"), points,
+            lambda p: [eval_jet(beta, TangentSample(*p), (kx, 1))],
+            COUNTS + EDGES)
+    _assert_filled(
+        fill, (omega.b, 1, 0, "ad"), points,
+        lambda p: calculus.jet_of_many(omega.b, (p[0],), (1,)),
+        COUNTS + EDGES)
+    samples = _fresh(points[:17])
+    fill(samples)
+    for at in samples:
+        assert _bits(omega.jacobian(at.x, at)) == _bits(omega.jacobian(at.x))
+
+
+@pytest.mark.parametrize("f", RADIAL)
+def test_expansion_and_radial_derivative_rows_equal_each_points(f):
+    factor, pq, _ = _pq_model(f, 3)
+
+    def ref(p):  # the expansion at float (r, s), as one point alone
+        r, s, u = sphsym._rsu(*p)
+        res1, res2, _ = sphsym.sss_residuals(factor, pq, (r, s))
+        return [np.array([u * res1 * xi + res2 * yi for xi, yi in zip(*p)])]
+
+    key = (factor, pq, "expansion")
+    _assert_filled(
+        lambda s: calculus.fill_jets(s, key, lambda xs, ys: [
+            sphsym._delta_beta_expansion(factor, pq, xs, ys)]),
+        key, _points(3, r_min=0.1), ref, COUNTS + EDGES)
+    rs = np.linspace(0.1, 0.9, 65)
+    assert _bits(factor.d(rs)) \
+        == _bits(np.array([factor.d(r) for r in rs.tolist()]))
+

@@ -466,19 +466,6 @@ def test_batched_spray_jets_equal_per_sample_jets(name, n, kx, ky):
                 assert a.table.tobytes() == b.table.tobytes()
 
 
-def test_fill_spray_jets_keeps_held_jets_and_skips_spray_only_models():
-    klein = catalogue.entry("klein", n=3)
-    spray_only = MetricModel(3, domain=klein.model.domain,
-                             spray_override=klein.spray_cf, name="spray")
-    samples = tangent_samples(3, 3, seed=2, radius=0.5)
-    held = geometry.spray_jets(klein.model, samples[1], 1, 3)
-    geometry.fill_spray_jets(klein.model, samples, 1, 2)
-    geometry.fill_spray_jets(spray_only, samples, 1, 3)
-    assert samples[1].jets == {(klein.model, 1, 3, "ad"): held}
-    assert [list(at.jets) for at in samples[::2]] \
-        == [[(klein.model, 1, 2, "ad")]] * 2
-
-
 def test_fill_spray_jets_leaves_a_failing_batch_and_non_finite_rows(
         monkeypatch):
     # a batch whose metric degenerates at one row stores nothing; a row

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +21,8 @@ from finslercheck.calculus import TangentSample
 from finslercheck.config import (MAX_DIM, MAX_THREADS, build_config,
                                  parse_config_file)
 from finslercheck.errors import (ConfigError, FinslerCheckError,
-                                 NonFiniteValue, NotPositive, SelfCheckFailure)
+                                 NonFiniteValue, NotPositive, SelfCheckFailure,
+                                 SingularDenominator)
 from finslercheck.reporting import dumps
 
 
@@ -225,6 +227,119 @@ def test_a_failing_spray_jet_batch_fails_as_its_first_sample(
     assert rc == 3 and err.startswith(message)
     assert f" at the sample {target!r}\n" in err \
         or f" at the sample TangentSample(x={target!r}, " in err
+
+
+def _no_fills(monkeypatch):
+    """Patch every fill of calculus.fill_jets to a no-op, so each sample
+    takes its own jets in the per-sample loop."""
+    for module in (geometry, forms, sphsym):
+        monkeypatch.setattr(module, "fill_jets", lambda *args: None)
+
+
+@pytest.mark.parametrize("command,samples,broken", [
+    ("tensors", 20, "F"),            # spray values: 16 samples, then 4
+    ("invariants", 20, "F"),
+    ("scalar-curvature", 70, "F"),   # energy jets: 64 samples, then 6
+    ("check-parallel", 70, "form")])  # jets of b and beta: 64, then 6
+def test_a_failing_fill_batch_fails_as_its_first_sample(
+        command, samples, broken, monkeypatch, capsys):
+    # the failing sample lies in the second batch of each fill; the run
+    # must end as it does when every sample takes its own jets
+    target = sampling.tangent_samples(3, samples, 0, 0.6)[samples - 4].x
+    argv = [command, "--metric", "euclidean", "--samples", str(samples)]
+    if broken == "F":
+        monkeypatch.setattr(catalogue, "entry",
+                            _euclidean_broken_at(target, "sqrt"))
+    else:
+        def b(x):
+            gap = scalars.norm_sq([xi - ti for xi, ti in zip(x, target)])
+            return (scalars.sqrt(gap - 1e-8), 0.0, 0.0)
+
+        monkeypatch.setattr(cli, "_resolve_form",
+                            lambda cfg, ent: forms.OneForm(3, b))
+    outcomes = [(cli.main(argv), capsys.readouterr().err)]
+    _no_fills(monkeypatch)
+    outcomes.append((cli.main(argv), capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+    rc, err = outcomes[0]
+    assert rc == 3 and err.startswith(
+        "numeric domain error: sqrt of non-positive Taylor value ")
+    assert f" at the sample TangentSample(x={target!r}, " in err
+
+
+@pytest.mark.parametrize("broken", ["P", "expansion"])
+def test_a_failing_sphsym_fill_batch_fails_as_its_first_sample(
+        broken, monkeypatch):
+    # the P/Q model's spray jets and the delta beta expansion, each failing
+    # at a sample in their second batch of 64
+    samples = sampling.tangent_samples(3, 70, 0, 0.9, r_min=0.1)
+    target = samples[66]
+    rt, st, _ = sphsym._rsu(target.x, target.y)
+    factor = sphsym.RadialFactor(lambda r: 1.0)
+    sss = sphsym.sss_residuals
+
+    def P(r, s):
+        if broken == "expansion":
+            return r * s / 10.0
+        return r * s / 10.0 + scalars.sqrt((r - rt) ** 2 + (s - st) ** 2
+                                           - 1e-12)
+
+    def forced(factor, pq, rs):
+        if np.any(np.equal(rs[0], rt)):
+            raise SingularDenominator("forced")
+        return sss(factor, pq, rs)
+
+    if broken == "expansion":
+        monkeypatch.setattr(sphsym, "sss_residuals", forced)
+    errors = []
+    for fills in (True, False):
+        if not fills:
+            _no_fills(monkeypatch)
+        fresh = [TangentSample(at.x, at.y) for at in samples]
+        with pytest.raises(FinslerCheckError) as err:
+            sphsym.parallel_form_check(sphsym.parallel_pq(factor, P), factor,
+                                       fresh)
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1].endswith(f" at the sample {target!r}")
+
+
+@pytest.mark.parametrize("form,message", [
+    ("log(x1),0,0", "numeric domain error: log of non-positive Taylor value "
+     "-0.39455540746900536 at the sample TangentSample(x=(-0.39455540746900536"
+     ", -0.23189461907231043, -0.17235607827620683), y=(0.36486176735685877, "
+     "0.9240647543268905, -0.11393077078653184))\n"),
+    ("1/0,0,0", "numeric domain error: division by zero in expression at the "
+     "sample TangentSample(x=(0.028857776140179574, -0.030320892930408898, "
+     "0.1469907021627264), y=(-0.36806344459523743, 0.24845534974903277, "
+     "0.8959906472356587))\n"),
+    # rows of later samples overflow sin's argument to inf, which the
+    # first sample, failing on its own, never reaches
+    ("sin(1e308*x1*10),0,0", "numeric domain error: expression produced "
+     "non-finite derivatives at the sample TangentSample(x=("
+     "0.028857776140179574, -0.030320892930408898, 0.1469907021627264), y=("
+     "-0.36806344459523743, 0.24845534974903277, 0.8959906472356587))\n")])
+def test_check_parallel_form_errors_keep_their_stderr(form, message, capsys):
+    # the bytes the per-sample loop printed before the form's jets were
+    # filled as rows
+    argv = ["check-parallel", "--metric", "euclidean", "--form", form,
+            "--samples", "10"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("grid", [[], ["--grid-nr", "1", "--grid-ns", "1"]])
+def test_an_overflowing_radial_factor_is_a_numeric_domain_error(grid,
+                                                                capsys):
+    # exp(1000 r) overflows the powers of 1/f's derivatives: on the grid's
+    # rows and at a float alike, rc 3 with the failing point named
+    argv = ["sphsym", "--phi", "1", "--samples", "10", "--f", "exp(1000*r)"]
+    assert cli.main(argv + grid) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric domain error: reciprocal has a non-finite "
+                          "derivative at ")
+    assert (" at the sample " if grid else " at the grid point (r, s) = ") \
+        in err
 
 
 def test_sphsym_closure_error_names_the_failing_sample(capsys):

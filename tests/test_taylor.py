@@ -400,3 +400,54 @@ def test_rows_partial_shifts_each_row():
     ref = [TNum(src, row).partial(((1, 0), (0, 1)), target).c for row in c]
     assert isinstance(got, TRows)
     assert np.array_equal(got.c.T, np.array(ref))
+
+
+ANALYTIC = {"reciprocal": lambda t: 1.0 / t, "log": lambda t: t.log(),
+            "sqrt": lambda t: t.sqrt(), "pow": lambda t: t ** 1.5}
+
+
+@pytest.mark.parametrize("fn", ANALYTIC)
+def test_an_overflowing_derivative_fails_alike_for_a_series_and_its_row(fn):
+    # a power of v that overflows, or underflows to 0 under a division,
+    # raises NonFiniteValue for a TNum and for each row of a TRows, where a
+    # numpy float would have given inf (or 0) and a Python float raised
+    # OverflowError; finite rows stay bit for bit the series
+    alg = algebra(((1, 3), (1, 1)))
+    f = ANALYTIC[fn]
+    values = (1.0, 1e200, 1e-200)
+
+    def seeded(vs):
+        return TRows.variable(alg, 0, 0, np.array(vs))
+
+    fails = []
+    for v in values:
+        try:
+            single = f(alg.variable(0, 0, v))
+        except NonFiniteValue as exc:
+            fails.append(v)
+            assert "non-finite derivative" in str(exc)
+            with pytest.raises(NonFiniteValue, match="non-finite derivative"):
+                f(seeded([v]))
+        else:
+            assert np.array_equal(f(seeded([v])).c[:, 0], single.c)
+    # x**p for p > 0 only underflows at 1e200, which is finite
+    assert fails == [1e-200] if fn in ("sqrt", "pow") else [1e200, 1e-200]
+    with pytest.raises(NonFiniteValue, match="non-finite derivative"):
+        f(seeded(values))
+    finite = [v for v in values if v not in fails]
+    rows = f(seeded(finite))
+    for r, v in enumerate(finite):
+        assert np.array_equal(rows.c[:, r], f(alg.variable(0, 0, v)).c)
+
+
+def test_sin_and_cos_of_an_infinite_value_are_domain_errors():
+    # math.sin raises ValueError at inf; a series and its row raise
+    # NonFiniteValue instead, and a NaN value still propagates
+    alg = algebra(((1, 2),))
+    for v in (np.inf, -np.inf):
+        for t in (alg.variable(0, 0, v), TRows.variable(alg, 0, 0,
+                                                         np.array([1.0, v]))):
+            for op in (t.sin, t.cos):
+                with pytest.raises(NonFiniteValue, match="infinite Taylor"):
+                    op()
+    assert np.isnan(alg.variable(0, 0, np.nan).sin().c).all()
