@@ -17,6 +17,7 @@ or a cross-check between two computations, did not hold).
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -455,7 +456,10 @@ def _add_common(p):
                    f"{MAX_THREADS}) so old command lines keep their exit code")
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: it reads only the keys of RUNNERS, which never
+    # change (perfbench's tracer replaces only the values)
     parser = argparse.ArgumentParser(
         prog="finslercheck",
         description="numerical verification of sprays, curvatures and "
@@ -501,7 +505,11 @@ def main(argv=None):
                      if k not in skip and v is not None}
         cfg = build_config(args.command, file_values, overrides)
         cfg.check_output_dirs()
-        report = RUNNERS[args.command](cfg)
+        # the runners check every value they read for finiteness, and those
+        # checks decide the outcome; numpy's own warnings would only put
+        # source lines on stderr ahead of it
+        with np.errstate(all="ignore"):
+            report = RUNNERS[args.command](cfg)
         if cfg.out:
             _write(cfg.out, report.to_json() if cfg.format == "json"
                    else report.to_csv())

@@ -20,7 +20,9 @@ powers of the inputs' deviations, so no algebra ever carries more blocks
 than its jet has groups (see :mod:`finslercheck.calculus`).  The
 multiplication is one sparse convolution over a flat float64 coefficient
 array.  That convolution is the hot kernel of the whole package, one numpy
-``bincount`` (see ``finslercheck.taylor._backend``).
+``bincount`` of the gathered products; a batch gathers into a work area
+that the kernel keeps per thread, so its multiplies reuse memory rather
+than fault in fresh pages (see ``finslercheck.taylor._backend``).
 
 A two-block algebra may keep only a *staircase* of its coefficients: for
 each block-0 degree d, the block-1 degrees up to ``stair[d]``.  A

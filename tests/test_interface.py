@@ -328,6 +328,25 @@ def test_check_parallel_form_errors_keep_their_stderr(form, message, capsys):
     assert capsys.readouterr().err == message
 
 
+def test_numpy_warnings_stay_off_the_stderr_of_a_run():
+    # a fresh interpreter that shows every warning: the overflow in the
+    # form's series and the NaNs it multiplies would each print a
+    # RuntimeWarning with its source line ahead of the one error line
+    src = str(Path(finslercheck.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from finslercheck import cli; sys.exit(cli.main(sys.argv[2:]))")
+    argv = ["check-parallel", "--metric", "euclidean", "--form",
+            "sin(1e308*x1*10),0,0", "--samples", "10"]
+    run = subprocess.run([sys.executable, "-W", "default", "-c", code, src]
+                         + argv, capture_output=True, text=True)
+    assert run.returncode == 3
+    assert run.stderr == (
+        "numeric domain error: expression produced non-finite derivatives "
+        "at the sample TangentSample(x=(0.028857776140179574, "
+        "-0.030320892930408898, 0.1469907021627264), y=("
+        "-0.36806344459523743, 0.24845534974903277, 0.8959906472356587))\n")
+
+
 @pytest.mark.parametrize("grid", [[], ["--grid-nr", "1", "--grid-ns", "1"]])
 def test_an_overflowing_radial_factor_is_a_numeric_domain_error(grid,
                                                                 capsys):

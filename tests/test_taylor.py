@@ -2,12 +2,22 @@
 oracle and against finite differences."""
 
 import math
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from finslercheck.errors import NonFiniteValue
-from finslercheck.taylor import TNum, TRows, algebra, backend_name
+from finslercheck import taylor
+from finslercheck.taylor import TNum, TRows, _backend, algebra, backend_name
 from finslercheck.calculus import series_jet
 
 
@@ -451,3 +461,133 @@ def test_sin_and_cos_of_an_infinite_value_are_domain_errors():
                 with pytest.raises(NonFiniteValue, match="infinite Taylor"):
                     op()
     assert np.isnan(alg.variable(0, 0, np.nan).sin().c).all()
+
+
+# -- the multiply kernel and its work area -----------------------------------
+# A batch's gathers go to a per-thread work area, and the result must stay
+# the plain gather-multiply-bincount bit for bit, whatever the area held.
+
+KERNEL_ALGEBRAS = [(((2, 1), (2, 2)), None), (((3, 1), (3, 3)), None),
+                   (((3, 2), (3, 5)), (5, 4, 2))]
+
+
+def _operands(alg, rows, seed):
+    """Two operands of ``rows`` series (1-D for None) with NaN and inf."""
+    shape = (2, alg.size) if rows is None else (2, alg.size, rows)
+    a, b = np.random.default_rng(seed).normal(size=shape)
+    a.flat[1], a.flat[-1], b.flat[2] = np.nan, np.inf, -np.inf
+    return a, b
+
+
+def _multiply(alg, a, b):
+    ii, jj, oo = alg.tables()
+    if a.ndim > 1:
+        oo = alg.row_bins(a.shape[1])
+    return _backend.mul_accumulate(ii, jj, oo, a, b, alg.size)
+
+
+def _reference(alg, a, b):
+    ii, jj, oo = alg.tables()
+    if a.ndim == 1:
+        return np.bincount(oo, a[ii] * b[jj], minlength=alg.size)
+    return np.bincount(alg.row_bins(a.shape[1]), (a[ii] * b[jj]).ravel(),
+                       minlength=a.size).reshape(a.shape)
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(
+        np.ascontiguousarray(x).view(np.uint64),
+        np.ascontiguousarray(y).view(np.uint64))
+
+
+@pytest.mark.parametrize("rows", [None, 1, 15, 16, 17, 64])
+@pytest.mark.parametrize("blocks,stair", KERNEL_ALGEBRAS)
+def test_kernel_equals_gather_multiply_bincount_bit_for_bit(blocks, stair,
+                                                            rows):
+    alg = algebra(blocks, stair)
+    with np.errstate(all="ignore"):
+        a, b = _operands(alg, rows, 1)
+        first = _multiply(alg, a, b)
+        kept = first.copy()
+        assert _same_bits(first, _reference(alg, a, b))
+        assert np.isnan(first).any() and np.isinf(first).any()
+        # a later multiply, of the same shape and of others, refills the
+        # area but leaves the earlier result alone
+        c, d = _operands(alg, rows, 2)
+        assert _same_bits(_multiply(alg, c, d), _reference(alg, c, d))
+        big = algebra(*KERNEL_ALGEBRAS[-1])
+        _multiply(big, *_operands(big, 64, 3))
+    assert _same_bits(first, kept)
+
+
+def test_a_multiply_no_larger_than_the_area_reuses_it():
+    alg = algebra(*KERNEL_ALGEBRAS[-1])
+    _multiply(alg, *_operands(alg, 17, 0))
+    area = _backend._area.buf
+    with np.errstate(all="ignore"):
+        for other, rows in ((alg, 17), (alg, 16), (alg, 1),
+                            (algebra(*KERNEL_ALGEBRAS[0]), 64)):
+            a, b = _operands(other, rows, rows)
+            assert _same_bits(_multiply(other, a, b),
+                              _reference(other, a, b))
+            assert _backend._area.buf is area
+
+
+def test_threads_multiplying_at_once_each_get_their_own_results():
+    # one shape on every thread, more threads than cores and a short switch
+    # interval, so a shared area would mix their operands
+    alg = algebra(*KERNEL_ALGEBRAS[-1])
+    start = threading.Barrier(4)
+    wrong = []
+
+    def work(seed):
+        operands = [np.random.default_rng(seed + k).normal(
+            size=(2, alg.size, 16)) for k in range(4)]
+        refs = [_reference(alg, a, b) for a, b in operands]
+        start.wait()
+        for _ in range(25):
+            for (a, b), ref in zip(operands, refs):
+                if not _same_bits(_multiply(alg, a, b), ref):
+                    wrong.append(seed)
+
+    threads = [threading.Thread(target=work, args=(s,))
+               for s in (0, 100, 200, 300)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+@pytest.mark.skipif(resource is None or sys.platform != "linux",
+                    reason="minor page faults are counted on Linux")
+def test_batched_multiplies_fault_in_no_fresh_pages():
+    # fresh (triples, rows) gathers of the (1, 3) energy jet lie above
+    # glibc's mmap threshold, so each call faulted in about 113 pages.  A
+    # fresh interpreter measures it: glibc raises that threshold once a
+    # larger mapped block is freed, as the test session's imports may have
+    # done, and the faults would then hide
+    src = str(Path(taylor.__file__).resolve().parents[2])
+    code = """if True:
+        import resource, sys
+        sys.path.insert(0, sys.argv[1])
+        import numpy as np
+        from finslercheck.taylor import TRows, algebra
+        alg = algebra(((3, 2), (3, 5)), (5, 4, 2))
+        ca, cb = np.random.default_rng(0).normal(size=(2, alg.size, 16))
+        x, y = TRows(alg, ca), TRows(alg, cb)
+        x * y
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            x * y
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) < 50
