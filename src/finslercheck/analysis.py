@@ -57,10 +57,6 @@ def scalar_curvature_fit(m, samples, tol=1e-6, scheme="ad"):
     residual of Phi - K (F^2 d^h_i - y_i y^h) with metric-lowered y_i."""
     n = m.n
 
-    if scheme == "ad":
-        geometry.fill_spray_jets(m, samples, 1, 2)
-        geometry.fill_op_jets(m, samples, ("metric_tensor",))
-
     def fit(at):
         phi = geometry.jacobi_endomorphism(m, at, scheme).components
         f2 = 2.0 * geometry.energy(m, at)
@@ -132,7 +128,8 @@ def parallel_obstruction_scan(m, x_points=5, y_per_point=20, rows="both",
 
     ``x_points`` may be an integer (seeded base points) or an explicit list
     of base points.  ``rows`` selects which constraints enter: "berwald",
-    "curvature", or "both".  Base points are processed independently.
+    "curvature", or "both".  Each base point's kernel is measured on its
+    own.
     """
     n = m.n
     if y_per_point < n + 2:
@@ -149,12 +146,6 @@ def parallel_obstruction_scan(m, x_points=5, y_per_point=20, rows="both",
     triples = [(i, j, k) for i in range(n) for j in range(i, n)
                for k in range(j, n)]
 
-    samples = {x: [TangentSample(x, y) for y in ys] for x in xs}
-    if scheme == "ad":  # the curvature rows alone read the (1, 2) tier
-        geometry.fill_spray_jets(
-            m, [at for per_x in samples.values() for at in per_x], 1,
-            2 if rows == "curvature" else 3)
-
     def rows_at(at):
         out = []
         if rows in ("both", "berwald"):
@@ -167,11 +158,13 @@ def parallel_obstruction_scan(m, x_points=5, y_per_point=20, rows="both",
             for j in range(n):
                 for k in range(j + 1, n):
                     out.append(R[:, j, k])
-        return out
+        return np.array(out)  # no view keeps B or R alive past the sample
 
     report = KernelScanReport(rows_mode=rows)
-    mats = [np.array(map_samples(rows_at, samples[x])).reshape(-1, n)
-            for x in xs]
+    # one loop over all base points: a first read fills all their samples
+    flat = map_samples(rows_at, [TangentSample(x, y) for x in xs for y in ys])
+    mats = [np.array(flat[i:i + len(ys)]).reshape(-1, n)
+            for i in range(0, len(flat), len(ys))]
     for x, mat in zip(xs, mats):
         rank, sv = numerical_rank(mat)
         report.per_x.append({

@@ -27,9 +27,9 @@ shifts of one flat energy jet, whose series an AD :class:`Jet` keeps as
 :mod:`finslercheck.taylor`, ``jet_of(..., stair=...)``): a read outside
 the stair raises KeyError instead of returning a partial never computed.
 
-A command takes its per-sample jets as Taylor rows before its loop
-(:func:`fill_jets`; ``jet`` composed with ``vmap`` in Bettencourt, Johnson
-& Duvenaud 2019), and :func:`eval_jet` and :func:`sample_rows` find them.
+In a per-sample loop the first read of a jet takes it for every sample of
+the loop as Taylor rows (:func:`held`; ``jet`` composed with ``vmap`` in
+Bettencourt, Johnson & Duvenaud 2019).
 """
 
 import functools
@@ -74,15 +74,17 @@ class TangentSample:
     exactly as long as the sample: spray jets keyed by (model, kx, ky,
     scheme), where under AD jets of higher caps serve the lower order; the
     AD jets of a field's components keyed by (field, kx, ky, "ad"); and
-    arrays an op reads through :func:`sample_rows`.
-    """
+    arrays an op reads through :func:`sample_rows`; None where a fill left
+    the sample to take its own.  ``batch`` is the list a per-sample loop is
+    walking, else None (:func:`held`)."""
 
-    __slots__ = ("x", "y", "jets")
+    __slots__ = ("x", "y", "jets", "batch")
 
     def __init__(self, x, y):
         self.x = tuple(x)
         self.y = tuple(y)
         self.jets = {}
+        self.batch = None
         if len(self.x) != len(self.y):
             raise ValueError("x and y must have the same dimension")
         # a field differentiated under AD may build a sample of its own
@@ -339,33 +341,35 @@ def jet_of_many(fn, groups, caps, scheme="ad", *, rows=None):
 
 def eval_jet(f, at, order, scheme="ad"):
     """All mixed partials of the scalar field ``f`` at ``at`` up to
-    ``order`` (a :class:`JetOrder`), as :func:`fill_jets` put it on the
-    sample under ``(f, kx, ky, scheme)``, else computed.  Raises
-    NonFiniteValue when the field or any partial is NaN/inf there."""
+    ``order`` (a :class:`JetOrder`); under AD the jet :func:`held` under
+    ``(f, kx, ky, "ad")``, if any.  Raises NonFiniteValue when the field or
+    any partial is NaN/inf there."""
     if not isinstance(order, JetOrder):
         order = JetOrder(*order)
-    held = at.jets.get((f, order.kx, order.ky, scheme))
-    if held is not None:
-        return held[0]
-    return jet_of(lambda x, y: f(x, y), (at.x, at.y),
-                  (order.kx, order.ky), scheme=scheme)
+    caps = (order.kx, order.ky)
+    jets = held(at, (f, *caps, "ad"), lambda xs, ys: [
+        jet_of(f, (xs, ys), caps)]) if scheme == "ad" else None
+    if jets is not None:
+        return jets[0]
+    return jet_of(lambda x, y: f(x, y), (at.x, at.y), caps, scheme=scheme)
 
 
-def fill_eval_jets(samples, f, order):
-    """Put on ``samples`` the AD jet of ``f`` that :func:`eval_jet` takes
-    at ``order`` there, as Taylor rows (:func:`fill_jets`)."""
-    kx, ky = order
-    fill_jets(samples, (f, kx, ky, "ad"),
-              lambda xs, ys: [jet_of(f, (xs, ys), (kx, ky))])
+def held(at, key, rows, batch=FD_BATCH):
+    """What the sample ``at`` holds under ``key``, or None: the first read
+    of ``key`` in a per-sample loop fills every sample of the loop
+    (``at.batch``) with its row of ``rows`` (:func:`fill_jets`)."""
+    if at.batch is not None and key not in at.jets:
+        fill_jets(at.batch, key, rows, batch)
+    return at.jets.get(key)
 
 
-def sample_rows(at, key, rows):
-    """The arrays :func:`fill_jets` put on the sample ``at`` under ``key``,
-    else those of ``rows`` at ``at`` alone, as one row."""
-    held = at.jets.get(key)
-    if held is None:
-        held = [o[..., 0] for o in rows(*_coordinates([at]))]
-    return held
+def sample_rows(at, key, rows, batch=FD_BATCH):
+    """The arrays :func:`held` under ``key`` on the sample ``at``, else
+    those of ``rows`` at ``at`` alone, as one row."""
+    out = held(at, key, rows, batch)
+    if out is None:
+        out = [o[..., 0] for o in rows(*_coordinates([at]))]
+    return out
 
 
 def _coordinates(samples):
@@ -377,25 +381,27 @@ def _coordinates(samples):
 
 
 def fill_jets(samples, key, rows, batch=FD_BATCH):
-    """Put on each of ``samples`` not holding ``key`` its row of ``rows(xs,
-    ys)``, taken at per-row float arrays (one per coordinate) of at most
-    ``batch`` samples: a list of jets of Taylor rows or arrays, row axis
-    last, each row bit for bit what the op reading ``key`` takes at that
-    sample alone.  A batch that raises FinslerCheckError stores nothing and
-    a non-finite row is not stored, so those samples fail in the caller's
-    per-sample loop with their own error."""
+    """Put under ``key`` on each of ``samples`` not holding it its row of
+    ``rows(xs, ys)``, taken at per-row float arrays (one per coordinate) of
+    at most ``batch`` samples: a list of jets of Taylor rows or arrays, row
+    axis last, each row bit for bit what the op reading ``key`` takes at
+    that sample alone.  A sample of a batch that raises FinslerCheckError,
+    or whose row is not finite, gets None, so it takes its own in the
+    per-sample loop and fails with its own error; the batch runs once."""
     todo = [at for at in samples if key not in at.jets]
     for lo in range(0, len(todo), batch):
         part = todo[lo:lo + batch]
         try:
             out = rows(*_coordinates(part))
         except FinslerCheckError:
-            continue
+            out = None
         for r, at in enumerate(part):
-            own = [Jet(o.nvars, o.caps, o.table[..., r].copy(), stair=o.stair)
-                   if isinstance(o, Jet) else o[..., r].copy() for o in out]
-            if all(np.isfinite(getattr(o, "table", o)).all() for o in own):
-                at.jets[key] = own
+            own = out and [
+                Jet(o.nvars, o.caps, o.table[..., r].copy(), stair=o.stair)
+                if isinstance(o, Jet) else o[..., r].copy() for o in out]
+            finite = own and all(np.isfinite(getattr(o, "table", o)).all()
+                                 for o in own)
+            at.jets[key] = own if finite else None
 
 
 # ---------------------------------------------------------------------------

@@ -108,14 +108,6 @@ def _pass(model, at, scheme):
     return t, _euler_term(G, *chain)
 
 
-def _fill_pass(model, samples, scheme):
-    """Put on ``samples`` as Taylor rows what ``_pass`` reads."""
-    geometry.fill_spray_jets(model, samples, 1, 3)
-    geometry.fill_op_jets(model, samples, ("spray_coefficients",
-                                           "metric_tensor", "hilbert_form",
-                                           "angular_metric"), scheme)
-
-
 # the Euler chain is always computed with AD, whatever --scheme says
 EULER_CHAIN_TOL = 1e-8
 # max |L| up to which the samples count as Landsberg
@@ -143,7 +135,6 @@ def run_tensors(cfg):
     ent, model = _resolve_metric(cfg)
     report = Report("tensors", cfg.echo())
     samples = _samples(cfg, model)
-    _fill_pass(model, samples, cfg.scheme)
 
     def one(at):
         tensors, term = _pass(model, at, cfg.scheme)
@@ -237,8 +228,6 @@ def run_invariants(cfg):
     seed, count, scheme = cfg.seed, len(samples), cfg.scheme
     tol = 1e-8 if scheme == "ad" else 1e-3
     probe = forms.OneForm.constant(tuple([1.0] + [0.3] * (cfg.dim - 1)))
-    _fill_pass(model, samples, scheme)
-    probe.fill_jets(samples, delta=scheme == "ad")
     worst = dict.fromkeys(("hom", "euler", "sym", "trace", "dc", "cov_delta",
                            "cf_spray", "cf_berwald", "landsberg", "rank"), 0.0)
     min_f = float("inf")
@@ -323,10 +312,14 @@ def run_invariants(cfg):
 def run_sphsym(cfg):
     profile = _resolve_profile(cfg)
     report = Report("sphsym", cfg.echo())
-    # sample first, so that an unusable radius fails before the grid work
+    # sample and compile first: a bad radius or expression fails at once
     model = sphsym.profile_metric(profile, cfg.dim)
     samples = tangent_samples(cfg.dim, max(10, cfg.samples // 5), cfg.seed,
                               _sample_radius(cfg, model), r_min=0.05)
+    if cfg.f is not None or cfg.P is not None:
+        factor = RadialFactor(
+            expressions.compile_scalar(cfg.f or "1", ("r",)), name=cfg.f or "1")
+        p_map = expressions.compile_scalar(cfg.P or "0", ("r", "s"))
     pq = sphsym.pq_from_profile(profile)
     grid = np.array(rs_grid(nr=cfg.grid_nr, ns=cfg.grid_ns))
     tol = cfg.tol if cfg.tol is not None else 1e-7
@@ -356,8 +349,6 @@ def run_sphsym(cfg):
                            worst2 <= tol, npts, cfg.seed))
     report.add(CheckRecord("max_abs_Q", max_q, None, True, npts, cfg.seed))
 
-    geometry.fill_op_jets(model, samples, ("spray_coefficients",))
-
     def closure(at):
         G_pq = sphsym.spray_from_pq(pq, at).components
         G_ad = geometry.spray_coefficients(model, at).components
@@ -371,9 +362,6 @@ def run_sphsym(cfg):
         jets, [(b[:, 0], b[:, 1]) for b in rows])
 
     if cfg.f is not None or cfg.P is not None:
-        factor = RadialFactor(
-            expressions.compile_scalar(cfg.f or "1", ("r",)), name=cfg.f or "1")
-        p_map = expressions.compile_scalar(cfg.P or "0", ("r", "s"))
         char_pq = sphsym.parallel_pq(factor, p_map)
 
         def sss(r, s):

@@ -11,7 +11,7 @@ chains and deep nesting beyond it are parse errors.
 Evaluation is generic: feed plain floats or Taylor scalars through ``env``
 and derivatives of parsed expressions come for free.  NaN/inf surfaces as
 NonFiniteValue; unknown variables raise ConfigError naming the context's
-allowed names.
+allowed names, at compile time for a compiled expression.
 """
 
 import math
@@ -294,9 +294,23 @@ def _eval(node, env):
     raise ValueError(f"unknown operator {node.op!r}")
 
 
+def _compiled(src, var_names):
+    """The tree of ``src``; a variable outside ``var_names`` raises the
+    ConfigError of evaluation already here, the first in source order."""
+    tree = parse(src) if isinstance(src, str) else src
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            _eval(node, dict.fromkeys(var_names))
+        stack += [getattr(node, k) for k in ("right", "left", "arg")
+                  if hasattr(node, k)]
+    return tree
+
+
 def compile_scalar(src, var_names):
     """Compile source into f(*values) with the given variable names."""
-    tree = parse(src) if isinstance(src, str) else src
+    tree = _compiled(src, var_names)
 
     def fn(*values):
         if len(values) != len(var_names):
@@ -315,8 +329,8 @@ def compile_form(sources, n):
     if len(sources) != n:
         raise ConfigError(f"a 1-form in dimension {n} needs {n} coefficient "
                           f"expressions, got {len(sources)}")
-    trees = [parse(s) if isinstance(s, str) else s for s in sources]
     var_names = [f"x{i + 1}" for i in range(n)]
+    trees = [_compiled(s, var_names) for s in sources]
 
     def b(x):
         env = dict(zip(var_names, x))

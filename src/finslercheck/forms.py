@@ -18,8 +18,7 @@ from enum import Enum
 import numpy as np
 
 from . import analysis, geometry, sampling, scalars
-from .calculus import (JetOrder, eval_jet, fill_eval_jets, fill_jets,
-                       jet_of_many)
+from .calculus import JetOrder, eval_jet, held, jet_of_many
 from .errors import FinslerCheckError, InsufficientSamples, NotPositive
 from .geometry import MetricModel, TensorValue
 
@@ -62,25 +61,15 @@ class OneForm:
         return np.array([scalars.value(v) for v in self.b(x)])
 
     def jacobian(self, x, at=None):
-        """d_j b_i as an (i, j) matrix, read at a sample ``at`` of base
-        point x from the jets of b that :meth:`fill_jets` put there."""
+        """d_j b_i as an (i, j) matrix; at a sample ``at`` of base point x
+        from the jets of b held there (:func:`calculus.held`)."""
         if self.db is not None:
             return np.asarray(self.db(x), dtype=float)
-        jets = at.jets.get((self.b, 1, 0, "ad")) if at is not None else None
+        jets = at and held(at, (self.b, 1, 0, "ad"), lambda xs, ys:
+                           jet_of_many(self.b, (xs,), (1,)))
         if jets is None:
             jets = jet_of_many(lambda xs: self.b(xs), (x,), (1,))
         return np.array([jet.dense(1) for jet in jets])
-
-    def fill_jets(self, samples, delta=False):
-        """Put on ``samples`` as Taylor rows the AD jets of this form that
-        :meth:`jacobian`, :func:`homogeneity_residual` and, with
-        ``delta``, :func:`delta_beta` read (:func:`calculus.fill_jets`)."""
-        beta = self.beta()
-        if self.db is None:
-            fill_jets(samples, (self.b, 1, 0, "ad"),
-                      lambda xs, ys: jet_of_many(self.b, (xs,), (1,)))
-        for kx in (0, 1)[:1 + delta]:
-            fill_eval_jets(samples, beta, (kx, 1))
 
 
 class Verdict(Enum):
@@ -170,9 +159,6 @@ def is_parallel(m, omega, samples, tol=None, scheme="ad"):
         raise InsufficientSamples("is_parallel needs at least 10 samples")
     if tol is None:
         tol = PARALLEL_TOL[scheme]
-    if scheme == "ad":
-        geometry.fill_spray_jets(m, samples, 1, 2)
-    omega.fill_jets(samples, delta=scheme == "ad")
 
     def residuals(at):
         hres = homogeneity_residual(omega, at)

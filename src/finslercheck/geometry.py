@@ -20,13 +20,12 @@ Taylor rows (``_spray_rows``: one (1, 2) energy jet, with the
 non-degeneracy check and the solve's pivot per row).  Under AD a lower
 tier reads the (1, 3) jet already on the sample.
 
-Before its per-sample loop a command puts what the ops read on its samples
-as Taylor rows, each row bit for bit that sample's own (through
-:func:`calculus.fill_jets`): the AD spray jets (:func:`fill_spray_jets`,
-one staircase energy jet per ``SPRAY_BATCH`` samples for a model with F),
-and the spray values, energy jets and F jets of :func:`fill_op_jets`.  The
-ops find them there through ``spray_jets``, ``eval_jet`` and
-``sample_rows``, and take their own at a sample that holds none.
+Inside a per-sample loop (:func:`sampling.map_samples`) an op's first read
+takes what it reads for every sample of the loop as Taylor rows, each row
+bit for bit that sample's own (:func:`calculus.held`): the AD spray jets
+of a tier (``_tier_jets``, :func:`fill_spray_jets`, one staircase energy
+jet per ``SPRAY_BATCH`` samples for a model with F), the spray values and
+the energy and F jets.  A sample that holds none takes its own.
 
 An AD tier keeps only its demand staircase (``_AD_STAIRS``): the spray
 partials the ops read, of x-order 0 up to the tier's y-order and of
@@ -56,8 +55,8 @@ import numpy as np
 
 from . import scalars
 from .calculus import (HOMOGENEITY_SCALES, JetOrder, TangentSample,
-                       eval_jet, fill_eval_jets, fill_jets, homogeneity_check,
-                       jet_of, jet_of_many, jet_of_rows, sample_rows,
+                       eval_jet, fill_jets, homogeneity_check, jet_of,
+                       jet_of_many, jet_of_rows, sample_rows,
                        series_jet, var_exponents)
 from .errors import (ConventionMismatch, DegenerateMetric, FinslerCheckError,
                      NonFiniteValue)
@@ -302,28 +301,13 @@ def fill_spray_jets(m, samples, kx, ky):
     alone, without ``series``: a model with F as one staircase energy jet
     per ``SPRAY_BATCH`` samples, the spray assembled and solved on the
     rows; a spray-only model as the AD jets of its spray."""
-    todo = [at for at in samples if not _held(m, at, kx, ky)]
+    todo = [at for at in samples if _held(m, at, kx, ky) is None]
     if m.F is None:
         fill_jets(todo, (m, kx, ky, "ad"), lambda xs, ys: jet_of_many(
             lambda x, y: _spray_scalars(m, x, y), (xs, ys), (kx, ky)))
     else:
         fill_jets(todo, (m, kx, ky, "ad"), lambda xs, ys: _shifted_spray_jets(
             m, xs, ys, kx, ky), SPRAY_BATCH)
-
-
-def fill_op_jets(m, samples, ops, scheme="ad"):
-    """Put on ``samples`` what the geometry ``ops`` (names) read, as Taylor
-    rows (:func:`calculus.fill_jets`): the values of spray_coefficients
-    under either scheme, 4 rows per sample, and under AD the energy jet of
-    metric_tensor and the F jets of hilbert_form and angular_metric."""
-    fields = {"metric_tensor": (m.energy, (0, 2)),
-              "hilbert_form": (m.F, (0, 1)), "angular_metric": (m.F, (0, 2))}
-    for op in ops:
-        if op == "spray_coefficients":
-            fill_jets(samples, (m, 0, 0, "values"),
-                      lambda xs, ys: [_spray_values(m, xs, ys)], SPRAY_BATCH)
-        elif scheme == "ad" and m.F is not None:
-            fill_eval_jets(samples, *fields[op])
 
 
 # jet orders requested per tier; AD shares one generous jet per tier, FD
@@ -346,7 +330,7 @@ def _held(m, at, kx, ky):
     None."""
     return next((jets for key, jets in at.jets.items()
                  if key[0] is m and key[-1] == "ad" and key[1] >= kx
-                 and key[2] >= ky), None)
+                 and key[2] >= ky and jets is not None), None)
 
 
 def spray_jets(m, at, kx, ky, scheme="ad"):
@@ -354,15 +338,15 @@ def spray_jets(m, at, kx, ky, scheme="ad"):
     kept on the sample per (model, order, scheme).  Under AD jets of the
     model already there with caps at least (kx, ky) are returned as they
     are (:meth:`Jet.dense` indexes by monomial, so they read bit for bit as
-    the (kx, ky) jets); a command puts them there for all its samples at
-    once with :func:`fill_spray_jets`.  Otherwise the jet is computed, by
-    derivative shifts when the model has F, else by differentiating the
-    spray evaluation.  FD jets are always computed at the order asked for;
-    FD evaluates the spray of a model with F at the jet's stencil points
-    in batches of Taylor rows (``_spray_rows``)."""
+    the (kx, ky) jets); ``_tier_jets`` fills them in a per-sample loop.
+    Otherwise the jet is computed, by derivative shifts when the model has
+    F, else by differentiating the spray evaluation.  FD jets are always
+    computed at the order asked for, from the spray of a model with F at
+    the jet's stencil points in batches of Taylor rows (``_spray_rows``)."""
     key = (m, kx, ky, scheme)
-    if key in at.jets:
-        return at.jets[key]
+    jets = at.jets.get(key)
+    if jets is not None:
+        return jets
     jets = _held(m, at, kx, ky) if scheme == "ad" else None
     if jets is None and scheme == "ad" and m.F is not None:
         jets = [j.check_finite()
@@ -383,10 +367,15 @@ def _partials(jets, kx, ky):
 
 
 def _tier_jets(m, at, tier, scheme):
-    if scheme == "ad":
-        kx, ky = _AD_TIERS["curvature" if tier == "curvature" else "connection"]
-    else:
-        kx, ky = _FD_TIERS[tier]
+    """The spray jets a ``tier`` op reads.  Under AD a tier's first read in
+    a per-sample loop fills the loop's samples (:func:`fill_spray_jets`):
+    here, so a ``spray_jets`` call that takes a jet stays a miss."""
+    if scheme != "ad":
+        return spray_jets(m, at, *_FD_TIERS[tier], scheme)
+    kx, ky = _AD_TIERS["curvature" if tier == "curvature" else "connection"]
+    if (at.batch is not None and (m, kx, ky, "ad") not in at.jets
+            and _held(m, at, kx, ky) is None):
+        fill_spray_jets(m, at.batch, kx, ky)
     return spray_jets(m, at, kx, ky, scheme)
 
 
@@ -441,10 +430,10 @@ def angular_metric(m, at, g, scheme="ad"):
 def spray_coefficients(m, at):
     """Geodesic-spray coefficients G^i; 2-homogeneity is checked on the
     whole spray vector, taken with its scalings as rows (``_spray_values``,
-    also filled by :func:`fill_op_jets`).  G is read off AD energy jets
-    under either pipeline scheme (see ``_spray_scalars``): no scheme."""
-    G, *scaled = sample_rows(at, (m, 0, 0, "values"),
-                             lambda xs, ys: [_spray_values(m, xs, ys)])[0]
+    ``SPRAY_BATCH`` samples at once in a per-sample loop).  G is read off
+    AD energy jets under either pipeline scheme (``_spray_scalars``)."""
+    G, *scaled = sample_rows(at, (m, 0, 0, "values"), lambda xs, ys: [
+        _spray_values(m, xs, ys)], SPRAY_BATCH)[0]
     if not np.isfinite(G).all():
         raise NonFiniteValue("spray coefficients not finite at the sample")
     scaled = iter(scaled)

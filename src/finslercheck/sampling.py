@@ -79,12 +79,18 @@ def rs_grid(r_lo=0.05, r_hi=0.6, nr=20, ns=20, s_frac=0.95):
 
 def map_samples(fn, samples):
     """fn applied to each sample, in order: the runners' per-sample loop.
-    An error names the sample it was raised at."""
+    Each sample holds the list as ``batch`` meanwhile, so a first read
+    fills them all (:func:`calculus.held`).  An error names its sample."""
     out = []
     for s in samples:
-        try:
+        s.batch = samples
+    try:
+        for s in samples:
             out.append(fn(s))
-        except FinslerCheckError as exc:
-            exc.args = (f"{exc} at the sample {s!r}",)
-            raise
+    except FinslerCheckError as exc:
+        exc.args = (f"{exc} at the sample {s!r}",)
+        raise
+    finally:  # the list refers to its samples: no cycle outlives the loop
+        for s in samples:
+            s.batch = None
     return out

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forms, sampling, scalars
-from .calculus import fill_jets, jet_of, jet_of_many, sample_rows
+from .calculus import jet_of, jet_of_many, sample_rows
 from .errors import SelfCheckFailure, SingularDenominator
 from .forms import OneForm
 from .geometry import Domain, MetricModel, TensorValue
@@ -265,16 +265,11 @@ def parallel_form_check(pq, factor, samples, n=3, tol=None):
     model = spray_model_from_pq(pq, n)
     report = forms.is_parallel(model, factor.one_form(n), samples, tol=tol)
     deltas = iter(report.deltas)  # map_samples runs in sample order
-    key = (factor, pq, "expansion")
-
-    def expansion(xs, ys):
-        return [_delta_beta_expansion(factor, pq, xs, ys)]
-
-    fill_jets(samples, key, expansion)
 
     def expansion_gap(at):
         direct = next(deltas)
-        expanded = sample_rows(at, key, expansion)[0]
+        expanded = sample_rows(at, (factor, pq, "expansion"), lambda xs, ys: [
+            _delta_beta_expansion(factor, pq, xs, ys)])[0]
         gap = float(np.max(np.abs(direct - expanded)))
         scale = 1.0 + float(np.max(np.abs(direct)))
         if gap > 1e-9 * scale:

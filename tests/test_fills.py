@@ -1,16 +1,21 @@
-"""What a command puts on its samples as Taylor rows before its per-sample
-loop: every filled row is bit for bit the sample's own result, at batch
-counts around each fill's batch size."""
+"""What the first read of a jet inside a per-sample loop puts on all the
+loop's samples as Taylor rows: every filled row is bit for bit the sample's
+own result, at batch counts around each fill's batch size."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finslercheck import calculus, catalogue, geometry, sphsym
+import finslercheck
+from finslercheck import calculus, catalogue, forms, geometry, sphsym
 from finslercheck.calculus import (FD_BATCH, HOMOGENEITY_SCALES,
                                    TangentSample, eval_jet)
+from finslercheck.errors import FinslerCheckError, SingularDenominator
 from finslercheck.expressions import compile_form, compile_scalar
 from finslercheck.geometry import MetricModel
-from finslercheck.sampling import tangent_samples
+from finslercheck.sampling import map_samples, tangent_samples
 
 # one, part of one, exactly one, one and a bit, and two and a bit batches
 # of SPRAY_BATCH samples, then the edges of FD_BATCH (the default of
@@ -37,13 +42,19 @@ def _bits(v):
     return v.shape, np.asarray(v).tobytes()
 
 
-def _assert_filled(fill, key, points, ref, counts):
-    """``fill(samples)`` puts under ``key`` on each sample of every count a
-    list whose entries equal ``ref(point)``'s bit for bit."""
+def _first_read(read, samples):
+    """``read`` at the first sample of a per-sample loop over ``samples``
+    (and nowhere else), so what the others hold was filled."""
+    map_samples(lambda at: read(at) if at is samples[0] else None, samples)
+
+
+def _assert_filled(read, key, points, ref, counts):
+    """A first ``read`` in a loop puts under ``key`` on each sample of every
+    count a list whose entries equal ``ref(point)``'s bit for bit."""
     refs = [[_bits(v) for v in ref(p)] for p in points[:max(counts)]]
     for count in counts:
         samples = _fresh(points[:count])
-        fill(samples)
+        _first_read(read, samples)
         for at, want in zip(samples, refs):
             assert [_bits(v) for v in at.jets[key]] == want
 
@@ -67,7 +78,7 @@ def _spray_only(name, n):
 def test_spray_only_spray_jets_fill_as_their_samples_own(kind, name, n):
     m = _spray_only(name, n) if kind == "spray_cf" else _pq_model(name, n)[2]
     points = _points(m.n, r_min=0.1)
-    _assert_filled(lambda s: geometry.fill_spray_jets(m, s, 1, 2),
+    _assert_filled(lambda at: geometry._tier_jets(m, at, "connection", "ad"),
                    (m, 1, 2, "ad"), points,
                    lambda p: geometry.spray_jets(m, TangentSample(*p), 1, 2),
                    COUNTS + EDGES)
@@ -101,7 +112,7 @@ def test_spray_values_fill_as_each_scales_own_spray(name, n):
             for lam in (1.0,) + HOMOGENEITY_SCALES])]
 
     _assert_filled(
-        lambda s: geometry.fill_op_jets(m, s, ("spray_coefficients",)),
+        lambda at: geometry.spray_coefficients(m, at),
         (m, 0, 0, "values"), _points(n), ref, COUNTS + EDGES)
     at = TangentSample(*_points(n, 1)[0])
     assert _bits(geometry.spray_coefficients(m, at).components) \
@@ -111,16 +122,21 @@ def test_spray_values_fill_as_each_scales_own_spray(name, n):
 @pytest.mark.parametrize("name,n", CATALOGUE)
 def test_energy_and_F_jets_fill_as_their_samples_own(name, n):
     m = catalogue.entry(name, n=n).model
-    ops = ("metric_tensor", "hilbert_form", "angular_metric")
+
+    def ops(at, scheme="ad"):
+        g = geometry.metric_tensor(m, at, scheme)
+        geometry.hilbert_form(m, at, scheme)
+        geometry.angular_metric(m, at, g, scheme)
+
     points = _points(n)
     for f, ky in ((m.energy, 2), (m.F, 1), (m.F, 2)):
         _assert_filled(
-            lambda s: geometry.fill_op_jets(m, s, ops), (f, 0, ky, "ad"),
+            ops, (f, 0, ky, "ad"),
             points, lambda p: [eval_jet(f, TangentSample(*p), (0, ky))],
             COUNTS + EDGES)
     # under fd the ops take their own jets
     samples = _fresh(points[:3])
-    geometry.fill_op_jets(m, samples, ops, "fd")
+    map_samples(lambda at: ops(at, "fd"), samples)
     assert not any(at.jets for at in samples)
 
 
@@ -137,20 +153,21 @@ def test_form_jets_fill_as_their_samples_own(omega):
     beta = omega.beta()
     assert omega.beta() is beta
     points = _points(omega.n, r_min=0.1)
-    fill = lambda s: omega.fill_jets(s, delta=True)  # noqa: E731
+    reads = {0: lambda at: forms.homogeneity_residual(omega, at),
+             1: lambda at: eval_jet(beta, at, (1, 1))}  # delta_beta's
     for kx in (0, 1):
         _assert_filled(
-            fill, (beta, kx, 1, "ad"), points,
+            reads[kx], (beta, kx, 1, "ad"), points,
             lambda p: [eval_jet(beta, TangentSample(*p), (kx, 1))],
             COUNTS + EDGES)
     _assert_filled(
-        fill, (omega.b, 1, 0, "ad"), points,
+        lambda at: omega.jacobian(at.x, at), (omega.b, 1, 0, "ad"), points,
         lambda p: calculus.jet_of_many(omega.b, (p[0],), (1,)),
         COUNTS + EDGES)
     samples = _fresh(points[:17])
-    fill(samples)
-    for at in samples:
-        assert _bits(omega.jacobian(at.x, at)) == _bits(omega.jacobian(at.x))
+    for got, at in zip(map_samples(lambda at: omega.jacobian(at.x, at),
+                                   samples), samples):
+        assert _bits(got) == _bits(omega.jacobian(at.x))
 
 
 @pytest.mark.parametrize("f", RADIAL)
@@ -164,10 +181,92 @@ def test_expansion_and_radial_derivative_rows_equal_each_points(f):
 
     key = (factor, pq, "expansion")
     _assert_filled(
-        lambda s: calculus.fill_jets(s, key, lambda xs, ys: [
+        lambda at: calculus.sample_rows(at, key, lambda xs, ys: [
             sphsym._delta_beta_expansion(factor, pq, xs, ys)]),
         key, _points(3, r_min=0.1), ref, COUNTS + EDGES)
     rs = np.linspace(0.1, 0.9, 65)
     assert _bits(factor.d(rs)) \
         == _bits(np.array([factor.d(r) for r in rs.tolist()]))
 
+
+
+def test_a_failing_batch_runs_once_and_each_sample_takes_its_own():
+    # the batch of 20 rows raises: its samples hold None and each takes
+    # its own one-row result, so the 20-row batch runs once
+    samples = tangent_samples(2, 20, seed=3)
+    calls = []
+
+    def rows(xs, ys):
+        calls.append(len(xs[0]))
+        if len(xs[0]) > 1:
+            raise SingularDenominator("forced")
+        return [xs[0] + ys[1]]
+
+    got = map_samples(lambda at: calculus.sample_rows(at, "key", rows)[0],
+                      samples)
+    assert calls == [20] + [1] * 20
+    assert [at.jets["key"] for at in samples] == [None] * 20
+    assert got == [at.x[0] + at.y[1] for at in samples]
+
+
+def test_map_samples_lends_its_list_only_while_it_walks_it():
+    samples = tangent_samples(2, 3, seed=3)
+    seen = []
+    map_samples(lambda at: seen.append(at.batch), samples)
+    assert all(batch is samples for batch in seen)
+    assert [at.batch for at in samples] == [None] * 3
+
+    def fail(at):
+        raise FinslerCheckError("forced")
+
+    with pytest.raises(FinslerCheckError, match="forced at the sample "):
+        map_samples(fail, samples)
+    assert [at.batch for at in samples] == [None] * 3
+
+
+def test_ops_outside_a_loop_fill_nothing():
+    # ops called outside map_samples take their own jets and store no
+    # rows: only spray_jets keeps the jets it took at its own sample
+    m = catalogue.entry("funk_parallel", n=3).model
+    omega = _forms()[1]
+    samples = tangent_samples(3, 3, seed=3, radius=0.5)
+    at = samples[0]
+    g = geometry.metric_tensor(m, at)
+    geometry.hilbert_form(m, at)
+    geometry.angular_metric(m, at, g)
+    geometry.spray_coefficients(m, at)
+    forms.homogeneity_residual(omega, at)
+    forms.delta_beta(m, omega, at)
+    omega.jacobian(at.x, at)
+    assert list(at.jets) == [(m, 1, 2, "ad")]
+    geometry.berwald_curvature(m, at)
+    assert list(at.jets) == [(m, 1, 2, "ad"), (m, 1, 3, "ad")]
+    assert all(j.series is not None for j in at.jets[(m, 1, 3, "ad")])
+    assert not any(other.jets for other in samples[1:])
+
+
+def _calls_by_caller(names):
+    """Each src/ call of a function in ``names``, as the set of enclosing
+    function names per called name."""
+    out = {name: set() for name in names}
+    src = Path(finslercheck.__file__).parent
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = getattr(f, "id", getattr(f, "attr", None))
+                    if name in out:
+                        out[name].add(f"{path.stem}.{fn.name}")
+    return out
+
+
+def test_fills_start_only_at_a_first_read():
+    # what an op reads is stated once, by the op: no command fills its
+    # samples ahead of its loop
+    assert _calls_by_caller(("fill_jets", "fill_spray_jets")) == {
+        "fill_jets": {"calculus.held", "geometry.fill_spray_jets"},
+        "fill_spray_jets": {"geometry._tier_jets"}}

@@ -468,8 +468,9 @@ def test_batched_spray_jets_equal_per_sample_jets(name, n, kx, ky):
 
 def test_fill_spray_jets_leaves_a_failing_batch_and_non_finite_rows(
         monkeypatch):
-    # a batch whose metric degenerates at one row stores nothing; a row
-    # whose jets are not finite is left alone, the other rows stored
+    # a batch whose metric degenerates at one row stores None on each of
+    # its samples; a row whose jets are not finite gets None, the other
+    # rows their jets
     m = catalogue.entry("general_berwald", n=2).model
     samples = tangent_samples(2, 20, seed=4, radius=0.5)
     assemble = geometry._assemble_spray
@@ -481,7 +482,9 @@ def test_fill_spray_jets_leaves_a_failing_batch_and_non_finite_rows(
 
     monkeypatch.setattr(geometry, "_assemble_spray", degenerate_in_first_batch)
     geometry.fill_spray_jets(m, samples, 1, 3)
-    assert [bool(at.jets) for at in samples] == [False] * 16 + [True] * 4
+    key = (m, 1, 3, "ad")
+    assert [at.jets[key] is None for at in samples] \
+        == [True] * 16 + [False] * 4
 
     def nan_in_row_one(n, y, d):
         out = assemble(n, y, d)
@@ -491,7 +494,7 @@ def test_fill_spray_jets_leaves_a_failing_batch_and_non_finite_rows(
     monkeypatch.setattr(geometry, "_assemble_spray", nan_in_row_one)
     fresh = [TangentSample(at.x, at.y) for at in samples[:3]]
     geometry.fill_spray_jets(m, fresh, 1, 3)
-    assert [bool(at.jets) for at in fresh] == [True, False, True]
+    assert [at.jets[key] is None for at in fresh] == [False, True, False]
 
 
 # Calls per sample and scheme of one pipeline pass.

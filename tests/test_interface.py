@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import finslercheck
-from finslercheck import (catalogue, cli, expressions, forms, geometry,
-                          sampling, scalars, sphsym)
+from finslercheck import (calculus, catalogue, cli, expressions, forms,
+                          geometry, sampling, scalars, sphsym)
 from finslercheck.calculus import TangentSample
 from finslercheck.config import (MAX_DIM, MAX_THREADS, build_config,
                                  parse_config_file)
@@ -230,9 +230,9 @@ def test_a_failing_spray_jet_batch_fails_as_its_first_sample(
 
 
 def _no_fills(monkeypatch):
-    """Patch every fill of calculus.fill_jets to a no-op, so each sample
-    takes its own jets in the per-sample loop."""
-    for module in (geometry, forms, sphsym):
+    """Patch calculus.fill_jets, wherever it is bound, to a no-op, so each
+    sample takes its own jets in the per-sample loop."""
+    for module in (calculus, geometry):
         monkeypatch.setattr(module, "fill_jets", lambda *args: None)
 
 
@@ -302,6 +302,25 @@ def test_a_failing_sphsym_fill_batch_fails_as_its_first_sample(
         errors.append((type(err.value), str(err.value)))
     assert errors[0] == errors[1]
     assert errors[0][1].endswith(f" at the sample {target!r}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tensors", "--phi", "x1", "--samples", "10"],
+    ["check-parallel", "--metric", "euclidean", "--form", "x1,y1,0"],
+    ["scan", "--phi", "r+q*s"],
+    ["sphsym", "--phi", "x1"],
+    ["sphsym", "--phi", "berwald_classic", "--f", "x1"],
+    ["sphsym", "--phi", "berwald_classic", "--P", "q"],
+    ["sphsym", "--phi", "berwald_classic", "--f", "(("]])
+def test_bad_expressions_fail_when_compiled(argv, monkeypatch, capsys):
+    # a configuration error: one line naming no sample or grid point, and
+    # raised before sphsym's grid sweep
+    monkeypatch.setattr(cli, "_over_grid",
+                        lambda *args: pytest.fail("the grid was swept"))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert " at the " not in err
 
 
 @pytest.mark.parametrize("form,message", [
