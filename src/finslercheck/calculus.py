@@ -8,11 +8,13 @@ step is order-adaptive, ``eps**(1/(k+4))`` scaled by coordinate size for a
 jet of total order k, because a fixed first-derivative step loses all
 accuracy beyond second order.  It differentiates a vector-valued field as
 a whole: within one jet each distinct stencil point is evaluated once, for
-all components and all partials.  A first Richardson walk lists the jet's
-distinct stencil points, and a second combines their values.  A field that
-can take many points at once (the spray of a metric) evaluates the points
-as batches of Taylor rows (:func:`jet_of_rows`), each row bit for bit the
-result at that point alone; an error names the first failing point.
+all components and all partials.  One Richardson walk, run as array steps
+over all partials of a depth at once, lays out the jet's stencil and then
+combines the values of its distinct points, each entry bit for bit that of
+a point-by-point recursion.  A field that can take many points at once
+(the spray of a metric) evaluates the points as batches of Taylor rows
+(:func:`jet_of_rows`), each row bit for bit the result at that point
+alone; an error names the first failing point.
 
 Fields are ordinary callables ``f(x, y)`` taking sequences of scalars and
 written against :mod:`finslercheck.scalars`, so the same code runs on plain
@@ -34,9 +36,8 @@ Bettencourt, Johnson & Duvenaud 2019).
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate, count, product
 
 import numpy as np
 
@@ -49,9 +50,13 @@ EPS = float(np.finfo(float).eps)
 MAX_KX = 2
 MAX_KY = 4
 
-# Points per batch of Taylor rows (FD stencil points, grid points, filled
-# samples); bounds one batch's memory.
+# Points per batch of Taylor rows (grid points, filled samples); bounds one
+# batch's memory.
 FD_BATCH = 64
+
+# Stencil points per batch of Taylor rows in an FD jet: its many small
+# batches cost more in per-batch work than in memory.
+STENCIL_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -422,52 +427,11 @@ def _flat_vars(nvars, varlists):
     return out
 
 
-def _richardson(evaluate, z, fvars, h0):
-    """Nested Richardson-extrapolated central differences of the component
-    array along the flat variables ``fvars``, the last one outermost."""
-    if not fvars:
-        return evaluate(z)
-    v, rest = fvars[-1], fvars[:-1]
-    h = h0 * (1.0 + abs(z[v]))
-
-    def at(dz):
-        zz = list(z)
-        zz[v] += dz
-        return _richardson(evaluate, zz, rest, h0)
-
-    d_h = (at(h) - at(-h)) / (2.0 * h)
-    d_h2 = (at(h / 2.0) - at(-h / 2.0)) / h
-    return (4.0 * d_h2 - d_h) / 3.0
-
-
-def _point_key(z):
-    """A stencil point's exact bits."""
-    return struct.pack(f"{len(z)}d", *z)
-
-
-def _stencil(flat, fvar_lists, h0):
-    """The distinct points the Richardson walks along each of
-    ``fvar_lists`` visit from ``flat``, in first-visit order: a dict from
-    their exact bits to their row, and the ``(P, dim)`` point array."""
-    index, points = {}, []
-
-    def record(z):
-        key = _point_key(z)
-        if key not in index:
-            index[key] = len(points)
-            points.append(z)
-        return 0.0
-
-    for fvars in fvar_lists:
-        _richardson(record, flat, fvars, h0)
-    return index, np.array(points)
-
-
 def _field_values(fn, nvars, points, rows=None):
     """``(P, ncomp)`` component values of the vector field ``fn`` at each
     row of ``points``: point by point, or through ``rows`` in batches of at
-    most ``FD_BATCH`` points.  An error names the first failing point, in
-    row order (see :func:`batched`)."""
+    most ``STENCIL_BATCH`` points.  An error names the first failing point,
+    in row order (see :func:`batched`)."""
     ends = list(accumulate(nvars))
     spans = list(zip([0] + ends, ends))
 
@@ -484,19 +448,19 @@ def _field_values(fn, nvars, points, rows=None):
 
     return np.concatenate(batched(
         many, points, one,
-        lambda z: f"the FD stencil point {groups(z)}"))
+        lambda z: f"the FD stencil point {groups(z)}", STENCIL_BATCH))
 
 
-def batched(rows, points, one, where):
+def batched(rows, points, one, where, size=FD_BATCH):
     """The results of ``rows`` on the array ``points`` in batches of at
-    most ``FD_BATCH`` rows, one per batch.  A batch that raises
+    most ``size`` rows, one per batch.  A batch that raises
     FinslerCheckError is evaluated again point by point, each row as a
     list, with ``one``, and the first failing point's own error is raised
     with `` at `` and ``where(point)`` appended; should every point pass,
     the batch's error stands."""
     out = []
-    for lo in range(0, len(points), FD_BATCH):
-        batch = points[lo:lo + FD_BATCH]
+    for lo in range(0, len(points), size):
+        batch = points[lo:lo + size]
         try:
             out.append(rows(batch))
         except FinslerCheckError:
@@ -510,28 +474,90 @@ def batched(rows, points, one, where):
     return out
 
 
-def _fd_jets(fn, groups, caps, rows=None):
-    """Per-component jets of the vector field ``fn`` by finite differences.
-    Every partial uses the step of the jet's total order.  A first walk
-    lists the jet's distinct stencil points; each is evaluated once for all
-    components and partials (through ``rows`` when given), and a second
-    walk combines the values."""
-    nvars = tuple(len(g) for g in groups)
+@functools.lru_cache(maxsize=None)
+def _fd_plan(nvars, caps):
+    """The index work of an FD jet's Richardson walks, which depends on the
+    jet's shape only: the table shape; per depth k (partials of k
+    differentiations), their table positions and, per walk level from the
+    outermost variable in, the flat positions in the level's point array
+    of the coordinate each point moves along, to read and to write; and
+    the permutation that puts the depth-ordered leaves in first-visit
+    order (partials in table order, each one's leaves in walk order)."""
     monos = [_monomials(n, c) for n, c in zip(nvars, caps)]
-    flat = [float(v) for g in groups for v in g]
-    h0 = fd_step(max(sum(caps), 1))
     fvar_lists = [_flat_vars(nvars, [tuple(v for v, e in enumerate(m)
                                            for _ in range(e)) for m in exps])
                   for exps in product(*monos)]
-    index, points = _stencil(flat, fvar_lists, h0)
+    dim = sum(nvars)
+    depths, start, offset = [], [0] * len(fvar_lists), 0
+    for k in sorted({len(f) for f in fvar_lists}):
+        members = [p for p, f in enumerate(fvar_lists) if len(f) == k]
+        fvars = np.array([fvar_lists[p] for p in members],
+                         dtype=np.intp).reshape(len(members), k)
+        levels = []
+        for j in range(k):
+            col = np.repeat(fvars[:, k - 1 - j], 4 ** j)
+            levels.append((np.arange(len(col)) * dim + col,
+                           np.arange(4 * len(col)) * dim + np.repeat(col, 4)))
+        for i, p in enumerate(members):
+            start[p] = offset + i * 4 ** k
+        depths.append((members, levels))
+        offset += len(members) * 4 ** k
+    order = np.concatenate([np.arange(start[p], start[p] + 4 ** len(f))
+                            for p, f in enumerate(fvar_lists)])
+    return tuple(map(len, monos)), depths, order
+
+
+def _fd_jets(fn, groups, caps, rows=None):
+    """Per-component jets of the vector field ``fn`` by finite differences
+    (nested central differences with Richardson extrapolation, the last
+    variable of a partial outermost).  Every partial uses the step of the
+    jet's total order.  One walk runs as array steps over all partials of
+    one depth at once: it expands the stencil one variable at a time, at
+    offsets h, -h, h/2, -h/2 with h = h0 (1 + |z_v|) at each point, so the
+    leaves come out in the order a point-by-point walk visits them.  The
+    distinct leaves, by their exact bits, are evaluated once each for all
+    components and partials, in first-visit order (through ``rows`` when
+    given), and the walk's levels combine the values bottom up.  Every
+    step is elementwise IEEE arithmetic, so each entry is bit for bit that
+    of the point-by-point recursion."""
+    nvars = tuple(len(g) for g in groups)
+    shape, depths, order = _fd_plan(nvars, tuple(caps))
+    flat = np.array([float(v) for g in groups for v in g])
+    h0 = fd_step(max(sum(caps), 1))
+    leaves, steps = [], []
+    for members, levels in depths:
+        z = np.tile(flat, (len(members), 1))
+        hs = []
+        for read, write in levels:
+            at = z.take(read)
+            h = h0 * (1.0 + np.abs(at))
+            z = np.repeat(z, 4, axis=0)
+            z.put(write, (at[:, None] + np.stack(
+                (h, -h, h / 2.0, -h / 2.0), axis=1)).ravel())
+            hs.append(h[:, None])
+        leaves.append(z)
+        steps.append(hs)
+    visit = np.concatenate(leaves)[order]
+    keys = visit.view(np.dtype((np.void, visit.itemsize * visit.shape[1])))
+    keys = keys.ravel().tolist()
+    # the distinct points' exact bits, in first-visit order, to their row
+    index = dict(zip(dict.fromkeys(keys), count()))
+    points = np.frombuffer(b"".join(index)).reshape(len(index), -1)
     values = _field_values(fn, nvars, points, rows)
-
-    def lookup(z):
-        return values[index[_point_key(z)]]
-
-    table = np.array([_richardson(lookup, flat, fvars, h0)
-                      for fvars in fvar_lists])
-    table = table.T.reshape((-1,) + tuple(map(len, monos)))
+    leaf_values = np.empty((len(visit), values.shape[1]))
+    leaf_values[order] = values[np.fromiter(map(index.__getitem__, keys),
+                                            np.intp, len(keys))]
+    table = np.empty((math.prod(shape), values.shape[1]))
+    ends = np.cumsum([len(z) for z in leaves])
+    for (members, _), hs, v in zip(depths, steps,
+                                   np.split(leaf_values, ends[:-1])):
+        for h in reversed(hs):
+            a, b, c, d = v.reshape(-1, 4, v.shape[1]).transpose(1, 0, 2)
+            d_h = (a - b) / (2.0 * h)
+            d_h2 = (c - d) / h
+            v = (4.0 * d_h2 - d_h) / 3.0
+        table[members] = v
+    table = table.T.reshape((-1,) + shape)
     return [Jet(nvars, caps, t).check_finite() for t in table]
 
 

@@ -94,6 +94,11 @@ def _tokenize(src):
     return tokens
 
 
+def _shown(kind, val):
+    """A token as a parse error names it."""
+    return "end of input" if kind == "end" else repr(val)
+
+
 class _Parser:
     def __init__(self, src):
         self.src = src
@@ -112,7 +117,8 @@ class _Parser:
     def expect_op(self, op):
         kind, val, pos = self.peek()
         if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos, (op,))
+            raise ParseError(f"expected {op!r}, got {_shown(kind, val)}", pos,
+                             (repr(op),))
         return self.next()
 
     def parse(self):
@@ -200,8 +206,8 @@ class _Parser:
             node, depth = self.nested(self.sum, pos)
             self.expect_op(")")
             return node, depth
-        raise ParseError(f"expected a value, got {val!r}", pos,
-                         ("number", "name", "("))
+        raise ParseError(f"expected a value, got {_shown(kind, val)}", pos,
+                         ("number", "name", "'('"))
 
 
 def parse(src):

@@ -369,13 +369,19 @@ def _partials(jets, kx, ky):
 def _tier_jets(m, at, tier, scheme):
     """The spray jets a ``tier`` op reads.  Under AD a tier's first read in
     a per-sample loop fills the loop's samples (:func:`fill_spray_jets`):
-    here, so a ``spray_jets`` call that takes a jet stays a miss."""
+    here, so a ``spray_jets`` call that takes a jet stays a miss.  Jets of
+    higher caps already on the sample are put under the tier's own key, so
+    ``spray_jets`` finds them at once."""
     if scheme != "ad":
         return spray_jets(m, at, *_FD_TIERS[tier], scheme)
     kx, ky = _AD_TIERS["curvature" if tier == "curvature" else "connection"]
-    if (at.batch is not None and (m, kx, ky, "ad") not in at.jets
-            and _held(m, at, kx, ky) is None):
-        fill_spray_jets(m, at.batch, kx, ky)
+    key = (m, kx, ky, "ad")
+    if at.batch is not None and key not in at.jets:
+        jets = _held(m, at, kx, ky)
+        if jets is None:
+            fill_spray_jets(m, at.batch, kx, ky)
+        else:
+            at.jets[key] = jets
     return spray_jets(m, at, kx, ky, scheme)
 
 

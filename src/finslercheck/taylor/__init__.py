@@ -47,16 +47,18 @@ operations.  The finite-difference oracle evaluates a jet's stencil points
 this way, and ``sphsym`` its (r, s) grid.  Each row is bit for bit the
 series computed from that row alone: the kernel sums each row's triples in
 the single-series order, and the derivative lists of the analytic
-functions, domain checks included, come from the same scalar functions
-at each row's value, never from a numpy ufunc, whose vectorised
-transcendentals may round differently.
+functions, domain checks included, are built row-wise by ``map`` over the
+same Python float operations at each row's value (a single series is the
+one-row case), never from a numpy ufunc, whose vectorised transcendentals
+may round differently.
 
 Arithmetic is exact to machine rounding: results agree with symbolic
 differentiation up to float64 round-off.
 """
 
 import math
-from itertools import product
+from itertools import product, repeat
+from operator import mul, neg, truediv
 
 import numpy as np
 
@@ -186,7 +188,7 @@ class Algebra:
         row.  Only the last row count's bins are cached: a batch runs all
         its multiplies at one row count, so they are built about once per
         batch, where one array per row count would hold up to
-        ``calculus.FD_BATCH`` of them for good."""
+        ``calculus.STENCIL_BATCH`` of them for good."""
         if self._row_bins[0] != rows:
             oo = self.tables()[2]
             self._row_bins = (rows,
@@ -273,71 +275,97 @@ def _integral(p):
 
 
 def _derivs_at(derivs, values, *args):
-    """``derivs(v, *args)`` at each Python float v of ``values``, so that a
-    TNum and each TRows row compute alike.  A derivative at a finite v that
-    is not finite, because a power of v overflowed or underflowed to 0
-    under a division, raises NonFiniteValue."""
-    out = []
+    """``derivs(values, *args)``: one list per derivative order, each with
+    one derivative per Python float of ``values``, so that a TNum and each
+    TRows row compute alike.  A derivative at a finite value that is not
+    finite, because a power of the value overflowed or underflowed to 0
+    under a division, raises NonFiniteValue.  On a domain error, an
+    overflow, a division by zero or a non-finite derivative, the values
+    are taken again one at a time, and the first failing value's own error
+    is raised."""
+    try:
+        lists = derivs(values, *args)
+        if math.isfinite(sum(map(sum, lists))):
+            return lists
+    except (NonFiniteValue, OverflowError, ZeroDivisionError):
+        lists = None
     for v in values:
         try:
-            d = derivs(v, *args)
+            d = derivs([v], *args)
         except (OverflowError, ZeroDivisionError):
-            d = [math.inf]
-        if not math.isfinite(sum(d)) and math.isfinite(v) \
-                and not all(map(math.isfinite, d)):
+            d = [[math.inf]]
+        if math.isfinite(v) and not all(math.isfinite(e) for e, in d):
             raise NonFiniteValue(f"{derivs.__name__[1:-7]} has a non-finite "
                                  f"derivative at {v}")
-        out.append(d)
-    return out
+    return lists
 
 
-def _pow_derivs(v, cap, p):
-    """The derivatives of x**p at v, orders 0..cap."""
-    if not (v > 0.0):
-        raise NonFiniteValue(f"x**{p} with non-positive base {v}")
+def _require(vals, ok, message):
+    """Raise NonFiniteValue with ``message`` formatted with the first of
+    ``vals`` that fails ``ok``, if any does."""
+    if not all(map(ok, vals)):
+        raise NonFiniteValue(message.format(
+            next(v for v in vals if not ok(v))))
+
+
+# v > 0.0, as a C-level predicate to map over a row's values (False at NaN)
+_positive = (0.0).__lt__
+
+
+def _pow_derivs(vals, cap, p):
+    """The derivatives of x**p at each value, orders 0..cap."""
+    _require(vals, _positive, f"x**{p} with non-positive base {{}}")
     derivs, fall = [], 1.0
     for k in range(cap + 1):
-        derivs.append(fall * v ** (p - k))
+        derivs.append(list(map(mul, repeat(fall),
+                               map(pow, vals, repeat(p - k)))))
         fall *= (p - k)
     return derivs
 
 
-def _sqrt_derivs(v, cap):
-    if not (v > 0.0):
-        raise NonFiniteValue(f"sqrt of non-positive Taylor value {v}")
-    return _pow_derivs(v, cap, 0.5)
+def _sqrt_derivs(vals, cap):
+    _require(vals, _positive, "sqrt of non-positive Taylor value {}")
+    return _pow_derivs(vals, cap, 0.5)
 
 
-def _reciprocal_derivs(v, cap):
-    if v == 0.0 or not math.isfinite(v):
+def _reciprocal_derivs(vals, cap):
+    if not (all(map(math.isfinite, vals)) and all(vals)):
         raise NonFiniteValue("division by a Taylor scalar with zero "
                              "or non-finite value")
-    return [math.factorial(k) * (-1.0) ** k / v ** (k + 1)
+    return [list(map(truediv, repeat(math.factorial(k) * (-1.0) ** k),
+                     map(pow, vals, repeat(k + 1))))
             for k in range(cap + 1)]
 
 
-def _exp_derivs(v, cap):
+def _exp_derivs(vals, cap):
     try:
-        ev = math.exp(v)
+        ev = list(map(math.exp, vals))
     except OverflowError:
-        raise NonFiniteValue(f"exp overflow at {v}") from None
+        # exp increases, so the largest finite value overflows
+        raise NonFiniteValue(f"exp overflow at "
+                             f"{max(filter(math.isfinite, vals))}") from None
     return [ev] * (cap + 1)
 
 
-def _log_derivs(v, cap):
-    if not (v > 0.0):
-        raise NonFiniteValue(f"log of non-positive Taylor value {v}")
-    derivs = [math.log(v)]
+def _log_derivs(vals, cap):
+    _require(vals, _positive, "log of non-positive Taylor value {}")
+    derivs = [list(map(math.log, vals))]
     for k in range(1, cap + 1):
-        derivs.append(math.factorial(k - 1) * (-1.0) ** (k - 1) / v ** k)
+        derivs.append(list(map(truediv,
+                               repeat(math.factorial(k - 1)
+                                      * (-1.0) ** (k - 1)),
+                               map(pow, vals, repeat(k)))))
     return derivs
 
 
-def _sin_derivs(v, cap, quarter=0):
-    """The derivatives of sin(x + quarter * pi/2) at v; cos at quarter 1."""
-    if math.isinf(v):  # math.sin raises ValueError there
-        raise NonFiniteValue(f"sin or cos of infinite Taylor value {v}")
-    cyc = (math.sin(v), math.cos(v), -math.sin(v), -math.cos(v))
+def _sin_derivs(vals, cap, quarter=0):
+    """The derivatives of sin(x + quarter * pi/2) at each value; cos at
+    quarter 1."""
+    # math.sin raises ValueError at an infinite value
+    _require(vals, lambda v: not math.isinf(v),
+             "sin or cos of infinite Taylor value {}")
+    sin, cos = list(map(math.sin, vals)), list(map(math.cos, vals))
+    cyc = (sin, cos, list(map(neg, sin)), list(map(neg, cos)))
     return [cyc[(k + quarter) % 4] for k in range(cap + 1)]
 
 
@@ -449,10 +477,12 @@ class TNum:
     # -- analytic functions (truncated composition) -------------------------
 
     def _analytic(self, derivs, *args):
-        """Compose with the derivative list ``derivs(v, cap, *args)``
-        gives at the value v."""
-        return self._compose(_derivs_at(derivs, [float(self.value())],
-                                        self.alg.total_cap, *args)[0])
+        """Compose with the derivative lists ``derivs(values, cap, *args)``
+        gives at the value, or at each row's value."""
+        v = self.value()
+        lists = _derivs_at(derivs, np.ravel(v).tolist(), self.alg.total_cap,
+                           *args)
+        return self._compose(np.array(lists).reshape((-1,) + np.shape(v)))
 
     def _compose(self, derivs):
         """sum_k derivs[k]/k! * (self - value)^k, Horner-evaluated; for
@@ -520,9 +550,9 @@ class TRows(TNum):
     Row r of every result equals, bit for bit, the TNum computed from row r
     alone: the kernel sums each row's triples in the single-series order,
     the other ring operations are elementwise, and the derivative lists of
-    the analytic functions, domain checks included, are computed from each
-    row's value by the same scalar code.  A domain error names the first
-    failing row's value.  Plain operands are numbers or per-row arrays.
+    the analytic functions, domain checks included, map the same Python
+    float operations over the rows' values.  An error is the first
+    failing row's own.  Plain operands are numbers or per-row arrays.
     """
 
     __slots__ = ()
@@ -538,11 +568,6 @@ class TRows(TNum):
 
     def __repr__(self):
         return f"TRows(rows={self.c.shape[1]}, blocks={self.alg.blocks})"
-
-    def _analytic(self, derivs, *args):
-        per_row = _derivs_at(derivs, self.value().tolist(),
-                             self.alg.total_cap, *args)
-        return self._compose(np.array(per_row, dtype=float).T)
 
     def absolute(self):
         # TNum negates unless value >= 0, so a NaN row is negated too

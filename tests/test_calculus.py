@@ -8,7 +8,7 @@ import pytest
 
 from finslercheck import catalogue, scalars, taylor
 from finslercheck.calculus import (
-    FD_BATCH, JetOrder, TangentSample, _richardson, eval_jet, fd_step,
+    STENCIL_BATCH, JetOrder, TangentSample, eval_jet, fd_step,
     homogeneity_check, jet_of, jet_of_many,
 )
 from finslercheck.errors import NonFiniteValue
@@ -80,11 +80,8 @@ def test_fd_mixed_partial_orderings_agree(klein3):
     at = TangentSample((0.1, -0.3, 0.2), (0.4, 0.8, -0.45))
     flat = list(at.x + at.y)
 
-    def evaluate(z):
-        return np.array([klein3.model.F(tuple(z[:3]), tuple(z[3:]))])
-
     def partial(fvars):
-        return float(_richardson(evaluate, flat, fvars, fd_step(2))[0])
+        return _scalar_fd(klein3.model.F, flat, fvars, fd_step(2))
 
     assert partial([0, 4]) == pytest.approx(partial([4, 0]), abs=1e-10)
     assert partial([4, 5]) == pytest.approx(partial([5, 4]), abs=1e-5)
@@ -271,10 +268,11 @@ def test_fd_vector_jets_equal_per_component_jets(fn, caps):
 
 
 def _scalar_fd(fn, z, fvars, h0):
-    # float-only nested Richardson differences of fn(x, y), x = z[:2],
-    # y = z[2:], one call of fn per stencil point visited
+    # float-only nested Richardson differences of fn(x, y), x the first
+    # half of z and y the second, one call of fn per stencil point visited
     if not fvars:
-        return float(fn(tuple(z[:2]), tuple(z[2:])))
+        n = len(z) // 2
+        return float(fn(tuple(z[:n]), tuple(z[n:])))
     v, rest = fvars[-1], fvars[:-1]
     h = h0 * (1.0 + abs(z[v]))
 
@@ -295,15 +293,18 @@ POINT = [0.3, -0.2, 0.8, 0.5]
 
 
 def test_fd_vector_jets_match_scalar_reference():
-    # the vectorised, memoised recursion does the same float operations as
-    # a plain per-component, per-partial one
-    jets = jet_of_many(_field3, (POINT[:2], POINT[2:]), (1, 2), scheme="fd")
-    for xv, yv in PARTIALS_1_2:
-        fvars = list(xv) + [2 + v for v in yv]
-        for i, jet in enumerate(jets):
-            ref = _scalar_fd(lambda x, y, i=i: _field3(x, y)[i], POINT,
-                             fvars, fd_step(3))
-            assert jet.pvars(xv, yv) == ref
+    # the array walk, over all partials of one depth at once, does the same
+    # float operations as a plain per-component, per-partial recursion
+    for n, caps in product((2, 3), ((1, 2), (0, 3))):
+        x, y = (0.3, -0.2, 0.45)[:n], (0.8, 0.5, -0.6)[:n]
+        jets = jet_of_many(_field3, (x, y), caps, scheme="fd")
+        for mx, my in product(*jets[0].monos):
+            fvars = [v for v, e in enumerate(mx) for _ in range(e)] + [
+                n + v for v, e in enumerate(my) for _ in range(e)]
+            for i, jet in enumerate(jets):
+                ref = _scalar_fd(lambda x, y, i=i: _field3(x, y)[i],
+                                 list(x + y), fvars, fd_step(3))
+                assert jet.partial(mx, my) == ref, (n, caps, mx, my, i)
 
 
 def test_fd_vector_jet_evaluates_each_stencil_point_once():
@@ -416,8 +417,8 @@ def test_fd_rows_take_the_stencil_in_first_visit_order_and_bounded_batches():
     for g, r in zip(got, ref):
         assert np.array_equal(g.table, r.table)
     assert np.vstack(batches).tolist() == [list(z) for z in visited]
-    assert len(batches) == -(-len(visited) // FD_BATCH) > 1
-    assert all(len(b) <= FD_BATCH for b in batches)
+    assert len(batches) == -(-len(visited) // STENCIL_BATCH) > 1
+    assert all(len(b) <= STENCIL_BATCH for b in batches)
 
 
 def test_fd_rows_error_names_the_first_failing_point():

@@ -323,6 +323,20 @@ def test_bad_expressions_fail_when_compiled(argv, monkeypatch, capsys):
     assert " at the " not in err
 
 
+@pytest.mark.parametrize("phi,message", [
+    ("((", "expected a value, got end of input at position 2 "
+     "(expected number or name or '(')"),
+    ("x1+", "expected a value, got end of input at position 3 "
+     "(expected number or name or '(')"),
+    ("sin(", "expected a value, got end of input at position 4 "
+     "(expected number or name or '(')"),
+    ("(x1", "expected ')', got end of input at position 3 (expected ')')")])
+def test_a_parse_error_at_the_end_of_the_input_names_it(phi, message,
+                                                        capsys):
+    assert cli.main(["tensors", "--phi", phi, "--samples", "10"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("form,message", [
     ("log(x1),0,0", "numeric domain error: log of non-positive Taylor value "
      "-0.39455540746900536 at the sample TangentSample(x=(-0.39455540746900536"

@@ -463,6 +463,86 @@ def test_sin_and_cos_of_an_infinite_value_are_domain_errors():
     assert np.isnan(alg.variable(0, 0, np.nan).sin().c).all()
 
 
+def _per_value_derivs(name, v, cap):
+    # the derivative list at one value, orders 0..cap, computed value by
+    # value as each analytic function did before its lists went row-wise
+    if name.startswith(("sqrt", "pow")):
+        p = {"sqrt": 0.5, "pow_float": 2.5, "pow_integral": 3.0}[name]
+        out, fall = [], 1.0
+        for k in range(cap + 1):
+            out.append(fall * v ** (p - k))
+            fall *= (p - k)
+        return out
+    if name == "reciprocal":
+        return [math.factorial(k) * (-1.0) ** k / v ** (k + 1)
+                for k in range(cap + 1)]
+    if name == "exp":
+        return [math.exp(v)] * (cap + 1)
+    if name == "log":
+        return [math.log(v)] + [math.factorial(k - 1) * (-1.0) ** (k - 1)
+                                / v ** k for k in range(1, cap + 1)]
+    cyc = (math.sin(v), math.cos(v), -math.sin(v), -math.cos(v))
+    return [cyc[(k + (name == "cos")) % 4] for k in range(cap + 1)]
+
+
+# each function with its arguments and values inside its domain, out to
+# where a derivative of order <= ROW_CAP nearly overflows or underflows
+# (and, where they pass, non-finite values, whose derivatives may be too)
+ROW_CAP = 5
+ROW_DERIVS = {
+    "sqrt": (taylor._sqrt_derivs, (),
+             [1e-68, 2.2e-16, 0.37, 1.0, 3.5, 1e300, 1.7e308]),
+    "pow_float": (taylor._pow_derivs, (2.5,),
+                  [1e-122, 1e-5, 0.5, 1.0, 7.0, 1e123]),
+    "pow_integral": (taylor._pow_derivs, (3.0,),
+                     [1e-150, 0.3, 1.0, 2.0, 1e102]),
+    "reciprocal": (taylor._reciprocal_derivs, (),
+                   [-1e51, -2.0, -1e-50, 1e-50, 0.25, 1.0, 1e51]),
+    "exp": (taylor._exp_derivs, (),
+            [-800.0, -745.0, -1.0, -0.0, 0.0, 1.0, 709.7, np.inf, np.nan]),
+    "log": (taylor._log_derivs, (), [1e-61, 1e-3, 0.5, 1.0, 1e61, np.inf]),
+    "sin": (taylor._sin_derivs, (),
+            [0.0, -0.0, 5e-324, 1.0, -2.5, 1e300, np.nan]),
+    "cos": (taylor._sin_derivs, (1,),
+            [0.0, -0.0, 5e-324, 1.0, -2.5, 1e300, np.nan]),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 2, 17, 256])
+@pytest.mark.parametrize("name", ROW_DERIVS)
+def test_row_derivative_lists_equal_the_per_value_lists(name, rows):
+    # each row of the lists is, bit for bit, the list at its value alone,
+    # and so the series of a TRows row is that of a TNum at its value
+    fn, args, values = ROW_DERIVS[name]
+    for start in range(len(values)):
+        vals = [values[(start + r) % len(values)] for r in range(rows)]
+        got = np.array(taylor._derivs_at(fn, vals, ROW_CAP, *args))
+        ref = np.array([_per_value_derivs(name, v, ROW_CAP)
+                        for v in vals]).T
+        assert _same_bits(got, ref), (name, vals)
+
+
+# a batch whose row 0 overflows a derivative while row 1 leaves the domain
+OVERFLOW_THEN_DOMAIN = {
+    "sqrt": (lambda t: t.sqrt(), [1e-300, -1.0]),
+    "pow_float": (lambda t: t ** 2.5, [1e-300, -1.0]),
+    "reciprocal": (lambda t: 1.0 / t, [1e-300, 0.0]),
+    "log": (lambda t: t.log(), [1e-300, -1.0]),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOW_THEN_DOMAIN)
+def test_a_batch_raises_its_first_failing_rows_own_error(name):
+    alg = algebra(((1, 3), (1, 2)))
+    op, values = OVERFLOW_THEN_DOMAIN[name]
+    with pytest.raises(NonFiniteValue) as single:
+        op(alg.variable(0, 0, values[0]))
+    with pytest.raises(NonFiniteValue) as batch:
+        op(TRows.variable(alg, 0, 0, np.array(values)))
+    assert str(batch.value) == str(single.value)
+    assert "non-finite derivative at 1e-300" in str(batch.value)
+
+
 # -- the multiply kernel and its work area -----------------------------------
 # A batch's gathers go to a per-thread work area, and the result must stay
 # the plain gather-multiply-bincount bit for bit, whatever the area held.
