@@ -79,9 +79,9 @@ class TangentSample:
     exactly as long as the sample: spray jets keyed by (model, kx, ky,
     scheme), where under AD jets of higher caps serve the lower order; the
     AD jets of a field's components keyed by (field, kx, ky, "ad"); and
-    arrays an op reads through :func:`sample_rows`; None where a fill left
+    arrays an op reads or computes (:func:`held`); None where a fill left
     the sample to take its own.  ``batch`` is the list a per-sample loop is
-    walking, else None (:func:`held`)."""
+    walking, else None."""
 
     __slots__ = ("x", "y", "jets", "batch")
 
@@ -352,8 +352,8 @@ def eval_jet(f, at, order, scheme="ad"):
     if not isinstance(order, JetOrder):
         order = JetOrder(*order)
     caps = (order.kx, order.ky)
-    jets = held(at, (f, *caps, "ad"), lambda xs, ys: [
-        jet_of(f, (xs, ys), caps)]) if scheme == "ad" else None
+    jets = held(at, (f, *caps, "ad"), lambda part: [
+        jet_of(f, coordinates(part), caps)]) if scheme == "ad" else None
     if jets is not None:
         return jets[0]
     return jet_of(lambda x, y: f(x, y), (at.x, at.y), caps, scheme=scheme)
@@ -362,7 +362,7 @@ def eval_jet(f, at, order, scheme="ad"):
 def held(at, key, rows, batch=FD_BATCH):
     """What the sample ``at`` holds under ``key``, or None: the first read
     of ``key`` in a per-sample loop fills every sample of the loop
-    (``at.batch``) with its row of ``rows`` (:func:`fill_jets`)."""
+    (``at.batch``) with its row of ``rows(part)`` (:func:`fill_jets`)."""
     if at.batch is not None and key not in at.jets:
         fill_jets(at.batch, key, rows, batch)
     return at.jets.get(key)
@@ -371,13 +371,11 @@ def held(at, key, rows, batch=FD_BATCH):
 def sample_rows(at, key, rows, batch=FD_BATCH):
     """The arrays :func:`held` under ``key`` on the sample ``at``, else
     those of ``rows`` at ``at`` alone, as one row."""
-    out = held(at, key, rows, batch)
-    if out is None:
-        out = [o[..., 0] for o in rows(*_coordinates([at]))]
-    return out
+    return held(at, key, lambda part: rows(*coordinates(part)), batch) \
+        or [o[..., 0] for o in rows(*coordinates([at]))]
 
 
-def _coordinates(samples):
+def coordinates(samples):
     """The samples' x and y, each as per-row float arrays, one per
     coordinate."""
     xs = np.array([at.x for at in samples]).T
@@ -387,26 +385,27 @@ def _coordinates(samples):
 
 def fill_jets(samples, key, rows, batch=FD_BATCH):
     """Put under ``key`` on each of ``samples`` not holding it its row of
-    ``rows(xs, ys)``, taken at per-row float arrays (one per coordinate) of
-    at most ``batch`` samples: a list of jets of Taylor rows or arrays, row
-    axis last, each row bit for bit what the op reading ``key`` takes at
-    that sample alone.  A sample of a batch that raises FinslerCheckError,
-    or whose row is not finite, gets None, so it takes its own in the
-    per-sample loop and fails with its own error; the batch runs once."""
+    ``rows(part)``, taken on lists of at most ``batch`` of them: a list of
+    jets of Taylor rows or arrays, row axis last, each row bit for bit what
+    the op reading ``key`` takes at that sample alone.  A sample of a
+    batch that raises FinslerCheckError, or whose row is not finite, gets
+    None, so it takes its own in the per-sample loop and fails with its
+    own error; the batch runs once."""
     todo = [at for at in samples if key not in at.jets]
     for lo in range(0, len(todo), batch):
         part = todo[lo:lo + batch]
         try:
-            out = rows(*_coordinates(part))
+            out = rows(part)
         except FinslerCheckError:
             out = None
-        for r, at in enumerate(part):
-            own = out and [
+        finite = [False] * len(part) if out is None else np.logical_and.reduce(
+            [np.isfinite(getattr(o, "table", o)).reshape(-1, len(part)).all(0)
+             for o in out]).tolist()
+        for r, (at, ok) in enumerate(zip(part, finite)):
+            at.jets[key] = [
                 Jet(o.nvars, o.caps, o.table[..., r].copy(), stair=o.stair)
-                if isinstance(o, Jet) else o[..., r].copy() for o in out]
-            finite = own and all(np.isfinite(getattr(o, "table", o)).all()
-                                 for o in own)
-            at.jets[key] = own if finite else None
+                if isinstance(o, Jet) else o[..., r].copy()
+                for o in out] if ok else None
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ beta holds structurally because b depends on x alone.  This module
 implements those operators (each takes the tensors it derives from, and
 ``is_parallel`` takes them once per sample) plus the Randers lift F + beta
 and the functional-independence rank test used by the metrizability-freedom
-argument.
+argument.  The operators run on stacks of samples as the geometry ops
+do; the homogeneity residual reads the (1, 1) jet of beta of delta_beta.
 """
 
 import math
@@ -18,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from . import analysis, geometry, sampling, scalars
-from .calculus import JetOrder, eval_jet, held, jet_of_many
+from .calculus import JetOrder, coordinates, eval_jet, held, jet_of_many
 from .errors import FinslerCheckError, InsufficientSamples, NotPositive
 from .geometry import MetricModel, TensorValue
 
@@ -65,10 +66,9 @@ class OneForm:
         from the jets of b held there (:func:`calculus.held`)."""
         if self.db is not None:
             return np.asarray(self.db(x), dtype=float)
-        jets = at and held(at, (self.b, 1, 0, "ad"), lambda xs, ys:
-                           jet_of_many(self.b, (xs,), (1,)))
-        if jets is None:
-            jets = jet_of_many(lambda xs: self.b(xs), (x,), (1,))
+        jets = (at and held(at, (self.b, 1, 0, "ad"), lambda part: jet_of_many(
+            self.b, coordinates(part)[:1], (1,)))) \
+            or jet_of_many(lambda xs: self.b(xs), (x,), (1,))
         return np.array([jet.dense(1) for jet in jets])
 
 
@@ -107,12 +107,16 @@ def covariant_derivative(omega, at, C, delta, scheme="ad"):
     record ``max_delta``, max |delta_j beta|, and ``delta_residual``, the
     contraction's residual max |y^i b_{i|j} - delta_j beta| relative to
     1 + max_delta."""
-    db = omega.jacobian(at.x, at)
-    b = omega.values(at.x)
-    cov = db - np.einsum("kji,k->ij", C.components, b)
-    y = np.asarray(at.y, dtype=float)
+    def stacks(part, Cs):
+        db = np.array([omega.jacobian(s.x, s) for s in part])
+        b = np.array([omega.values(s.x) for s in part])
+        cov = db - np.einsum("skji,sk->sij", Cs, b)
+        return cov, (geometry._ys(part)[:, None, :] @ cov)[:, 0]
+
+    cov, ycov = geometry._rows(at, geometry._held_key(
+        scheme, "covariant_derivative", omega, C.key), stacks, C)
     max_delta = delta.max_abs()
-    resid = float(np.max(np.abs(y @ cov - delta.components)))
+    resid = float(np.max(np.abs(ycov - delta.components)))
     tol = (1e-10 if scheme == "ad" else 1e-3) * (1.0 + max_delta)
     if resid > tol:
         raise FinslerCheckError(
@@ -128,9 +132,13 @@ def delta_beta(m, omega, at, scheme="ad"):
 
 def d_R_beta(omega, at, R):
     """R^h_{jk} b_h (2-form) and its y-contraction R^h_j b_h from ``R``."""
-    b = omega.values(at.x)
-    two_form = np.einsum("hjk,h->jk", R.components, b)
-    contracted = two_form @ np.asarray(at.y, dtype=float)
+    def stacks(part, Rs):
+        two_form = np.einsum("shjk,sh->sjk", Rs,
+                             np.array([omega.values(s.x) for s in part]))
+        return two_form, geometry._mv(two_form, geometry._ys(part))
+
+    two_form, contracted = geometry._rows(at, geometry._held_key(
+        "ad", "d_R_beta", omega, R.key), stacks, R)
     return (TensorValue(two_form, (("antisym", (0, 1)),), dict(R.notes)),
             TensorValue(contracted, notes=dict(R.notes)))
 
@@ -145,10 +153,16 @@ def m_covector(omega, at, ell):
 
 
 def homogeneity_residual(omega, at):
-    """|d_C beta - beta|, which vanishes structurally for x-only b."""
-    jet = eval_jet(omega.beta(), at, JetOrder(0, 1))
-    dC = sum(at.y[i] * jet.pvars((), (i,)) for i in range(at.n))
-    return abs(dC - jet.value)
+    """|d_C beta - beta|, which vanishes structurally for x-only b; read
+    off the (1, 1) jet of beta that ``delta_beta`` takes under AD."""
+    def stacks(part):
+        jets = [eval_jet(omega.beta(), s, JetOrder(1, 1)) for s in part]
+        dy = np.array([jet.dense(0, 1) for jet in jets])
+        dC = sum(y * d for y, d in zip(geometry._ys(part).T, dy.T))
+        return [np.abs(dC - np.array([jet.value for jet in jets]))]
+
+    res, = geometry._rows(at, ("homogeneity_residual", omega), stacks)
+    return float(res)
 
 
 def is_parallel(m, omega, samples, tol=None, scheme="ad"):

@@ -27,6 +27,11 @@ of a tier (``_tier_jets``, :func:`fill_spray_jets`, one staircase energy
 jet per ``SPRAY_BATCH`` samples for a model with F), the spray values and
 the energy and F jets.  A sample that holds none takes its own.
 
+Each op's body is written once, on stacks with a leading sample axis
+(``_rows``): under AD its first read in a loop runs it over the loop's
+samples, on spray partials gathered once per batch, else on the one
+sample.  Its checks are computed per row and raised at the sample's read.
+
 An AD tier keeps only its demand staircase (``_AD_STAIRS``): the spray
 partials the ops read, of x-order 0 up to the tier's y-order and of
 x-order 1 up to y-order 1, and the energy partials they are shifted from.
@@ -37,8 +42,8 @@ Derived ops take their upstream tensor instead of computing it again:
 ``angular_metric`` takes g, ``mean_berwald`` the Berwald curvature,
 ``landsberg_tensor`` the Berwald curvature and the Hilbert form (which
 records the value of F it read as ``notes["F"]``), ``curvature_R`` the
-Jacobi endomorphism.  No op calls another op, so a caller computes each
-tensor once per sample.
+Jacobi endomorphism (its rows, in a loop).  No op calls another op, so a
+caller computes each tensor once per sample.
 
 Conventions.  R^h_jk is computed from horizontal derivatives of N and then
 sign-normalised so that R^h_jk y^k equals the Jacobi endomorphism
@@ -55,7 +60,8 @@ import numpy as np
 
 from . import scalars
 from .calculus import (HOMOGENEITY_SCALES, JetOrder, TangentSample,
-                       eval_jet, fill_jets, homogeneity_check, jet_of,
+                       _dense_index, coordinates, eval_jet, fill_jets, held,
+                       homogeneity_check, jet_of,
                        jet_of_many, jet_of_rows, sample_rows,
                        series_jet, var_exponents)
 from .errors import (ConventionMismatch, DegenerateMetric, FinslerCheckError,
@@ -73,11 +79,13 @@ __all__ = [
 
 @dataclass
 class TensorValue:
-    """Dense component array with symmetry tags and notes."""
+    """Dense component array with symmetry tags and notes; ``key`` is that
+    of its rows held on the samples of a per-sample loop (:func:`_rows`)."""
 
     components: np.ndarray
     symmetries: tuple = ()  # ("sym"|"antisym", positions)
     notes: dict = field(default_factory=dict)
+    key: object = field(default=None, repr=False, compare=False)
 
     def max_abs(self):
         return float(np.max(np.abs(self.components))) if self.components.size else 0.0
@@ -179,15 +187,17 @@ def solve_linear(A, b):
 DEGENERACY_REL = 1e-10
 
 
-def _check_nondegenerate(g):
-    """Raise DegenerateMetric unless |det g| exceeds DEGENERACY_REL times
-    the n-th power of the mean |diagonal| entry.  ``g`` is one (n, n) value
-    matrix or a stack of them with the row axis last, checked row by row
-    with the same float operations as one matrix."""
-    n = len(g)
-    g = np.reshape(g, (n, n, -1)).transpose(2, 0, 1)
-    scales = np.mean(np.abs(np.diagonal(g, axis1=1, axis2=2)), axis=1)
-    for scale, det in zip(scales.tolist(), np.linalg.det(g).tolist()):
+def _degeneracy(g):
+    """(det, mean |diagonal entry|) of each matrix of the stack ``g``, with
+    the same float operations as for one matrix."""
+    return (np.linalg.det(g),
+            np.mean(np.abs(np.diagonal(g, axis1=1, axis2=2)), axis=1))
+
+
+def _check_nondegenerate(n, dets, scales):
+    """Raise DegenerateMetric for the first |det| that does not exceed
+    DEGENERACY_REL times the n-th power of its scale (:func:`_degeneracy`)."""
+    for det, scale in zip(np.ravel(dets).tolist(), np.ravel(scales).tolist()):
         scale = scale or 1.0
         if abs(det) <= DEGENERACY_REL * scale ** n:
             raise DegenerateMetric(
@@ -217,8 +227,9 @@ def _assemble_spray(n, y, d):
     ``d(xvars, yvars)``: floats, Taylor scalars of one algebra, or float
     arrays over rows."""
     g, rhs = _spray_system(n, y, d)
-    _check_nondegenerate(np.array([[scalars.value(e) for e in row]
-                                   for row in g]))
+    values = np.array([[scalars.value(e) for e in row] for row in g])
+    _check_nondegenerate(n, *_degeneracy(
+        np.reshape(values, (n, n, -1)).transpose(2, 0, 1)))
     return tuple(0.5 * wi for wi in solve_linear(g, rhs))
 
 
@@ -303,26 +314,25 @@ def fill_spray_jets(m, samples, kx, ky):
     rows; a spray-only model as the AD jets of its spray."""
     todo = [at for at in samples if _held(m, at, kx, ky) is None]
     if m.F is None:
-        fill_jets(todo, (m, kx, ky, "ad"), lambda xs, ys: jet_of_many(
-            lambda x, y: _spray_scalars(m, x, y), (xs, ys), (kx, ky)))
+        fill_jets(todo, (m, kx, ky, "ad"), lambda part: jet_of_many(
+            lambda x, y: _spray_scalars(m, x, y), coordinates(part), (kx, ky)))
     else:
-        fill_jets(todo, (m, kx, ky, "ad"), lambda xs, ys: _shifted_spray_jets(
-            m, xs, ys, kx, ky), SPRAY_BATCH)
+        fill_jets(todo, (m, kx, ky, "ad"), lambda part: _shifted_spray_jets(
+            m, *coordinates(part), kx, ky), SPRAY_BATCH)
 
 
-# jet orders requested per tier; AD shares one generous jet per tier, FD
-# stays minimal because its cost grows exponentially with the order
-_AD_TIERS = {"connection": (1, 2), "curvature": (1, 3)}
+# jet orders requested per scheme and tier; AD shares one generous jet per
+# tier, FD stays minimal because its cost grows exponentially with the order
+_TIERS = {"ad": {"nonlinear": (1, 2), "connection": (1, 2), "jacobi": (1, 2),
+                 "curvature": (1, 3)},
+          "fd": {"nonlinear": (0, 1), "connection": (0, 2), "jacobi": (1, 2),
+                 "curvature": (0, 3)}}
 # (spray, energy) demand staircases of each AD tier order: the ops read
 # spray partials (0, <= ky) and (1, <= 1); the spray assembly shifts them
 # from energy partials (0, <= ky + 2), (1, <= ky + 1) and (2, <= 2).  Each
 # keeps the spray partials (1, <= 1), so a held jet of caps at least
 # (kx, ky) still keeps every partial a (kx, ky) jet keeps.
 _AD_STAIRS = {(1, 3): ((3, 1), (5, 4, 2)), (1, 2): ((2, 1), (4, 3, 2))}
-_FD_TIERS = {
-    "nonlinear": (0, 1), "connection": (0, 2), "jacobi": (1, 2),
-    "curvature": (0, 3),
-}
 
 
 def _held(m, at, kx, ky):
@@ -372,17 +382,75 @@ def _tier_jets(m, at, tier, scheme):
     here, so a ``spray_jets`` call that takes a jet stays a miss.  Jets of
     higher caps already on the sample are put under the tier's own key, so
     ``spray_jets`` finds them at once."""
-    if scheme != "ad":
-        return spray_jets(m, at, *_FD_TIERS[tier], scheme)
-    kx, ky = _AD_TIERS["curvature" if tier == "curvature" else "connection"]
-    key = (m, kx, ky, "ad")
-    if at.batch is not None and key not in at.jets:
+    kx, ky = _TIERS[scheme][tier]
+    key = (m, kx, ky, scheme)
+    if scheme == "ad" and at.batch is not None and key not in at.jets:
         jets = _held(m, at, kx, ky)
         if jets is None:
             fill_spray_jets(m, at.batch, kx, ky)
         else:
             at.jets[key] = jets
     return spray_jets(m, at, kx, ky, scheme)
+
+
+def _spray_partials(m, part, tier, scheme):
+    """A ``tier``'s spray partials G, dG, N, dN and dy N (or B alone) at
+    the samples ``part``, stacked, by order: ``[(0, 1)][s, h, j]`` is
+    N^h_j at ``part[s]``; a loop gathers them once per batch and order."""
+    kx, ky = _TIERS[scheme][tier]
+    orders = [(0, 3)] if ky == 3 else [
+        (a, b) for a, b in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
+        if a <= kx and b <= ky]
+
+    def gather(sub):  # through one stack of tables when they share a layout
+        jetss = [_tier_jets(m, s, tier, scheme) for s in sub]
+        j = jetss[0][0]
+        if any(k.layout is not j.layout for jets in jetss for k in jets):
+            return [np.array([_partials(jets, *o) for jets in jetss])
+                    for o in orders]
+        tables = np.array([[k.table for k in jets] for jets in jetss])
+        return [tables[(slice(None),) * 2 + ix].reshape(tables.shape[:2]
+                                                        + shape)
+                for ix, shape in (_dense_index(j.nvars, j.caps, o, j.stair)
+                                  for o in orders)]
+
+    key = _held_key(scheme, "spray_partials", m, kx, ky)
+    rows = [_rows(at, key, gather) for at in part]
+    return dict(zip(orders, map(np.array, zip(*rows))))
+
+
+def _held_key(scheme, *parts):
+    """An op's key (:func:`_rows`): None under FD or for an unheld part."""
+    return None if scheme != "ad" or None in parts else parts
+
+
+def _rows(at, key, stacks, *upstream):
+    """``at``'s row of ``stacks(part, *ups)``, arrays with a leading axis
+    over the samples ``part`` (``ups``: the ``upstream`` tensors' rows held
+    there).  Under a ``key`` the first read in a loop runs it over the
+    loop's samples (:func:`calculus.held`), else it runs on ``[at]``."""
+    def run(part):
+        ups = [[t.components if s is at else (s.jets.get(t.key) or [None])[0]
+                for s in part] for t in upstream]
+        if any(r is None for up in ups for r in up):
+            raise FinslerCheckError("an upstream tensor is not held")
+        return stacks(part, *map(np.array, ups))
+
+    return (key is not None and held(at, key, lambda part: [  # rows last
+        o.transpose(*range(1, o.ndim), 0) for o in run(part)])) \
+        or [o[0] for o in run([at])]
+
+
+def _max(a):  # max |a| per sample of a stack
+    return np.abs(a).reshape(len(a), -1).max(1)
+
+
+def _ys(part):
+    return np.array([at.y for at in part], dtype=float)
+
+
+def _mv(M, v):  # M[s] @ v[s] per sample
+    return (M @ v[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +470,16 @@ def metric_tensor(m, at, scheme="ad"):
     """g_ij = fiber Hessian of the energy; raises DegenerateMetric when
     rank < n at the sample."""
     m.require_F()
-    jet = eval_jet(m.energy, at, JetOrder(0, 2), scheme=scheme)
-    g = jet.dense(0, 2)
-    _check_nondegenerate(g)
-    return TensorValue(g, (("sym", (0, 1)),))
+
+    def stacks(part):
+        g = np.array([eval_jet(m.energy, s, JetOrder(0, 2), scheme=scheme)
+                      .dense(0, 2) for s in part])
+        return (g, *_degeneracy(g))
+
+    key = _held_key(scheme, "metric_tensor", m)
+    g, det, scale = _rows(at, key, stacks)
+    _check_nondegenerate(m.n, det, scale)
+    return TensorValue(g, (("sym", (0, 1)),), key=key)
 
 
 def hilbert_form(m, at, scheme="ad"):
@@ -451,45 +525,48 @@ def spray_coefficients(m, at):
     return TensorValue(G)
 
 
-def _euler_notes(residual, scale, scheme, what):
-    """Notes recording the raw residual of an Euler contraction; raises
-    when it exceeds the scheme's tolerance relative to ``1 + scale``."""
-    tol = 1e-9 if scheme == "ad" else 1e-3
-    if residual > tol * (1.0 + scale):
+def _euler_op(m, at, scheme, stacks, what, symmetries=()):
+    """The tensor ``what`` of ``stacks``, which also give each sample's raw
+    Euler contraction residual (kept in the notes) and scale; raises past
+    the scheme's tolerance relative to ``1 + scale``."""
+    key = _held_key(scheme, what, m)
+    T, residual, scale = _rows(at, key, stacks)
+    residual, tol = float(residual), 1e-9 if scheme == "ad" else 1e-3
+    if residual > tol * (1.0 + float(scale)):
         raise FinslerCheckError(f"{what} failed its Euler contraction "
                                 f"(residual {residual:g})")
-    return {"euler_residual": residual}
+    return TensorValue(T, symmetries, {"euler_residual": residual}, key)
 
 
 def nonlinear_connection(m, at, scheme="ad"):
     """N^i_j = dG^i/dy^j, with the Euler check N y = 2G."""
-    jets = _tier_jets(m, at, "nonlinear", scheme)
-    N = _partials(jets, 0, 1)
-    G = _partials(jets, 0, 0)
-    y = np.asarray(at.y, dtype=float)
-    return TensorValue(N, notes=_euler_notes(
-        float(np.max(np.abs(N @ y - 2.0 * G))), float(np.max(np.abs(G))),
-        scheme, "nonlinear connection"))
+    def stacks(part):
+        P = _spray_partials(m, part, "nonlinear", scheme)
+        N, G = P[0, 1], P[0, 0]
+        return N, _max(_mv(N, _ys(part)) - 2.0 * G), _max(G)
+
+    return _euler_op(m, at, scheme, stacks, "nonlinear connection")
 
 
 def berwald_connection(m, at, scheme="ad"):
     """G^h_ij = dN^h_j/dy^i (symmetric in i, j), with G^h_ij y^j = N^h_i."""
-    jets = _tier_jets(m, at, "connection", scheme)
-    C = _partials(jets, 0, 2)
-    N = _partials(jets, 0, 1)
-    y = np.asarray(at.y, dtype=float)
-    return TensorValue(C, (("sym", (1, 2)),), _euler_notes(
-        float(np.max(np.abs(np.einsum("hij,j->hi", C, y) - N))),
-        float(np.max(np.abs(N))), scheme, "Berwald connection"))
+    def stacks(part):
+        P = _spray_partials(m, part, "connection", scheme)
+        C, N = P[0, 2], P[0, 1]
+        return C, _max(np.einsum("shij,sj->shi", C, _ys(part)) - N), _max(N)
+
+    return _euler_op(m, at, scheme, stacks, "Berwald connection",
+                     (("sym", (1, 2)),))
 
 
 def berwald_curvature(m, at, scheme="ad"):
     """G^h_ijk, totally symmetric, with G^h_ijk y^k = 0."""
-    B = _partials(_tier_jets(m, at, "curvature", scheme), 0, 3)
-    y = np.asarray(at.y, dtype=float)
-    return TensorValue(B, (("sym", (1, 2, 3)),), _euler_notes(
-        float(np.max(np.abs(np.einsum("hijk,k->hij", B, y)))),
-        float(np.max(np.abs(B))), scheme, "Berwald curvature"))
+    def stacks(part):
+        B = _spray_partials(m, part, "curvature", scheme)[0, 3]
+        return B, _max(np.einsum("shijk,sk->shij", B, _ys(part))), _max(B)
+
+    return _euler_op(m, at, scheme, stacks, "Berwald curvature",
+                     (("sym", (1, 2, 3)),))
 
 
 def mean_berwald(B):
@@ -509,58 +586,63 @@ def landsberg_tensor(B, ell):
 def jacobi_endomorphism(m, at, scheme="ad"):
     """Phi^i_j = 2 d_j G^i - S(N^i_j) - N^i_k N^k_j  (Riemann curvature),
     with Phi y = 0."""
-    jets = _tier_jets(m, at, "jacobi", scheme)
-    G = _partials(jets, 0, 0)
-    dG = _partials(jets, 1, 0)
-    N = _partials(jets, 0, 1)
-    dN = _partials(jets, 1, 1).transpose(0, 2, 1).copy()  # d_k N^i_j
-    dyN = _partials(jets, 0, 2)                            # dyN[i,j,k]
-    y = np.asarray(at.y, dtype=float)
-    SN = np.einsum("ijk,k->ij", dN, y) - 2.0 * np.einsum("ijk,k->ij", dyN, G)
-    phi = 2.0 * dG - SN - N @ N
-    return TensorValue(phi, notes=_euler_notes(
-        float(np.max(np.abs(phi @ y))), float(np.max(np.abs(phi))), scheme,
-        "Jacobi endomorphism"))
+    def stacks(part):
+        P = _spray_partials(m, part, "jacobi", scheme)
+        G, dG, N, dyN = P[0, 0], P[1, 0], P[0, 1], P[0, 2]
+        dN = P[1, 1].transpose(0, 1, 3, 2).copy()  # d_k N^i_j
+        y = _ys(part)
+        SN = (np.einsum("sijk,sk->sij", dN, y)
+              - 2.0 * np.einsum("sijk,sk->sij", dyN, G))
+        phi = 2.0 * dG - SN - N @ N
+        return phi, _max(_mv(phi, y)), _max(phi)
+
+    return _euler_op(m, at, scheme, stacks, "Jacobi endomorphism")
 
 
 def curvature_R(m, at, phi, scheme="ad"):
     """Curvature 2-form R^h_jk of the nonlinear connection, antisymmetric
     in (j, k) as stored, sign-normalised so that R^h_jk y^k = phi^h_j."""
-    jets = _tier_jets(m, at, "jacobi", scheme)
-    n = at.n
-    N = _partials(jets, 0, 1)
-    dN = _partials(jets, 1, 1).transpose(0, 2, 1).copy()  # d_k N^h_j
-    C = _partials(jets, 0, 2)                              # G^h_lj
-    R = np.zeros((n, n, n))
-    for j in range(n):
-        for k in range(j + 1, n):
-            # delta_j N^h_k - delta_k N^h_j, delta_j = d_j - N^l_j dy_l
-            val = (dN[:, k, j] - dN[:, j, k]
-                   - np.einsum("l,hl->h", N[:, j], C[:, :, k])
-                   + np.einsum("l,hl->h", N[:, k], C[:, :, j]))
-            R[:, j, k] = val
-            R[:, k, j] = -val
-    y = np.asarray(at.y, dtype=float)
-    phi = phi.components
-    contracted = np.einsum("hjk,k->hj", R, y)
-    scale = 1.0 + float(np.max(np.abs(phi)))
-    tol = 1e-8 if scheme == "ad" else 1e-3
-    if float(np.max(np.abs(contracted - phi))) <= tol * scale:
-        orientation = 1
-    elif float(np.max(np.abs(contracted + phi))) <= tol * scale:
-        R = -R
-        orientation = -1
-    else:
+    def stacks(part, phis):
+        P = _spray_partials(m, part, "jacobi", scheme)
+        N, C = P[0, 1], P[0, 2]                    # C[s, h, l, j] = G^h_lj
+        dN = P[1, 1].transpose(0, 1, 3, 2).copy()  # d_k N^h_j
+        n = N.shape[1]
+        R = np.zeros(N.shape + (n,))
+        for j in range(n):
+            for k in range(j + 1, n):
+                # delta_j N^h_k - delta_k N^h_j, delta_j = d_j - N^l_j dy_l
+                val = (dN[:, :, k, j] - dN[:, :, j, k]
+                       - np.einsum("sl,shl->sh", N[:, :, j], C[:, :, :, k])
+                       + np.einsum("sl,shl->sh", N[:, :, k], C[:, :, :, j]))
+                R[:, :, j, k] = val
+                R[:, :, k, j] = -val
+        contracted = np.einsum("shjk,sk->shj", R, _ys(part))
+        bound = (1e-8 if scheme == "ad" else 1e-3) * (1.0 + _max(phis))
+        # the orientation that makes R y = phi, or 0 for neither sign
+        sign = np.where(_max(contracted - phis) <= bound, 1,
+                        np.where(_max(contracted + phis) <= bound, -1, 0))
+        return sign[:, None, None, None] * R, sign
+
+    key = _held_key(scheme, "curvature_R", m, phi.key)
+    R, orientation = _rows(at, key, stacks, phi)
+    if not orientation:
         raise ConventionMismatch(
             "R^h_jk y^k differs from the Jacobi endomorphism by more than "
             "a global sign")
-    return TensorValue(R, (("antisym", (1, 2)),), {"orientation": orientation})
+    return TensorValue(R, (("antisym", (1, 2)),),
+                       {"orientation": int(orientation)}, key)
 
 
 def delta_derivative(m, f, at, scheme="ad"):
     """Horizontal derivative (delta_i f) = d_i f - N^j_i dy_j f of a scalar
     field on the slit tangent bundle."""
-    N = _partials(_tier_jets(m, at, "nonlinear", scheme), 0, 1)
-    fjet = eval_jet(f, at, JetOrder(1, 1), scheme=scheme)
-    out = fjet.dense(1, 0) - (N * fjet.dense(0, 1)[:, None]).sum(axis=0)
-    return TensorValue(out)
+    def stacks(part):
+        N = _spray_partials(m, part, "nonlinear", scheme)[0, 1]
+        jets = [eval_jet(f, s, JetOrder(1, 1), scheme=scheme) for s in part]
+        dx, dy = (np.array([j.dense(*o) for j in jets])
+                  for o in ((1, 0), (0, 1)))
+        return [dx - (N * dy[:, :, None]).sum(axis=1)]
+
+    key = _held_key(scheme, "delta_derivative", m, f)
+    out, = _rows(at, key, stacks)
+    return TensorValue(out, key=key)

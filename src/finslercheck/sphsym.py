@@ -63,10 +63,12 @@ class SphSymProfile:
 class PQPair:
     """The scalar maps P(r, s), Q(r, s) as one callable ``PQ(r, s)`` that
     returns both, so a profile-derived pair takes one profile jet per
-    (r, s); evaluates on floats or Taylor scalars."""
+    (r, s); evaluates on floats or Taylor scalars, and with ``rows`` also
+    at per-row float arrays, each row bit for bit its float value."""
 
     PQ: object
     source: str = ""
+    rows: bool = False
 
     def jets(self, r, s):
         """(P, P_s, Q, Q_s) at a float point (r, s), or per row at float
@@ -130,26 +132,33 @@ def pq_from_profile(profile):
     """The (P, Q) pair generated by a profile, both read off one profile
     jet per (r, s)."""
     return PQPair(lambda r, s: pq_of_jet(profile.jet(r, s), r, s),
-                  source=f"profile:{profile.name}")
+                  source=f"profile:{profile.name}", rows=True)
 
 
 def _rsu(x, y):
-    u = scalars.sqrt(scalars.norm_sq(y))
-    r = scalars.sqrt(scalars.norm_sq(x))
+    # over per-row float arrays numpy's sqrt rounds as math.sqrt does
+    sqrt = np.sqrt if isinstance(y[0], np.ndarray) else scalars.sqrt
+    u = sqrt(scalars.norm_sq(y))
+    r = sqrt(scalars.norm_sq(x))
     s = scalars.dot(x, y) / u
     return r, s, u
 
 
 def _pq_spray(pq, x, y):
-    """G^i = u P y^i + u^2 Q x^i on floats or Taylor scalars (r > 0)."""
+    """G^i = u P y^i + u^2 Q x^i on floats, Taylor scalars or rows (r > 0)."""
     r, s, u = _rsu(x, y)
     P, Q = pq.PQ(r, s)
     return tuple(u * P * yi + u * u * Q * xi for xi, yi in zip(x, y))
 
 
 def spray_from_pq(pq, at):
-    """The (P, Q) spray at a tangent sample."""
-    G = np.array([scalars.value(c) for c in _pq_spray(pq, at.x, at.y)])
+    """The (P, Q) spray at a tangent sample; of a pair with ``rows``, as
+    rows in a per-sample loop (:func:`calculus.sample_rows`)."""
+    if not pq.rows:
+        return TensorValue(np.array([scalars.value(c) for c in _pq_spray(
+            pq, at.x, at.y)]))
+    G, = sample_rows(at, (pq, "spray"), lambda xs, ys: [
+        np.array(_pq_spray(pq, xs, ys))])
     return TensorValue(G)
 
 
@@ -253,7 +262,7 @@ def _delta_beta_expansion(factor, pq, xs, ys):
     row of the per-row float arrays ``xs``, ``ys``, as an (n, rows) array:
     u times the x-coefficient and the y-coefficient of sss_residuals."""
     X, Y = np.array(xs), np.array(ys)
-    r, s, u = map(np.array, zip(*map(_rsu, X.T.tolist(), Y.T.tolist())))
+    r, s, u = _rsu(X, Y)
     res1, res2, _ = sss_residuals(factor, pq, (r, s))
     return u * res1 * X + res2 * Y
 

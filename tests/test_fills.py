@@ -153,8 +153,9 @@ def test_form_jets_fill_as_their_samples_own(omega):
     beta = omega.beta()
     assert omega.beta() is beta
     points = _points(omega.n, r_min=0.1)
-    reads = {0: lambda at: forms.homogeneity_residual(omega, at),
-             1: lambda at: eval_jet(beta, at, (1, 1))}  # delta_beta's
+    # homogeneity_residual reads delta_beta's (1, 1) jet
+    reads = {0: lambda at: eval_jet(beta, at, (0, 1)),
+             1: lambda at: forms.homogeneity_residual(omega, at)}
     for kx in (0, 1):
         _assert_filled(
             reads[kx], (beta, kx, 1, "ad"), points,
