@@ -29,9 +29,10 @@ shifts of one flat energy jet, whose series an AD :class:`Jet` keeps as
 :mod:`finslercheck.taylor`, ``jet_of(..., stair=...)``): a read outside
 the stair raises KeyError instead of returning a partial never computed.
 
-In a per-sample loop the first read of a jet takes it for every sample of
-the loop as Taylor rows (:func:`held`; ``jet`` composed with ``vmap`` in
-Bettencourt, Johnson & Duvenaud 2019).
+Every AD jet is a jet of Taylor rows.  In a per-sample loop the first
+read of a jet takes it for every sample of the loop; a lone read takes it
+for a batch of one (:func:`held`; ``jet`` composed with ``vmap`` in
+Bettencourt, Johnson & Duvenaud 2019, where one point is a batch of one).
 """
 
 import functools
@@ -42,7 +43,7 @@ from itertools import accumulate, count, product
 import numpy as np
 
 from .errors import FinslerCheckError, NonFiniteValue
-from .taylor import TNum, TRows, algebra, _monomials
+from .taylor import TRows, algebra, _monomials
 from . import scalars
 
 EPS = float(np.finfo(float).eps)
@@ -79,9 +80,9 @@ class TangentSample:
     exactly as long as the sample: spray jets keyed by (model, kx, ky,
     scheme), where under AD jets of higher caps serve the lower order; the
     AD jets of a field's components keyed by (field, kx, ky, "ad"); and
-    arrays an op reads or computes (:func:`held`); None where a fill left
-    the sample to take its own.  ``batch`` is the list a per-sample loop is
-    walking, else None."""
+    arrays an op reads or computes (:func:`held`); None where the sample's
+    batch failed, so that a read takes it as a batch of one.  ``batch`` is
+    the list a per-sample loop is walking, else None."""
 
     __slots__ = ("x", "y", "jets", "batch")
 
@@ -92,10 +93,7 @@ class TangentSample:
         self.batch = None
         if len(self.x) != len(self.y):
             raise ValueError("x and y must have the same dimension")
-        # a field differentiated under AD may build a sample of its own
-        # Taylor-valued inputs (a nested jet), so read the value parts
-        ynorm = math.sqrt(sum(scalars.value(v) ** 2 for v in self.y))
-        if not ynorm > 0.0:
+        if not math.hypot(*self.y) > 0.0:
             raise ValueError("fiber vector y must be nonzero")
 
     @property
@@ -123,13 +121,13 @@ class Jet:
 
     ``partial(m1, m2, ...)`` takes one exponent tuple per group;
     ``pvars(v1, v2, ...)`` takes tuples of variable indices instead
-    (e.g. ``pvars((0,), (1, 1))`` for d/dx0 d2/dy1dy1).  Entries are floats,
-    or series of ``alg`` (a trailing table axis) for Taylor-valued inputs.
-    A flat AD jet also keeps the Taylor scalar it was read from as ``series``
-    and that series' ``stair``; partials outside the stair raise KeyError.
-    A jet of Taylor rows has a trailing row axis, after the coefficient
-    axis: its float entries are per-row arrays, its series entries
-    :class:`TRows`.
+    (e.g. ``pvars((0,), (1, 1))`` for d/dx0 d2/dy1dy1).  Entries are
+    floats; in a jet of Taylor rows, which has a trailing row axis, per-row
+    arrays; at Taylor-valued inputs, :class:`TRows` of ``alg`` (a
+    coefficient axis before the row axis).  A flat AD jet also keeps the
+    Taylor rows it was read from as ``series`` and their ``stair``;
+    partials outside the stair raise KeyError.  :meth:`row` takes one row
+    as a jet of floats.
     """
 
     def __init__(self, nvars, caps, table, series=None, alg=None,
@@ -146,9 +144,15 @@ class Jet:
 
     def _entry(self, pos):
         e = self.table[pos]
-        if self.alg is None:
-            return e
-        return (TRows if e.ndim > 1 else TNum)(self.alg, e)
+        return e if self.alg is None else TRows(self.alg, e)
+
+    def row(self, r):
+        """Row r of a jet of Taylor rows of floats, as a jet of floats
+        without ``series``, sharing this jet's layout."""
+        jet = object.__new__(Jet)
+        jet.__dict__.update(self.__dict__, table=self.table[..., r].copy(),
+                            series=None)
+        return jet
 
     @property
     def value(self):
@@ -200,20 +204,16 @@ def _dense_index(nvars, caps, orders, stair=None):
 
 
 def _ad_series(fn, groups, caps, *, stair=None):
-    """Taylor series of each component of ``fn`` at the float point
-    ``groups``, one block per group, kept on ``stair`` if given; at
-    per-row float arrays, as :class:`TRows` with one row per point."""
+    """Taylor rows of each component of ``fn`` at the per-row float arrays
+    ``groups`` (a float is the same at every row), one row per point and
+    one block per group, kept on ``stair`` if given."""
     alg = algebra(tuple((len(g), c) for g, c in zip(groups, caps)), stair)
-    rows = [len(v) for g in groups for v in g if isinstance(v, np.ndarray)]
-    if rows:
-        def seed(bi, vi, v):
-            return TRows.variable(alg, bi, vi, np.broadcast_to(v, rows[0]))
-    else:
-        seed = alg.variable
-    seeded = [tuple(seed(bi, vi, v) for vi, v in enumerate(g))
+    rows = max(np.size(v) for g in groups for v in g)
+    seeded = [tuple(alg.variable(bi, vi, np.broadcast_to(v, rows))
+                    for vi, v in enumerate(g))
               for bi, g in enumerate(groups)]
     const = seeded[0][0]._constant
-    out = [r if isinstance(r, TNum) else const(scalars.value(r))
+    out = [r if isinstance(r, TRows) else const(scalars.value(r))
            for r in fn(*seeded)]
     if any(r.alg is not alg for r in out):
         raise ValueError("field result from another Taylor algebra")
@@ -229,30 +229,39 @@ def _weights(alg):
 
 
 def series_jet(t):
-    """Partials table of a flat Taylor scalar, one group per block; of
-    Taylor rows, with their trailing row axis kept last."""
+    """Partials table of flat Taylor rows, one group per block, with their
+    trailing row axis kept last."""
     nvars, caps = zip(*t.alg.blocks)
-    rows = t.c.shape[1:]
-    table = (t.c.reshape(t.alg.sizes + rows)
-             * _weights(t.alg).reshape(t.alg.sizes + (1,) * len(rows)))
+    table = (t.c.reshape(t.alg.sizes + t.c.shape[1:])
+             * _weights(t.alg)[..., None])
     return Jet(nvars, caps, table, series=t, stair=t.alg.stair)
 
 
 def _ad_jets(fn, groups, caps, *, stair=None):
-    """Per-component AD jets of ``fn`` at floats or Taylor scalars of one
-    algebra A with total cap K.  Inputs v = v0 + delta are composed: the
-    float jet of fn at v0, of order raised by up to K, gives
+    """Per-component AD jets of ``fn`` at per-row float arrays, or at
+    Taylor rows of one algebra A with total cap K, the row axis last.
+    Inputs v = v0 + delta are composed: the float jet of fn at v0, of
+    order raised by up to K, gives
 
         d^beta fn(v) = sum_{|alpha| <= K} d^(alpha+beta) fn(v0) delta^alpha / alpha!,
 
-    exact in A because delta^alpha vanishes past degree K.  At per-row
-    float arrays, or Taylor rows of A, every step runs on rows, and row r
-    equals the jet at row r alone bit for bit as long as a power of the
-    deltas vanishes at every row or at none (it does for seeded inputs),
-    and the jet's target algebra and A both have more than one coefficient:
-    on a size-1 axis numpy's ``matmul`` takes its vector path, whose sums
-    may round differently from the stacked per-row product."""
-    algs = {v.alg for g in groups for v in g if isinstance(v, TNum)}
+    exact in A because delta^alpha vanishes past degree K.  Every step
+    runs on rows, and row r equals the jet of the one-row batch of row r
+    bit for bit as long as a power of the deltas vanishes at every row or
+    at none (it does for seeded inputs), and the jet's target algebra and
+    A both have more than one coefficient: on a size-1 axis numpy's stacked
+    ``matmul`` sums a row's products in an order that depends on the row
+    count (a (0, 0) jet's rows of a 20-row batch differ from their
+    one-row batches).  At a float point the jets are those of its batch of
+    one, read as jets of floats."""
+    if not any(isinstance(v, (np.ndarray, TRows)) for g in groups for v in g):
+        # a float point: plain-float evaluation of a field that takes a jet
+        # itself (a radial factor's f' in a spray at an FD stencil point),
+        # or a library call; floats in, floats out
+        return [jet.row(0) for jet in _ad_jets(
+            fn, [[np.reshape(v, 1) for v in g] for g in groups], caps,
+            stair=stair)]
+    algs = {v.alg for g in groups for v in g if isinstance(v, TRows)}
     if len(algs) > 1:
         raise ValueError("inputs from different Taylor algebras")
     if not algs:
@@ -263,7 +272,7 @@ def _ad_jets(fn, groups, caps, *, stair=None):
     outer, = algs
     nvars = tuple(len(g) for g in groups)
     deltas = [(bi, vi, v - v.value()) for bi, g in enumerate(groups)
-              for vi, v in enumerate(g) if isinstance(v, TNum)]
+              for vi, v in enumerate(g) if isinstance(v, TRows)]
     # rows delta^alpha / alpha! in graded order; a vanishing row is dropped
     # and so are its multiples, and each group's cap is raised by the
     # largest degree of the rows kept
@@ -283,16 +292,14 @@ def _ad_jets(fn, groups, caps, *, stair=None):
     series = _ad_series(fn, [[scalars.value(v) for v in g] for g in groups],
                         raised)
     target = algebra(tuple(zip(nvars, caps)))
-    D = np.array([row.c for row in rows.values()])
-    w = _weights(target)[(...,) + (None,) * (D.ndim - 1)]
+    # (rows, alphas, A's size): each row's deltas, stacked
+    D = np.array([row.c for row in rows.values()]).transpose(2, 0, 1)
+    w = _weights(target)[..., None, None]
     jets = []
     for t in series:
         shifted = np.array([t.partial(m, target).c for m in multis])
-        if D.ndim == 2:
-            prod = shifted.T @ D
-        else:  # Taylor rows: each row's product, stacked, row axis last
-            prod = (shifted.transpose(2, 1, 0)
-                    @ D.transpose(2, 0, 1)).transpose(1, 2, 0)
+        # each row's product, stacked, row axis last
+        prod = (shifted.transpose(2, 1, 0) @ D).transpose(1, 2, 0)
         table = w * prod.reshape(target.sizes + prod.shape[1:])
         jets.append(Jet(nvars, caps, table, alg=outer).check_finite())
     return jets
@@ -347,32 +354,34 @@ def jet_of_many(fn, groups, caps, scheme="ad", *, rows=None):
 def eval_jet(f, at, order, scheme="ad"):
     """All mixed partials of the scalar field ``f`` at ``at`` up to
     ``order`` (a :class:`JetOrder`); under AD the jet :func:`held` under
-    ``(f, kx, ky, "ad")``, if any.  Raises NonFiniteValue when the field or
-    any partial is NaN/inf there."""
+    ``(f, kx, ky, "ad")``.  Raises NonFiniteValue when the field or any
+    partial is NaN/inf there."""
     if not isinstance(order, JetOrder):
         order = JetOrder(*order)
     caps = (order.kx, order.ky)
-    jets = held(at, (f, *caps, "ad"), lambda part: [
-        jet_of(f, coordinates(part), caps)]) if scheme == "ad" else None
-    if jets is not None:
-        return jets[0]
+    if scheme == "ad":
+        return held(at, (f, *caps, "ad"), lambda part: [
+            jet_of(f, coordinates(part), caps)])[0]
     return jet_of(lambda x, y: f(x, y), (at.x, at.y), caps, scheme=scheme)
 
 
 def held(at, key, rows, batch=FD_BATCH):
-    """What the sample ``at`` holds under ``key``, or None: the first read
-    of ``key`` in a per-sample loop fills every sample of the loop
-    (``at.batch``) with its row of ``rows(part)`` (:func:`fill_jets`)."""
-    if at.batch is not None and key not in at.jets:
+    """The sample ``at``'s row of ``rows(part)``, a list of jets of Taylor
+    rows or arrays with the row axis last, on lists ``part`` of samples:
+    the first read of ``key`` in a per-sample loop fills every sample of
+    the loop (``at.batch``) with its row (:func:`fill_jets`), and later
+    reads return it.  A sample that holds nothing usable (no loop, a key
+    of None, or its batch failed) takes row 0 of ``rows([at])``, its batch
+    of one, so its own error propagates."""
+    if at.batch is not None and key is not None and key not in at.jets:
         fill_jets(at.batch, key, rows, batch)
-    return at.jets.get(key)
+    out = at.jets.get(key)
+    return _row(rows([at]), 0) if out is None else out
 
 
 def sample_rows(at, key, rows, batch=FD_BATCH):
-    """The arrays :func:`held` under ``key`` on the sample ``at``, else
-    those of ``rows`` at ``at`` alone, as one row."""
-    return held(at, key, lambda part: rows(*coordinates(part)), batch) \
-        or [o[..., 0] for o in rows(*coordinates([at]))]
+    """:func:`held` for ``rows(xs, ys)`` on the samples' coordinates."""
+    return held(at, key, lambda part: rows(*coordinates(part)), batch)
 
 
 def coordinates(samples):
@@ -383,14 +392,20 @@ def coordinates(samples):
     return tuple(xs), tuple(ys)
 
 
+def _row(out, r):
+    """Row r of the outputs of a rows function (:func:`held`), each a jet
+    of floats that shares the batch's layout, or an array."""
+    return [o.row(r) if isinstance(o, Jet) else o[..., r].copy()
+            for o in out]
+
+
 def fill_jets(samples, key, rows, batch=FD_BATCH):
     """Put under ``key`` on each of ``samples`` not holding it its row of
-    ``rows(part)``, taken on lists of at most ``batch`` of them: a list of
-    jets of Taylor rows or arrays, row axis last, each row bit for bit what
-    the op reading ``key`` takes at that sample alone.  A sample of a
-    batch that raises FinslerCheckError, or whose row is not finite, gets
-    None, so it takes its own in the per-sample loop and fails with its
-    own error; the batch runs once."""
+    ``rows(part)``, taken on lists of at most ``batch`` of them (see
+    :func:`held`), each row bit for bit the sample's batch of one.  A
+    sample of a batch that raises FinslerCheckError, or whose row is not
+    finite, gets None, so a read takes it as a batch of one and fails with
+    its own error; the batch runs once."""
     todo = [at for at in samples if key not in at.jets]
     for lo in range(0, len(todo), batch):
         part = todo[lo:lo + batch]
@@ -402,10 +417,7 @@ def fill_jets(samples, key, rows, batch=FD_BATCH):
             [np.isfinite(getattr(o, "table", o)).reshape(-1, len(part)).all(0)
              for o in out]).tolist()
         for r, (at, ok) in enumerate(zip(part, finite)):
-            at.jets[key] = [
-                Jet(o.nvars, o.caps, o.table[..., r].copy(), stair=o.stair)
-                if isinstance(o, Jet) else o[..., r].copy()
-                for o in out] if ok else None
+            at.jets[key] = _row(out, r) if ok else None
 
 
 # ---------------------------------------------------------------------------

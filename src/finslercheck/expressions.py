@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import scalars
 from .errors import ConfigError, NonFiniteValue, ParseError
-from .taylor import TNum
+from .taylor import TRows
 
 __all__ = ["parse", "to_src", "evaluate", "Num", "Var", "Neg", "Bin", "Call",
            "FUNCTIONS", "MAX_DEPTH", "compile_scalar", "compile_form"]
@@ -255,7 +255,7 @@ def to_src(node):
 def evaluate(node, env):
     """Evaluate over floats or Taylor scalars; NaN/inf -> NonFiniteValue."""
     out = _eval(node, env)
-    if isinstance(out, TNum):
+    if isinstance(out, TRows):
         if not out.is_finite():
             raise NonFiniteValue("expression produced non-finite derivatives")
         return out
@@ -288,14 +288,14 @@ def _eval(node, env):
     if node.op == "*":
         return a * b
     if node.op == "/":
-        if not isinstance(b, TNum) and float(b) == 0.0:
+        if not isinstance(b, TRows) and float(b) == 0.0:
             raise NonFiniteValue("division by zero in expression")
         return a / b
     if node.op == "^":
-        if isinstance(b, TNum):
+        if isinstance(b, TRows):
             raise ConfigError("exponent must not depend on variables "
                               "carrying derivatives")
-        return scalars.powf(a, float(b)) if not isinstance(a, TNum) \
+        return scalars.powf(a, float(b)) if not isinstance(a, TRows) \
             else a ** float(b)
     raise ValueError(f"unknown operator {node.op!r}")
 

@@ -19,7 +19,8 @@ from enum import Enum
 import numpy as np
 
 from . import analysis, geometry, sampling, scalars
-from .calculus import JetOrder, coordinates, eval_jet, held, jet_of_many
+from .calculus import (JetOrder, TangentSample, coordinates, eval_jet,
+                       held, jet_of_many)
 from .errors import FinslerCheckError, InsufficientSamples, NotPositive
 from .geometry import MetricModel, TensorValue
 
@@ -62,13 +63,14 @@ class OneForm:
         return np.array([scalars.value(v) for v in self.b(x)])
 
     def jacobian(self, x, at=None):
-        """d_j b_i as an (i, j) matrix; at a sample ``at`` of base point x
-        from the jets of b held there (:func:`calculus.held`)."""
+        """d_j b_i as an (i, j) matrix, from the jets of b
+        :func:`calculus.held` on a sample ``at`` of base point x; without
+        one, on a sample of x whose fiber vector b does not read."""
         if self.db is not None:
             return np.asarray(self.db(x), dtype=float)
-        jets = (at and held(at, (self.b, 1, 0, "ad"), lambda part: jet_of_many(
-            self.b, coordinates(part)[:1], (1,)))) \
-            or jet_of_many(lambda xs: self.b(xs), (x,), (1,))
+        jets = held(at or TangentSample(x, (1.0,) * len(x)),
+                    (self.b, 1, 0, "ad"), lambda part: jet_of_many(
+                        self.b, coordinates(part)[:1], (1,)))
         return np.array([jet.dense(1) for jet in jets])
 
 

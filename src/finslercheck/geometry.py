@@ -12,7 +12,7 @@ connection.
 
 A spray jet of order (kx, ky) needs energy partials of order (kx + 1,
 ky + 2).  Under AD they are all read off one flat energy jet of that order
-by derivative shifts (:meth:`TNum.partial`) into the (kx, ky) algebra,
+by derivative shifts (:meth:`TRows.partial`) into the (kx, ky) algebra,
 where the spray is assembled and solved; no jet is taken of Taylor-valued
 inputs.  Spray-only models and the FD scheme differentiate the spray
 evaluation itself; FD evaluates it at a jet's stencil points in batches of
@@ -22,10 +22,11 @@ tier reads the (1, 3) jet already on the sample.
 
 Inside a per-sample loop (:func:`sampling.map_samples`) an op's first read
 takes what it reads for every sample of the loop as Taylor rows, each row
-bit for bit that sample's own (:func:`calculus.held`): the AD spray jets
-of a tier (``_tier_jets``, :func:`fill_spray_jets`, one staircase energy
-jet per ``SPRAY_BATCH`` samples for a model with F), the spray values and
-the energy and F jets.  A sample that holds none takes its own.
+bit for bit that sample's batch of one (:func:`calculus.held`): the AD
+spray jets of a tier (``_tier_jets``, :func:`fill_spray_jets`, one
+staircase energy jet per ``SPRAY_BATCH`` samples for a model with F), the
+spray values and the energy and F jets.  A lone read, outside a loop or
+at a sample whose batch failed, takes them for its batch of one.
 
 Each op's body is written once, on stacks with a leading sample axis
 (``_rows``): under AD its first read in a loop runs it over the loop's
@@ -59,14 +60,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import scalars
-from .calculus import (HOMOGENEITY_SCALES, JetOrder, TangentSample,
-                       _dense_index, coordinates, eval_jet, fill_jets, held,
-                       homogeneity_check, jet_of,
-                       jet_of_many, jet_of_rows, sample_rows,
-                       series_jet, var_exponents)
+from .calculus import (FD_BATCH, HOMOGENEITY_SCALES, JetOrder, _dense_index,
+                       coordinates, eval_jet, fill_jets, held,
+                       homogeneity_check, jet_of, jet_of_many, jet_of_rows,
+                       sample_rows, series_jet, var_exponents)
 from .errors import (ConventionMismatch, DegenerateMetric, FinslerCheckError,
                      NonFiniteValue)
-from .taylor import Algebra, TRows, algebra
+from .taylor import TRows, algebra
 
 __all__ = [
     "TensorValue", "Domain", "MetricModel",
@@ -155,10 +155,10 @@ def _where(here, a, b):
 
 def solve_linear(A, b):
     """Solve A z = b by Gauss-Jordan elimination with value-part pivoting.
-    Entries may be floats, Taylor scalars, or per-row float arrays or
-    Taylor rows of one row count; for rows the pivot is taken per row, so
-    row r does the operations of solving row r alone.  A zero pivot in any
-    row raises DegenerateMetric."""
+    Entries are per-row float arrays or Taylor rows of one row count, or
+    floats; the pivot is taken per row, so row r does the operations of
+    solving its batch of one.  A zero pivot in any row raises
+    DegenerateMetric."""
     n = len(A)
     M = [list(row) + [b[i]] for i, row in enumerate(A)]
     for col in range(n):
@@ -167,14 +167,11 @@ def solve_linear(A, b):
             raise DegenerateMetric("singular linear system in spray assembly")
         # argmax, like max, takes the first of equal candidates
         piv = col + mags.argmax(axis=0)
-        if mags.ndim > 1:
-            top = M[col]
-            for r in range(col + 1, n):
-                here = piv == r
-                M[col] = [_where(here, er, ec) for ec, er in zip(M[col], M[r])]
-                M[r] = [_where(here, et, er) for et, er in zip(top, M[r])]
-        else:
-            M[col], M[piv] = M[piv], M[col]
+        top = M[col]
+        for r in range(col + 1, n):
+            here = piv == r
+            M[col] = [_where(here, er, ec) for ec, er in zip(M[col], M[r])]
+            M[r] = [_where(here, et, er) for et, er in zip(top, M[r])]
         inv = 1.0 / M[col][col]
         M[col] = [e * inv for e in M[col]]
         for r in range(n):
@@ -210,8 +207,8 @@ def _check_nondegenerate(n, dets, scales):
 
 def _spray_system(n, y, d):
     """The system g_hi w^i = y^j d_j dy_h E - d_h E whose solution is 2G,
-    as (g, right-hand sides), from the energy partials ``d(xvars, yvars)``:
-    floats, Taylor scalars of one algebra, or float arrays over rows."""
+    as (g, right-hand sides), from the energy partials ``d(xvars, yvars)``
+    (see :func:`_assemble_spray`)."""
     g = [[d((), (i, j)) for j in range(n)] for i in range(n)]
     rhs = []
     for h in range(n):
@@ -224,8 +221,8 @@ def _spray_system(n, y, d):
 
 def _assemble_spray(n, y, d):
     """G^i = 1/2 g^{ih} (y^j d_j dy_h E - d_h E) from the energy partials
-    ``d(xvars, yvars)``: floats, Taylor scalars of one algebra, or float
-    arrays over rows."""
+    ``d(xvars, yvars)``: floats (the spray at a float point), float arrays
+    over rows, or Taylor rows of one algebra."""
     g, rhs = _spray_system(n, y, d)
     values = np.array([[scalars.value(e) for e in row] for row in g])
     _check_nondegenerate(n, *_degeneracy(
@@ -236,9 +233,8 @@ def _assemble_spray(n, y, d):
 def _spray_rows(m, xs, ys):
     """The spray of an F-model at each row of the float arrays ``xs``,
     ``ys`` (rows, n), as one (rows, n) array: one (1, 2) energy jet over
-    the rows, assembled and solved by the single-sample code on its
-    per-row partials, so row r equals ``_spray_scalars(m, xs[r], ys[r])``
-    bit for bit."""
+    the rows, assembled and solved on its per-row partials, so row r
+    equals ``_spray_scalars(m, xs[r], ys[r])`` bit for bit."""
     jet = jet_of_rows(m.energy, (xs, ys), (1, 2))
     return np.transpose(_assemble_spray(m.n, ys.T, jet.pvars))
 
@@ -247,7 +243,8 @@ def _spray_values(m, xs, ys):
     """The spray at each row of the per-row float arrays ``xs``, ``ys`` and
     at its y times each of HOMOGENEITY_SCALES, as a (1 + scales, n, rows)
     array, each bit for bit ``_spray_scalars`` there: through one
-    ``_spray_rows`` for an F-model, else point by point."""
+    ``_spray_rows`` for an F-model, else point by point (plain-float
+    evaluation of the spray)."""
     lams = (1.0,) + HOMOGENEITY_SCALES
     X = np.tile(np.transpose(xs), (len(lams), 1))
     Y = np.concatenate([lam * np.transpose(ys) for lam in lams])
@@ -270,8 +267,7 @@ def _spray_scalars(m, x, y):
         if m.spray_override is None:
             raise FinslerCheckError("model carries neither F nor a spray")
         return tuple(m.spray_override(x, y))
-    jet = eval_jet(m.energy, TangentSample(x, y), JetOrder(1, 2))
-    return _assemble_spray(m.n, y, jet.pvars)
+    return _assemble_spray(m.n, y, jet_of(m.energy, (x, y), (1, 2)).pvars)
 
 
 def _shifted_spray_jets(m, x, y, kx, ky):
@@ -279,10 +275,9 @@ def _shifted_spray_jets(m, x, y, kx, ky):
     (kx + 1, ky + 2): each energy partial is a derivative shift of its
     series into the (kx, ky) algebra, where the spray is assembled.  Both
     algebras keep the tier's demand staircase if it has one.  ``x``, ``y``
-    are the float coordinates of one sample, or per-row float arrays, one
-    row per sample; then the jets are of Taylor rows, with the row axis
-    last, and row r is bit for bit the jet at row r alone.  The caller
-    checks that the jets are finite."""
+    are per-row float arrays, one row per sample; the jets are of Taylor
+    rows, with the row axis last, and row r is bit for bit the jets of its
+    batch of one.  The caller checks that the jets are finite."""
     n = m.n
     spray_stair, energy_stair = _AD_STAIRS.get((kx, ky), (None, None))
     series = jet_of(m.energy, (x, y), (kx + 1, ky + 2),
@@ -293,9 +288,7 @@ def _shifted_spray_jets(m, x, y, kx, ky):
         return series.partial((var_exponents(n, xvars),
                                var_exponents(n, yvars)), target)
 
-    variable = TRows.variable if isinstance(series, TRows) \
-        else Algebra.variable
-    y = [variable(target, 1, j, v) for j, v in enumerate(y)]
+    y = [target.variable(1, j, v) for j, v in enumerate(y)]
     return [series_jet(G) for G in _assemble_spray(n, y, d)]
 
 
@@ -305,20 +298,25 @@ def _shifted_spray_jets(m, x, y, kx, ky):
 SPRAY_BATCH = 16
 
 
+def _spray_jet_rows(m, kx, ky):
+    """The rows function of the AD spray jets of order (kx, ky) on lists of
+    samples (:func:`calculus.held`): for a model with F one staircase
+    energy jet, the spray assembled and solved on the rows; for a
+    spray-only model the AD jets of its spray."""
+    if m.F is None:
+        return lambda part: jet_of_many(
+            lambda x, y: _spray_scalars(m, x, y), coordinates(part), (kx, ky))
+    return lambda part: _shifted_spray_jets(m, *coordinates(part), kx, ky)
+
+
 def fill_spray_jets(m, samples, kx, ky):
     """Put the AD spray jets of order (kx, ky) on each of ``samples`` that
-    does not hold them yet, as Taylor rows (:func:`calculus.fill_jets`),
-    bit for bit the tables :func:`spray_jets` computes at that sample
-    alone, without ``series``: a model with F as one staircase energy jet
-    per ``SPRAY_BATCH`` samples, the spray assembled and solved on the
-    rows; a spray-only model as the AD jets of its spray."""
-    todo = [at for at in samples if _held(m, at, kx, ky) is None]
-    if m.F is None:
-        fill_jets(todo, (m, kx, ky, "ad"), lambda part: jet_of_many(
-            lambda x, y: _spray_scalars(m, x, y), coordinates(part), (kx, ky)))
-    else:
-        fill_jets(todo, (m, kx, ky, "ad"), lambda part: _shifted_spray_jets(
-            m, *coordinates(part), kx, ky), SPRAY_BATCH)
+    does not hold them yet, as Taylor rows without ``series``
+    (:func:`calculus.fill_jets`), ``SPRAY_BATCH`` samples at once for a
+    model with F."""
+    fill_jets([at for at in samples if _held(m, at, kx, ky) is None],
+              (m, kx, ky, "ad"), _spray_jet_rows(m, kx, ky),
+              FD_BATCH if m.F is None else SPRAY_BATCH)
 
 
 # jet orders requested per scheme and tier; AD shares one generous jet per
@@ -348,22 +346,22 @@ def spray_jets(m, at, kx, ky, scheme="ad"):
     kept on the sample per (model, order, scheme).  Under AD jets of the
     model already there with caps at least (kx, ky) are returned as they
     are (:meth:`Jet.dense` indexes by monomial, so they read bit for bit as
-    the (kx, ky) jets); ``_tier_jets`` fills them in a per-sample loop.
-    Otherwise the jet is computed, by derivative shifts when the model has
-    F, else by differentiating the spray evaluation.  FD jets are always
-    computed at the order asked for, from the spray of a model with F at
-    the jet's stencil points in batches of Taylor rows (``_spray_rows``)."""
+    the (kx, ky) jets); ``_tier_jets`` fills them in a per-sample loop, and
+    a sample holding none takes them for its batch of one
+    (:func:`calculus.held`).  FD jets are always computed at the order
+    asked for, from the spray of a model with F at the jet's stencil points
+    in batches of Taylor rows (``_spray_rows``)."""
     key = (m, kx, ky, scheme)
     jets = at.jets.get(key)
     if jets is not None:
         return jets
     jets = _held(m, at, kx, ky) if scheme == "ad" else None
-    if jets is None and scheme == "ad" and m.F is not None:
+    if jets is None and scheme == "ad":
         jets = [j.check_finite()
-                for j in _shifted_spray_jets(m, at.x, at.y, kx, ky)]
+                for j in held(at, key, _spray_jet_rows(m, kx, ky))]
     elif jets is None:
         rows = (lambda xs, ys: _spray_rows(m, xs, ys)) \
-            if scheme == "fd" and m.F is not None else None
+            if m.F is not None else None
         jets = jet_of_many(lambda xs, ys: _spray_scalars(m, xs, ys),
                            (at.x, at.y), (kx, ky), scheme=scheme, rows=rows)
     at.jets[key] = jets
@@ -427,18 +425,18 @@ def _held_key(scheme, *parts):
 def _rows(at, key, stacks, *upstream):
     """``at``'s row of ``stacks(part, *ups)``, arrays with a leading axis
     over the samples ``part`` (``ups``: the ``upstream`` tensors' rows held
-    there).  Under a ``key`` the first read in a loop runs it over the
-    loop's samples (:func:`calculus.held`), else it runs on ``[at]``."""
-    def run(part):
+    there), through :func:`calculus.held`: under a ``key`` the first read
+    in a loop runs it over the loop's samples, else (a key of None: under
+    FD, or for an unheld part) it runs on ``[at]``."""
+    def run(part):  # rows last
         ups = [[t.components if s is at else (s.jets.get(t.key) or [None])[0]
                 for s in part] for t in upstream]
         if any(r is None for up in ups for r in up):
             raise FinslerCheckError("an upstream tensor is not held")
-        return stacks(part, *map(np.array, ups))
+        return [o.transpose(*range(1, o.ndim), 0)
+                for o in stacks(part, *map(np.array, ups))]
 
-    return (key is not None and held(at, key, lambda part: [  # rows last
-        o.transpose(*range(1, o.ndim), 0) for o in run(part)])) \
-        or [o[0] for o in run([at])]
+    return held(at, key, run)
 
 
 def _max(a):  # max |a| per sample of a stack

@@ -9,20 +9,20 @@ import math
 import numpy as np
 
 from .errors import NonFiniteValue
-from .taylor import TNum
+from .taylor import TRows
 
 
 def value(z):
     """Constant (0th-order) part of a scalar; per-row arrays of floats (one
     value per Taylor row) are their own."""
-    if isinstance(z, TNum):
+    if isinstance(z, TRows):
         return z.value()
     return z if isinstance(z, np.ndarray) else float(z)
 
 
 def _lift_math(fn, name):
     def wrapped(z):
-        if isinstance(z, TNum):
+        if isinstance(z, TRows):
             return getattr(z, name)()
         try:
             out = fn(z)
@@ -43,7 +43,7 @@ cos = _lift_math(math.cos, "cos")
 
 
 def absolute(z):
-    if isinstance(z, TNum):
+    if isinstance(z, TRows):
         return z.absolute()
     return abs(z)
 
@@ -51,7 +51,7 @@ def absolute(z):
 def powf(z, p):
     """z**p for possibly non-integer p (floats raise NonFiniteValue
     instead of ValueError on domain violations)."""
-    if isinstance(z, TNum):
+    if isinstance(z, TRows):
         return z ** p
     try:
         out = z ** p

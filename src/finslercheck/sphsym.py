@@ -123,11 +123,6 @@ def pq_of_jet(jet, r, s):
     return p, q
 
 
-def _real(*values):
-    """Python floats at a point, per-row arrays over rows."""
-    return tuple(v if np.ndim(v) else float(v) for v in values)
-
-
 def pq_from_profile(profile):
     """The (P, Q) pair generated by a profile, both read off one profile
     jet per (r, s)."""
@@ -136,7 +131,9 @@ def pq_from_profile(profile):
 
 
 def _rsu(x, y):
-    # over per-row float arrays numpy's sqrt rounds as math.sqrt does
+    # over per-row float arrays numpy's sqrt rounds as math.sqrt does; a
+    # float point is plain-float evaluation of F or of the (P, Q) spray,
+    # where scalars.sqrt raises on a non-finite value
     sqrt = np.sqrt if isinstance(y[0], np.ndarray) else scalars.sqrt
     u = sqrt(scalars.norm_sq(y))
     r = sqrt(scalars.norm_sq(x))
@@ -206,7 +203,7 @@ def metrizability_residuals(jet, pq, rs):
     res1 = abs((1.0 + s * P - w * (2.0 * Q - s * Q_s)) * phi_s
                + (s * P_s - 2.0 * P - s * (2.0 * Q - s * Q_s)) * phi)
     res2 = abs(phi_r / r - (P + Q_s * w) * phi_s - (P_s + s * Q_s) * phi)
-    return _real(res1, res2)
+    return res1, res2
 
 
 def parallel_q(factor, P, rs):
@@ -245,14 +242,12 @@ def sss_residuals(factor, pq, rs):
     res2 = (fv - fv * s * Pv + fv * s * s * P_s - 2.0 * fv * r2 * Qv
             + fv * s * r2 * Q_s)
     res3 = s * s * dfv / r + fv - 2.0 * fv * s * Pv - 2.0 * fv * r2 * Qv
-    return _real(res1, res2, res3)
+    return res1, res2, res3
 
 
 def _per_r(fn, r):
-    """fn at a float r, or at each entry of the array r, evaluated once
+    """fn at each entry of the array r (or at the float r), evaluated once
     per distinct value (fn returns floats)."""
-    if not np.ndim(r):
-        return fn(r)
     distinct, where = np.unique(r, return_inverse=True)
     return np.array([fn(v) for v in distinct.tolist()])[where]
 

@@ -7,7 +7,7 @@ degree cap, so a jet of order (kx, ky) in the 2n tangent-bundle coordinates
 uses two blocks ``(n, kx)`` and ``(n, ky)``.
 
 A partial derivative of a polynomial is a shift of its coefficients:
-:meth:`TNum.partial` maps a series to the series of one of its partials,
+:meth:`TRows.partial` maps a series to the series of one of its partials,
 truncated to a smaller algebra, with index and weight maps cached on the
 source algebra.  The geometry pipeline differentiates the spray this way,
 from one flat energy jet of raised order (Taylor propagation in the sense
@@ -38,19 +38,19 @@ functions, and with it their rounding); the dropped slots are never
 written and stay zero.  The geometry pipeline keeps its energy and spray
 jets on the staircases the tensor ops read.
 
-:class:`TRows` carries a batch of series of one algebra, one per row, through
-one pipeline (vector-mode Taylor propagation, Griewank & Walther ch. 13).
-Its coefficients are stored coefficient-major, as a ``(size, rows)`` array
-with the row axis last, so ``c[0]`` is the value and ``c[idx]`` a shift
-whether ``c`` holds one series or a batch, and TRows runs TNum's own
-operations.  The finite-difference oracle evaluates a jet's stencil points
-this way, and ``sphsym`` its (r, s) grid.  Each row is bit for bit the
-series computed from that row alone: the kernel sums each row's triples in
-the single-series order, and the derivative lists of the analytic
-functions, domain checks included, are built row-wise by ``map`` over the
-same Python float operations at each row's value (a single series is the
-one-row case), never from a numpy ufunc, whose vectorised transcendentals
-may round differently.
+A series is a :class:`TRows`, a batch of series of one algebra, one per
+row, carried through one pipeline (vector-mode Taylor propagation,
+Griewank & Walther ch. 13); a lone series is a batch of one.  Its
+coefficients are stored coefficient-major, as a ``(size, rows)`` array
+with the row axis last, so ``c[0]`` holds the rows' values and ``c[idx]``
+a shift.  The finite-difference oracle evaluates a jet's stencil points
+this way, ``sphsym`` its (r, s) grid and the geometry pipeline its
+samples.  Each row is bit for bit the series computed from that row
+alone, as a batch of one: the kernel sums each row's triples in one fixed
+order, and the derivative lists of the analytic functions, domain checks
+included, are built row-wise by ``map`` over the same Python float
+operations at each row's value, never from a numpy ufunc, whose
+vectorised transcendentals may round differently.
 
 Arithmetic is exact to machine rounding: results agree with symbolic
 differentiation up to float64 round-off.
@@ -65,7 +65,7 @@ import numpy as np
 from ..errors import NonFiniteValue
 from . import _backend
 
-__all__ = ["Algebra", "TNum", "TRows", "algebra", "backend_name"]
+__all__ = ["Algebra", "TRows", "algebra", "backend_name"]
 
 
 # Kept because perfbench's provenance line reads it.
@@ -196,10 +196,10 @@ class Algebra:
         return self._row_bins[1]
 
     def partial_map(self, multi, target):
-        """(source index, weight, target slots) for the partial derivative
-        with per-block exponent tuples ``multi``: the target slots are
-        ``None`` for a box target, else the kept ones, which the source
-        index and weight list in order.
+        """(source index, weight column, target slots) for the partial
+        derivative with per-block exponent tuples ``multi``: the target
+        slots are ``None`` for a box target, else the kept ones, which the
+        source index and weight list in order.
 
         The coefficient of monomial m in d^multi p is (m + multi)!/m! times
         the coefficient of m + multi in p.  ``target`` must have the same
@@ -236,30 +236,26 @@ class Algebra:
                 raise ValueError(f"partial {multi} into {target.blocks} "
                                  f"reads coefficients outside the stair "
                                  f"{self.stair}")
-            maps = self._partial_maps[key] = (idx, w, pos)
+            maps = self._partial_maps[key] = (idx, w[:, None], pos)
         return maps
 
-    # -- constructors ------------------------------------------------------
-
-    def constant(self, v):
-        c = np.zeros(self.size)
-        c[0] = v
-        return TNum(self, c)
+    # -- constructor -------------------------------------------------------
 
     def variable(self, block, var, base):
-        """base + generator  for variable ``var`` of block ``block``."""
-        nvars, cap = self.blocks[block]
-        if cap == 0:
-            return self.constant(base)
-        e = tuple(1 if k == var else 0 for k in range(nvars))
-        flat = 0
-        for bi, idx in enumerate(self.mono_index):
-            flat = flat * self.sizes[bi] + (idx[e] if bi == block else 0)
-        c = np.zeros(self.size)
+        """base + the generator of variable ``var`` of block ``block``, one
+        row per entry of the array ``base`` (a number is one row); a block
+        of cap 0 has no generator, so its variable is the constant."""
+        base = np.reshape(base, -1)
+        c = np.zeros((self.size, len(base)))
         c[0] = base
-        if self.kept is None or self.kept[flat]:
-            c[flat] = 1.0
-        return TNum(self, c)
+        nvars, cap = self.blocks[block]
+        if cap:
+            e = tuple(int(k == var) for k in range(nvars))
+            flat = self.flat_index([e if bi == block else (0,) * n
+                                    for bi, (n, _) in enumerate(self.blocks)])
+            if self.kept is None or self.kept[flat]:
+                c[flat] = 1.0
+        return TRows(self, c)
 
     def flat_index(self, multi):
         """Flattened coefficient index of per-block exponent tuples."""
@@ -276,8 +272,8 @@ def _integral(p):
 
 def _derivs_at(derivs, values, *args):
     """``derivs(values, *args)``: one list per derivative order, each with
-    one derivative per Python float of ``values``, so that a TNum and each
-    TRows row compute alike.  A derivative at a finite value that is not
+    one derivative per Python float of ``values``, so that each row
+    computes alike in any batch.  A derivative at a finite value that is not
     finite, because a power of the value overflowed or underflowed to 0
     under a division, raises NonFiniteValue.  On a domain error, an
     overflow, a division by zero or a non-finite derivative, the values
@@ -369,15 +365,20 @@ def _sin_derivs(vals, cap, quarter=0):
     return [cyc[(k + quarter) % 4] for k in range(cap + 1)]
 
 
-class TNum:
-    """A truncated Taylor polynomial (scalar with carried derivatives).
+class TRows:
+    """A batch of truncated Taylor polynomials of one algebra (scalars
+    with carried derivatives): ``c`` has shape ``(size, rows)``, and row r
+    of the batch is its column r; a lone series is a batch of one.
 
-    Supports +, -, *, /, ** with other TNums of the same algebra and with
-    plain numbers, plus the analytic functions needed by the metric
-    catalogue (sqrt/exp/log/sin/cos/abs).  Values that leave the real
-    domain raise :class:`NonFiniteValue`.  Every operation indexes the
-    coefficient axis first and builds ``type(self)``, so :class:`TRows`
-    runs the same code.
+    Supports +, -, *, /, ** with other TRows of the same algebra and row
+    count and with plain numbers or per-row arrays, plus the analytic
+    functions needed by the metric catalogue (sqrt/exp/log/sin/cos/abs).
+    Row r of every result equals, bit for bit, the batch of one computed
+    from row r alone: the kernel sums each row's triples in one fixed
+    order, the other ring operations are elementwise, and the derivative
+    lists of the analytic functions, domain checks included, map the same
+    Python float operations over the rows' values.  Values that leave the
+    real domain raise :class:`NonFiniteValue`, the first failing row's own.
     """
 
     __slots__ = ("alg", "c")
@@ -393,19 +394,19 @@ class TNum:
     def _constant(self, v):
         c = np.zeros(self.c.shape)
         c[0] = v
-        return type(self)(self.alg, c)
+        return TRows(self.alg, c)
 
     def __float__(self):
-        raise TypeError("TNum carries derivatives; use scalars.value() "
+        raise TypeError("TRows carries derivatives; use scalars.value() "
                         "or the scalars module's generic functions")
 
     def __repr__(self):
-        return f"TNum(value={self.c[0]!r}, blocks={self.alg.blocks})"
+        return f"TRows(rows={self.c.shape[1]}, blocks={self.alg.blocks})"
 
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, TNum):
+        if isinstance(other, TRows):
             if other.alg is not self.alg:
                 raise ValueError("mixed Taylor algebras in arithmetic")
             return other
@@ -414,46 +415,44 @@ class TNum:
     def __add__(self, other):
         o = self._coerce(other)
         if o is not None:
-            return type(self)(self.alg, self.c + o.c)
+            return TRows(self.alg, self.c + o.c)
         c = self.c.copy()
         c[0] += other
-        return type(self)(self.alg, c)
+        return TRows(self.alg, c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self.alg, -self.c)
+        return TRows(self.alg, -self.c)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is not None:
-            return type(self)(self.alg, self.c - o.c)
+            return TRows(self.alg, self.c - o.c)
         c = self.c.copy()
         c[0] -= other
-        return type(self)(self.alg, c)
+        return TRows(self.alg, c)
 
     def __rsub__(self, other):
         c = -self.c
         c[0] += other
-        return type(self)(self.alg, c)
+        return TRows(self.alg, c)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            return type(self)(self.alg, self.c * other)
-        ii, jj, oo = self.alg.tables()
-        if self.c.ndim > 1:
-            oo = self.alg.row_bins(self.c.shape[1])
-        return type(self)(self.alg,
-                          _backend.mul_accumulate(ii, jj, oo, self.c, o.c,
-                                                  self.alg.size))
+            return TRows(self.alg, self.c * other)
+        ii, jj, _ = self.alg.tables()
+        return TRows(self.alg, _backend.mul_accumulate(
+            ii, jj, self.alg.row_bins(self.c.shape[1]), self.c, o.c,
+            self.alg.size))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            return type(self)(self.alg, self.c / other)
+            return TRows(self.alg, self.c / other)
         return self * o._reciprocal()
 
     def __rtruediv__(self, other):
@@ -478,16 +477,14 @@ class TNum:
 
     def _analytic(self, derivs, *args):
         """Compose with the derivative lists ``derivs(values, cap, *args)``
-        gives at the value, or at each row's value."""
-        v = self.value()
-        lists = _derivs_at(derivs, np.ravel(v).tolist(), self.alg.total_cap,
-                           *args)
-        return self._compose(np.array(lists).reshape((-1,) + np.shape(v)))
+        gives at each row's value."""
+        return self._compose(np.array(_derivs_at(
+            derivs, self.c[0].tolist(), self.alg.total_cap, *args)))
 
     def _compose(self, derivs):
-        """sum_k derivs[k]/k! * (self - value)^k, Horner-evaluated; for
-        :class:`TRows` row-wise, ``derivs[k]`` holding one value per row."""
-        e = type(self)(self.alg, self.c.copy())
+        """sum_k derivs[k]/k! * (self - value)^k, Horner-evaluated
+        row-wise, ``derivs[k]`` holding one value per row."""
+        e = TRows(self.alg, self.c.copy())
         e.c[0] = 0.0
         acc = self._constant(derivs[-1] / math.factorial(len(derivs) - 1))
         for k in range(len(derivs) - 2, -1, -1):
@@ -513,62 +510,28 @@ class TNum:
         return self._analytic(_sin_derivs, 1)
 
     def absolute(self):
-        # non-differentiable at 0; callers sample away from the crease
-        return self if self.value() >= 0.0 else -self
+        # non-differentiable at 0; callers sample away from the crease.
+        # Negated unless value >= 0, so a NaN row is negated too
+        return TRows(self.alg, np.where(self.value() >= 0.0, self.c, -self.c))
 
     # -- derivative shift ----------------------------------------------------
 
     def partial(self, multi, target):
-        """The partial derivative d^multi of this series (per-block exponent
-        tuples), as a series of the smaller algebra ``target``."""
+        """The partial derivative d^multi of each row (per-block exponent
+        tuples), as rows of the smaller algebra ``target``."""
         idx, w, pos = self.alg.partial_map(multi, target)
-        shape = target.size
-        if self.c.ndim > 1:  # rows: broadcast the weights over the row axis
-            w = w[:, None]
-            shape = (shape, self.c.shape[1])
         if pos is None:
-            return type(self)(target, self.c[idx] * w)
-        c = np.zeros(shape)
+            return TRows(target, self.c[idx] * w)
+        c = np.zeros((target.size, self.c.shape[1]))
         c[pos] = self.c[idx] * w
-        return type(self)(target, c)
+        return TRows(target, c)
 
     # -- coefficient access --------------------------------------------------
 
     def coefficient(self, multi):
-        """Raw series coefficient for per-block exponent tuples."""
+        """Raw series coefficient of each row for per-block exponent
+        tuples."""
         return self.c[self.alg.flat_index(multi)]
 
     def is_finite(self):
         return bool(np.isfinite(self.c).all())
-
-
-class TRows(TNum):
-    """A batch of truncated Taylor polynomials of one algebra, carried
-    through TNum's own operations: ``c`` has shape ``(size, rows)``, and
-    row r of the batch is its column r.
-
-    Row r of every result equals, bit for bit, the TNum computed from row r
-    alone: the kernel sums each row's triples in the single-series order,
-    the other ring operations are elementwise, and the derivative lists of
-    the analytic functions, domain checks included, map the same Python
-    float operations over the rows' values.  An error is the first
-    failing row's own.  Plain operands are numbers or per-row arrays.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def variable(cls, alg, block, var, base):
-        """``alg.variable(block, var, b)`` for each b of the array
-        ``base``."""
-        c = np.repeat(alg.variable(block, var, 0.0).c[:, None], len(base),
-                      axis=1)
-        c[0] = base
-        return cls(alg, c)
-
-    def __repr__(self):
-        return f"TRows(rows={self.c.shape[1]}, blocks={self.alg.blocks})"
-
-    def absolute(self):
-        # TNum negates unless value >= 0, so a NaN row is negated too
-        return TRows(self.alg, np.where(self.value() >= 0.0, self.c, -self.c))

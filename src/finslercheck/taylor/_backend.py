@@ -1,10 +1,10 @@
 """The truncated-Taylor multiply kernel: out[oo[t]] += a[ii[t]] * b[jj[t]]
 over an algebra's precomputed sparse index triples, as one numpy
-``bincount``.  For a batch of series (2-D ``a`` of shape ``(size, rows)``,
-the row axis last) the gathers take whole coefficient rows, and ``oo``
-holds the flattened bins ``oo * rows + r`` of every row r (cached on the
+``bincount``.  Operands are batches of series, ``(size, rows)`` with the
+row axis last: the gathers take whole coefficient rows, and ``oo`` holds
+the flattened bins ``oo * rows + r`` of every row r (cached on the
 algebra, ``Algebra.row_bins``), so each row sums its triples in the same
-order as a single series does.
+order at any row count.
 
 A batch gathers its two ``(triples, rows)`` operands into a work area
 that the kernel keeps, grown to the largest pair of gathers seen.  Fresh
@@ -12,8 +12,7 @@ gathers of the (1, 3) energy jet's size lie above glibc's mmap threshold,
 so each call would fault its pages in again (``mallopt(3)``,
 ``M_MMAP_THRESHOLD``) and spend more time on that than on the multiply.
 The area is held per thread, so callers on two threads never share it,
-and ``bincount`` returns a fresh array, so no result aliases it.  A single
-series keeps plain fancy indexing: its gathers are small."""
+and ``bincount`` returns a fresh array, so no result aliases it."""
 
 import threading
 
@@ -38,12 +37,9 @@ def _grow(shape):
 
 
 # Kept in its own module: perfbench's tracer rebinds it here, where
-# TNum.__mul__ looks it up on every call.
+# TRows.__mul__ looks it up on every call.  ``size`` is the algebra's
+# coefficient count, which the tracer reads.
 def mul_accumulate(ii, jj, oo, a, b, size):
-    if a.ndim == 1:
-        w = a[ii]
-        w *= b[jj]  # in place: one gathered array fewer
-        return np.bincount(oo, weights=w, minlength=size)
     shape = (len(ii), a.shape[1])
     try:
         wa, wb, flat = _area.views[shape]

@@ -162,8 +162,7 @@ def test_nested_jets_match_direct():
         return 0.5 * (scalars.dot(y, y) + scalars.dot(x, y) ** 2)
 
     def dE0(x, y):
-        jet = eval_jet(E, TangentSample(x, y), JetOrder(0, 1))
-        return jet.pvars((), (0,))
+        return jet_of(E, (x, y), (0, 1)).pvars((), (0,))
 
     at = TangentSample((0.4, -0.1), (1.0, 0.7))
     outer = eval_jet(dE0, at, JetOrder(0, 2))
@@ -217,6 +216,45 @@ def test_composed_jet_matches_direct_composite(outer_blocks):
                 w = math.prod(math.factorial(e) for m in outer for e in m)
                 assert w * entry.coefficient(outer) == pytest.approx(
                     ref.partial(ea, eb, *outer), rel=1e-12, abs=1e-12)
+
+
+# jets the pipeline takes at Taylor-valued inputs: the profile's (1, 2) jet
+# in (r, s), the P/Q pair's (0, 1) jet and the radial factor's (1,) jet
+PIPELINE_JETS = {
+    "profile": ((1, 2), lambda rg, sg: (
+        scalars.exp(0.3 * rg[0]) * scalars.sqrt(1.0 + sg[0] * sg[0])
+        + rg[0] * sg[0],)),
+    "pq": ((0, 1), lambda rg, sg: (rg[0] * sg[0] / 10.0,
+                                   0.5 / (rg[0] * rg[0]) - sg[0] * rg[0])),
+    "factor": ((1,), lambda rg: (scalars.exp(rg[0]) + rg[0] * rg[0],)),
+}
+
+
+@pytest.mark.parametrize("outer_blocks", [((3, 1), (3, 2)), ((2, 1), (2, 2)),
+                                          ((3, 0), (3, 3))])
+@pytest.mark.parametrize("name", PIPELINE_JETS)
+def test_one_row_jet_equals_its_row_of_a_batch_bit_for_bit(outer_blocks,
+                                                            name):
+    # the composed jets' stacked matmul gives row r of a 20-row batch, bit
+    # for bit, as it gives the one-row batch of row r
+    caps, fn = PIPELINE_JETS[name]
+    alg = taylor.algebra(outer_blocks)
+    n = outer_blocks[0][0]
+    rng = np.random.default_rng(len(caps) * 10 + n)
+    xs = rng.uniform(0.1, 0.5, (n, 20))
+    ys = rng.uniform(-1.0, 1.0, (n, 20))
+    x = [alg.variable(0, i, v) for i, v in enumerate(xs)]
+    y = [alg.variable(1, i, v) for i, v in enumerate(ys)]
+    r = scalars.sqrt(scalars.norm_sq(x))
+    s = scalars.dot(x, y) / scalars.sqrt(scalars.norm_sq(y))
+    inputs = ((r,), (s,))[:len(caps)]
+    batch = jet_of_many(fn, inputs, caps)
+    for row in range(20):
+        one = jet_of_many(fn, [[taylor.TRows(alg, v.c[:, row:row + 1].copy())
+                                for v in g] for g in inputs], caps)
+        for jb, j1 in zip(batch, one):
+            assert j1.table.shape == jb.table.shape[:-1] + (1,)
+            assert jb.table[..., row].tobytes() == j1.table[..., 0].tobytes()
 
 
 def test_non_finite_outside_domain(klein3):
@@ -359,13 +397,13 @@ def test_dense_read_equals_pvars(scheme, caps):
 
 def test_dense_read_keeps_the_series_axis():
     # a jet taken at Taylor-valued inputs has series entries; the dense
-    # read keeps their coefficients as a trailing axis
+    # read keeps their coefficients and rows as trailing axes
     alg = taylor.algebra(((1, 2),))
     r = alg.variable(0, 0, 0.5)
     jet = jet_of(lambda g: g[0] ** 3 + g[0] * g[1], ((r, 0.2),), (2,))
     for k in range(3):
         dense = jet.dense(k)
-        assert dense.shape == (2,) * k + (alg.size,)
+        assert dense.shape == (2,) * k + (alg.size, 1)
         for idx in np.ndindex((2,) * k):
             assert np.array_equal(dense[idx], jet.pvars(idx).c)
 

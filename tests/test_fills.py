@@ -226,8 +226,9 @@ def test_map_samples_lends_its_list_only_while_it_walks_it():
 
 
 def test_ops_outside_a_loop_fill_nothing():
-    # ops called outside map_samples take their own jets and store no
-    # rows: only spray_jets keeps the jets it took at its own sample
+    # ops called outside map_samples take their own jets, as a batch of
+    # one, and store no rows: only spray_jets keeps the jets it took at its
+    # own sample, a row like a filled sample's, without the energy series
     m = catalogue.entry("funk_parallel", n=3).model
     omega = _forms()[1]
     samples = tangent_samples(3, 3, seed=3, radius=0.5)
@@ -242,7 +243,7 @@ def test_ops_outside_a_loop_fill_nothing():
     assert list(at.jets) == [(m, 1, 2, "ad")]
     geometry.berwald_curvature(m, at)
     assert list(at.jets) == [(m, 1, 2, "ad"), (m, 1, 3, "ad")]
-    assert all(j.series is not None for j in at.jets[(m, 1, 3, "ad")])
+    assert all(j.series is None for j in at.jets[(m, 1, 3, "ad")])
     assert not any(other.jets for other in samples[1:])
 
 

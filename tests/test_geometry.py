@@ -345,14 +345,13 @@ def test_spray_jets_live_on_the_sample(monkeypatch):
 
 def _count_energy_jets(monkeypatch):
     """Each energy jet taken for spray jets, in order: the (x, y) points of
-    its rows for a batch, None for a jet at one sample."""
+    its rows (one for a lone sample's batch of one)."""
     built = []
     shifted = geometry._shifted_spray_jets
 
     def counted(m, x, y, kx, ky):
-        rows = isinstance(x[0], np.ndarray)
         built.append([(tuple(map(float, px)), tuple(map(float, py)))
-                      for px, py in zip(zip(*x), zip(*y))] if rows else None)
+                      for px, py in zip(zip(*x), zip(*y))])
         return shifted(m, x, y, kx, ky)
 
     monkeypatch.setattr(geometry, "_shifted_spray_jets", counted)
@@ -360,9 +359,8 @@ def _count_energy_jets(monkeypatch):
 
 
 def _assert_built_once_in_batches(built, points):
-    # no energy jet at one sample, ceil(samples / SPRAY_BATCH) batches, and
-    # each sample in exactly one batch
-    assert None not in built
+    # ceil(samples / SPRAY_BATCH) batches, and each sample in exactly one
+    # batch, so no sample takes its own
     assert len(built) == math.ceil(len(points) / geometry.SPRAY_BATCH)
     rows = [p for batch in built for p in batch]
     assert len(rows) == len(set(rows)) and set(rows) == set(points)
@@ -384,11 +382,12 @@ def test_cut_spray_jets_equal_direct_jets(name, n, a, monkeypatch):
     m = catalogue.entry(name, n=n, a=a).model
     samples = tangent_samples(n, 3, seed=31, radius=0.5)
     held = [geometry.spray_jets(m, at, 1, 3) for at in samples]
-    direct = geometry._shifted_spray_jets
+    direct = [geometry.spray_jets(m, TangentSample(at.x, at.y), 1, 2)
+              for at in samples]
     built = _count_energy_jets(monkeypatch)
-    for at, jets in zip(samples, held):
+    for at, jets, ref in zip(samples, held, direct):
         assert geometry.spray_jets(m, at, 1, 2) is jets
-        _assert_reads_equal(jets, direct(m, at.x, at.y, 1, 2))
+        _assert_reads_equal(jets, ref)
     assert built == []
 
 
@@ -450,11 +449,12 @@ def test_commands_build_each_samples_spray_jets_once_in_batches(
                            "berwald_classic") for n in (2, 3)])
 def test_batched_spray_jets_equal_per_sample_jets(name, n, kx, ky):
     # one, part of one, exactly one, one and a bit, and two and a bit
-    # batches: every stored jet is the sample's own, bit for bit
+    # batches: every stored jet is the sample's batch of one, bit for bit
     m = catalogue.entry(name, n=n).model
     points = [(at.x, at.y)
               for at in tangent_samples(n, 33, seed=13, radius=0.5)]
-    ref = [geometry._shifted_spray_jets(m, x, y, kx, ky) for x, y in points]
+    ref = [geometry.spray_jets(m, TangentSample(x, y), kx, ky)
+           for x, y in points]
     for count in (1, 15, 16, 17, 33):
         samples = [TangentSample(x, y) for x, y in points[:count]]
         geometry.fill_spray_jets(m, samples, kx, ky)
@@ -733,12 +733,12 @@ def test_solve_linear_on_taylor_rows_equals_each_rows_series_solve():
     got = geometry.solve_linear(A, b)
     assert all(isinstance(z, taylor.TRows) for z in got)
     for r in range(12):
-        def row(t):
-            return taylor.TNum(alg, t.c[:, r].copy())
+        def row(t):  # the one-row batch of row r
+            return taylor.TRows(alg, t.c[:, r:r + 1].copy())
         ref = geometry.solve_linear([[row(e) for e in line] for line in A],
                                     [row(e) for e in b])
         for z, zr in zip(got, ref):
-            assert z.c[:, r].tobytes() == zr.c.tobytes()
+            assert z.c[:, r].tobytes() == zr.c[:, 0].tobytes()
 
 
 def test_solve_linear_on_rows_rejects_one_singular_row():

@@ -17,7 +17,7 @@ except ImportError:  # not on Windows
 
 from finslercheck.errors import NonFiniteValue
 from finslercheck import taylor
-from finslercheck.taylor import TNum, TRows, _backend, algebra, backend_name
+from finslercheck.taylor import TRows, _backend, algebra, backend_name
 from finslercheck.calculus import series_jet
 
 
@@ -41,15 +41,20 @@ def to_dict(t):
     out = {}
     for pos in np.ndindex(*alg.sizes):
         multi = tuple(alg.monos[b][p] for b, p in enumerate(pos))
-        c = t.c[alg.flat_index(multi)]
+        c = t.c[alg.flat_index(multi), 0]
         if c != 0.0:
             out[multi] = c
     return out
 
 
-def random_tnum(alg, rng):
-    from finslercheck.taylor import TNum
-    return TNum(alg, rng.standard_normal(alg.size))
+def random_series(alg, rng):
+    """A random series as its batch of one."""
+    return TRows(alg, rng.standard_normal((alg.size, 1)))
+
+
+def one_row(alg, c):
+    """The batch of one of the series with coefficients ``c``."""
+    return TRows(alg, c[:, None].copy())
 
 
 BLOCK_CASES = [
@@ -64,8 +69,8 @@ def test_mul_matches_naive_poly(blocks, _):
     alg = algebra(blocks)
     rng = np.random.default_rng(42)
     for _ in range(5):
-        a = random_tnum(alg, rng)
-        b = random_tnum(alg, rng)
+        a = random_series(alg, rng)
+        b = random_series(alg, rng)
         got = to_dict(a * b)
         want = poly_mul(to_dict(a), to_dict(b), blocks)
         keys = set(got) | set(want)
@@ -77,9 +82,9 @@ def test_mul_matches_naive_poly(blocks, _):
 def test_ring_identities():
     alg = algebra(((2, 2), (2, 3)))
     rng = np.random.default_rng(3)
-    a = random_tnum(alg, rng)
-    b = random_tnum(alg, rng)
-    c = random_tnum(alg, rng)
+    a = random_series(alg, rng)
+    b = random_series(alg, rng)
+    c = random_series(alg, rng)
     lhs = (a * (b + c)).c
     rhs = (a * b + a * c).c
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
@@ -90,8 +95,8 @@ def test_ring_identities():
 def test_division_and_reciprocal():
     alg = algebra(((2, 3),))
     rng = np.random.default_rng(5)
-    a = random_tnum(alg, rng)
-    b = random_tnum(alg, rng)
+    a = random_series(alg, rng)
+    b = random_series(alg, rng)
     b.c[0] = 1.7  # keep invertible
     q = a / b
     np.testing.assert_allclose((q * b).c, a.c, rtol=1e-12, atol=1e-12)
@@ -109,7 +114,7 @@ def test_division_and_reciprocal():
 def test_function_inverses(fn, inverse):
     alg = algebra(((2, 2), (1, 2)))
     rng = np.random.default_rng(11)
-    a = random_tnum(alg, rng)
+    a = random_series(alg, rng)
     a.c[0] = 2.3
     out = getattr(a, fn)()
     back = inverse(out)
@@ -119,7 +124,7 @@ def test_function_inverses(fn, inverse):
 def test_sin_cos_pythagoras():
     alg = algebra(((2, 4),))
     rng = np.random.default_rng(13)
-    a = random_tnum(alg, rng)
+    a = random_series(alg, rng)
     s, c = a.sin(), a.cos()
     one = (s * s + c * c).c
     want = np.zeros_like(one)
@@ -130,7 +135,7 @@ def test_sin_cos_pythagoras():
 def test_pow_integer_and_float_agree():
     alg = algebra(((2, 3),))
     rng = np.random.default_rng(17)
-    a = random_tnum(alg, rng)
+    a = random_series(alg, rng)
     a.c[0] = 1.9
     np.testing.assert_allclose((a ** 3).c, (a * a * a).c, rtol=1e-13)
     np.testing.assert_allclose((a ** 0.5).c, a.sqrt().c, rtol=1e-12)
@@ -206,7 +211,7 @@ def test_partial_shift_matches_direct_jet_and_truncates():
     # every partial of the shifted series equals the source partial of the
     # summed order, for all orders the target caps keep
     rng = np.random.default_rng(23)
-    src = random_tnum(algebra(((2, 2), (3, 4))), rng)
+    src = random_series(algebra(((2, 2), (3, 4))), rng)
     full = series_jet(src)
     target = algebra(((2, 1), (3, 2)))
     d = ((1, 0), (0, 1, 1))
@@ -230,7 +235,7 @@ def test_partial_shift_matches_direct_jet_and_truncates():
     (((0, 0), (0, 0, 0)), ((2, 1),)),          # wrong block count
 ])
 def test_partial_shift_rejects_caps_it_cannot_fill(d, target):
-    src = algebra(((2, 2), (3, 4))).constant(1.0)
+    src = algebra(((2, 2), (3, 4))).variable(0, 0, 1.0)
     with pytest.raises(ValueError):
         src.partial(d, algebra(target))
 
@@ -249,15 +254,14 @@ STAIR_CASES = [
 @pytest.mark.parametrize("blocks,stair,triples", STAIR_CASES)
 def test_staircase_product_equals_box_product_on_kept_slots(blocks, stair,
                                                             triples):
-    from finslercheck.taylor import TNum
     box, stairs = algebra(blocks), algebra(blocks, stair)
     assert len(stairs.tables()[0]) == triples
     assert stairs.size == box.size and stairs.total_cap == box.total_cap
     rng = np.random.default_rng(17)
     for _ in range(3):
         a, b = rng.standard_normal((2, box.size))
-        got = (TNum(stairs, a) * TNum(stairs, b)).c
-        want = (TNum(box, a) * TNum(box, b)).c
+        got = (one_row(stairs, a) * one_row(stairs, b)).c
+        want = (one_row(box, a) * one_row(box, b)).c
         assert np.array_equal(got[stairs.kept], want[stairs.kept])
         assert not got[~stairs.kept].any()
 
@@ -278,17 +282,16 @@ def test_stair_algebras_are_cached_apart_from_the_box():
 
 
 def test_partial_into_a_stair_writes_only_kept_slots():
-    from finslercheck.taylor import TNum
     rng = np.random.default_rng(5)
     src = algebra(((2, 2), (2, 5)), (5, 4, 2))
     c = rng.standard_normal(src.size)
     c[~src.kept] = 0.0
-    t = TNum(src, c)
+    t = one_row(src, c)
     d = ((1, 0), (0, 1))
     box_target = algebra(((2, 1), (2, 3)))
     target = algebra(((2, 1), (2, 3)), (3, 1))
     got = t.partial(d, target).c
-    want = TNum(algebra(src.blocks), c).partial(d, box_target).c
+    want = one_row(algebra(src.blocks), c).partial(d, box_target).c
     assert np.array_equal(got[target.kept], want[target.kept])
     assert not got[~target.kept].any()
     # a box target would read coefficients the stair never computes
@@ -296,9 +299,10 @@ def test_partial_into_a_stair_writes_only_kept_slots():
         t.partial(d, box_target)
 
 
-# -- Taylor rows: a batch equals its rows one by one, bit for bit -------------
+# -- Taylor rows: a batch equals its rows' batches of one, bit for bit -------
 # A batch keeps its rows in the trailing axis, ``c`` of shape (size, rows),
-# so each test below builds its rows as (rows, size) and transposes them.
+# so each test below builds its rows as (rows, size) and transposes them;
+# the reference of row r is the one-row batch of row r.
 
 ROW_OPS = {
     "kernel": lambda a, b: a * b,
@@ -331,7 +335,7 @@ def test_rows_equal_single_series_bit_for_bit(blocks):
     for name, op in ROW_OPS.items():
         got = op(TRows(alg, ca.T.copy()), TRows(alg, cb.T.copy()))
         assert isinstance(got, TRows), name
-        ref = [op(TNum(alg, ca[r].copy()), TNum(alg, cb[r].copy())).c
+        ref = [op(one_row(alg, ca[r]), one_row(alg, cb[r])).c[:, 0]
                for r in range(rows)]
         assert np.array_equal(got.c.T, np.array(ref)), name
 
@@ -339,9 +343,9 @@ def test_rows_equal_single_series_bit_for_bit(blocks):
 def test_rows_seed_variables_like_single_series():
     alg = algebra(((2, 1), (2, 2)))
     base = np.array([0.5, -1.25, 3.0])
-    rows = TRows.variable(alg, 1, 0, base)
+    rows = alg.variable(1, 0, base)
     for r, b in enumerate(base):
-        assert np.array_equal(rows.c[:, r], alg.variable(1, 0, b).c)
+        assert np.array_equal(rows.c[:, r], alg.variable(1, 0, b).c[:, 0])
 
 
 # analytic ops with the values of four rows: the second row fails first
@@ -367,7 +371,7 @@ def test_rows_domain_error_names_the_first_failing_value():
     for name, (op, values) in ROW_DOMAIN_ERRORS.items():
         c[:, 0] = values
         with pytest.raises(NonFiniteValue) as single:
-            op(TNum(alg, c[1].copy()))
+            op(one_row(alg, c[1]))
         with pytest.raises(NonFiniteValue) as batch:
             op(TRows(alg, c.T.copy()))
         assert str(batch.value) == str(single.value), name
@@ -378,7 +382,7 @@ def test_rows_absolute_negates_a_nan_row_like_a_single_series():
     c = np.arange(3 * alg.size, dtype=float).reshape(3, alg.size)
     c[:, 0] = [-1.0, np.nan, 0.0]
     got = TRows(alg, c.T.copy()).absolute().c.T
-    ref = [TNum(alg, row.copy()).absolute().c for row in c]
+    ref = [one_row(alg, row).absolute().c[:, 0] for row in c]
     assert np.array_equal(got, np.array(ref), equal_nan=True)
 
 
@@ -391,11 +395,11 @@ STAIRS = {((3, 2), (3, 5)): (5, 4, 2)}
 @pytest.mark.parametrize("blocks", [((1, 0), (1, 1)), ((2, 1), (2, 2)),
                                     ((3, 2), (3, 5))])
 def test_rows_multiply_equals_per_row_product(blocks, rows):
-    # the cached row bins sum each row's triples as a single series does
+    # the cached row bins sum each row's triples as its batch of one does
     alg = algebra(blocks, STAIRS.get(blocks))
     ca, cb = np.random.default_rng(rows).normal(size=(2, rows, alg.size))
     got = TRows(alg, ca.T.copy()) * TRows(alg, cb.T.copy())
-    ref = [(TNum(alg, a.copy()) * TNum(alg, b.copy())).c
+    ref = [(one_row(alg, a) * one_row(alg, b)).c[:, 0]
            for a, b in zip(ca, cb)]
     assert np.array_equal(got.c.T, np.array(ref))
     assert alg.row_bins(rows) is alg.row_bins(rows)
@@ -407,7 +411,8 @@ def test_rows_partial_shifts_each_row():
     c = np.random.default_rng(3).normal(size=(5, src.size))
     c[:, ~src.kept] = 0.0
     got = TRows(src, c.T.copy()).partial(((1, 0), (0, 1)), target)
-    ref = [TNum(src, row).partial(((1, 0), (0, 1)), target).c for row in c]
+    ref = [one_row(src, row).partial(((1, 0), (0, 1)), target).c[:, 0]
+           for row in c]
     assert isinstance(got, TRows)
     assert np.array_equal(got.c.T, np.array(ref))
 
@@ -419,27 +424,24 @@ ANALYTIC = {"reciprocal": lambda t: 1.0 / t, "log": lambda t: t.log(),
 @pytest.mark.parametrize("fn", ANALYTIC)
 def test_an_overflowing_derivative_fails_alike_for_a_series_and_its_row(fn):
     # a power of v that overflows, or underflows to 0 under a division,
-    # raises NonFiniteValue for a TNum and for each row of a TRows, where a
-    # numpy float would have given inf (or 0) and a Python float raised
-    # OverflowError; finite rows stay bit for bit the series
+    # raises NonFiniteValue for a series (a batch of one) and for each row
+    # of a batch, where a numpy float would have given inf (or 0) and a
+    # Python float raised OverflowError; finite rows stay bit for bit the
+    # series
     alg = algebra(((1, 3), (1, 1)))
     f = ANALYTIC[fn]
     values = (1.0, 1e200, 1e-200)
 
     def seeded(vs):
-        return TRows.variable(alg, 0, 0, np.array(vs))
+        return alg.variable(0, 0, np.array(vs))
 
     fails = []
     for v in values:
         try:
-            single = f(alg.variable(0, 0, v))
+            f(alg.variable(0, 0, v))
         except NonFiniteValue as exc:
             fails.append(v)
             assert "non-finite derivative" in str(exc)
-            with pytest.raises(NonFiniteValue, match="non-finite derivative"):
-                f(seeded([v]))
-        else:
-            assert np.array_equal(f(seeded([v])).c[:, 0], single.c)
     # x**p for p > 0 only underflows at 1e200, which is finite
     assert fails == [1e-200] if fn in ("sqrt", "pow") else [1e200, 1e-200]
     with pytest.raises(NonFiniteValue, match="non-finite derivative"):
@@ -447,7 +449,7 @@ def test_an_overflowing_derivative_fails_alike_for_a_series_and_its_row(fn):
     finite = [v for v in values if v not in fails]
     rows = f(seeded(finite))
     for r, v in enumerate(finite):
-        assert np.array_equal(rows.c[:, r], f(alg.variable(0, 0, v)).c)
+        assert np.array_equal(rows.c[:, r], f(alg.variable(0, 0, v)).c[:, 0])
 
 
 def test_sin_and_cos_of_an_infinite_value_are_domain_errors():
@@ -455,8 +457,8 @@ def test_sin_and_cos_of_an_infinite_value_are_domain_errors():
     # NonFiniteValue instead, and a NaN value still propagates
     alg = algebra(((1, 2),))
     for v in (np.inf, -np.inf):
-        for t in (alg.variable(0, 0, v), TRows.variable(alg, 0, 0,
-                                                         np.array([1.0, v]))):
+        for t in (alg.variable(0, 0, v),
+                  alg.variable(0, 0, np.array([1.0, v]))):
             for op in (t.sin, t.cos):
                 with pytest.raises(NonFiniteValue, match="infinite Taylor"):
                     op()
@@ -512,7 +514,7 @@ ROW_DERIVS = {
 @pytest.mark.parametrize("name", ROW_DERIVS)
 def test_row_derivative_lists_equal_the_per_value_lists(name, rows):
     # each row of the lists is, bit for bit, the list at its value alone,
-    # and so the series of a TRows row is that of a TNum at its value
+    # and so the series of a row is that of its batch of one
     fn, args, values = ROW_DERIVS[name]
     for start in range(len(values)):
         vals = [values[(start + r) % len(values)] for r in range(rows)]
@@ -538,7 +540,7 @@ def test_a_batch_raises_its_first_failing_rows_own_error(name):
     with pytest.raises(NonFiniteValue) as single:
         op(alg.variable(0, 0, values[0]))
     with pytest.raises(NonFiniteValue) as batch:
-        op(TRows.variable(alg, 0, 0, np.array(values)))
+        op(alg.variable(0, 0, np.array(values)))
     assert str(batch.value) == str(single.value)
     assert "non-finite derivative at 1e-300" in str(batch.value)
 
@@ -552,24 +554,20 @@ KERNEL_ALGEBRAS = [(((2, 1), (2, 2)), None), (((3, 1), (3, 3)), None),
 
 
 def _operands(alg, rows, seed):
-    """Two operands of ``rows`` series (1-D for None) with NaN and inf."""
-    shape = (2, alg.size) if rows is None else (2, alg.size, rows)
-    a, b = np.random.default_rng(seed).normal(size=shape)
+    """Two operands of ``rows`` series with NaN and inf."""
+    a, b = np.random.default_rng(seed).normal(size=(2, alg.size, rows))
     a.flat[1], a.flat[-1], b.flat[2] = np.nan, np.inf, -np.inf
     return a, b
 
 
 def _multiply(alg, a, b):
-    ii, jj, oo = alg.tables()
-    if a.ndim > 1:
-        oo = alg.row_bins(a.shape[1])
-    return _backend.mul_accumulate(ii, jj, oo, a, b, alg.size)
+    ii, jj, _ = alg.tables()
+    return _backend.mul_accumulate(ii, jj, alg.row_bins(a.shape[1]), a, b,
+                                   alg.size)
 
 
 def _reference(alg, a, b):
-    ii, jj, oo = alg.tables()
-    if a.ndim == 1:
-        return np.bincount(oo, a[ii] * b[jj], minlength=alg.size)
+    ii, jj, _ = alg.tables()
     return np.bincount(alg.row_bins(a.shape[1]), (a[ii] * b[jj]).ravel(),
                        minlength=a.size).reshape(a.shape)
 
@@ -580,7 +578,7 @@ def _same_bits(x, y):
         np.ascontiguousarray(y).view(np.uint64))
 
 
-@pytest.mark.parametrize("rows", [None, 1, 15, 16, 17, 64])
+@pytest.mark.parametrize("rows", [1, 15, 16, 17, 64])
 @pytest.mark.parametrize("blocks,stair", KERNEL_ALGEBRAS)
 def test_kernel_equals_gather_multiply_bincount_bit_for_bit(blocks, stair,
                                                             rows):
