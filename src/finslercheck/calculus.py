@@ -77,10 +77,10 @@ class TangentSample:
     """A base point x with a nonzero fiber vector y, both float
     coordinates; jets seed their own Taylor variables at the sample.
     ``jets`` holds what was computed or filled at the sample, so it lives
-    exactly as long as the sample: spray jets keyed by (model, kx, ky,
-    scheme), where under AD jets of higher caps serve the lower order; the
-    AD jets of a field's components keyed by (field, kx, ky, "ad"); and
-    arrays an op reads or computes (:func:`held`); None where the sample's
+    exactly as long as the sample: the spray jets of a lone or FD read
+    keyed by (model, kx, ky, scheme); the AD jets of a field's components
+    keyed by (field, kx, ky, "ad"); and arrays an op reads or computes,
+    spray partials among them (:func:`held`); None where the sample's
     batch failed, so that a read takes it as a batch of one.  ``batch`` is
     the list a per-sample loop is walking, else None."""
 

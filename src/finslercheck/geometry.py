@@ -17,16 +17,17 @@ where the spray is assembled and solved; no jet is taken of Taylor-valued
 inputs.  Spray-only models and the FD scheme differentiate the spray
 evaluation itself; FD evaluates it at a jet's stencil points in batches of
 Taylor rows (``_spray_rows``: one (1, 2) energy jet, with the
-non-degeneracy check and the solve's pivot per row).  Under AD a lower
-tier reads the (1, 3) jet already on the sample.
+non-degeneracy check and the solve's pivot per row).
 
 Inside a per-sample loop (:func:`sampling.map_samples`) an op's first read
 takes what it reads for every sample of the loop as Taylor rows, each row
-bit for bit that sample's batch of one (:func:`calculus.held`): the AD
-spray jets of a tier (``_tier_jets``, :func:`fill_spray_jets`, one
-staircase energy jet per ``SPRAY_BATCH`` samples for a model with F), the
-spray values and the energy and F jets.  A lone read, outside a loop or
-at a sample whose batch failed, takes them for its batch of one.
+bit for bit that sample's batch of one (:func:`calculus.held`): the spray
+values, the energy and F jets, and the spray partials the ops read
+(``_spray_partials``), read straight off one batch of AD spray jets per
+``SPRAY_BATCH`` samples of a model with F; a (1, 2) read takes the (1, 3)
+rows a sample holds.  A lone read, outside a loop or at a sample whose
+batch failed, takes them for its batch of one, through the spray jets kept
+on the sample (:func:`spray_jets`).
 
 Each op's body is written once, on stacks with a leading sample axis
 (``_rows``): under AD its first read in a loop runs it over the loop's
@@ -60,10 +61,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import scalars
-from .calculus import (FD_BATCH, HOMOGENEITY_SCALES, JetOrder, _dense_index,
-                       coordinates, eval_jet, fill_jets, held,
-                       homogeneity_check, jet_of, jet_of_many, jet_of_rows,
-                       sample_rows, series_jet, var_exponents)
+from .calculus import (FD_BATCH, HOMOGENEITY_SCALES, JetOrder, coordinates,
+                       eval_jet, held, homogeneity_check, jet_of, jet_of_many,
+                       jet_of_rows, sample_rows, series_jet, var_exponents)
 from .errors import (ConventionMismatch, DegenerateMetric, FinslerCheckError,
                      NonFiniteValue)
 from .taylor import TRows, algebra
@@ -292,31 +292,25 @@ def _shifted_spray_jets(m, x, y, kx, ky):
     return [series_jet(G) for G in _assemble_spray(n, y, d)]
 
 
-# Samples per batch of fill_spray_jets.  Each row carries the (1, 3) energy
-# jet's box of coefficients (560 at n = 3) through every multiply, so the
-# batch bounds the memory a command's spray jets take at once.
+# Samples per energy jet when a per-sample loop takes the spray partials
+# of a model with F.  Each row carries the (1, 3) energy jet's box of
+# coefficients (560 at n = 3) through every multiply, so the batch bounds
+# the memory a command's spray jets take at once.  A loop's parts of
+# FD_BATCH samples split into whole batches, so N samples take
+# ceil(N / SPRAY_BATCH) energy jets.
 SPRAY_BATCH = 16
+assert FD_BATCH % SPRAY_BATCH == 0
 
 
 def _spray_jet_rows(m, kx, ky):
-    """The rows function of the AD spray jets of order (kx, ky) on lists of
-    samples (:func:`calculus.held`): for a model with F one staircase
-    energy jet, the spray assembled and solved on the rows; for a
-    spray-only model the AD jets of its spray."""
+    """The AD spray jets of order (kx, ky) at a list of samples, as jets of
+    Taylor rows: for a model with F one staircase energy jet, the spray
+    assembled and solved on the rows; for a spray-only model the AD jets
+    of its spray."""
     if m.F is None:
         return lambda part: jet_of_many(
             lambda x, y: _spray_scalars(m, x, y), coordinates(part), (kx, ky))
     return lambda part: _shifted_spray_jets(m, *coordinates(part), kx, ky)
-
-
-def fill_spray_jets(m, samples, kx, ky):
-    """Put the AD spray jets of order (kx, ky) on each of ``samples`` that
-    does not hold them yet, as Taylor rows without ``series``
-    (:func:`calculus.fill_jets`), ``SPRAY_BATCH`` samples at once for a
-    model with F."""
-    fill_jets([at for at in samples if _held(m, at, kx, ky) is None],
-              (m, kx, ky, "ad"), _spray_jet_rows(m, kx, ky),
-              FD_BATCH if m.F is None else SPRAY_BATCH)
 
 
 # jet orders requested per scheme and tier; AD shares one generous jet per
@@ -327,39 +321,30 @@ _TIERS = {"ad": {"nonlinear": (1, 2), "connection": (1, 2), "jacobi": (1, 2),
                  "curvature": (0, 3)}}
 # (spray, energy) demand staircases of each AD tier order: the ops read
 # spray partials (0, <= ky) and (1, <= 1); the spray assembly shifts them
-# from energy partials (0, <= ky + 2), (1, <= ky + 1) and (2, <= 2).  Each
-# keeps the spray partials (1, <= 1), so a held jet of caps at least
-# (kx, ky) still keeps every partial a (kx, ky) jet keeps.
+# from energy partials (0, <= ky + 2), (1, <= ky + 1) and (2, <= 2).  The
+# (1, 3) stair keeps every spray partial of the (1, 2) stair, bit for bit.
 _AD_STAIRS = {(1, 3): ((3, 1), (5, 4, 2)), (1, 2): ((2, 1), (4, 3, 2))}
-
-
-def _held(m, at, kx, ky):
-    """AD jets of ``m`` on the sample with caps at least (kx, ky), or
-    None."""
-    return next((jets for key, jets in at.jets.items()
-                 if key[0] is m and key[-1] == "ad" and key[1] >= kx
-                 and key[2] >= ky and jets is not None), None)
+# the spray partials the ops read, by (x-order, y-order): G, dG, N, dN,
+# dy N and B; a (1, 2) tier's are the first five of the (1, 3) tier's
+_SPRAY_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (0, 3))
 
 
 def spray_jets(m, at, kx, ky, scheme="ad"):
     """Per-component jets of the spray coefficients at a float sample,
-    kept on the sample per (model, order, scheme).  Under AD jets of the
-    model already there with caps at least (kx, ky) are returned as they
-    are (:meth:`Jet.dense` indexes by monomial, so they read bit for bit as
-    the (kx, ky) jets); ``_tier_jets`` fills them in a per-sample loop, and
-    a sample holding none takes them for its batch of one
-    (:func:`calculus.held`).  FD jets are always computed at the order
-    asked for, from the spray of a model with F at the jet's stencil points
-    in batches of Taylor rows (``_spray_rows``)."""
+    kept on the sample per (model, order, scheme): those of a lone read,
+    and of every read under FD (a per-sample loop reads its AD spray
+    partials off batches of jets, :func:`_spray_partials`).  AD jets are
+    the sample's batch of one (``_spray_jet_rows``); FD jets are computed
+    from the spray of a model with F at the jet's stencil points in
+    batches of Taylor rows (``_spray_rows``)."""
     key = (m, kx, ky, scheme)
     jets = at.jets.get(key)
     if jets is not None:
         return jets
-    jets = _held(m, at, kx, ky) if scheme == "ad" else None
-    if jets is None and scheme == "ad":
-        jets = [j.check_finite()
-                for j in held(at, key, _spray_jet_rows(m, kx, ky))]
-    elif jets is None:
+    if scheme == "ad":
+        jets = [j.row(0).check_finite()
+                for j in _spray_jet_rows(m, kx, ky)([at])]
+    else:
         rows = (lambda xs, ys: _spray_rows(m, xs, ys)) \
             if m.F is not None else None
         jets = jet_of_many(lambda xs, ys: _spray_scalars(m, xs, ys),
@@ -368,53 +353,35 @@ def spray_jets(m, at, kx, ky, scheme="ad"):
     return jets
 
 
-def _partials(jets, kx, ky):
-    """Partials of order (kx, ky) of each spray component, component axis
-    first: ``_partials(jets, 1, 2)[h, k, i, j]`` is d_k dy_i dy_j G^h."""
-    return np.array([j.dense(kx, ky) for j in jets])
-
-
-def _tier_jets(m, at, tier, scheme):
-    """The spray jets a ``tier`` op reads.  Under AD a tier's first read in
-    a per-sample loop fills the loop's samples (:func:`fill_spray_jets`):
-    here, so a ``spray_jets`` call that takes a jet stays a miss.  Jets of
-    higher caps already on the sample are put under the tier's own key, so
-    ``spray_jets`` finds them at once."""
-    kx, ky = _TIERS[scheme][tier]
-    key = (m, kx, ky, scheme)
-    if scheme == "ad" and at.batch is not None and key not in at.jets:
-        jets = _held(m, at, kx, ky)
-        if jets is None:
-            fill_spray_jets(m, at.batch, kx, ky)
-        else:
-            at.jets[key] = jets
-    return spray_jets(m, at, kx, ky, scheme)
-
-
 def _spray_partials(m, part, tier, scheme):
-    """A ``tier``'s spray partials G, dG, N, dN and dy N (or B alone) at
-    the samples ``part``, stacked, by order: ``[(0, 1)][s, h, j]`` is
-    N^h_j at ``part[s]``; a loop gathers them once per batch and order."""
+    """A ``tier``'s spray partials at the samples ``part``, stacked, by
+    order (those of ``_SPRAY_ORDERS`` within the tier's): ``[(0, 1)][s, h,
+    j]`` is N^h_j at ``part[s]``.  Under AD the first read in a per-sample
+    loop takes them for every sample of the loop (:func:`calculus.held`),
+    straight off the tables of one batch of spray jets per ``SPRAY_BATCH``
+    samples of a model with F (``FD_BATCH`` of a spray-only model), and a
+    (1, 2) read takes the (1, 3) rows a sample holds.  A lone read, and
+    every read under FD, takes the sample's own :func:`spray_jets`."""
     kx, ky = _TIERS[scheme][tier]
-    orders = [(0, 3)] if ky == 3 else [
-        (a, b) for a, b in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2))
-        if a <= kx and b <= ky]
+    orders = [(a, b) for a, b in _SPRAY_ORDERS if a <= kx and b <= ky]
 
-    def gather(sub):  # through one stack of tables when they share a layout
-        jetss = [_tier_jets(m, s, tier, scheme) for s in sub]
-        j = jetss[0][0]
-        if any(k.layout is not j.layout for jets in jetss for k in jets):
-            return [np.array([_partials(jets, *o) for jets in jetss])
-                    for o in orders]
-        tables = np.array([[k.table for k in jets] for jets in jetss])
-        return [tables[(slice(None),) * 2 + ix].reshape(tables.shape[:2]
-                                                        + shape)
-                for ix, shape in (_dense_index(j.nvars, j.caps, o, j.stair)
-                                  for o in orders)]
+    def read(jets):  # component axis first, then the order's, rows last
+        return [np.array([j.dense(*o) for j in jets]) for o in orders]
+
+    def gather(sub):
+        if len(sub) == 1:
+            return [p[..., None]
+                    for p in read(spray_jets(m, sub[0], kx, ky, scheme))]
+        size = FD_BATCH if m.F is None else SPRAY_BATCH
+        chunks = [read(_spray_jet_rows(m, kx, ky)(sub[lo:lo + size]))
+                  for lo in range(0, len(sub), size)]
+        return [np.concatenate(c, axis=-1) for c in zip(*chunks)]
 
     key = _held_key(scheme, "spray_partials", m, kx, ky)
-    rows = [_rows(at, key, gather) for at in part]
-    return dict(zip(orders, map(np.array, zip(*rows))))
+    full = _held_key(scheme, "spray_partials", m, 1, 3)
+    rows = [(full and at.jets.get(full)) or held(at, key, gather)
+            for at in part]
+    return {o: np.array([r[i] for r in rows]) for i, o in enumerate(orders)}
 
 
 def _held_key(scheme, *parts):

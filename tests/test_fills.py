@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import finslercheck
-from finslercheck import calculus, catalogue, forms, geometry, sphsym
+from finslercheck import calculus, catalogue, cli, forms, geometry, sphsym
 from finslercheck.calculus import (FD_BATCH, HOMOGENEITY_SCALES,
                                    TangentSample, eval_jet)
 from finslercheck.errors import FinslerCheckError, SingularDenominator
@@ -76,29 +76,29 @@ def _spray_only(name, n):
       if name != "berwald_classic"),
     *(("pq", f, n) for f in RADIAL for n in (2, 3))])
 def test_spray_only_spray_jets_fill_as_their_samples_own(kind, name, n):
+    # a spray-only model's spray partials held in a loop are those of each
+    # sample's own spray jets, its batch of one, bit for bit
     m = _spray_only(name, n) if kind == "spray_cf" else _pq_model(name, n)[2]
-    points = _points(m.n, r_min=0.1)
-    _assert_filled(lambda at: geometry._tier_jets(m, at, "connection", "ad"),
-                   (m, 1, 2, "ad"), points,
-                   lambda p: geometry.spray_jets(m, TangentSample(*p), 1, 2),
-                   COUNTS + EDGES)
+    orders = [o for o in geometry._SPRAY_ORDERS if o[1] <= 2]
+
+    def ref(p):
+        jets = geometry.spray_jets(m, TangentSample(*p), 1, 2)
+        return [np.array([j.dense(*o) for j in jets]) for o in orders]
+
+    _assert_filled(lambda at: geometry.berwald_connection(m, at),
+                   ("spray_partials", m, 1, 2), _points(m.n, r_min=0.1),
+                   ref, COUNTS + EDGES)
 
 
-def test_fill_spray_jets_keeps_held_jets_and_fills_spray_only_models():
-    klein = catalogue.entry("klein", n=3)
-    spray_only = MetricModel(3, domain=klein.model.domain,
-                             spray_override=klein.spray_cf, name="spray")
-    samples = tangent_samples(3, 3, seed=2, radius=0.5)
-    held = geometry.spray_jets(klein.model, samples[1], 1, 3)
-    geometry.fill_spray_jets(klein.model, samples, 1, 2)
-    held_only = geometry.spray_jets(spray_only, samples[0], 1, 3)
-    geometry.fill_spray_jets(spray_only, samples, 1, 3)
-    assert samples[1].jets[(klein.model, 1, 3, "ad")] is held
-    assert samples[0].jets[(spray_only, 1, 3, "ad")] is held_only
-    assert [list(at.jets) for at in samples] == [
-        [(klein.model, 1, 2, "ad"), (spray_only, 1, 3, "ad")],
-        [(klein.model, 1, 3, "ad"), (spray_only, 1, 3, "ad")],
-        [(klein.model, 1, 2, "ad"), (spray_only, 1, 3, "ad")]]
+def test_a_loop_keeps_spray_partials_not_spray_jets():
+    # a tensors pass in a loop leaves on each sample the rows of the spray
+    # partials its ops read, and no spray jet
+    m = catalogue.entry("general_berwald", n=3).model
+    samples = _fresh(_points(3, 20))
+    map_samples(lambda at: cli._pass(m, at, "ad"), samples)
+    for at in samples:
+        assert ("spray_partials", m, 1, 3) in at.jets
+        assert not [key for key in at.jets if key[0] is m and key[-1] == "ad"]
 
 
 @pytest.mark.parametrize("name,n", CATALOGUE)
@@ -269,6 +269,5 @@ def _calls_by_caller(names):
 def test_fills_start_only_at_a_first_read():
     # what an op reads is stated once, by the op: no command fills its
     # samples ahead of its loop
-    assert _calls_by_caller(("fill_jets", "fill_spray_jets")) == {
-        "fill_jets": {"calculus.held", "geometry.fill_spray_jets"},
-        "fill_spray_jets": {"geometry._tier_jets"}}
+    assert _calls_by_caller(("fill_jets",)) == {
+        "fill_jets": {"calculus.held"}}

@@ -10,12 +10,12 @@ import pytest
 
 from finslercheck import (analysis, catalogue, cli, forms, geometry, sampling,
                           scalars, taylor)
-from finslercheck.calculus import TangentSample, jet_of, jet_of_many
+from finslercheck.calculus import FD_BATCH, TangentSample, jet_of, jet_of_many
 from finslercheck.config import build_config
 from finslercheck.errors import (DegenerateMetric, FinslerCheckError,
                                  NonFiniteValue)
 from finslercheck.geometry import Domain, MetricModel
-from finslercheck.sampling import tangent_samples
+from finslercheck.sampling import map_samples, tangent_samples
 
 # the twelve pipeline ops, metric_tensor to delta_derivative
 GEOMETRY_OPS = geometry.__all__[geometry.__all__.index("metric_tensor"):]
@@ -258,7 +258,13 @@ def test_spray_jets_match_nested_reference(name, n, a, kx, ky):
                 diff = g.dense(dx, dy) - r.dense(dx, dy)
                 assert np.max(np.abs(diff)) <= 1e-11 * scale, (dx, dy)
         with pytest.raises(KeyError):
-            geometry._partials(got, 1, 2)
+            _partials(got, 1, 2)
+
+
+def _partials(jets, kx, ky):
+    """Partials of order (kx, ky) of each spray component, component axis
+    first: ``_partials(jets, 1, 2)[h, k, i, j]`` is d_k dy_i dy_j G^h."""
+    return np.array([j.dense(kx, ky) for j in jets])
 
 
 def _demand(kx, ky):
@@ -369,38 +375,51 @@ def _assert_built_once_in_batches(built, points):
 def _assert_reads_equal(got, ref):
     # every spray partial an op reads from a (1, 2) tier, bit for bit
     for kx, ky in _demand(1, 2):
-        assert np.array_equal(geometry._partials(got, kx, ky),
-                              geometry._partials(ref, kx, ky)), (kx, ky)
+        want = _partials(ref, kx, ky)
+        assert got[kx, ky].shape == want.shape, (kx, ky)
+        assert got[kx, ky].tobytes() == want.tobytes(), (kx, ky)
+
+
+def _loop_partials(m, samples, tier):
+    """Each sample's spray partials of ``tier``, read in a per-sample loop
+    over ``samples``, by order."""
+    return map_samples(lambda at: {
+        o: p[0] for o, p in
+        geometry._spray_partials(m, [at], tier, "ad").items()}, samples)
 
 
 @pytest.mark.parametrize("name,n,a", [
     ("general_berwald", 2, None), ("general_berwald", 3, (0.1, 0.05, 0.0)),
     ("klein", 3, None), ("funk_parallel", 3, (0.5, 0.1, 0.0))])
 def test_cut_spray_jets_equal_direct_jets(name, n, a, monkeypatch):
-    # with the (1, 3) jets on the sample, a (1, 2) request returns them
-    # without a new energy jet, and they read as the direct (1, 2) jets
+    # with the (1, 3) rows held on the samples, a (1, 2) read in a loop
+    # takes them without a new energy jet, and they read as the direct
+    # (1, 2) jets
     m = catalogue.entry(name, n=n, a=a).model
     samples = tangent_samples(n, 3, seed=31, radius=0.5)
-    held = [geometry.spray_jets(m, at, 1, 3) for at in samples]
+    map_samples(lambda at: geometry.berwald_curvature(m, at), samples)
     direct = [geometry.spray_jets(m, TangentSample(at.x, at.y), 1, 2)
               for at in samples]
     built = _count_energy_jets(monkeypatch)
-    for at, jets, ref in zip(samples, held, direct):
-        assert geometry.spray_jets(m, at, 1, 2) is jets
-        _assert_reads_equal(jets, ref)
+    for got, ref in zip(_loop_partials(m, samples, "jacobi"), direct):
+        _assert_reads_equal(got, ref)
     assert built == []
+    assert not any(("spray_partials", m, 1, 2) in at.jets for at in samples)
 
 
 def test_cut_spray_jets_of_a_spray_only_model():
     klein = catalogue.entry("klein", n=3)
     m = MetricModel(3, domain=klein.model.domain,
                     spray_override=klein.spray_cf, name="klein spray")
-    at = TangentSample((0.1, -0.2, 0.3), (0.6, 0.7, -0.3))
-    held = geometry.spray_jets(m, at, 1, 3)
-    assert geometry.spray_jets(m, at, 1, 2) is held
-    ref = jet_of_many(lambda xs, ys: geometry._spray_scalars(m, xs, ys),
-                      (at.x, at.y), (1, 2))
-    _assert_reads_equal(held, ref)
+    samples = [TangentSample((0.1, -0.2, 0.3), (0.6, 0.7, -0.3)),
+               TangentSample((0.2, 0.1, -0.3), (0.0, 0.6, 0.8))]
+    map_samples(lambda at: geometry.berwald_curvature(m, at), samples)
+    for got, at in zip(_loop_partials(m, samples, "jacobi"), samples):
+        ref = jet_of_many(lambda xs, ys: geometry._spray_scalars(m, xs, ys),
+                          (at.x, at.y), (1, 2))
+        _assert_reads_equal(got, ref)
+        assert list(at.jets) == [("spray_partials", m, 1, 3),
+                                 ("Berwald curvature", m)]
 
 
 def test_fd_spray_jets_are_never_cut(monkeypatch):
@@ -443,58 +462,77 @@ def test_commands_build_each_samples_spray_jets_once_in_batches(
     _assert_built_once_in_batches(built, [(at.x, at.y) for at in samples])
 
 
+def _lone_partials(m, point, kx, ky):
+    """The spray partials a (kx, ky) read holds, from ``point``'s own
+    spray jets: one array per order, the component axis first."""
+    jets = geometry.spray_jets(m, TangentSample(*point), kx, ky)
+    return [_partials(jets, *o) for o in geometry._SPRAY_ORDERS
+            if o[0] <= kx and o[1] <= ky]
+
+
 @pytest.mark.parametrize("kx,ky", [(1, 2), (1, 3)])
 @pytest.mark.parametrize("name,n", [
     (name, n) for name in ("general_berwald", "funk_parallel", "klein",
                            "berwald_classic") for n in (2, 3)])
 def test_batched_spray_jets_equal_per_sample_jets(name, n, kx, ky):
     # one, part of one, exactly one, one and a bit, and two and a bit
-    # batches: every stored jet is the sample's batch of one, bit for bit
+    # batches of SPRAY_BATCH samples, then the edges of FD_BATCH: every
+    # sample's spray partials held in a loop are those of its own spray
+    # jets, its batch of one, bit for bit
     m = catalogue.entry(name, n=n).model
-    points = [(at.x, at.y)
-              for at in tangent_samples(n, 33, seed=13, radius=0.5)]
-    ref = [geometry.spray_jets(m, TangentSample(x, y), kx, ky)
-           for x, y in points]
-    for count in (1, 15, 16, 17, 33):
-        samples = [TangentSample(x, y) for x, y in points[:count]]
-        geometry.fill_spray_jets(m, samples, kx, ky)
-        for at, jets in zip(samples, ref):
-            got = at.jets[(m, kx, ky, "ad")]
-            assert len(got) == len(jets) == n
-            for a, b in zip(got, jets):
-                assert a.table.shape == b.table.shape
-                assert a.table.tobytes() == b.table.tobytes()
+    op = {2: geometry.nonlinear_connection, 3: geometry.berwald_curvature}[ky]
+    points = [(at.x, at.y) for at in tangent_samples(
+        n, FD_BATCH + 1, seed=13, radius=0.5)]
+    refs = [[(a.shape, a.tobytes()) for a in _lone_partials(m, p, kx, ky)]
+            for p in points]
+    for count in (1, 15, 16, 17, 33, FD_BATCH - 1, FD_BATCH, FD_BATCH + 1):
+        samples = [TangentSample(*p) for p in points[:count]]
+        map_samples(lambda at: op(m, at) if at is samples[0] else None,
+                    samples)
+        for at, ref in zip(samples, refs):
+            got = at.jets[("spray_partials", m, kx, ky)]
+            assert [(p.shape, p.tobytes()) for p in got] == ref
 
 
-def test_fill_spray_jets_leaves_a_failing_batch_and_non_finite_rows(
-        monkeypatch):
-    # a batch whose metric degenerates at one row stores None on each of
-    # its samples; a row whose jets are not finite gets None, the other
-    # rows their jets
+def test_a_failing_spray_batch_and_non_finite_rows_read_alone(monkeypatch):
+    # a batch of spray jets that raises leaves None on each sample of its
+    # fill, and a row with a non-finite jet entry None on its sample; those
+    # samples read alone, so each passes or fails with its own error
     m = catalogue.entry("general_berwald", n=2).model
     samples = tangent_samples(2, 20, seed=4, radius=0.5)
+    key = ("spray_partials", m, 1, 3)
     assemble = geometry._assemble_spray
 
-    def degenerate_in_first_batch(n, y, d):
-        if isinstance(y[0], taylor.TRows) and y[0].c.shape[1] == 16:
+    def at_target(y, target):  # the rows whose y is the target's
+        return np.equal(scalars.value(y[0]), target.y[0])
+
+    def degenerate(n, y, d):
+        if np.any(at_target(y, samples[3])):
             raise DegenerateMetric("forced")
         return assemble(n, y, d)
 
-    monkeypatch.setattr(geometry, "_assemble_spray", degenerate_in_first_batch)
-    geometry.fill_spray_jets(m, samples, 1, 3)
-    key = (m, 1, 3, "ad")
-    assert [at.jets[key] is None for at in samples] \
-        == [True] * 16 + [False] * 4
-
-    def nan_in_row_one(n, y, d):
+    def nan_entry(n, y, d):
         out = assemble(n, y, d)
-        out[0].c[1:, 1] = np.nan
+        out[0].c[1:, at_target(y, samples[1])] = np.nan
         return out
 
-    monkeypatch.setattr(geometry, "_assemble_spray", nan_in_row_one)
-    fresh = [TangentSample(at.x, at.y) for at in samples[:3]]
-    geometry.fill_spray_jets(m, fresh, 1, 3)
-    assert [at.jets[key] is None for at in fresh] == [False, True, False]
+    for patch, error in ((degenerate, DegenerateMetric),
+                         (nan_entry, NonFiniteValue)):
+        monkeypatch.setattr(geometry, "_assemble_spray", patch)
+        fresh = [TangentSample(at.x, at.y) for at in samples]
+        got = []
+        with pytest.raises(error) as err:
+            map_samples(lambda at: got.append(
+                geometry.berwald_curvature(m, at).components), fresh)
+        failing = samples[3] if patch is degenerate else samples[1]
+        assert str(err.value).endswith(f" at the sample {failing!r}")
+        held = [at.jets[key] is None for at in fresh]
+        assert held == ([True] * 20 if patch is degenerate
+                        else [False, True] + [False] * 18)
+        monkeypatch.setattr(geometry, "_assemble_spray", assemble)
+        for B, at in zip(got, fresh):
+            alone = geometry.berwald_curvature(m, TangentSample(at.x, at.y))
+            assert B.tobytes() == alone.components.tobytes()
 
 
 # Calls per sample and scheme of one pipeline pass.

@@ -206,8 +206,9 @@ def _euclidean_broken_at(target, kind):
 @pytest.mark.parametrize("command", ["scan", "check-parallel"])
 def test_a_failing_spray_jet_batch_fails_as_its_first_sample(
         command, kind, message, monkeypatch, capsys):
-    # the failing samples lie in the second batch of fill_spray_jets; the
-    # run must end as it does when every sample takes its own spray jets
+    # the failing samples lie in the second batch of the spray partials'
+    # energy jets; the run must end as it does when every sample takes its
+    # own spray jets
     if command == "scan":
         options = {"x-points": "3", "y-samples": "8"}  # 2 x 8 rows, then 8
         target = sampling.base_points(3, 3, 0, 0.6)[2]
@@ -217,11 +218,9 @@ def test_a_failing_spray_jet_batch_fails_as_its_first_sample(
     argv = [command, "--metric", "euclidean"] \
         + [a for k, v in options.items() for a in (f"--{k}", v)]
     monkeypatch.setattr(catalogue, "entry", _euclidean_broken_at(target, kind))
-    outcomes = []
-    for fill in (geometry.fill_spray_jets, lambda *args: None):
-        monkeypatch.setattr(geometry, "fill_spray_jets", fill)
-        rc = cli.main(argv)
-        outcomes.append((rc, capsys.readouterr().err))
+    outcomes = [(cli.main(argv), capsys.readouterr().err)]
+    _no_fills(monkeypatch)
+    outcomes.append((cli.main(argv), capsys.readouterr().err))
     assert outcomes[0] == outcomes[1]
     rc, err = outcomes[0]
     assert rc == 3 and err.startswith(message)
@@ -230,10 +229,9 @@ def test_a_failing_spray_jet_batch_fails_as_its_first_sample(
 
 
 def _no_fills(monkeypatch):
-    """Patch calculus.fill_jets, wherever it is bound, to a no-op, so each
-    sample takes its own jets in the per-sample loop."""
-    for module in (calculus, geometry):
-        monkeypatch.setattr(module, "fill_jets", lambda *args: None)
+    """Patch calculus.fill_jets to a no-op, so each sample takes its own
+    jets in the per-sample loop."""
+    monkeypatch.setattr(calculus, "fill_jets", lambda *args: None)
 
 
 @pytest.mark.parametrize("command,samples,broken", [

@@ -9,8 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from finslercheck import (calculus, catalogue, cli, forms, geometry,
-                          scalars, sphsym)
+from finslercheck import catalogue, cli, forms, geometry, scalars, sphsym
 from finslercheck.calculus import FD_BATCH, TangentSample, jet_of
 from finslercheck.errors import FinslerCheckError
 from finslercheck.expressions import compile_form
@@ -166,21 +165,24 @@ def test_stacked_ops_equal_the_per_sample_formulas(name, n):
         _assert_equal(_ops(m, omega, TangentSample(*p)), ref)
 
 
+def _held_partials(m, at, ky, order="C"):
+    """The rows of the (1, ky) spray partials a loop holds at ``at``, from
+    its own spray jets, in the memory ``order`` given."""
+    jets = geometry.spray_jets(m, TangentSample(at.x, at.y), 1, ky)
+    return [np.array([j.dense(*o) for j in jets], order=order)
+            for o in geometry._SPRAY_ORDERS if o[1] <= ky]
+
+
 def test_stacked_ops_take_non_contiguous_inputs():
-    # jets held with Fortran-ordered tables, and upstream tensors with
+    # spray partials held in Fortran order, and upstream tensors with
     # transposed components, give the same rows as contiguous ones
     m, omega = _model("general_berwald", 3), _form(3)
     points = _points(3, 17)
     refs = [_reference(m, omega, *p) for p in points]
     samples = [TangentSample(*p) for p in points]
     for at in samples:
-        for ky in (2, 3):
-            at.jets[(m, 1, ky, "ad")] = [
-                calculus.Jet(j.nvars, j.caps, np.asfortranarray(j.table),
-                             stair=j.stair)
-                for j in geometry.spray_jets(m, TangentSample(at.x, at.y),
-                                             1, ky)]
-        assert not at.jets[(m, 1, 3, "ad")][0].table.flags.c_contiguous
+        at.jets[("spray_partials", m, 1, 3)] = _held_partials(m, at, 3, "F")
+        assert not at.jets[("spray_partials", m, 1, 3)][3].flags.c_contiguous
     for got, ref in zip(map_samples(lambda at: _ops(m, omega, at), samples),
                         refs):
         _assert_equal(got, ref)
@@ -225,21 +227,27 @@ def test_curvature_R_takes_the_orientation_of_each_rows_phi():
     assert _bits(R.components) == _bits(-refs[0]["curvature_R"][0])
 
 
-def test_stacked_ops_take_held_jets_of_two_layouts():
-    # every other sample holds (1, 3) jets under its (1, 2) key, the
-    # others (1, 2) jets: the gather reads them jet by jet
+def test_stacked_ops_take_held_partials_of_two_tiers():
+    # every other sample holds (1, 3) spray partials, the others (1, 2)
+    # ones: each (1, 2) read takes the rows its sample holds
     m, omega = _model("klein", 3), _form(3)
     points = _points(3, 17)
     refs = [_reference(m, omega, *p) for p in points]
     samples = [TangentSample(*p) for p in points]
-    for i, at in enumerate(samples):
-        at.jets[(m, 1, 2, "ad")] = geometry.spray_jets(
-            m, TangentSample(at.x, at.y), 1, 3 if i % 2 else 2)
-    assert len({j.layout for at in samples
-                for j in at.jets[(m, 1, 2, "ad")]}) == 2
-    for got, ref in zip(map_samples(lambda at: _ops(m, omega, at), samples),
-                        refs):
-        _assert_equal(got, ref)
+    tiers = [3 if i % 2 else 2 for i in range(len(samples))]
+    for at, ky in zip(samples, tiers):
+        at.jets[("spray_partials", m, 1, ky)] = _held_partials(m, at, ky)
+    names = ("nonlinear_connection", "berwald_connection",
+             "jacobi_endomorphism")
+    got = map_samples(lambda at: [getattr(geometry, name)(m, at)
+                                  for name in names], samples)
+    for tensors, ref in zip(got, refs):
+        for name, t in zip(names, tensors):
+            assert _bits((t.components, t.notes["euler_residual"])) \
+                == _bits(ref[name]), name
+    # nothing else was taken: each sample holds the tier it held before
+    assert [[key[-1] for key in at.jets if key[0] == "spray_partials"]
+            for at in samples] == [[ky] for ky in tiers]
 
 
 def test_each_stacked_body_runs_once_per_batch(monkeypatch):
