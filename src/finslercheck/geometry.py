@@ -368,8 +368,8 @@ def _spray_partials(m, part, tier, scheme):
     def read(jets):  # component axis first, then the order's, rows last
         return [np.array([j.dense(*o) for j in jets]) for o in orders]
 
-    def gather(sub):
-        if len(sub) == 1:
+    def gather(sub):  # a lone read: no loop, FD, or a batch that left None
+        if key is None or sub[0].batch is None or key in sub[0].jets:
             return [p[..., None]
                     for p in read(spray_jets(m, sub[0], kx, ky, scheme))]
         size = FD_BATCH if m.F is None else SPRAY_BATCH

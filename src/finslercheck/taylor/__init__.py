@@ -38,6 +38,15 @@ functions, and with it their rounding); the dropped slots are never
 written and stay zero.  The geometry pipeline keeps its energy and spray
 jets on the staircases the tensor ops read.
 
+A series also carries a *structural support*: the per-block total-degree
+cells where it may be nonzero (an int bitmask, None for all), always with
+the constant cell.  A multiply takes only the box's triples of cells in
+the supports, in box order (:meth:`Algebra.live`; Griewank & Walther ch.
+13 on sparsity), and gives the box's result bit for bit: ``bincount`` sums
+each bin from +0.0 in triple order, and a dropped product of finite
+factors is +-0.  A non-finite factor reaches the output through the
+constant cell's triples, so a product that is not finite is redone.
+
 A series is a :class:`TRows`, a batch of series of one algebra, one per
 row, carried through one pipeline (vector-mode Taylor propagation,
 Griewank & Walther ch. 13); a lone series is a batch of one.  Its
@@ -152,8 +161,15 @@ class Algebra:
         self.kept = None if stair is None else np.array(
             [self.keeps((sum(m0), sum(m1)))
              for m0 in self.monos[0] for m1 in self.monos[1]])
+        # total-degree cell of each slot, one mixed-radix digit per block
+        self.cell = np.zeros(1, dtype=np.intp)
+        for ms, (_, cap) in zip(self.monos, blocks):
+            self.cell = np.add.outer(self.cell * (cap + 1),
+                                     [sum(m) for m in ms]).ravel()
+        self.ncells = math.prod(c + 1 for _, c in blocks)
         self._tables = None
-        self._row_bins = (0, None)
+        self._bins = (0, None, None)
+        self._live = {}
         self._partial_maps = {}
 
     def keeps(self, degrees):
@@ -183,23 +199,49 @@ class Algebra:
         return self._tables
 
     def row_bins(self, rows):
-        """The kernel's output bins for ``rows`` series at once, with the
-        row axis last: each triple's output slot times ``rows``, plus its
-        row.  Only the last row count's bins are cached: a batch runs all
-        its multiplies at one row count, so they are built about once per
-        batch, where one array per row count would hold up to
-        ``calculus.STENCIL_BATCH`` of them for good."""
-        if self._row_bins[0] != rows:
-            oo = self.tables()[2]
-            self._row_bins = (rows,
-                              (oo[:, None] * rows + np.arange(rows)).ravel())
-        return self._row_bins[1]
+        """The box's output bins at ``rows`` series (:meth:`live`)."""
+        return self.live(None, None, rows)[2]
+
+    def live(self, sa, sb, rows):
+        """(ii, jj, bins, support) of a multiply of ``rows`` series with
+        supports ``sa`` and ``sb``: the box's triples whose operand cells
+        lie in the supports, their bins and the product's support, cached
+        per support pair.  A pair that keeps over half of the triples takes
+        the box's and None: it saves less than its table and bins cost.
+
+        The bins hold each triple's output slot times ``rows``, plus its
+        row.  Only the box's and every slot's at the last row count are
+        cached: a batch runs all its multiplies at one row count, where one
+        array per row count would hold up to ``calculus.STENCIL_BATCH`` of
+        them for good."""
+        entry = self._live.get((sa, sb))
+        if entry is None:
+            ii, jj, oo = self.tables()
+            entry = ii, jj, oo, None
+            ina, inb = (np.array([s is None or s >> k & 1 for k in range(
+                self.ncells)], dtype=bool) for s in (sa, sb))
+            keep = ina[self.cell[ii]] & inb[self.cell[jj]]
+            if 2 * np.count_nonzero(keep) <= len(keep):
+                # a boolean scatter, where np.unique would import numpy.ma
+                hit = np.zeros(self.ncells, dtype=bool)
+                hit[self.cell[oo[keep]]] = True
+                entry = (ii[keep], jj[keep], oo[keep],
+                         sum(1 << int(k) for k in np.flatnonzero(hit)))
+            self._live[sa, sb] = entry
+        ii, jj, oo, support = entry
+        bins = self._bins  # read once: another thread may replace it
+        if bins[0] != rows:
+            slots = np.arange(self.size * rows).reshape(self.size, rows)
+            bins = self._bins = (rows, slots,
+                                 slots.take(self.tables()[2], 0).ravel())
+        return (ii, jj, bins[2] if support is None
+                else bins[1].take(oo, 0).ravel(), support)
 
     def partial_map(self, multi, target):
-        """(source index, weight column, target slots) for the partial
-        derivative with per-block exponent tuples ``multi``: the target
-        slots are ``None`` for a box target, else the kept ones, which the
-        source index and weight list in order.
+        """(source index, weight column, target slots, cell pairs) for the
+        partial d^``multi`` (per-block exponent tuples): the target slots
+        are ``None`` for a box target, else the kept ones, which the source
+        index and weight list in order; a pair is (target, source) cells.
 
         The coefficient of monomial m in d^multi p is (m + multi)!/m! times
         the coefficient of m + multi in p.  ``target`` must have the same
@@ -229,14 +271,16 @@ class Algebra:
                 idx = (idx[:, None] * self.sizes[bi] + np.asarray(src)).ravel()
                 w = np.multiply.outer(w, np.asarray(wb, dtype=float)).ravel()
             pos = None
+            cells = target.cell
             if target.kept is not None:
                 pos = np.flatnonzero(target.kept)
-                idx, w = idx[pos], w[pos]
+                idx, w, cells = idx[pos], w[pos], cells[pos]
             if self.kept is not None and not self.kept[idx].all():
                 raise ValueError(f"partial {multi} into {target.blocks} "
                                  f"reads coefficients outside the stair "
                                  f"{self.stair}")
-            maps = self._partial_maps[key] = (idx, w[:, None], pos)
+            pairs = set(zip(cells.tolist(), self.cell[idx].tolist()))
+            maps = self._partial_maps[key] = (idx, w[:, None], pos, pairs)
         return maps
 
     # -- constructor -------------------------------------------------------
@@ -255,7 +299,8 @@ class Algebra:
                                     for bi, (n, _) in enumerate(self.blocks)])
             if self.kept is None or self.kept[flat]:
                 c[flat] = 1.0
-        return TRows(self, c)
+                return TRows(self, c, 1 | 1 << int(self.cell[flat]))
+        return TRows(self, c, 1)
 
     def flat_index(self, multi):
         """Flattened coefficient index of per-block exponent tuples."""
@@ -373,6 +418,7 @@ class TRows:
     Supports +, -, *, /, ** with other TRows of the same algebra and row
     count and with plain numbers or per-row arrays, plus the analytic
     functions needed by the metric catalogue (sqrt/exp/log/sin/cos/abs).
+    ``support`` is the structural support, None from a raw array.
     Row r of every result equals, bit for bit, the batch of one computed
     from row r alone: the kernel sums each row's triples in one fixed
     order, the other ring operations are elementwise, and the derivative
@@ -381,12 +427,13 @@ class TRows:
     real domain raise :class:`NonFiniteValue`, the first failing row's own.
     """
 
-    __slots__ = ("alg", "c")
+    __slots__ = ("alg", "c", "support")
     __array_ufunc__ = None  # keep numpy from broadcasting over us
 
-    def __init__(self, alg, c):
+    def __init__(self, alg, c, support=None):
         self.alg = alg
         self.c = c
+        self.support = support
 
     def value(self):
         return self.c[0]
@@ -394,7 +441,7 @@ class TRows:
     def _constant(self, v):
         c = np.zeros(self.c.shape)
         c[0] = v
-        return TRows(self.alg, c)
+        return TRows(self.alg, c, 1)
 
     def __float__(self):
         raise TypeError("TRows carries derivatives; use scalars.value() "
@@ -412,47 +459,54 @@ class TRows:
             return other
         return None
 
+    def _union(self, o):
+        return None if None in (self.support, o.support) \
+            else self.support | o.support
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is not None:
-            return TRows(self.alg, self.c + o.c)
+            return TRows(self.alg, self.c + o.c, self._union(o))
         c = self.c.copy()
         c[0] += other
-        return TRows(self.alg, c)
+        return TRows(self.alg, c, self.support)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TRows(self.alg, -self.c)
+        return TRows(self.alg, -self.c, self.support)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is not None:
-            return TRows(self.alg, self.c - o.c)
+            return TRows(self.alg, self.c - o.c, self._union(o))
         c = self.c.copy()
         c[0] -= other
-        return TRows(self.alg, c)
+        return TRows(self.alg, c, self.support)
 
     def __rsub__(self, other):
         c = -self.c
         c[0] += other
-        return TRows(self.alg, c)
+        return TRows(self.alg, c, self.support)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            return TRows(self.alg, self.c * other)
-        ii, jj, _ = self.alg.tables()
-        return TRows(self.alg, _backend.mul_accumulate(
-            ii, jj, self.alg.row_bins(self.c.shape[1]), self.c, o.c,
-            self.alg.size))
+            return TRows(self.alg, self.c * other, self.support)
+        # a product that is not finite is taken again on the box's triples
+        for pair in ((self.support, o.support), (None, None)):
+            ii, jj, bins, support = self.alg.live(*pair, self.c.shape[1])
+            c = _backend.mul_accumulate(ii, jj, bins, self.c, o.c,
+                                        self.alg.size)
+            if support is None or math.isfinite(c.sum()):
+                return TRows(self.alg, c, support)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            return TRows(self.alg, self.c / other)
+            return TRows(self.alg, self.c / other, self.support)
         return self * o._reciprocal()
 
     def __rtruediv__(self, other):
@@ -483,8 +537,10 @@ class TRows:
 
     def _compose(self, derivs):
         """sum_k derivs[k]/k! * (self - value)^k, Horner-evaluated
-        row-wise, ``derivs[k]`` holding one value per row."""
-        e = TRows(self.alg, self.c.copy())
+        row-wise, ``derivs[k]`` holding one value per row.  At a non-finite
+        value, a zeroed value would hide its row from the multiply's check."""
+        e = TRows(self.alg, self.c.copy(), self.support if math.isfinite(
+            self.c[0].sum()) else None)
         e.c[0] = 0.0
         acc = self._constant(derivs[-1] / math.factorial(len(derivs) - 1))
         for k in range(len(derivs) - 2, -1, -1):
@@ -512,19 +568,22 @@ class TRows:
     def absolute(self):
         # non-differentiable at 0; callers sample away from the crease.
         # Negated unless value >= 0, so a NaN row is negated too
-        return TRows(self.alg, np.where(self.value() >= 0.0, self.c, -self.c))
+        return TRows(self.alg, np.where(self.value() >= 0.0, self.c, -self.c),
+                     self.support)
 
     # -- derivative shift ----------------------------------------------------
 
     def partial(self, multi, target):
         """The partial derivative d^multi of each row (per-block exponent
         tuples), as rows of the smaller algebra ``target``."""
-        idx, w, pos = self.alg.partial_map(multi, target)
+        idx, w, pos, pairs = self.alg.partial_map(multi, target)
+        s = self.support and 1 | sum(1 << t for t, c in pairs
+                                     if self.support >> c & 1)
         if pos is None:
-            return TRows(target, self.c[idx] * w)
+            return TRows(target, self.c[idx] * w, s)
         c = np.zeros((target.size, self.c.shape[1]))
         c[pos] = self.c[idx] * w
-        return TRows(target, c)
+        return TRows(target, c, s)
 
     # -- coefficient access --------------------------------------------------
 

@@ -4,7 +4,8 @@ over an algebra's precomputed sparse index triples, as one numpy
 row axis last: the gathers take whole coefficient rows, and ``oo`` holds
 the flattened bins ``oo * rows + r`` of every row r (cached on the
 algebra, ``Algebra.row_bins``), so each row sums its triples in the same
-order at any row count.
+order at any row count.  The triples are the box's, or those that the
+operands' structural supports keep (``Algebra.live``).
 
 A batch gathers its two ``(triples, rows)`` operands into a work area
 that the kernel keeps, grown to the largest pair of gathers seen.  Fresh

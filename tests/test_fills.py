@@ -101,6 +101,20 @@ def test_a_loop_keeps_spray_partials_not_spray_jets():
         assert not [key for key in at.jets if key[0] is m and key[-1] == "ad"]
 
 
+def test_the_last_sample_of_a_loop_of_one_more_than_a_fill_is_a_batch():
+    # a loop of FD_BATCH + 1 samples fills its last sample as a part of
+    # one: it holds the rows of a batch of one and no spray jet, and its
+    # tensors are those of the sample read alone, bit for bit
+    m = catalogue.entry("general_berwald", n=3).model
+    samples = _fresh(_points(3, FD_BATCH + 1))
+    got = map_samples(lambda at: cli._pass(m, at, "ad")[0], samples)[-1]
+    assert not [at for at in samples if (m, 1, 3, "ad") in at.jets]
+    last = samples[-1]
+    want = cli._pass(m, TangentSample(last.x, last.y), "ad")[0]
+    assert {k: _bits(v.components) for k, v in got.items()} \
+        == {k: _bits(v.components) for k, v in want.items()}
+
+
 @pytest.mark.parametrize("name,n", CATALOGUE)
 def test_spray_values_fill_as_each_scales_own_spray(name, n):
     m = catalogue.entry(name, n=n).model

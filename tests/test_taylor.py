@@ -669,3 +669,188 @@ def test_batched_multiplies_fault_in_no_fresh_pages():
     out = subprocess.run([sys.executable, "-c", code, src], check=True,
                          capture_output=True, text=True).stdout
     assert int(out) < 50
+
+
+# -- structural supports --------------------------------------------------------
+# A series carries the degree cells where it may be nonzero, and a multiply
+# takes only the box's triples of those cells.  Every result must equal the
+# box's bit for bit, with finite and with non-finite coefficients.
+
+# (source algebra, d/dx0 into the target algebra): a box and the (3, 1) and
+# (5, 4, 2) staircases, each target keeping the cells its partial reads
+SUPPORT_CASES = {
+    "box": ((((2, 1), (2, 2)), None), (((2, 0), (2, 2)), None)),
+    "stair31": ((((3, 1), (3, 3)), (3, 1)), (((3, 0), (3, 3)), (1,))),
+    "stair542": ((((3, 2), (3, 5)), (5, 4, 2)), (((3, 1), (3, 5)), (4, 2))),
+}
+SUPPORT_ROWS = (1, 16, 64)
+
+
+def _boxed(monkeypatch):
+    """Every multiply takes the box's triples, as if each support were
+    None."""
+    live = taylor.Algebra.live
+    monkeypatch.setattr(taylor.Algebra, "live", lambda alg, sa, sb, rows:
+                        live(alg, None, None, rows))
+
+
+def _variables(alg, rows, rng):
+    return [alg.variable(b, v, rng.uniform(0.5, 1.5, rows))
+            for b, (n, _) in enumerate(alg.blocks) for v in range(n)]
+
+
+# the program's steps on two series of the pool, every value inside the
+# domains of sqrt, log and the reciprocal
+STEPS = (
+    lambda a, b: a + b,
+    lambda a, b: a - b,
+    lambda a, b: a * b,
+    lambda a, b: a ** 2,
+    lambda a, b: b ** 3,
+    lambda a, b: (a * a + 1.0).sqrt(),
+    lambda a, b: (a * 0.25).exp(),
+    lambda a, b: (a * a + b * b + 1.0).log() * 3.0,
+    lambda a, b: 1.0 / (b * b + 0.5),
+)
+
+
+def _program(case, rows, seed):
+    """Seeded random sums, products, integer powers and compositions of
+    seeded variables, then the partial of each into the target algebra
+    times one of its variables."""
+    (blocks, stair), (tblocks, tstair) = SUPPORT_CASES[case]
+    alg, target = algebra(blocks, stair), algebra(tblocks, tstair)
+    rng = np.random.default_rng(seed)
+    pool = _variables(alg, rows, rng)
+    for _ in range(12):
+        a, b = (pool[k] for k in rng.integers(len(pool), size=2))
+        pool.append(STEPS[rng.integers(len(STEPS))](a, b))
+    u = target.variable(1, 0, rng.uniform(0.5, 1.5, rows))
+    d = ((1,) + (0,) * (blocks[0][0] - 1), (0,) * blocks[1][0])
+    return pool + [t.partial(d, target) * u for t in pool]
+
+
+def _outside(t):
+    """The coefficients of ``t`` outside its support."""
+    if t.support is None:
+        return t.c[:0]
+    return t.c[[not t.support >> int(k) & 1 for k in t.alg.cell]]
+
+
+@pytest.mark.parametrize("rows", SUPPORT_ROWS)
+@pytest.mark.parametrize("case", SUPPORT_CASES)
+def test_supported_products_equal_the_box_products_bit_for_bit(
+        case, rows, monkeypatch):
+    got = [_program(case, rows, seed) for seed in range(4)]
+    alg = algebra(*SUPPORT_CASES[case][0])
+    assert any(support is not None for *_, support in alg._live.values()), \
+        "no multiply dropped a triple"
+    for results in got:
+        assert all(t.support is not None for t in results[:len(alg.blocks)])
+        for t in results:
+            assert not _outside(t).any()
+    _boxed(monkeypatch)
+    for seed, results in enumerate(got):
+        want = _program(case, rows, seed)
+        assert all(_same_bits(t.c, w.c) for t, w in zip(results, want))
+
+
+def _poisoned(way, case, rows, seed):
+    """Products and an exp of a series made non-finite in one row: its
+    value or a live slot set to NaN or inf, or a scalar multiply by inf or
+    a division by 0.0.  The poisoned series is the partial d/dx0 of a
+    series of block 1 only, so no cell of it lies in its block-0 source."""
+    (blocks, stair), (tblocks, tstair) = SUPPORT_CASES[case]
+    alg, target = algebra(blocks, stair), algebra(tblocks, tstair)
+    rng = np.random.default_rng(seed)
+    y = alg.variable(1, 0, rng.uniform(0.5, 1.5, rows))
+    d = ((1,) + (0,) * (blocks[0][0] - 1), (0,) * blocks[1][0])
+    p = ((y * y + 3.0) * y).partial(d, target)
+    u, v = _variables(target, rows, rng)[-2:]
+    row = rows // 2
+    bad = np.ones(rows)
+    if way == "value":
+        p.c[0, row] = np.nan
+    elif way == "live":
+        u.c[target.flat_index([(0,) * tblocks[0][0],
+                               (0,) * (tblocks[1][0] - 1) + (1,)]), row] = \
+            np.inf
+    bad[row] = {"scalar_inf": np.inf, "div_zero": 0.0}.get(way, 1.0)
+    poison = (lambda t: t / bad) if way == "div_zero" else (lambda t: t * bad)
+    p = poison(p)
+    q = p * u
+    # exp at -inf: a constant made non-finite past its value, whose
+    # derivatives are all 0
+    return [q, (p + v) * (u * v), q * q, (u * v) ** 3 * p, (q * 0.5).exp(),
+            (-poison(u ** 0)).exp() * v]
+
+
+@pytest.mark.parametrize("rows", SUPPORT_ROWS)
+@pytest.mark.parametrize("case", SUPPORT_CASES)
+@pytest.mark.parametrize("way", ["value", "live", "scalar_inf", "div_zero"])
+def test_non_finite_coefficients_give_the_box_products_bit_for_bit(
+        way, case, rows, monkeypatch):
+    with np.errstate(all="ignore"):
+        got = _poisoned(way, case, rows, 5)
+        _boxed(monkeypatch)
+        want = _poisoned(way, case, rows, 5)
+    assert not all(np.isfinite(t.c).all() for t in want)
+    assert all(_same_bits(t.c, w.c) for t, w in zip(got, want))
+
+
+def test_threads_at_other_row_counts_each_get_their_own_products():
+    # the box's bins and every slot's are cached for one row count at a
+    # time, so threads multiplying at different row counts replace them
+    # while the others read
+    alg = algebra(*SUPPORT_CASES["stair542"][0])
+    start = threading.Barrier(4)
+    wrong = []
+
+    def products(rows):
+        x, y = _variables(alg, rows, np.random.default_rng(rows))[2:4]
+        return [x * y, (x + y) * y, (x * x) * (y * x)]
+
+    def work(rows, refs):
+        start.wait()
+        for _ in range(25):
+            try:
+                got = products(rows)
+            except ValueError as exc:  # bins of another row count
+                wrong.append(exc)
+                continue
+            if not all(_same_bits(t.c, r.c) for t, r in zip(got, refs)):
+                wrong.append(rows)
+
+    threads = [threading.Thread(target=work, args=(rows, products(rows)))
+               for rows in (1, 7, 16, 64)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_a_scan_pass_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique would import numpy.ma, about 1 MiB of resident memory
+    src = str(Path(taylor.__file__).resolve().parents[2])
+    code = """if True:
+        import contextlib, io, sys
+        sys.path.insert(0, sys.argv[1])
+        from finslercheck import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["scan", "--metric", "general_berwald",
+                           "--a", "0.1,0.05,0", "--x-points", "6",
+                           "--y-samples", "20", "--seed", "0",
+                           "--out", sys.argv[2]])
+        print(rc, "numpy.ma" in sys.modules)
+    """
+    out = subprocess.run([sys.executable, "-c", code, src,
+                          str(tmp_path / "scan.json")], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "False"]
