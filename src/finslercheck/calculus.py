@@ -9,11 +9,11 @@ jet of total order k, because a fixed first-derivative step loses all
 accuracy beyond second order.  It differentiates a vector-valued field as
 a whole: within one jet each distinct stencil point is evaluated once, for
 all components and all partials.  One Richardson walk, run as array steps
-over all partials of a depth at once, lays out the jet's stencil and then
-combines the values of its distinct points, each entry bit for bit that of
-a point-by-point recursion.  A field that can take many points at once
-(the spray of a metric) evaluates the points as batches of Taylor rows
-(:func:`jet_of_rows`), each row bit for bit the result at that point
+over all partials of a depth and all rows at once, lays out the stencils
+and then combines the values of their distinct points, each entry bit for
+bit that of a point-by-point recursion.  A field that can take many points
+at once (the spray of a metric) evaluates the points as batches of Taylor
+rows (:func:`jet_of_rows`), each row bit for bit the result at that point
 alone; an error names the first failing point.
 
 Fields are ordinary callables ``f(x, y)`` taking sequences of scalars and
@@ -29,9 +29,9 @@ shifts of one flat energy jet, whose series an AD :class:`Jet` keeps as
 :mod:`finslercheck.taylor`, ``jet_of(..., stair=...)``): a read outside
 the stair raises KeyError instead of returning a partial never computed.
 
-Every AD jet is a jet of Taylor rows.  In a per-sample loop the first
-read of a jet takes it for every sample of the loop; a lone read takes it
-for a batch of one (:func:`held`; ``jet`` composed with ``vmap`` in
+Every jet, AD or FD, is a jet of rows.  In a per-sample loop the first
+read of a jet takes it for every sample of the loop, and a sample outside
+a loop is a loop of one (:func:`held`; ``jet`` composed with ``vmap`` in
 Bettencourt, Johnson & Duvenaud 2019, where one point is a batch of one).
 """
 
@@ -55,9 +55,9 @@ MAX_KY = 4
 # batch's memory.
 FD_BATCH = 64
 
-# Stencil points per batch of Taylor rows in an FD jet: its many small
-# batches cost more in per-batch work than in memory.
-STENCIL_BATCH = 256
+# Stencil points per batch of Taylor rows in an FD jet; the stencils of
+# all of a jet's rows fill its batches, so this bounds their memory.
+STENCIL_BATCH = 192
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,11 @@ class TangentSample:
     """A base point x with a nonzero fiber vector y, both float
     coordinates; jets seed their own Taylor variables at the sample.
     ``jets`` holds what was computed or filled at the sample, so it lives
-    exactly as long as the sample: the spray jets of a lone or FD read
-    keyed by (model, kx, ky, scheme); the AD jets of a field's components
-    keyed by (field, kx, ky, "ad"); and arrays an op reads or computes,
-    spray partials among them (:func:`held`); None where the sample's
-    batch failed, so that a read takes it as a batch of one.  ``batch`` is
-    the list a per-sample loop is walking, else None."""
+    exactly as long as the sample (:func:`held`): a field's jets keyed by
+    (field, kx, ky, scheme), spray partials by ("spray_partials", model,
+    kx, ky, scheme), an op's arrays by its name, inputs and scheme; None
+    where the sample's batch failed, so that a read takes it as a batch of
+    one.  ``batch`` is the list a per-sample loop is walking, else None."""
 
     __slots__ = ("x", "y", "jets", "batch")
 
@@ -316,7 +315,8 @@ def jet_of_rows(fn, groups, caps):
 
 
 def jet_of(fn, groups, caps, scheme="ad", *, stair=None):
-    """Jet of ``fn(*groups)`` with one total-degree cap per group.
+    """Jet of ``fn(*groups)`` with one total-degree cap per group, at
+    floats or at per-row float arrays (a jet of rows, the row axis last).
 
     The generic entry point behind :func:`eval_jet`; also used directly for
     (r, s)-profile derivatives and 1-form coefficient derivatives.  An AD
@@ -353,28 +353,26 @@ def jet_of_many(fn, groups, caps, scheme="ad", *, rows=None):
 
 def eval_jet(f, at, order, scheme="ad"):
     """All mixed partials of the scalar field ``f`` at ``at`` up to
-    ``order`` (a :class:`JetOrder`); under AD the jet :func:`held` under
-    ``(f, kx, ky, "ad")``.  Raises NonFiniteValue when the field or any
-    partial is NaN/inf there."""
+    ``order`` (a :class:`JetOrder`): the jet :func:`held` under ``(f, kx,
+    ky, scheme)``.  Raises NonFiniteValue when the field or any partial is
+    NaN/inf there."""
     if not isinstance(order, JetOrder):
         order = JetOrder(*order)
     caps = (order.kx, order.ky)
-    if scheme == "ad":
-        return held(at, (f, *caps, "ad"), lambda part: [
-            jet_of(f, coordinates(part), caps)])[0]
-    return jet_of(lambda x, y: f(x, y), (at.x, at.y), caps, scheme=scheme)
+    return held(at, (f, *caps, scheme), lambda part: [
+        jet_of(f, coordinates(part), caps, scheme)])[0]
 
 
 def held(at, key, rows, batch=FD_BATCH):
-    """The sample ``at``'s row of ``rows(part)``, a list of jets of Taylor
-    rows or arrays with the row axis last, on lists ``part`` of samples:
-    the first read of ``key`` in a per-sample loop fills every sample of
-    the loop (``at.batch``) with its row (:func:`fill_jets`), and later
-    reads return it.  A sample that holds nothing usable (no loop, a key
-    of None, or its batch failed) takes row 0 of ``rows([at])``, its batch
-    of one, so its own error propagates."""
-    if at.batch is not None and key is not None and key not in at.jets:
-        fill_jets(at.batch, key, rows, batch)
+    """The sample ``at``'s row of ``rows(part)``, a list of jets of rows or
+    arrays with the row axis last, on lists ``part`` of samples: the first
+    read of ``key`` fills every sample of the loop ``at.batch`` with its
+    row (:func:`fill_jets`), and later reads return it; a sample outside a
+    loop is a loop of one.  A sample that holds nothing usable (a key of
+    None, or its batch failed) takes row 0 of ``rows([at])``, its batch of
+    one, so its own error propagates."""
+    if key is not None and key not in at.jets:
+        fill_jets(at.batch or [at], key, rows, batch)
     out = at.jets.get(key)
     return _row(rows([at]), 0) if out is None else out
 
@@ -413,11 +411,18 @@ def fill_jets(samples, key, rows, batch=FD_BATCH):
             out = rows(part)
         except FinslerCheckError:
             out = None
-        finite = [False] * len(part) if out is None else np.logical_and.reduce(
-            [np.isfinite(getattr(o, "table", o)).reshape(-1, len(part)).all(0)
-             for o in out]).tolist()
+        finite = [False] * len(part) if out is None \
+            else finite_rows(out).tolist()
         for r, (at, ok) in enumerate(zip(part, finite)):
             at.jets[key] = _row(out, r) if ok else None
+
+
+def finite_rows(out):
+    """Whether each row of the outputs ``out`` of a rows function (jets of
+    rows or arrays, the row axis last) is finite."""
+    tables = [getattr(o, "table", o) for o in out]
+    return np.logical_and.reduce([np.isfinite(t).reshape(-1, t.shape[-1])
+                                  .all(0) for t in tables])
 
 
 # ---------------------------------------------------------------------------
@@ -521,54 +526,68 @@ def _fd_plan(nvars, caps):
 def _fd_jets(fn, groups, caps, rows=None):
     """Per-component jets of the vector field ``fn`` by finite differences
     (nested central differences with Richardson extrapolation, the last
-    variable of a partial outermost).  Every partial uses the step of the
-    jet's total order.  One walk runs as array steps over all partials of
-    one depth at once: it expands the stencil one variable at a time, at
-    offsets h, -h, h/2, -h/2 with h = h0 (1 + |z_v|) at each point, so the
-    leaves come out in the order a point-by-point walk visits them.  The
-    distinct leaves, by their exact bits, are evaluated once each for all
-    components and partials, in first-visit order (through ``rows`` when
-    given), and the walk's levels combine the values bottom up.  Every
-    step is elementwise IEEE arithmetic, so each entry is bit for bit that
-    of the point-by-point recursion."""
+    variable of a partial outermost) at per-row float arrays, rows last; at
+    a float point, those of its batch of one, as jets of floats.  Every
+    partial uses the step of the jet's total order.  One walk runs as array
+    steps over all partials of one depth and all rows at once: it expands
+    the stencil one variable at a time, at offsets h, -h, h/2, -h/2 with
+    h = h0 (1 + |z_v|) at each point, so each row's leaves come out in the
+    order a point-by-point walk visits them.  Each row's distinct leaves,
+    by their exact bits, are evaluated once for all components and
+    partials, in first-visit order, all rows' in one call (through
+    ``rows`` when given), and the walk's levels combine the values bottom
+    up.  Every step is elementwise IEEE arithmetic, so each entry is bit
+    for bit that of the point-by-point recursion."""
+    if not any(isinstance(v, np.ndarray) for g in groups for v in g):
+        return [jet.row(0) for jet in _fd_jets(
+            fn, [[np.reshape(v, 1) for v in g] for g in groups], caps, rows)]
     nvars = tuple(len(g) for g in groups)
     shape, depths, order = _fd_plan(nvars, tuple(caps))
-    flat = np.array([float(v) for g in groups for v in g])
+    flat = np.array([v for g in groups for v in g], dtype=float).T
+    nrows = len(flat)
     h0 = fd_step(max(sum(caps), 1))
     leaves, steps = [], []
-    for members, levels in depths:
-        z = np.tile(flat, (len(members), 1))
+    for members, levels in depths:  # points of a row on axis 1
+        z = np.repeat(flat[:, None], len(members), axis=1)
         hs = []
         for read, write in levels:
-            at = z.take(read)
+            at = z.reshape(nrows, -1)[:, read]
             h = h0 * (1.0 + np.abs(at))
-            z = np.repeat(z, 4, axis=0)
-            z.put(write, (at[:, None] + np.stack(
-                (h, -h, h / 2.0, -h / 2.0), axis=1)).ravel())
-            hs.append(h[:, None])
+            z = np.repeat(z, 4, axis=1)
+            z.reshape(nrows, -1)[:, write] = (at[..., None] + np.stack(
+                (h, -h, h / 2.0, -h / 2.0), axis=-1)).reshape(nrows, -1)
+            hs.append(h[..., None])
         leaves.append(z)
         steps.append(hs)
-    visit = np.concatenate(leaves)[order]
-    keys = visit.view(np.dtype((np.void, visit.itemsize * visit.shape[1])))
-    keys = keys.ravel().tolist()
-    # the distinct points' exact bits, in first-visit order, to their row
-    index = dict(zip(dict.fromkeys(keys), count()))
-    points = np.frombuffer(b"".join(index)).reshape(len(index), -1)
+    ends = np.cumsum([z.shape[1] for z in leaves])
+    points, where = [], []
+    for r in range(nrows):
+        visit = np.concatenate([z[r] for z in leaves])[order]
+        keys = visit.view(np.dtype((np.void, visit.itemsize * visit.shape[1])))
+        keys = keys.ravel().tolist()
+        # the row's distinct points' exact bits, in first-visit order, to
+        # their row in all rows' points
+        index = dict(zip(dict.fromkeys(keys), count(sum(map(len, points)))))
+        points.append(np.frombuffer(b"".join(index)).reshape(len(index), -1))
+        where.append(np.fromiter(map(index.__getitem__, keys), np.intp,
+                                 len(keys)))
+    # the field values of all rows are taken without the stencils' layout
+    del leaves, visit, keys, index
+    points = np.concatenate(points)
     values = _field_values(fn, nvars, points, rows)
-    leaf_values = np.empty((len(visit), values.shape[1]))
-    leaf_values[order] = values[np.fromiter(map(index.__getitem__, keys),
-                                            np.intp, len(keys))]
-    table = np.empty((math.prod(shape), values.shape[1]))
-    ends = np.cumsum([len(z) for z in leaves])
-    for (members, _), hs, v in zip(depths, steps,
-                                   np.split(leaf_values, ends[:-1])):
+    ncomp = values.shape[1]
+    leaf_values = np.empty((nrows, len(order), ncomp))
+    leaf_values[:, order] = values[np.array(where)]
+    table = np.empty((nrows, math.prod(shape), ncomp))
+    for (members, _), hs, v in zip(depths, steps, np.split(
+            leaf_values, ends[:-1], axis=1)):
         for h in reversed(hs):
-            a, b, c, d = v.reshape(-1, 4, v.shape[1]).transpose(1, 0, 2)
+            a, b, c, d = v.reshape(nrows, -1, 4, ncomp).transpose(2, 0, 1, 3)
             d_h = (a - b) / (2.0 * h)
             d_h2 = (c - d) / h
             v = (4.0 * d_h2 - d_h) / 3.0
-        table[members] = v
-    table = table.T.reshape((-1,) + shape)
+        table[:, members] = v
+    table = table.transpose(2, 1, 0).reshape((ncomp,) + shape + (nrows,))
     return [Jet(nvars, caps, t).check_finite() for t in table]
 
 

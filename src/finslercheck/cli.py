@@ -115,9 +115,9 @@ LANDSBERG_TOL = 1e-9
 
 
 def _chain(model, at, scheme="ad"):
-    """N, C, B and Phi at one sample.  B is taken first, so that under AD
-    in a per-sample loop the other three read their (1, 2) spray partials
-    from the (1, 3) rows its read left on the sample."""
+    """N, C, B and Phi at one sample.  B is taken first, so that under AD,
+    in a per-sample loop or outside one, the other three read their (1, 2)
+    spray partials from the (1, 3) rows its read left on the sample."""
     B = geometry.berwald_curvature(model, at, scheme)
     return (geometry.nonlinear_connection(model, at, scheme),
             geometry.berwald_connection(model, at, scheme), B,

@@ -115,8 +115,8 @@ def covariant_derivative(omega, at, C, delta, scheme="ad"):
         cov = db - np.einsum("skji,sk->sij", Cs, b)
         return cov, (geometry._ys(part)[:, None, :] @ cov)[:, 0]
 
-    cov, ycov = geometry._rows(at, geometry._held_key(
-        scheme, "covariant_derivative", omega, C.key), stacks, C)
+    cov, ycov = geometry._rows(at, C.key and (
+        "covariant_derivative", omega, C.key, scheme), stacks, C)
     max_delta = delta.max_abs()
     resid = float(np.max(np.abs(ycov - delta.components)))
     tol = (1e-10 if scheme == "ad" else 1e-3) * (1.0 + max_delta)
@@ -139,8 +139,8 @@ def d_R_beta(omega, at, R):
                              np.array([omega.values(s.x) for s in part]))
         return two_form, geometry._mv(two_form, geometry._ys(part))
 
-    two_form, contracted = geometry._rows(at, geometry._held_key(
-        "ad", "d_R_beta", omega, R.key), stacks, R)
+    two_form, contracted = geometry._rows(
+        at, R.key and ("d_R_beta", omega, R.key), stacks, R)
     return (TensorValue(two_form, (("antisym", (0, 1)),), dict(R.notes)),
             TensorValue(contracted, notes=dict(R.notes)))
 
@@ -163,7 +163,7 @@ def homogeneity_residual(omega, at):
         dC = sum(y * d for y, d in zip(geometry._ys(part).T, dy.T))
         return [np.abs(dC - np.array([jet.value for jet in jets]))]
 
-    res, = geometry._rows(at, ("homogeneity_residual", omega), stacks)
+    res, = geometry._rows(at, ("homogeneity_residual", omega, "ad"), stacks)
     return float(res)
 
 

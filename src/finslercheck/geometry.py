@@ -15,24 +15,24 @@ ky + 2).  Under AD they are all read off one flat energy jet of that order
 by derivative shifts (:meth:`TRows.partial`) into the (kx, ky) algebra,
 where the spray is assembled and solved; no jet is taken of Taylor-valued
 inputs.  Spray-only models and the FD scheme differentiate the spray
-evaluation itself; FD evaluates it at a jet's stencil points in batches of
-Taylor rows (``_spray_rows``: one (1, 2) energy jet, with the
-non-degeneracy check and the solve's pivot per row).
+evaluation itself; FD evaluates it at the stencil points of all of a
+jet's rows in batches of Taylor rows (``_spray_rows``: one (1, 2) energy
+jet, with the non-degeneracy check and the solve's pivot per row).
 
-Inside a per-sample loop (:func:`sampling.map_samples`) an op's first read
-takes what it reads for every sample of the loop as Taylor rows, each row
-bit for bit that sample's batch of one (:func:`calculus.held`): the spray
-values, the energy and F jets, and the spray partials the ops read
-(``_spray_partials``), read straight off one batch of AD spray jets per
-``SPRAY_BATCH`` samples of a model with F; a (1, 2) read takes the (1, 3)
-rows a sample holds.  A lone read, outside a loop or at a sample whose
-batch failed, takes them for its batch of one, through the spray jets kept
-on the sample (:func:`spray_jets`).
+An op's first read, under either scheme, takes what it reads for every
+sample of its per-sample loop (:func:`sampling.map_samples`) as rows, each
+row bit for bit that sample's batch of one, and a sample outside a loop is
+a loop of one (:func:`calculus.held`): the spray values, the energy and F
+jets, and the spray partials the ops read (``_spray_partials``), read
+straight off one batch of spray jets per ``SPRAY_BATCH`` samples of a
+model with F; an AD (1, 2) read takes the (1, 3) rows a sample holds.  A
+sample whose batch failed reads alone.  Every held key names its scheme,
+so the AD Euler chain that an FD pass also takes never feeds an FD op.
 
 Each op's body is written once, on stacks with a leading sample axis
-(``_rows``): under AD its first read in a loop runs it over the loop's
-samples, on spray partials gathered once per batch, else on the one
-sample.  Its checks are computed per row and raised at the sample's read.
+(``_rows``): its first read runs it over the loop's samples, on spray
+partials gathered once per batch.  Its checks are computed per row and
+raised at the sample's read.
 
 An AD tier keeps only its demand staircase (``_AD_STAIRS``): the spray
 partials the ops read, of x-order 0 up to the tier's y-order and of
@@ -62,8 +62,9 @@ import numpy as np
 
 from . import scalars
 from .calculus import (FD_BATCH, HOMOGENEITY_SCALES, JetOrder, coordinates,
-                       eval_jet, held, homogeneity_check, jet_of, jet_of_many,
-                       jet_of_rows, sample_rows, series_jet, var_exponents)
+                       eval_jet, finite_rows, held, homogeneity_check, jet_of,
+                       jet_of_many, jet_of_rows, sample_rows, series_jet,
+                       var_exponents)
 from .errors import (ConventionMismatch, DegenerateMetric, FinslerCheckError,
                      NonFiniteValue)
 from .taylor import TRows, algebra
@@ -277,7 +278,8 @@ def _shifted_spray_jets(m, x, y, kx, ky):
     algebras keep the tier's demand staircase if it has one.  ``x``, ``y``
     are per-row float arrays, one row per sample; the jets are of Taylor
     rows, with the row axis last, and row r is bit for bit the jets of its
-    batch of one.  The caller checks that the jets are finite."""
+    batch of one.  Jets of which no row is finite raise NonFiniteValue; a
+    non-finite row among finite ones is left to :func:`calculus.fill_jets`."""
     n = m.n
     spray_stair, energy_stair = _AD_STAIRS.get((kx, ky), (None, None))
     series = jet_of(m.energy, (x, y), (kx + 1, ky + 2),
@@ -289,7 +291,10 @@ def _shifted_spray_jets(m, x, y, kx, ky):
                                var_exponents(n, yvars)), target)
 
     y = [target.variable(1, j, v) for j, v in enumerate(y)]
-    return [series_jet(G) for G in _assemble_spray(n, y, d)]
+    jets = [series_jet(G) for G in _assemble_spray(n, y, d)]
+    if not finite_rows(jets).any():
+        raise NonFiniteValue("non-finite derivative encountered")
+    return jets
 
 
 # Samples per energy jet when a per-sample loop takes the spray partials
@@ -302,15 +307,18 @@ SPRAY_BATCH = 16
 assert FD_BATCH % SPRAY_BATCH == 0
 
 
-def _spray_jet_rows(m, kx, ky):
-    """The AD spray jets of order (kx, ky) at a list of samples, as jets of
-    Taylor rows: for a model with F one staircase energy jet, the spray
-    assembled and solved on the rows; for a spray-only model the AD jets
-    of its spray."""
-    if m.F is None:
-        return lambda part: jet_of_many(
-            lambda x, y: _spray_scalars(m, x, y), coordinates(part), (kx, ky))
-    return lambda part: _shifted_spray_jets(m, *coordinates(part), kx, ky)
+def _spray_jet_rows(m, kx, ky, scheme):
+    """The spray jets of order (kx, ky) at a list of samples, as jets of
+    rows, each row bit for bit the sample's batch of one: under AD for a
+    model with F from one staircase energy jet; else the jets of the spray
+    evaluation, whose FD stencil points a model with F evaluates as rows
+    (``_spray_rows``)."""
+    if m.F is not None and scheme == "ad":  # the spray's jet dispatch
+        return lambda part: _shifted_spray_jets(m, *coordinates(part), kx, ky)
+    rows = m.F and (lambda xs, ys: _spray_rows(m, xs, ys))
+    return lambda part: jet_of_many(
+        lambda x, y: _spray_scalars(m, x, y), coordinates(part), (kx, ky),
+        scheme, rows=rows)
 
 
 # jet orders requested per scheme and tier; AD shares one generous jet per
@@ -331,70 +339,41 @@ _SPRAY_ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (0, 3))
 
 def spray_jets(m, at, kx, ky, scheme="ad"):
     """Per-component jets of the spray coefficients at a float sample,
-    kept on the sample per (model, order, scheme): those of a lone read,
-    and of every read under FD (a per-sample loop reads its AD spray
-    partials off batches of jets, :func:`_spray_partials`).  AD jets are
-    the sample's batch of one (``_spray_jet_rows``); FD jets are computed
-    from the spray of a model with F at the jet's stencil points in
-    batches of Taylor rows (``_spray_rows``)."""
-    key = (m, kx, ky, scheme)
-    jets = at.jets.get(key)
-    if jets is not None:
-        return jets
-    if scheme == "ad":
-        jets = [j.row(0).check_finite()
-                for j in _spray_jet_rows(m, kx, ky)([at])]
-    else:
-        rows = (lambda xs, ys: _spray_rows(m, xs, ys)) \
-            if m.F is not None else None
-        jets = jet_of_many(lambda xs, ys: _spray_scalars(m, xs, ys),
-                           (at.x, at.y), (kx, ky), scheme=scheme, rows=rows)
-    at.jets[key] = jets
-    return jets
+    under either scheme: row 0 of its batch of one (``_spray_jet_rows``).
+    A library read, which keeps nothing on the sample; no op calls it."""
+    return [j.row(0) for j in _spray_jet_rows(m, kx, ky, scheme)([at])]
 
 
 def _spray_partials(m, part, tier, scheme):
     """A ``tier``'s spray partials at the samples ``part``, stacked, by
     order (those of ``_SPRAY_ORDERS`` within the tier's): ``[(0, 1)][s, h,
-    j]`` is N^h_j at ``part[s]``.  Under AD the first read in a per-sample
-    loop takes them for every sample of the loop (:func:`calculus.held`),
-    straight off the tables of one batch of spray jets per ``SPRAY_BATCH``
-    samples of a model with F (``FD_BATCH`` of a spray-only model), and a
-    (1, 2) read takes the (1, 3) rows a sample holds.  A lone read, and
-    every read under FD, takes the sample's own :func:`spray_jets`."""
+    j]`` is N^h_j at ``part[s]``, :func:`calculus.held`: read off one batch
+    of spray jets per ``SPRAY_BATCH`` samples of a model with F (else per
+    ``FD_BATCH``); an AD (1, 2) read takes the (1, 3) rows a sample holds."""
     kx, ky = _TIERS[scheme][tier]
     orders = [(a, b) for a, b in _SPRAY_ORDERS if a <= kx and b <= ky]
+    size = FD_BATCH if m.F is None else SPRAY_BATCH
+    jets = _spray_jet_rows(m, kx, ky, scheme)
 
-    def read(jets):  # component axis first, then the order's, rows last
-        return [np.array([j.dense(*o) for j in jets]) for o in orders]
+    def read(chunk):  # component axis first, then the order's, rows last
+        return [np.array([j.dense(*o) for j in chunk]) for o in orders]
 
-    def gather(sub):  # a lone read: no loop, FD, or a batch that left None
-        if key is None or sub[0].batch is None or key in sub[0].jets:
-            return [p[..., None]
-                    for p in read(spray_jets(m, sub[0], kx, ky, scheme))]
-        size = FD_BATCH if m.F is None else SPRAY_BATCH
-        chunks = [read(_spray_jet_rows(m, kx, ky)(sub[lo:lo + size]))
+    def gather(sub):
+        chunks = [read(jets(sub[lo:lo + size]))
                   for lo in range(0, len(sub), size)]
         return [np.concatenate(c, axis=-1) for c in zip(*chunks)]
 
-    key = _held_key(scheme, "spray_partials", m, kx, ky)
-    full = _held_key(scheme, "spray_partials", m, 1, 3)
-    rows = [(full and at.jets.get(full)) or held(at, key, gather)
-            for at in part]
+    key = ("spray_partials", m, kx, ky, scheme)
+    full = ("spray_partials", m, 1, 3, scheme)
+    rows = [at.jets.get(full) or held(at, key, gather) for at in part]
     return {o: np.array([r[i] for r in rows]) for i, o in enumerate(orders)}
-
-
-def _held_key(scheme, *parts):
-    """An op's key (:func:`_rows`): None under FD or for an unheld part."""
-    return None if scheme != "ad" or None in parts else parts
 
 
 def _rows(at, key, stacks, *upstream):
     """``at``'s row of ``stacks(part, *ups)``, arrays with a leading axis
     over the samples ``part`` (``ups``: the ``upstream`` tensors' rows held
-    there), through :func:`calculus.held`: under a ``key`` the first read
-    in a loop runs it over the loop's samples, else (a key of None: under
-    FD, or for an unheld part) it runs on ``[at]``."""
+    there), :func:`calculus.held` under ``key``, which is None where an
+    upstream tensor is held under no key (the caller built it)."""
     def run(part):  # rows last
         ups = [[t.components if s is at else (s.jets.get(t.key) or [None])[0]
                 for s in part] for t in upstream]
@@ -441,7 +420,7 @@ def metric_tensor(m, at, scheme="ad"):
                       .dense(0, 2) for s in part])
         return (g, *_degeneracy(g))
 
-    key = _held_key(scheme, "metric_tensor", m)
+    key = ("metric_tensor", m, scheme)
     g, det, scale = _rows(at, key, stacks)
     _check_nondegenerate(m.n, det, scale)
     return TensorValue(g, (("sym", (0, 1)),), key=key)
@@ -494,7 +473,7 @@ def _euler_op(m, at, scheme, stacks, what, symmetries=()):
     """The tensor ``what`` of ``stacks``, which also give each sample's raw
     Euler contraction residual (kept in the notes) and scale; raises past
     the scheme's tolerance relative to ``1 + scale``."""
-    key = _held_key(scheme, what, m)
+    key = (what, m, scheme)
     T, residual, scale = _rows(at, key, stacks)
     residual, tol = float(residual), 1e-9 if scheme == "ad" else 1e-3
     if residual > tol * (1.0 + float(scale)):
@@ -588,7 +567,7 @@ def curvature_R(m, at, phi, scheme="ad"):
                         np.where(_max(contracted + phis) <= bound, -1, 0))
         return sign[:, None, None, None] * R, sign
 
-    key = _held_key(scheme, "curvature_R", m, phi.key)
+    key = phi.key and ("curvature_R", m, phi.key, scheme)
     R, orientation = _rows(at, key, stacks, phi)
     if not orientation:
         raise ConventionMismatch(
@@ -608,6 +587,6 @@ def delta_derivative(m, f, at, scheme="ad"):
                   for o in ((1, 0), (0, 1)))
         return [dx - (N * dy[:, :, None]).sum(axis=1)]
 
-    key = _held_key(scheme, "delta_derivative", m, f)
+    key = ("delta_derivative", m, f, scheme)
     out, = _rows(at, key, stacks)
     return TensorValue(out, key=key)

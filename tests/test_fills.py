@@ -11,7 +11,7 @@ import pytest
 import finslercheck
 from finslercheck import calculus, catalogue, cli, forms, geometry, sphsym
 from finslercheck.calculus import (FD_BATCH, HOMOGENEITY_SCALES,
-                                   TangentSample, eval_jet)
+                                   TangentSample, eval_jet, jet_of)
 from finslercheck.errors import FinslerCheckError, SingularDenominator
 from finslercheck.expressions import compile_form, compile_scalar
 from finslercheck.geometry import MetricModel
@@ -86,7 +86,7 @@ def test_spray_only_spray_jets_fill_as_their_samples_own(kind, name, n):
         return [np.array([j.dense(*o) for j in jets]) for o in orders]
 
     _assert_filled(lambda at: geometry.berwald_connection(m, at),
-                   ("spray_partials", m, 1, 2), _points(m.n, r_min=0.1),
+                   ("spray_partials", m, 1, 2, "ad"), _points(m.n, r_min=0.1),
                    ref, COUNTS + EDGES)
 
 
@@ -97,7 +97,7 @@ def test_a_loop_keeps_spray_partials_not_spray_jets():
     samples = _fresh(_points(3, 20))
     map_samples(lambda at: cli._pass(m, at, "ad"), samples)
     for at in samples:
-        assert ("spray_partials", m, 1, 3) in at.jets
+        assert ("spray_partials", m, 1, 3, "ad") in at.jets
         assert not [key for key in at.jets if key[0] is m and key[-1] == "ad"]
 
 
@@ -148,10 +148,12 @@ def test_energy_and_F_jets_fill_as_their_samples_own(name, n):
             ops, (f, 0, ky, "ad"),
             points, lambda p: [eval_jet(f, TangentSample(*p), (0, ky))],
             COUNTS + EDGES)
-    # under fd the ops take their own jets
-    samples = _fresh(points[:3])
-    map_samples(lambda at: ops(at, "fd"), samples)
-    assert not any(at.jets for at in samples)
+    # under fd the ops hold FD jets, each the sample's own, under keys of
+    # their own
+    for f, ky in ((m.energy, 2), (m.F, 1), (m.F, 2)):
+        _assert_filled(
+            lambda at: ops(at, "fd"), (f, 0, ky, "fd"), points,
+            lambda p: [jet_of(f, p, (0, ky), scheme="fd")], (1, 17))
 
 
 def _forms():
@@ -239,12 +241,14 @@ def test_map_samples_lends_its_list_only_while_it_walks_it():
     assert [at.batch for at in samples] == [None] * 3
 
 
-def test_ops_outside_a_loop_fill_nothing():
-    # ops called outside map_samples take their own jets, as a batch of
-    # one, and store no rows: only spray_jets keeps the jets it took at its
-    # own sample, a row like a filled sample's, without the energy series
+def test_ops_outside_a_loop_hold_what_a_loop_of_one_would():
+    # ops called outside map_samples read as a loop of one: they hold on
+    # their own sample, under the keys a loop fills, what they read and
+    # compute, without the energy series, and no other sample holds
+    # anything; spray_jets, a library read, keeps nothing
     m = catalogue.entry("funk_parallel", n=3).model
     omega = _forms()[1]
+    beta = omega.beta()
     samples = tangent_samples(3, 3, seed=3, radius=0.5)
     at = samples[0]
     g = geometry.metric_tensor(m, at)
@@ -254,10 +258,20 @@ def test_ops_outside_a_loop_fill_nothing():
     forms.homogeneity_residual(omega, at)
     forms.delta_beta(m, omega, at)
     omega.jacobian(at.x, at)
-    assert list(at.jets) == [(m, 1, 2, "ad")]
+    keys = [(m.energy, 0, 2, "ad"), ("metric_tensor", m, "ad"),
+            (m.F, 0, 1, "ad"), (m.F, 0, 2, "ad"), (m, 0, 0, "values"),
+            (beta, 1, 1, "ad"), ("homogeneity_residual", omega, "ad"),
+            ("spray_partials", m, 1, 2, "ad"),
+            ("delta_derivative", m, beta, "ad"), (omega.b, 1, 0, "ad")]
+    assert list(at.jets) == keys
     geometry.berwald_curvature(m, at)
-    assert list(at.jets) == [(m, 1, 2, "ad"), (m, 1, 3, "ad")]
-    assert all(j.series is None for j in at.jets[(m, 1, 3, "ad")])
+    geometry.spray_jets(m, at, 1, 3)
+    keys += [("spray_partials", m, 1, 3, "ad"), ("Berwald curvature", m, "ad")]
+    assert list(at.jets) == keys
+    assert all(at.jets[key] is not None for key in keys)
+    # a held row keeps no series, as a filled sample's does not
+    assert all(getattr(v, "series", None) is None
+               for key in keys for v in at.jets[key])
     assert not any(other.jets for other in samples[1:])
 
 

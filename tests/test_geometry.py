@@ -323,14 +323,16 @@ def test_spray_homogeneity_names_the_component():
         geometry.spray_coefficients(m, at)
 
 
-def test_spray_jets_live_on_the_sample(monkeypatch):
-    # jets are computed once per (sample, model, order, scheme); another
-    # sample object at the same point, or another model, computes afresh
+def test_spray_partials_live_on_the_sample(monkeypatch):
+    # spray partials are computed once per (sample, model, order, scheme),
+    # also outside a loop; another sample object at the same point, or
+    # another model, computes afresh; spray_jets, a library read, computes
+    # on every call and keeps nothing
     computed = []
     shifted = geometry._shifted_spray_jets
 
     def counted(m, x, y, kx, ky):
-        computed.append((m, x, y))
+        computed.append(m)
         return shifted(m, x, y, kx, ky)
 
     monkeypatch.setattr(geometry, "_shifted_spray_jets", counted)
@@ -338,15 +340,22 @@ def test_spray_jets_live_on_the_sample(monkeypatch):
     funk = catalogue.entry("funk_parallel", n=3, a=(0.5, 0.1, 0.0)).model
     x, y = (0.1, -0.2, 0.3), (0.6, 0.7, -0.3)
     at = TangentSample(x, y)
-    first = geometry.spray_jets(klein, at, 1, 2)
-    assert geometry.spray_jets(klein, at, 1, 2) is first
-    assert computed == [(klein, x, y)]
+    key = ("spray_partials", klein, 1, 2, "ad")
+    first = geometry.nonlinear_connection(klein, at).components
+    held = at.jets[key]
+    assert geometry.nonlinear_connection(klein, at).components.tobytes() \
+        == first.tobytes()
+    assert at.jets[key] is held and computed == [klein]
     again = TangentSample(x, y)
-    fresh = geometry.spray_jets(klein, again, 1, 2)
-    assert fresh is not first
-    assert all(np.array_equal(a.table, b.table) for a, b in zip(fresh, first))
-    geometry.spray_jets(funk, at, 1, 2)
-    assert computed == [(klein, x, y), (klein, x, y), (funk, x, y)]
+    fresh = geometry.nonlinear_connection(klein, again).components
+    assert again.jets[key] is not held
+    assert fresh.tobytes() == first.tobytes()
+    geometry.nonlinear_connection(funk, at)
+    assert computed == [klein, klein, funk]
+    jets = geometry.spray_jets(klein, at, 1, 2)
+    assert geometry.spray_jets(klein, at, 1, 2) is not jets
+    assert computed == [klein, klein, funk, klein, klein]
+    assert len(at.jets) == 4
 
 
 def _count_energy_jets(monkeypatch):
@@ -362,6 +371,18 @@ def _count_energy_jets(monkeypatch):
 
     monkeypatch.setattr(geometry, "_shifted_spray_jets", counted)
     return built
+
+
+@pytest.mark.parametrize("name", ["general_berwald", "klein"])
+def test_a_lone_chain_takes_one_energy_jet(name, monkeypatch):
+    # outside a loop the sample is a loop of one: the Berwald curvature's
+    # (1, 3) rows stay on it, and N, C and Phi read their (1, 2) partials
+    # off them
+    built = _count_energy_jets(monkeypatch)
+    m = catalogue.entry(name, n=3).model
+    at = TangentSample((0.1, -0.2, 0.3), (0.6, 0.7, -0.3))
+    cli._chain(m, at)
+    assert built == [[(at.x, at.y)]]
 
 
 def _assert_built_once_in_batches(built, points):
@@ -404,7 +425,8 @@ def test_cut_spray_jets_equal_direct_jets(name, n, a, monkeypatch):
     for got, ref in zip(_loop_partials(m, samples, "jacobi"), direct):
         _assert_reads_equal(got, ref)
     assert built == []
-    assert not any(("spray_partials", m, 1, 2) in at.jets for at in samples)
+    assert not any(("spray_partials", m, 1, 2, "ad") in at.jets
+                   for at in samples)
 
 
 def test_cut_spray_jets_of_a_spray_only_model():
@@ -418,16 +440,20 @@ def test_cut_spray_jets_of_a_spray_only_model():
         ref = jet_of_many(lambda xs, ys: geometry._spray_scalars(m, xs, ys),
                           (at.x, at.y), (1, 2))
         _assert_reads_equal(got, ref)
-        assert list(at.jets) == [("spray_partials", m, 1, 3),
-                                 ("Berwald curvature", m)]
+        assert list(at.jets) == [("spray_partials", m, 1, 3, "ad"),
+                                 ("Berwald curvature", m, "ad")]
 
 
 def test_fd_spray_jets_are_never_cut(monkeypatch):
-    # FD jets are always taken at the order asked for
+    # FD jets are always taken at the order asked for: an FD read takes
+    # neither the AD (1, 3) rows nor FD rows of a higher order that its
+    # sample holds
     m = catalogue.entry("klein", n=2).model
     at = TangentSample((0.1, -0.2), (0.6, 0.8))
-    geometry.spray_jets(m, at, 1, 3)
-    geometry.spray_jets(m, at, 0, 2, "fd")
+    geometry.berwald_curvature(m, at)
+    geometry.berwald_connection(m, at, "fd")
+    assert ("spray_partials", m, 1, 3, "ad") in at.jets
+    assert ("spray_partials", m, 0, 2, "fd") in at.jets
     orders = []
     many = geometry.jet_of_many
 
@@ -436,8 +462,10 @@ def test_fd_spray_jets_are_never_cut(monkeypatch):
         return many(fn, groups, caps, scheme, **kwargs)
 
     monkeypatch.setattr(geometry, "jet_of_many", counted)
-    geometry.spray_jets(m, at, 0, 1, "fd")
+    geometry.nonlinear_connection(m, at, "fd")
     assert orders == [((0, 1), "fd")]
+    geometry.spray_jets(m, at, 0, 1, "fd")
+    assert orders == [((0, 1), "fd")] * 2
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -490,7 +518,7 @@ def test_batched_spray_jets_equal_per_sample_jets(name, n, kx, ky):
         map_samples(lambda at: op(m, at) if at is samples[0] else None,
                     samples)
         for at, ref in zip(samples, refs):
-            got = at.jets[("spray_partials", m, kx, ky)]
+            got = at.jets[("spray_partials", m, kx, ky, "ad")]
             assert [(p.shape, p.tobytes()) for p in got] == ref
 
 
@@ -500,7 +528,7 @@ def test_a_failing_spray_batch_and_non_finite_rows_read_alone(monkeypatch):
     # samples read alone, so each passes or fails with its own error
     m = catalogue.entry("general_berwald", n=2).model
     samples = tangent_samples(2, 20, seed=4, radius=0.5)
-    key = ("spray_partials", m, 1, 3)
+    key = ("spray_partials", m, 1, 3, "ad")
     assemble = geometry._assemble_spray
 
     def at_target(y, target):  # the rows whose y is the target's

@@ -32,6 +32,10 @@ MODELS = [*((name, n) for name in ("funk_parallel", "general_berwald",
 def _model(name, n):
     if name == "berwald_classic_pq":
         return _pq_model(n)
+    if name == "klein_spray":  # a spray-only model of closed-form floats
+        ent = catalogue.entry("klein", n=n)
+        return MetricModel(n, domain=ent.model.domain,
+                           spray_override=ent.spray_cf, name=name)
     return catalogue.entry(name, n=n).model
 
 
@@ -105,17 +109,18 @@ def _reference(m, omega, x, y):
     return out
 
 
-def _ops(m, omega, at):
+def _ops(m, omega, at, scheme="ad"):
     """Every stacked op at ``at``, read in a per-sample pass's order, as
     (components, the note or value the reference records)."""
-    t = {"berwald_curvature": geometry.berwald_curvature(m, at)}
+    t = {"berwald_curvature": geometry.berwald_curvature(m, at, scheme)}
     for name in ("nonlinear_connection", "berwald_connection",
                  "jacobi_endomorphism"):
-        t[name] = getattr(geometry, name)(m, at)
-    t["curvature_R"] = geometry.curvature_R(m, at, t["jacobi_endomorphism"])
-    t["delta_beta"] = forms.delta_beta(m, omega, at)
+        t[name] = getattr(geometry, name)(m, at, scheme)
+    t["curvature_R"] = geometry.curvature_R(m, at, t["jacobi_endomorphism"],
+                                            scheme)
+    t["delta_beta"] = forms.delta_beta(m, omega, at, scheme)
     t["covariant_derivative"] = forms.covariant_derivative(
-        omega, at, t["berwald_connection"], t["delta_beta"])
+        omega, at, t["berwald_connection"], t["delta_beta"], scheme)
     out = {name: (v.components, v.notes.get("euler_residual"))
            for name, v in t.items()}
     out["curvature_R"] = (t["curvature_R"].components,
@@ -127,7 +132,8 @@ def _ops(m, omega, at):
     out["d_R_beta"] = ((two_form.components, contracted.components), None)
     out["homogeneity_residual"] = (None, forms.homogeneity_residual(omega, at))
     if m.F is not None:
-        out["metric_tensor"] = (geometry.metric_tensor(m, at).components, None)
+        out["metric_tensor"] = (geometry.metric_tensor(m, at, scheme)
+                                .components, None)
     return out
 
 
@@ -149,20 +155,30 @@ def _assert_equal(got, ref):
         assert _bits(note) == _bits(want_note), name
 
 
-@pytest.mark.parametrize("name,n", MODELS)
-def test_stacked_ops_equal_the_per_sample_formulas(name, n):
+@pytest.mark.parametrize("name,n,scheme", [
+    *(pytest.param(name, n, "ad", id=f"{name}-{n}") for name, n in MODELS),
+    *(pytest.param(name, 2, "fd", id=f"{name}-2-fd") for name in (
+        "funk_parallel", "general_berwald", "klein", "klein_spray"))])
+def test_stacked_ops_equal_the_per_sample_formulas(name, n, scheme):
     # in a loop the rows of every count, and outside a loop the op at one
-    # sample, equal the per-sample formulas bit for bit
+    # sample, equal the per-sample formulas bit for bit; under fd, those
+    # of each sample's ops on a fresh sample outside a loop, also where the
+    # loop's samples already hold their AD chain (as in an fd pass)
     m, omega = _model(name, n), _form(n)
     points = _points(n)
-    refs = [_reference(m, omega, *p) for p in points]
+    if scheme == "ad":
+        refs = [_reference(m, omega, *p) for p in points]
+    else:
+        refs = [_ops(m, omega, TangentSample(*p), "fd") for p in points]
     for count in COUNTS:
         samples = [TangentSample(*p) for p in points[:count]]
-        for got, ref in zip(map_samples(lambda at: _ops(m, omega, at),
+        if scheme == "fd":
+            map_samples(lambda at: cli._chain(m, at), samples)
+        for got, ref in zip(map_samples(lambda at: _ops(m, omega, at, scheme),
                                         samples), refs):
             _assert_equal(got, ref)
     for p, ref in zip(points[:3], refs):
-        _assert_equal(_ops(m, omega, TangentSample(*p)), ref)
+        _assert_equal(_ops(m, omega, TangentSample(*p), scheme), ref)
 
 
 def _held_partials(m, at, ky, order="C"):
@@ -181,8 +197,10 @@ def test_stacked_ops_take_non_contiguous_inputs():
     refs = [_reference(m, omega, *p) for p in points]
     samples = [TangentSample(*p) for p in points]
     for at in samples:
-        at.jets[("spray_partials", m, 1, 3)] = _held_partials(m, at, 3, "F")
-        assert not at.jets[("spray_partials", m, 1, 3)][3].flags.c_contiguous
+        at.jets[("spray_partials", m, 1, 3, "ad")] = _held_partials(m, at, 3,
+                                                                   "F")
+        assert not at.jets[("spray_partials", m, 1, 3, "ad")][3] \
+            .flags.c_contiguous
     for got, ref in zip(map_samples(lambda at: _ops(m, omega, at), samples),
                         refs):
         _assert_equal(got, ref)
@@ -236,7 +254,8 @@ def test_stacked_ops_take_held_partials_of_two_tiers():
     samples = [TangentSample(*p) for p in points]
     tiers = [3 if i % 2 else 2 for i in range(len(samples))]
     for at, ky in zip(samples, tiers):
-        at.jets[("spray_partials", m, 1, ky)] = _held_partials(m, at, ky)
+        at.jets[("spray_partials", m, 1, ky, "ad")] = _held_partials(m, at,
+                                                                    ky)
     names = ("nonlinear_connection", "berwald_connection",
              "jacobi_endomorphism")
     got = map_samples(lambda at: [getattr(geometry, name)(m, at)
@@ -246,7 +265,7 @@ def test_stacked_ops_take_held_partials_of_two_tiers():
             assert _bits((t.components, t.notes["euler_residual"])) \
                 == _bits(ref[name]), name
     # nothing else was taken: each sample holds the tier it held before
-    assert [[key[-1] for key in at.jets if key[0] == "spray_partials"]
+    assert [[key[3] for key in at.jets if key[0] == "spray_partials"]
             for at in samples] == [[ky] for ky in tiers]
 
 
@@ -335,6 +354,26 @@ def _bump_spray(target):
                        name="bump")
 
 
+def _failing_stencil_at(target):
+    """catalogue.entry with euclidean's F out of sqrt's domain at the base
+    points whose squared distance to ``target`` lies in (1e-6, 1e-3): the
+    x-steps of an FD stencil around it, and no sample."""
+    entry = catalogue.entry
+
+    def broken(name, **kwargs):
+        ent = entry(name, **kwargs)
+        if name == "euclidean":
+            F0 = ent.model.F
+
+            def F(x, y):
+                gap = scalars.norm_sq([xi - ti for xi, ti in zip(x, target)])
+                return F0(x, y) + 0.0 * scalars.sqrt((gap - 1e-6)
+                                                     * (gap - 1e-3))
+            ent.model.F = F
+        return ent
+    return broken
+
+
 def _degenerate_at(target):
     """catalogue.entry with euclidean's g of rank n - 1 at ``target``."""
     entry = catalogue.entry
@@ -376,17 +415,31 @@ SAMPLE_40 = ("TangentSample(x=(0.35857750158678386, -0.297356632244573, "
     (["tensors", "--metric", "euclidean", "--samples", "70"], 3,
      "numeric domain error: metric tensor degenerate (det=0.000e+00, "
      f"scale=6.667e-01) at the sample {SAMPLE_40}"),
+    (["tensors", "--metric", "euclidean", "--samples", "70", "--scheme",
+      "fd"], 3,
+     "numeric domain error: metric tensor degenerate (det=0.000e+00, "
+     f"scale=6.667e-01) at the sample {SAMPLE_40}"),
+    (["tensors", "--metric", "stencil", "--samples", "70", "--scheme", "fd"],
+     3, "numeric domain error: sqrt of non-positive Taylor value "
+     "-4.341407903472492e-08 at the FD stencil point ((0.35857750158678386, "
+     "-0.297356632244573, -0.16835382320365583), (-0.9388531266416029, "
+     "0.03698494113784892, -0.3423257523533922)) at the sample "
+     f"{SAMPLE_40}"),
 ])
 def test_a_located_failure_keeps_its_stderr_and_exit_code(
         argv, rc, line, monkeypatch, capsys):
-    # the lines the per-sample ops printed; the bump and the degenerate
-    # metric fail at sample 40 of 70, inside the first batch of ops
+    # the lines the per-sample ops printed; the bump, the degenerate metric
+    # and the one whose FD stencil leaves its domain (fd's Jacobi tier steps
+    # in x) fail at sample 40 of 70, inside the first batch of ops
     target = tangent_samples(3, 70, 0, 0.6)[40]
     assert repr(target) == SAMPLE_40
     if "bump" in argv:
         model = _bump_spray(target.x)
         monkeypatch.setattr(cli, "_resolve_metric", lambda cfg: (None, model))
         argv[argv.index("bump")] = "euclidean"
+    elif "stencil" in argv:
+        monkeypatch.setattr(catalogue, "entry", _failing_stencil_at(target.x))
+        argv[argv.index("stencil")] = "euclidean"
     elif argv[0] == "tensors":
         monkeypatch.setattr(catalogue, "entry", _degenerate_at(target.x))
     assert cli.main(argv) == rc
