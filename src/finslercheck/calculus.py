@@ -370,11 +370,15 @@ def held(at, key, rows, batch=FD_BATCH):
     row (:func:`fill_jets`), and later reads return it; a sample outside a
     loop is a loop of one.  A sample that holds nothing usable (a key of
     None, or its batch failed) takes row 0 of ``rows([at])``, its batch of
-    one, so its own error propagates."""
+    one, so its own error propagates; under a key it then holds that row."""
     if key is not None and key not in at.jets:
         fill_jets(at.batch or [at], key, rows, batch)
     out = at.jets.get(key)
-    return _row(rows([at]), 0) if out is None else out
+    if out is None:
+        out = _row(rows([at]), 0)
+        if key is not None:
+            at.jets[key] = out
+    return out
 
 
 def sample_rows(at, key, rows, batch=FD_BATCH):

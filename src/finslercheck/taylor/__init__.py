@@ -33,19 +33,23 @@ is the polynomial ring modulo the monomial ideal of the dropped monomials
 kept coefficient is exact, and equals the full box's bit for bit, because
 the multiply keeps the box's triples of kept outputs in their box order.
 The layout stays the box's, so indices, partial maps and ``total_cap`` do
-not change (``total_cap`` fixes the Horner length of the analytic
-functions, and with it their rounding); the dropped slots are never
-written and stay zero.  The geometry pipeline keeps its energy and spray
-jets on the staircases the tensor ops read.
+not change; the dropped slots are never written and stay zero.  The
+geometry pipeline keeps its energy and spray jets on the staircases the
+tensor ops read.
 
 A series also carries a *structural support*: the per-block total-degree
 cells where it may be nonzero (an int bitmask, None for all), always with
-the constant cell.  A multiply takes only the box's triples of cells in
-the supports, in box order (:meth:`Algebra.live`; Griewank & Walther ch.
-13 on sparsity), and gives the box's result bit for bit: ``bincount`` sums
-each bin from +0.0 in triple order, and a dropped product of finite
-factors is +-0.  A non-finite factor reaches the output through the
-constant cell's triples, so a product that is not finite is redone.
+the constant cell but in one series, the deviation from its value that an
+analytic function's Horner loop multiplies by.  A multiply takes only the
+box's triples of cells in the supports, in box order (:meth:`Algebra.live`;
+Griewank & Walther ch. 13 on sparsity), and gives the box's result bit for
+bit: ``bincount`` sums each bin from +0.0 in triple order, and a dropped
+product of finite factors is +-0.  A non-finite factor reaches the output
+through the constant cell's triples, so a product that is not finite is
+redone.  The Horner loop runs from ``Algebra.top``, the highest total
+degree of a kept cell, and its step k takes only the output cells of total
+degree at most top - k, all that the result reads of it: the same bits as
+the full Horner from ``total_cap`` (:meth:`TRows._compose`).
 
 A series is a :class:`TRows`, a batch of series of one algebra, one per
 row, carried through one pipeline (vector-mode Taylor propagation,
@@ -161,12 +165,21 @@ class Algebra:
         self.kept = None if stair is None else np.array(
             [self.keeps((sum(m0), sum(m1)))
              for m0 in self.monos[0] for m1 in self.monos[1]])
-        # total-degree cell of each slot, one mixed-radix digit per block
+        # total-degree cell of each slot, one mixed-radix digit per block,
+        # and the total degree of each cell
         self.cell = np.zeros(1, dtype=np.intp)
+        degree = np.zeros(1, dtype=np.intp)
         for ms, (_, cap) in zip(self.monos, blocks):
             self.cell = np.add.outer(self.cell * (cap + 1),
                                      [sum(m) for m in ms]).ravel()
+            degree = np.add.outer(degree, np.arange(cap + 1)).ravel()
         self.ncells = math.prod(c + 1 for _, c in blocks)
+        # the highest total degree of a kept cell, and the cells of total
+        # degree at most d as a support mask, for d up to it
+        self.top = int(degree[self.cell if self.kept is None
+                              else self.cell[self.kept]].max())
+        self.within = [sum(1 << int(k) for k in np.flatnonzero(degree <= d))
+                       for d in range(self.top + 1)]
         self._tables = None
         self._bins = (0, None, None)
         self._live = {}
@@ -202,32 +215,36 @@ class Algebra:
         """The box's output bins at ``rows`` series (:meth:`live`)."""
         return self.live(None, None, rows)[2]
 
-    def live(self, sa, sb, rows):
+    def live(self, sa, sb, rows, out=None):
         """(ii, jj, bins, support) of a multiply of ``rows`` series with
-        supports ``sa`` and ``sb``: the box's triples whose operand cells
-        lie in the supports, their bins and the product's support, cached
-        per support pair.  A pair that keeps over half of the triples takes
-        the box's and None: it saves less than its table and bins cost.
+        supports ``sa`` and ``sb`` into the output cells ``out`` (a mask
+        like a support, None for the box's): the box's triples whose
+        operand cells lie in the supports and whose output cell lies in
+        ``out``, their bins and the product's support, cached per (sa, sb,
+        out).  A key that keeps over half of the triples takes the box's
+        and None: it saves less than its table and bins cost.  A key may
+        keep no triple, and its product is then 0.
 
         The bins hold each triple's output slot times ``rows``, plus its
         row.  Only the box's and every slot's at the last row count are
         cached: a batch runs all its multiplies at one row count, where one
         array per row count would hold up to ``calculus.STENCIL_BATCH`` of
         them for good."""
-        entry = self._live.get((sa, sb))
+        entry = self._live.get((sa, sb, out))
         if entry is None:
             ii, jj, oo = self.tables()
             entry = ii, jj, oo, None
-            ina, inb = (np.array([s is None or s >> k & 1 for k in range(
-                self.ncells)], dtype=bool) for s in (sa, sb))
-            keep = ina[self.cell[ii]] & inb[self.cell[jj]]
+            ina, inb, ino = (np.array([s is None or s >> k & 1 for k in range(
+                self.ncells)], dtype=bool) for s in (sa, sb, out))
+            keep = (ina[self.cell[ii]] & inb[self.cell[jj]]
+                    & ino[self.cell[oo]])
             if 2 * np.count_nonzero(keep) <= len(keep):
                 # a boolean scatter, where np.unique would import numpy.ma
                 hit = np.zeros(self.ncells, dtype=bool)
                 hit[self.cell[oo[keep]]] = True
                 entry = (ii[keep], jj[keep], oo[keep],
                          sum(1 << int(k) for k in np.flatnonzero(hit)))
-            self._live[sa, sb] = entry
+            self._live[sa, sb, out] = entry
         ii, jj, oo, support = entry
         bins = self._bins  # read once: another thread may replace it
         if bins[0] != rows:
@@ -469,7 +486,8 @@ class TRows:
             return TRows(self.alg, self.c + o.c, self._union(o))
         c = self.c.copy()
         c[0] += other
-        return TRows(self.alg, c, self.support)
+        return TRows(self.alg, c, None if self.support is None
+                     else self.support | 1)
 
     __radd__ = __add__
 
@@ -494,12 +512,17 @@ class TRows:
         if o is None:
             return TRows(self.alg, self.c * other, self.support)
         # a product that is not finite is taken again on the box's triples
-        for pair in ((self.support, o.support), (None, None)):
-            ii, jj, bins, support = self.alg.live(*pair, self.c.shape[1])
-            c = _backend.mul_accumulate(ii, jj, bins, self.c, o.c,
-                                        self.alg.size)
-            if support is None or math.isfinite(c.sum()):
-                return TRows(self.alg, c, support)
+        return (self._times(o, (self.support, o.support))
+                or self._times(o, (None, None)))
+
+    def _times(self, o, supports, out=None):
+        """The product with ``o`` on the box's triples that the pair of
+        ``supports`` and the output cells ``out`` keep (:meth:`Algebra.live`),
+        or None if it is not finite and is not the box's whole product."""
+        ii, jj, bins, support = self.alg.live(*supports, self.c.shape[1], out)
+        c = _backend.mul_accumulate(ii, jj, bins, self.c, o.c, self.alg.size)
+        if support is None and out is None or math.isfinite(c.sum()):
+            return TRows(self.alg, c, support)
 
     __rmul__ = __mul__
 
@@ -536,15 +559,46 @@ class TRows:
             derivs, self.c[0].tolist(), self.alg.total_cap, *args)))
 
     def _compose(self, derivs):
-        """sum_k derivs[k]/k! * (self - value)^k, Horner-evaluated
-        row-wise, ``derivs[k]`` holding one value per row.  At a non-finite
-        value, a zeroed value would hide its row from the multiply's check."""
-        e = TRows(self.alg, self.c.copy(), self.support if math.isfinite(
-            self.c[0].sum()) else None)
+        """sum_k derivs[k]/k! * e^k, e = self - value, by the Horner loop
+        acc_k = acc_{k+1} * e + derivs[k]/k!, ``derivs[k]`` holding one
+        value per row for k up to ``total_cap``.
+
+        e has no constant term, so the result reads acc_k only in cells of
+        total degree at most top - k (``Algebra.top`` and ``within``): the
+        truncated loop starts at acc_top, drops the constant cell from e's
+        support and takes step k into those cells alone.  A dropped triple
+        writes a cell that no kept coefficient reads, or adds e's exact 0.0
+        times a finite factor, +-0, to a sum from +0.0, so the result is
+        the full loop's from ``total_cap`` bit for bit; where that one
+        overflowed in unread cells and took NaN through e's 0.0, it is now
+        finite.  The full loop runs where self or derivs is not finite, a
+        truncated product is not, or top is 0 (its last add turns a -0.0
+        value into +0.0); its e keeps the constant cell, since a zeroed
+        non-finite value would hide its row from the multiply's check."""
+        alg = self.alg
+        if alg.top and math.isfinite(self.c.sum()) \
+                and math.isfinite(derivs.sum()):
+            acc = self._horner(derivs, alg.top, ~1 & (
+                alg.within[-1] if self.support is None else self.support),
+                alg.within)
+            if acc is not None:
+                return acc
+        return self._horner(derivs, alg.total_cap, self.support if
+                            math.isfinite(self.c[0].sum()) else None)
+
+    def _horner(self, derivs, top, support, within=None):
+        """The Horner loop of :meth:`_compose` from acc_top, with e on
+        ``support``: full, or truncated to the cells ``within[top - k]`` at
+        step k, where a product that is not finite gives None."""
+        e = TRows(self.alg, self.c.copy(), support)
         e.c[0] = 0.0
-        acc = self._constant(derivs[-1] / math.factorial(len(derivs) - 1))
-        for k in range(len(derivs) - 2, -1, -1):
-            acc = acc * e + derivs[k] / math.factorial(k)
+        acc = self._constant(derivs[top] / math.factorial(top))
+        for k in range(top - 1, -1, -1):
+            acc = acc * e if within is None else acc._times(
+                e, (acc.support, support), within[top - k])
+            if acc is None:
+                return None
+            acc = acc + derivs[k] / math.factorial(k)
         return acc
 
     def _reciprocal(self):

@@ -41,6 +41,9 @@ def _grow(shape):
 # TRows.__mul__ looks it up on every call.  ``size`` is the algebra's
 # coefficient count, which the tracer reads.
 def mul_accumulate(ii, jj, oo, a, b, size):
+    if not len(ii):
+        # bincount over no index counts in int64, whatever the weights
+        return np.zeros(a.shape)
     shape = (len(ii), a.shape[1])
     try:
         wa, wb, flat = _area.views[shape]

@@ -208,8 +208,9 @@ def test_expansion_and_radial_derivative_rows_equal_each_points(f):
 
 
 def test_a_failing_batch_runs_once_and_each_sample_takes_its_own():
-    # the batch of 20 rows raises: its samples hold None and each takes
-    # its own one-row result, so the 20-row batch runs once
+    # the batch of 20 rows raises: each of its samples takes its own
+    # one-row result and holds it, so the 20-row batch runs once and a
+    # second read computes nothing
     samples = tangent_samples(2, 20, seed=3)
     calls = []
 
@@ -219,11 +220,15 @@ def test_a_failing_batch_runs_once_and_each_sample_takes_its_own():
             raise SingularDenominator("forced")
         return [xs[0] + ys[1]]
 
-    got = map_samples(lambda at: calculus.sample_rows(at, "key", rows)[0],
-                      samples)
+    def read(at):
+        return calculus.sample_rows(at, "key", rows)[0]
+
+    got = map_samples(read, samples)
     assert calls == [20] + [1] * 20
-    assert [at.jets["key"] for at in samples] == [None] * 20
+    assert [at.jets["key"] for at in samples] == [[g] for g in got]
     assert got == [at.x[0] + at.y[1] for at in samples]
+    assert map_samples(read, samples) == got
+    assert calls == [20] + [1] * 20
 
 
 def test_map_samples_lends_its_list_only_while_it_walks_it():

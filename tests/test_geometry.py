@@ -525,7 +525,8 @@ def test_batched_spray_jets_equal_per_sample_jets(name, n, kx, ky):
 def test_a_failing_spray_batch_and_non_finite_rows_read_alone(monkeypatch):
     # a batch of spray jets that raises leaves None on each sample of its
     # fill, and a row with a non-finite jet entry None on its sample; those
-    # samples read alone, so each passes or fails with its own error
+    # samples read alone, so each passes or fails with its own error, and
+    # one that passes holds what it read alone
     m = catalogue.entry("general_berwald", n=2).model
     samples = tangent_samples(2, 20, seed=4, radius=0.5)
     key = ("spray_partials", m, 1, 3, "ad")
@@ -555,7 +556,7 @@ def test_a_failing_spray_batch_and_non_finite_rows_read_alone(monkeypatch):
         failing = samples[3] if patch is degenerate else samples[1]
         assert str(err.value).endswith(f" at the sample {failing!r}")
         held = [at.jets[key] is None for at in fresh]
-        assert held == ([True] * 20 if patch is degenerate
+        assert held == ([False] * 3 + [True] * 17 if patch is degenerate
                         else [False, True] + [False] * 18)
         monkeypatch.setattr(geometry, "_assemble_spray", assemble)
         for B, at in zip(got, fresh):

@@ -687,11 +687,15 @@ SUPPORT_ROWS = (1, 16, 64)
 
 
 def _boxed(monkeypatch):
-    """Every multiply takes the box's triples, as if each support were
-    None."""
+    """Every multiply takes the box's triples into every cell, as if each
+    support and output mask were None, and every composition is the full
+    Horner from ``total_cap``, untruncated."""
     live = taylor.Algebra.live
-    monkeypatch.setattr(taylor.Algebra, "live", lambda alg, sa, sb, rows:
+    monkeypatch.setattr(taylor.Algebra, "live",
+                        lambda alg, sa, sb, rows, out=None:
                         live(alg, None, None, rows))
+    monkeypatch.setattr(taylor.TRows, "_compose", lambda t, derivs:
+                        t._horner(derivs, t.alg.total_cap, None))
 
 
 def _variables(alg, rows, rng):
@@ -796,6 +800,127 @@ def test_non_finite_coefficients_give_the_box_products_bit_for_bit(
         want = _poisoned(way, case, rows, 5)
     assert not all(np.isfinite(t.c).all() for t in want)
     assert all(_same_bits(t.c, w.c) for t, w in zip(got, want))
+
+
+def test_a_table_of_no_triples_gives_float_zeros():
+    # bincount over no index counts in int64, whatever its weights; a
+    # product into a cell that no pair of the supports reaches takes none
+    alg = algebra(*SUPPORT_CASES["stair542"][0])
+    a, b = np.ones((2, alg.size, 16))
+    empty = np.zeros(0, dtype=np.intp)
+    got = _backend.mul_accumulate(empty, empty, empty, a, b, alg.size)
+    assert got.dtype == np.float64 and _same_bits(got, np.zeros(a.shape))
+    ii, jj, bins, support = alg.live(1, 1, 16, 2)
+    assert len(ii) == 0 and support == 0
+    one = TRows(alg, a.copy(), 1)
+    product = one._times(one, (1, 1), 2)
+    assert product.support == 0 and _same_bits(product.c, np.zeros(a.shape))
+
+
+# -- the truncated Horner -------------------------------------------------------
+# An analytic function's Horner loop starts at the algebra's highest kept
+# degree, and each step takes only the cells its accumulator is read in.
+# Every result must equal the full Horner from total_cap on the box's
+# triples bit for bit, with one deliberate departure.
+
+HORNER_FUNCTIONS = {
+    "sqrt": lambda t: t.sqrt(),
+    "exp": lambda t: (t * 0.25).exp(),
+    "log": lambda t: t.log(),
+    "sin": lambda t: t.sin(),
+    "cos": lambda t: t.cos(),
+    "reciprocal": lambda t: 1.0 / t,
+    "pow_float": lambda t: t ** 2.5,
+}
+
+
+def _horner_inputs(alg, rows, seed):
+    """Series with values in [0.5, 1.5]: one raw, on every kept slot, and
+    sums and products of variables, which carry supports."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(alg.size, rows)) * 0.3
+    raw[0] = rng.uniform(0.5, 1.5, rows)
+    if alg.kept is not None:
+        raw[~alg.kept] = 0.0
+    x = _variables(alg, rows, rng)
+    return [TRows(alg, raw), x[0], x[0] * 0.5 + x[-1] * 0.5,
+            x[0] * x[-1] - x[1] * 0.25, x[-1] ** 3]
+
+
+def _counted_triples(monkeypatch):
+    """A list that collects the triple count of each multiply."""
+    seen = []
+    mul = _backend.mul_accumulate
+
+    def counted(ii, *args):
+        seen.append(len(ii))
+        return mul(ii, *args)
+
+    monkeypatch.setattr(_backend, "mul_accumulate", counted)
+    return seen
+
+
+@pytest.mark.parametrize("rows", SUPPORT_ROWS)
+@pytest.mark.parametrize("case", SUPPORT_CASES)
+@pytest.mark.parametrize("name", HORNER_FUNCTIONS)
+def test_truncated_horner_equals_the_full_horner_bit_for_bit(
+        name, case, rows, monkeypatch):
+    alg = algebra(*SUPPORT_CASES[case][0])
+    fn = HORNER_FUNCTIONS[name]
+    inputs = _horner_inputs(alg, rows, 7)
+    seen = _counted_triples(monkeypatch)
+    got = [fn(t) for t in inputs]
+    truncated, seen[:] = sum(seen), []
+    _boxed(monkeypatch)
+    want = [fn(t) for t in inputs]
+    assert truncated < sum(seen)
+    assert all(np.isfinite(w.c).all() for w in want)
+    assert all(_same_bits(t.c, w.c) for t, w in zip(got, want))
+
+
+@pytest.mark.parametrize("blocks,stair", [
+    (((2, 1), (2, 2)), None), (((3, 2), (3, 5)), (5, 4, 2)),
+    (((1, 1), (1, 2)), (0,)), (((2, 0),), None)])
+def test_sin_and_cos_at_zero_equal_the_full_horner_bit_for_bit(
+        blocks, stair, monkeypatch):
+    # at +-0.0 some derivatives are -0.0; a cap-0 algebra has no Horner
+    # step, and a stair of top 0 under a larger total cap keeps only the
+    # constant cell, where the full Horner's last add turns -0.0 into +0.0
+    alg = algebra(blocks, stair)
+
+    def results():
+        base = np.array([0.0, -0.0])
+        x = [alg.variable(b, v, base) for b, (n, _) in enumerate(blocks)
+             for v in range(n)]
+        ts = [x[0], -x[0], x[0] + x[-1], x[0] * x[-1]]
+        return [f(t) for t in ts for f in (TRows.sin, TRows.cos)]
+
+    got = results()
+    _boxed(monkeypatch)
+    want = results()
+    assert all(_same_bits(t.c, w.c) for t, w in zip(got, want))
+
+
+def test_a_full_horner_overflow_in_unread_cells_gives_the_finite_result(
+        monkeypatch):
+    # the one departure from the full Horner: 1/x at 0.01 with a 1e302
+    # coefficient of t^2, whose full Horner overflows in acc_2's t^2 cell,
+    # which no kept coefficient reads, and then took NaN from it through
+    # the zeroed value; the truncated Horner never computes that cell.  A
+    # truncated product that overflows (a 1e302 coefficient of t) hands
+    # over to the full Horner
+    alg = algebra(((1, 3),))
+    x = TRows(alg, np.array([[0.01], [1e-10], [1e302], [0.0]]))
+    y = TRows(alg, np.array([[0.01], [1e302], [0.0], [0.0]]))
+    with np.errstate(all="ignore"):
+        got = [1.0 / x, 1.0 / y]
+        _boxed(monkeypatch)
+        want = [1.0 / x, 1.0 / y]
+    assert np.isnan(want[0].c[2:]).all() and np.isfinite(want[0].c[:2]).all()
+    assert _same_bits(got[0].c[:2], want[0].c[:2])
+    # 1/x = 1/v - e/v^2 + e^2/v^3 - e^3/v^4 at v = 0.01
+    assert np.allclose(got[0].c[2:, 0], [-1e306, 2e298], rtol=1e-12, atol=0)
+    assert np.isnan(want[1].c[1:]).all() and _same_bits(got[1].c, want[1].c)
 
 
 def test_threads_at_other_row_counts_each_get_their_own_products():
