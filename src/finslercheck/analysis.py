@@ -24,7 +24,6 @@ from .calculus import TangentSample
 __all__ = [
     "ScalarCurvatureVerdict", "ScalarCurvatureFit", "scalar_curvature_fit",
     "numerical_rank", "KernelScanReport", "parallel_obstruction_scan",
-    "kernel_residual",
 ]
 
 
@@ -46,10 +45,6 @@ class ScalarCurvatureFit:
     @property
     def k_spread(self):
         return self.k_max - self.k_min
-
-    @property
-    def passed(self):
-        return self.verdict is ScalarCurvatureVerdict.SCALAR_CURVATURE
 
 
 def scalar_curvature_fit(m, samples, tol=1e-6, scheme="ad"):
@@ -177,14 +172,3 @@ def parallel_obstruction_scan(m, x_points=5, y_per_point=20, rows="both",
     report.intersection_kernel_dim = n - total_rank
     return report
 
-
-def kernel_residual(report, x_index, b):
-    """|M b|_inf / max-row-scale for a candidate kernel vector at one x;
-    small values certify that b satisfies all stacked constraints.  An
-    all-noise matrix (scale below the zero floor) constrains nothing."""
-    mat = report.matrices[x_index]
-    b = np.asarray(b, dtype=float)
-    row_scale = float(np.max(np.abs(mat)))
-    if row_scale <= ZERO_FLOOR:
-        return 0.0
-    return float(np.max(np.abs(mat @ b))) / row_scale

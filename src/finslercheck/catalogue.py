@@ -16,9 +16,10 @@ Entries:
                       + <x,y>)/(1 - |x|^2) and a closed-form Berwald
                       curvature that does not depend on a.
 
-Closed forms carried by an entry (spray, connection, Berwald curvature,
-projective-factor derivatives) are validated against the AD pipeline by the
-invariant suite; lowered indices inside them use the Euclidean convention.
+An entry may carry a closed-form spray and Berwald curvature, which
+``invariants`` holds against the AD pipeline (its ``closed_form_spray`` and
+``closed_form_berwald_curvature`` records), and a parallel family of
+1-forms; lowered indices inside them use the Euclidean convention.
 """
 
 import math
@@ -29,13 +30,9 @@ import numpy as np
 from . import scalars
 from .errors import BadParameter, NonFiniteValue
 from .forms import OneForm
-from .geometry import Domain, MetricModel, TensorValue
+from .geometry import Domain, MetricModel
 
-__all__ = [
-    "CatalogueEntry", "ProjectiveFactorJets", "entry", "names",
-    "closed_berwald_curvature", "projective_factor_jets",
-    "berwald_classic_phi",
-]
+__all__ = ["CatalogueEntry", "entry", "names", "berwald_classic_phi"]
 
 
 @dataclass(eq=False)
@@ -44,10 +41,8 @@ class CatalogueEntry:
     model: MetricModel
     params: dict = field(default_factory=dict)
     spray_cf: object = None            # closed-form G^i(x, y)
-    connection_cf: object = None       # closed-form G^h_ij(x, y)
     berwald_curvature_cf: object = None
     parallel_family: object = None     # (c, c_mu) -> OneForm
-    notes: dict = field(default_factory=dict)
 
 
 def _dot(u, v):
@@ -95,16 +90,6 @@ def _funk_parallel_spray(a):
         q = -_dot(a, y) / (1.0 + _dot(a, x))
         return tuple(q * yi for yi in y)
     return G
-
-
-def _funk_parallel_connection(a):
-    def conn(x, y):
-        n = len(a)
-        q = np.array([-ai / (1.0 + sum(aj * xj for aj, xj in zip(a, x)))
-                      for ai in a])
-        d = np.eye(n)
-        return np.einsum("i,hj->hij", q, d) + np.einsum("j,hi->hij", q, d)
-    return conn
 
 
 def _funk_parallel_family(a):
@@ -205,40 +190,29 @@ def entry(name, n=3, a=None, **extra):
     if name == "euclidean":
         model = MetricModel(n, _euclidean_F, Domain(None), name=name)
         return CatalogueEntry(name, model,
-                              spray_cf=lambda x, y: (0.0,) * n,
-                              notes={"flag_curvature": 0.0, "berwald": True,
-                                     "riemannian": True})
+                              spray_cf=lambda x, y: (0.0,) * n)
     if name == "klein":
         model = MetricModel(n, _klein_F, Domain(1.0), name=name)
-        return CatalogueEntry(name, model, spray_cf=_klein_spray,
-                              notes={"flag_curvature": -1.0, "berwald": False,
-                                     "riemannian": True})
+        return CatalogueEntry(name, model, spray_cf=_klein_spray)
     if name == "funk_parallel":
         a = _check_a(a if a is not None else _default_a(name, n), n, name)
         model = MetricModel(n, _funk_parallel_F(a), Domain(1.0), name=name)
         return CatalogueEntry(
             name, model, params={"a": a},
             spray_cf=_funk_parallel_spray(a),
-            connection_cf=_funk_parallel_connection(a),
             berwald_curvature_cf=lambda x, y: np.zeros((n,) * 4),
-            parallel_family=_funk_parallel_family(a),
-            notes={"flag_curvature": 0.0, "berwald": True,
-                   "projectively_flat": True})
+            parallel_family=_funk_parallel_family(a))
     if name == "berwald_classic":
         model = MetricModel(n, _berwald_classic_F, Domain(1.0), name=name)
         return CatalogueEntry(
             name, model, spray_cf=_projective_spray,
-            berwald_curvature_cf=_eq_berwald_curvature,
-            notes={"flag_curvature": 0.0, "berwald": False,
-                   "projectively_flat": True})
+            berwald_curvature_cf=_eq_berwald_curvature)
     if name == "general_berwald":
         a = _check_a(a if a is not None else _default_a(name, n), n, name)
         model = MetricModel(n, _general_berwald_F(a), Domain(1.0), name=name)
         return CatalogueEntry(
             name, model, params={"a": a}, spray_cf=_projective_spray,
-            berwald_curvature_cf=_eq_berwald_curvature,
-            notes={"flag_curvature": 0.0, "berwald": False,
-                   "projectively_flat": True})
+            berwald_curvature_cf=_eq_berwald_curvature)
     raise BadParameter(f"unknown catalogue metric {name!r}; "
                        f"choose from {names()}")
 
@@ -296,60 +270,3 @@ def _eq_berwald_curvature(x, y):
     G += ((3.0 * c * c / (L ** 5 * A ** 5) - 1.0 / (L ** 3 * A ** 3))
           * np.einsum("ijk,h->hijk", _sym_aab(xv, yv), yv))
     return G
-
-
-def closed_berwald_curvature(ent, at):
-    """Closed-form Berwald curvature of the projectively flat family
-    (independent of the parameter a), Euclidean-lowered indices."""
-    if ent.name not in ("general_berwald", "berwald_classic"):
-        raise BadParameter(
-            "closed_berwald_curvature applies to general_berwald / "
-            f"berwald_classic, not {ent.name!r}")
-    G = _eq_berwald_curvature(at.x, at.y)
-    if not np.isfinite(G).all():
-        raise NonFiniteValue("closed-form Berwald curvature not finite")
-    return TensorValue(G, (("sym", (1, 2, 3)),))
-
-
-@dataclass
-class ProjectiveFactorJets:
-    """Closed-form fiber derivatives of the shared projective factor."""
-
-    P: float
-    P_i: np.ndarray
-    P_ij: np.ndarray
-    P_ijk: np.ndarray
-
-    def assemble_berwald(self, y):
-        """G^h_ijk = P_ijk y^h + P_ij d^h_k + P_jk d^h_i + P_ki d^h_j."""
-        yv = np.asarray(y, dtype=float)
-        d = np.eye(len(yv))
-        return (np.einsum("ijk,h->hijk", self.P_ijk, yv)
-                + np.einsum("ij,hk->hijk", self.P_ij, d)
-                + np.einsum("jk,hi->hijk", self.P_ij, d)
-                + np.einsum("ki,hj->hijk", self.P_ij, d))
-
-
-def projective_factor_jets(ent, at):
-    """P and its first three fiber derivatives in closed form."""
-    if ent.name not in ("general_berwald", "berwald_classic"):
-        raise BadParameter(
-            "projective_factor_jets applies to general_berwald / "
-            f"berwald_classic, not {ent.name!r}")
-    xv, yv, A, c, L = _geom_factors(at.x, at.y)
-    n = len(xv)
-    d = np.eye(n)
-    P = L + c / A
-    P_i = (1.0 / L) * (yv / A + c * xv / A ** 2) + xv / A
-    P_ij = (-(1.0 / L ** 3) * (np.outer(yv, yv) / A ** 2
-                               + c * (np.outer(xv, yv) + np.outer(yv, xv)) / A ** 3
-                               + c * c * np.outer(xv, xv) / A ** 4)
-            + (1.0 / L) * (d / A + np.outer(xv, xv) / A ** 2))
-    P_ijk = ((3.0 * c / (L ** 5 * A ** 4)) * _sym_aab(yv, xv)
-             + (3.0 * c * c / (L ** 5 * A ** 5) - 1.0 / (L ** 3 * A ** 3)) * _sym_aab(xv, yv)
-             - (1.0 / (L ** 3 * A ** 2)) * _sym_vd(yv, d)
-             - (c / (L ** 3 * A ** 3)) * _sym_vd(xv, d)
-             + (-3.0 * c / (L ** 3 * A ** 4) + 3.0 * c ** 3 / (L ** 5 * A ** 6))
-             * np.einsum("i,j,k->ijk", xv, xv, xv)
-             + (3.0 / (L ** 5 * A ** 3)) * np.einsum("i,j,k->ijk", yv, yv, yv))
-    return ProjectiveFactorJets(float(P), P_i, P_ij, P_ijk)

@@ -9,7 +9,8 @@ implements those operators (each takes the tensors it derives from, and
 ``is_parallel`` takes them once per sample) plus the Randers lift F + beta
 and the functional-independence rank test used by the metrizability-freedom
 argument.  The operators run on stacks of samples as the geometry ops
-do; the homogeneity residual reads the (1, 1) jet of beta of delta_beta.
+do, and the jets of b and beta are held as rows per batch of samples;
+the homogeneity residual reads the (1, 1) jet of beta of delta_beta.
 """
 
 import math
@@ -21,13 +22,13 @@ import numpy as np
 from . import analysis, geometry, sampling, scalars
 from .calculus import (JetOrder, TangentSample, coordinates, eval_jet,
                        held, jet_of_many)
-from .errors import FinslerCheckError, InsufficientSamples, NotPositive
+from .errors import (BadParameter, FinslerCheckError,
+                     InsufficientSamples, NotPositive)
 from .geometry import MetricModel, TensorValue
 
 __all__ = [
     "OneForm", "ParallelReport", "Verdict", "covariant_derivative",
-    "d_R_beta", "m_covector", "is_parallel", "randers_lift",
-    "functional_independence", "annihilation_check",
+    "d_R_beta", "is_parallel", "randers_lift", "functional_independence",
 ]
 
 
@@ -94,10 +95,6 @@ class ParallelReport:
     deltas: list  # delta_j beta per sample
     notes: dict = None
 
-    @property
-    def passed(self):
-        return self.verdict is Verdict.PARALLEL_WITHIN_TOL
-
 
 PARALLEL_TOL = {"ad": 1e-7, "fd": 1e-4}
 
@@ -143,15 +140,6 @@ def d_R_beta(omega, at, R):
         at, R.key and ("d_R_beta", omega, R.key), stacks, R)
     return (TensorValue(two_form, (("antisym", (0, 1)),), dict(R.notes)),
             TensorValue(contracted, notes=dict(R.notes)))
-
-
-def m_covector(omega, at, ell):
-    """m_j = b_j - (beta/F) l_j from the Hilbert form ``ell`` and its
-    ``notes["F"]``; may vanish at isolated y but not identically in y."""
-    b = omega.values(at.x)
-    beta = float(b @ np.asarray(at.y, dtype=float))
-    mj = b - (beta / ell.notes["F"]) * ell.components
-    return TensorValue(mj, notes={"norm": float(np.linalg.norm(mj))})
 
 
 def homogeneity_residual(omega, at):
@@ -242,9 +230,20 @@ PHI_CHOICES = {
 def functional_independence(m, omega, phi_choice="randers", samples=()):
     """Maximum numerical rank over samples of the 2 x 2n Jacobian of
     (F, F*phi(beta/F)) in (x, y); 2 means locally functionally
-    independent (rank may drop on the measure-zero set y || b)."""
+    independent (rank may drop on the measure-zero set y || b).  ``phi``
+    is a callable or a name in PHI_CHOICES; with no sample there is no
+    rank to take, which raises InsufficientSamples."""
     m.require_F()
-    phi = PHI_CHOICES[phi_choice] if isinstance(phi_choice, str) else phi_choice
+    if isinstance(phi_choice, str):
+        if phi_choice not in PHI_CHOICES:
+            raise BadParameter(f"unknown phi_choice {phi_choice!r}; "
+                               f"choose from {sorted(PHI_CHOICES)}")
+        phi = PHI_CHOICES[phi_choice]
+    else:
+        phi = phi_choice
+    if not samples:
+        raise InsufficientSamples(
+            "functional_independence needs at least one sample")
 
     def fbar(x, y):
         f = m.F(x, y)
@@ -259,12 +258,3 @@ def functional_independence(m, omega, phi_choice="randers", samples=()):
         best = max(best, analysis.numerical_rank(np.asarray(rows))[0])
     return best
 
-
-def annihilation_check(omega, at, B, ell):
-    """(max |l_h G^h_ijk|, max |b_h G^h_ijk|) contraction residuals of the
-    Berwald curvature ``B`` with the Hilbert form ``ell`` and with b."""
-    b = omega.values(at.x)
-    r_ell = float(np.max(np.abs(np.einsum("hijk,h->ijk", B.components,
-                                          ell.components))))
-    r_b = float(np.max(np.abs(np.einsum("hijk,h->ijk", B.components, b))))
-    return r_ell, r_b

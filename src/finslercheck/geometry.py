@@ -11,7 +11,8 @@ endomorphism and the curvature 2-form R^h_jk of the canonical nonlinear
 connection.
 
 A spray jet of order (kx, ky) needs energy partials of order (kx + 1,
-ky + 2).  Under AD they are all read off one flat energy jet of that order
+ky + 2), so the curvature tier (1, 3) takes an energy jet of order
+(2, 5).  Under AD they are all read off one flat energy jet of that order
 by derivative shifts (:meth:`TRows.partial`) into the (kx, ky) algebra,
 where the spray is assembled and solved; no jet is taken of Taylor-valued
 inputs.  Spray-only models and the FD scheme differentiate the spray
@@ -25,9 +26,13 @@ row bit for bit that sample's batch of one, and a sample outside a loop is
 a loop of one (:func:`calculus.held`): the spray values, the energy and F
 jets, and the spray partials the ops read (``_spray_partials``), read
 straight off one batch of spray jets per ``SPRAY_BATCH`` samples of a
-model with F; an AD (1, 2) read takes the (1, 3) rows a sample holds.  A
-sample whose batch failed reads alone.  Every held key names its scheme,
-so the AD Euler chain that an FD pass also takes never feeds an FD op.
+model with F (else per ``FD_BATCH``); an AD (1, 2) read takes the
+(1, 3) rows a sample holds, bit for bit a direct (1, 2) computation's.
+The spray value is held with its three homogeneity scalings, four rows
+per sample.  A sample whose batch failed, or whose row is not finite,
+reads alone and fails with its own error.  Every held key names its
+scheme, so the AD Euler chain that an FD pass also takes never feeds an
+FD op.
 
 Each op's body is written once, on stacks with a leading sample axis
 (``_rows``): its first read runs it over the loop's samples, on spray

@@ -6,11 +6,12 @@ The geodesic spray of such a metric has the form
     G^i = u P y^i + u^2 Q x^i,
 
 with P and Q rational in phi and its (r, s)-derivatives; this module
-extracts P, Q from a profile, assembles spray and nonlinear connection
-from a (P, Q) pair, evaluates the two metrizability PDEs a profile must
-satisfy to be generated by given (P, Q), and implements the parallel-form
-characterisation: a parallel 1-form of a spherically symmetric metric has
-b_i = f(r) x_i, with Q determined by f and P while P stays free.
+extracts P, Q from a profile, assembles the spray (and a spray-only
+metric model) from a (P, Q) pair, evaluates the two metrizability PDEs a
+profile must satisfy to be generated by given (P, Q), and implements the
+parallel-form characterisation: a parallel 1-form of a spherically
+symmetric metric has b_i = f(r) x_i, with Q determined by f and P while P
+stays free.
 
 All (r, s)-level derivatives (phi_r, phi_s, phi_ss, P_s, Q_s, ...) come
 from the Taylor engine applied to the profile, never from grid
@@ -19,9 +20,12 @@ the metrizability and characterised-Q residuals, the classification) run
 the same code at a float point (r, s), at Taylor scalars, or at per-row
 float arrays r, s, where every jet is one pipeline of Taylor rows
 (:class:`finslercheck.taylor.TRows`) and each row equals that point's
-result bit for bit.  A grid sweep evaluates its points in such batches,
-with one (1, 2) profile jet per batch that the metrizability residuals,
-P, Q and the classification all read.
+result bit for bit.  A grid sweep evaluates its points in such batches
+of up to ``calculus.FD_BATCH`` points, with one (1, 2) profile jet per
+batch that the metrizability residuals, P, Q and the classification all
+read, and one P/Q jet and one characterised-Q jet per batch.  A failing
+batch is evaluated again point by point, so a grid error is the first
+failing point's own and names that (r, s) (``cli._over_grid``).
 """
 
 from dataclasses import dataclass
@@ -36,9 +40,9 @@ from .geometry import Domain, MetricModel, TensorValue
 
 __all__ = [
     "SphSymProfile", "PQPair", "RadialFactor", "pq_from_profile",
-    "spray_from_pq", "spray_model_from_pq", "connection_from_pq",
-    "metrizability_residuals", "parallel_q", "parallel_pq", "sss_residuals",
-    "parallel_form_check", "classify_profile", "profile_metric", "pq_of_jet",
+    "spray_from_pq", "spray_model_from_pq", "metrizability_residuals",
+    "parallel_q", "parallel_pq", "sss_residuals", "parallel_form_check",
+    "classify_profile", "profile_metric", "pq_of_jet",
 ]
 
 DENOMINATOR_TOL = 1e-12
@@ -173,19 +177,6 @@ def profile_metric(profile, n, name=""):
         r, s, u = _rsu(x, y)
         return u * profile.phi(r, s)
     return MetricModel(n, F, Domain(profile.r0), name=name or profile.name)
-
-
-def connection_from_pq(pq, at):
-    """Nonlinear connection of the (P, Q) spray via its five-term closed
-    form (cross-checked against fiber derivatives of the spray by tests)."""
-    r, s, u = _rsu(at.x, at.y)
-    P, P_s, Q, Q_s = pq.jets(r, s)
-    x = np.asarray(at.x, dtype=float)
-    y = np.asarray(at.y, dtype=float)
-    d = np.eye(len(x))
-    N = (u * P * d + P_s * np.outer(y, x) + (P - s * P_s) / u * np.outer(y, y)
-         + u * Q_s * np.outer(x, x) + (2.0 * Q - s * Q_s) * np.outer(x, y))
-    return TensorValue(N)
 
 
 def metrizability_residuals(jet, pq, rs):

@@ -78,7 +78,7 @@ import numpy as np
 from ..errors import NonFiniteValue
 from . import _backend
 
-__all__ = ["Algebra", "TRows", "algebra", "backend_name"]
+__all__ = ["Algebra", "TRows", "algebra"]
 
 
 # Kept because perfbench's provenance line reads it.
@@ -210,10 +210,6 @@ class Algebra:
                 ii, jj, oo = ii[keep], jj[keep], oo[keep]
             self._tables = (ii, jj, oo)
         return self._tables
-
-    def row_bins(self, rows):
-        """The box's output bins at ``rows`` series (:meth:`live`)."""
-        return self.live(None, None, rows)[2]
 
     def live(self, sa, sb, rows, out=None):
         """(ii, jj, bins, support) of a multiply of ``rows`` series with
@@ -518,8 +514,11 @@ class TRows:
     def _times(self, o, supports, out=None):
         """The product with ``o`` on the box's triples that the pair of
         ``supports`` and the output cells ``out`` keep (:meth:`Algebra.live`),
-        or None if it is not finite and is not the box's whole product."""
+        or None if it is not finite and is not the box's whole product.  A
+        table of no triples gives float zeros without the kernel."""
         ii, jj, bins, support = self.alg.live(*supports, self.c.shape[1], out)
+        if not len(ii):
+            return TRows(self.alg, np.zeros(self.c.shape), support)
         c = _backend.mul_accumulate(ii, jj, bins, self.c, o.c, self.alg.size)
         if support is None and out is None or math.isfinite(c.sum()):
             return TRows(self.alg, c, support)
@@ -640,11 +639,6 @@ class TRows:
         return TRows(target, c, s)
 
     # -- coefficient access --------------------------------------------------
-
-    def coefficient(self, multi):
-        """Raw series coefficient of each row for per-block exponent
-        tuples."""
-        return self.c[self.alg.flat_index(multi)]
 
     def is_finite(self):
         return bool(np.isfinite(self.c).all())

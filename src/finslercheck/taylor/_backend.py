@@ -3,9 +3,11 @@ over an algebra's precomputed sparse index triples, as one numpy
 ``bincount``.  Operands are batches of series, ``(size, rows)`` with the
 row axis last: the gathers take whole coefficient rows, and ``oo`` holds
 the flattened bins ``oo * rows + r`` of every row r (cached on the
-algebra, ``Algebra.row_bins``), so each row sums its triples in the same
-order at any row count.  The triples are the box's, or those that the
-operands' structural supports keep (``Algebra.live``).
+algebra with its triples, ``Algebra.live``), so each row sums its triples
+in the same order at any row count.  The triples are the box's, or those
+that the operands' structural supports keep; a table of no triples never
+reaches the kernel (``TRows._times`` returns its zeros), because
+``bincount`` over no index counts in int64, whatever the weights.
 
 A batch gathers its two ``(triples, rows)`` operands into a work area
 that the kernel keeps, grown to the largest pair of gathers seen.  Fresh
@@ -41,9 +43,6 @@ def _grow(shape):
 # TRows.__mul__ looks it up on every call.  ``size`` is the algebra's
 # coefficient count, which the tracer reads.
 def mul_accumulate(ii, jj, oo, a, b, size):
-    if not len(ii):
-        # bincount over no index counts in int64, whatever the weights
-        return np.zeros(a.shape)
     shape = (len(ii), a.shape[1])
     try:
         wa, wb, flat = _area.views[shape]

@@ -29,7 +29,7 @@ def test_01_closed_form_oracle_agreement():
     worst = 0.0
     for at in tangent_samples(3, 100, seed=2024, radius=0.6):
         B = geometry.berwald_curvature(ent.model, at).components
-        C = catalogue.closed_berwald_curvature(ent, at).components
+        C = ent.berwald_curvature_cf(at.x, at.y)
         scale = max(1.0, float(np.max(np.abs(C))))
         worst = max(worst, float(np.max(np.abs(B - C))) / scale)
     elapsed = time.monotonic() - t0

@@ -7,6 +7,7 @@ from finslercheck import catalogue, geometry, scalars
 from finslercheck.calculus import TangentSample, jet_of
 from finslercheck.errors import BadParameter, NonFiniteValue
 from finslercheck.sampling import tangent_samples
+from oracles import funk_parallel_connection, projective_factor_jets
 
 
 def test_general_berwald_a0_equals_classic():
@@ -62,14 +63,15 @@ def test_closed_berwald_curvature_a_independent(samples10):
     g1 = catalogue.entry("general_berwald", n=3, a=(0.1, 0.0, 0.0))
     g2 = catalogue.entry("general_berwald", n=3, a=(0.0, 0.0, 0.0))
     for at in samples10[:4]:
-        c1 = catalogue.closed_berwald_curvature(g1, at).components
-        c2 = catalogue.closed_berwald_curvature(g2, at).components
+        c1 = g1.berwald_curvature_cf(at.x, at.y)
+        c2 = g2.berwald_curvature_cf(at.x, at.y)
         np.testing.assert_array_equal(c1, c2)
 
 
 def test_closed_berwald_curvature_contraction(gb3, samples10):
     for at in samples10[:4]:
-        C = catalogue.closed_berwald_curvature(gb3, at)
+        C = geometry.TensorValue(gb3.berwald_curvature_cf(at.x, at.y),
+                                 (("sym", (1, 2, 3)),))
         y = np.array(at.y)
         assert np.max(np.abs(np.einsum("hijk,k->hij", C.components, y))) <= 1e-9
         assert C.symmetry_violation() <= 1e-10 * (1.0 + C.max_abs())
@@ -78,21 +80,20 @@ def test_closed_berwald_curvature_contraction(gb3, samples10):
 def test_closed_berwald_curvature_domain():
     gb = catalogue.entry("general_berwald", n=3)
     with pytest.raises(NonFiniteValue):
-        catalogue.closed_berwald_curvature(
-            gb, TangentSample((1.1, 0.0, 0.0), (1.0, 0.0, 0.0)))
+        gb.berwald_curvature_cf((1.1, 0.0, 0.0), (1.0, 0.0, 0.0))
 
 
-def test_projective_factor_jets_at_origin(gb3):
+def test_projective_factor_jets_at_origin():
     at = TangentSample((0.0, 0.0, 0.0), (0.6, -0.8, 0.0))
-    pj = catalogue.projective_factor_jets(gb3, at)
+    pj = projective_factor_jets(at)
     u = np.linalg.norm(at.y)
     assert pj.P == pytest.approx(u, rel=1e-12)
     np.testing.assert_allclose(pj.P_i, np.array(at.y) / u, atol=1e-12)
 
 
-def test_projective_factor_jets_symmetry_and_ad(gb3, samples10):
+def test_projective_factor_jets_symmetry_and_ad(samples10):
     for at in samples10[:4]:
-        pj = catalogue.projective_factor_jets(gb3, at)
+        pj = projective_factor_jets(at)
         np.testing.assert_allclose(pj.P_ij, pj.P_ij.T, atol=1e-10)
         for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
             np.testing.assert_allclose(pj.P_ijk,
@@ -114,8 +115,8 @@ def test_projective_factor_jets_symmetry_and_ad(gb3, samples10):
 
 def test_assembly_identity_matches_closed_form(gb3, samples10):
     for at in samples10[:4]:
-        pj = catalogue.projective_factor_jets(gb3, at)
-        C = catalogue.closed_berwald_curvature(gb3, at).components
+        pj = projective_factor_jets(at)
+        C = gb3.berwald_curvature_cf(at.x, at.y)
         np.testing.assert_allclose(pj.assemble_berwald(at.y), C, atol=1e-9)
 
 
@@ -135,7 +136,7 @@ def test_funk_closed_connection_matches_pipeline():
     ent = catalogue.entry("funk_parallel", n=3, a=(0.5, 0.1, 0.0))
     for at in tangent_samples(3, 100, seed=305):
         C = geometry.berwald_connection(ent.model, at).components
-        ref = ent.connection_cf(at.x, at.y)
+        ref = funk_parallel_connection(ent.params["a"], at.x)
         assert np.max(np.abs(C - ref)) <= 1e-6 * (1.0 + np.max(np.abs(ref)))
 
 

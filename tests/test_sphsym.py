@@ -16,10 +16,11 @@ from finslercheck.forms import Verdict
 from finslercheck.sampling import rs_grid, tangent_samples
 from finslercheck.sphsym import (
     PQPair, RadialFactor, SphSymProfile, classify_profile,
-    connection_from_pq, metrizability_residuals, parallel_form_check,
-    parallel_pq, parallel_q, pq_from_profile, pq_of_jet, profile_metric,
-    spray_from_pq, spray_model_from_pq, sss_residuals,
+    metrizability_residuals, parallel_form_check, parallel_pq, parallel_q,
+    pq_from_profile, pq_of_jet, profile_metric, spray_from_pq,
+    spray_model_from_pq, sss_residuals,
 )
+from oracles import connection_from_pq
 
 
 @pytest.fixture(scope="module")
