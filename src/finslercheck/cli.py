@@ -19,12 +19,13 @@ or a cross-check between two computations, did not hold).
 import argparse
 import functools
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import analysis, catalogue, expressions, forms, geometry, sphsym
 from .calculus import batched, homogeneity_check
-from .config import MAX_DIM, MAX_THREADS, build_config, parse_config_file
+from .config import ACCEPTED, RunConfig, build_config, parse_config_file
 from .errors import (
     BadParameter, ConfigError, DegenerateMetric, FinslerCheckError,
     InsufficientSamples, NonFiniteValue, NotPositive, ParseError,
@@ -422,33 +423,12 @@ RUNNERS = {
 # argument parsing
 
 
-def _add_common(p):
-    p.add_argument("--metric", help="catalogue metric name")
-    p.add_argument("--dim", help=f"dimension n, 2 to {MAX_DIM}")
-    p.add_argument("--a", help="comma-separated parameter vector a")
-    p.add_argument("--phi", help="profile phi(r,s) expression or "
-                                 "'berwald_classic'")
-    p.add_argument("--form", help="'catalogue' or comma-joined b_i "
-                                  "expressions in x1..xn")
-    p.add_argument("--c", help="family parameter c")
-    p.add_argument("--cmu", help="family parameters c_mu (comma-separated)")
-    p.add_argument("--f", help="radial factor f(r) expression")
-    p.add_argument("--P", help="free P(r,s) expression")
-    p.add_argument("--samples", help="sample count (>= 10)")
-    p.add_argument("--seed", help="PRNG seed")
-    p.add_argument("--radius", help="sampling radius for |x|")
-    p.add_argument("--tol", help="tolerance override")
-    p.add_argument("--scheme", help="ad (default) or fd")
-    p.add_argument("--out", help="report output path")
-    p.add_argument("--format", help="json (default) or csv")
-    p.add_argument("--threads", help=f"no effect; accepted (1 to "
-                   f"{MAX_THREADS}) so old command lines keep their exit code")
-
-
 @functools.cache
 def _build_parser():
     # built once per process: it reads only the keys of RUNNERS, which never
-    # change (perfbench's tracer replaces only the values)
+    # change (perfbench's tracer replaces only the values).  Every command
+    # parses every key, so that build_config, not argparse, rejects a key
+    # the command does not read, naming both; -h lists only the command's
     parser = argparse.ArgumentParser(
         prog="finslercheck",
         description="numerical verification of sprays, curvatures and "
@@ -457,17 +437,10 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in RUNNERS:
         p = sub.add_parser(name)
-        _add_common(p)
-        if name == "scan":
-            p.add_argument("--x-points", dest="x_points",
-                           help="number of base points")
-            p.add_argument("--y-samples", dest="y_samples",
-                           help="fiber samples per base point")
-            p.add_argument("--rows", help="both | berwald | curvature")
-        if name == "sphsym":
-            p.add_argument("--sweep", help="write the (r,s) grid to this CSV")
-            p.add_argument("--grid-nr", dest="grid_nr", help="grid points in r")
-            p.add_argument("--grid-ns", dest="grid_ns", help="grid points in s")
+        for f in fields(RunConfig)[1:]:
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           help=f.metadata["help"] if f.name in ACCEPTED[name]
+                           else argparse.SUPPRESS)
     return parser
 
 

@@ -1,58 +1,87 @@
 """Run configuration: typed flat key-value config files and validation.
 
+``KEYS`` maps each command to the keys it reads; a report echoes those.
+``ACCEPTED`` adds ``scan``'s inert ``threads``: it decides which flags a
+command's parser lists and which keys a flag or a config file may set
+(any other key is a ConfigError, exit code 2).
+
 Config files hold one ``[command]`` section per command with ``key = value``
 lines; ``#`` starts an inline comment.  Unknown sections or keys are errors
 (fail fast), as are values that do not parse at their declared type.
-Command-line flags override file values.
+Command-line flags override file values; ``build_config`` rejects a key,
+from either, that its command does not read.
 """
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 
-COMMANDS = ("tensors", "check-parallel", "scan", "sphsym",
-            "scalar-curvature", "invariants")
+# the keys each command reads: its runner in cli.py, and ``out`` and
+# ``format``, which cli.main reads for every command (tests/test_interface.py
+# walks cli.py and holds each row to the runner's reads)
+_MAIN = ("out", "format")
+_METRIC = ("metric", "dim", "a", "phi", "radius")
+_SAMPLED = _METRIC + ("samples", "scheme", "seed") + _MAIN
+KEYS = {
+    "tensors": _SAMPLED,
+    "check-parallel": _SAMPLED + ("form", "c", "cmu", "tol"),
+    "scan": _METRIC + ("scheme", "seed", "x_points", "y_samples",
+                       "rows") + _MAIN,
+    "sphsym": ("dim", "phi", "f", "P", "radius", "samples", "seed", "tol",
+               "sweep", "grid_nr", "grid_ns") + _MAIN,
+    "scalar-curvature": _SAMPLED + ("tol",),
+    "invariants": _SAMPLED,
+}
+COMMANDS = tuple(KEYS)
+# the keys a flag or a config file may set: each command's, and for
+# ``scan`` also ``threads``, which nothing reads and no report echoes,
+# while perfbench's scan workload passes ``--threads 2``
+ACCEPTED = dict(KEYS, scan=KEYS["scan"] + ("threads",))
 
-# Upper bound of ``threads``, which nothing reads (runs are sequential); it
-# stays so old command lines and config files keep their exit codes.
+# Upper bound of ``threads``, kept so old command lines keep their exit codes
 MAX_THREADS = 64
 # Upper bound of ``dim``: jet algebras grow steeply with n (the klein
 # tensors take 1.7 s at n = 6 and 4.7 s at n = 7).
 MAX_DIM = 8
 
 
+def _key(default, help):
+    """A RunConfig field: a key's default and its flag's help."""
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass
 class RunConfig:
     command: str = ""
-    metric: str = None
-    dim: int = 3
-    a: tuple = None
-    phi: str = None        # profile expression (or 'berwald_classic')
-    form: str = None       # 'catalogue' or comma-joined expressions
-    c: float = 1.0
-    cmu: tuple = None
-    f: str = None          # radial factor expression f(r)
-    P: str = None          # free P(r, s) expression
-    samples: int = 100
-    seed: int = 0
-    radius: float = None
-    tol: float = None
-    scheme: str = "ad"
-    out: str = None
-    format: str = "json"
-    threads: int = 1
-    x_points: int = 5
-    y_samples: int = 20
-    rows: str = "both"
-    sweep: str = None
-    grid_nr: int = 20
-    grid_ns: int = 20
+    metric: str = _key(None, "catalogue metric name")
+    dim: int = _key(3, f"dimension n, 2 to {MAX_DIM}")
+    a: tuple = _key(None, "comma-separated parameter vector a")
+    phi: str = _key(None, "profile phi(r,s) expression or 'berwald_classic'")
+    form: str = _key(None, "'catalogue' or comma-joined b_i expressions in "
+                           "x1..xn")
+    c: float = _key(1.0, "family parameter c")
+    cmu: tuple = _key(None, "family parameters c_mu (comma-separated)")
+    f: str = _key(None, "radial factor f(r) expression")
+    P: str = _key(None, "free P(r,s) expression")
+    samples: int = _key(100, "sample count (>= 10)")
+    seed: int = _key(0, "PRNG seed")
+    radius: float = _key(None, "sampling radius for |x|")
+    tol: float = _key(None, "tolerance override")
+    scheme: str = _key("ad", "ad (default) or fd")
+    out: str = _key(None, "report output path")
+    format: str = _key("json", "json (default) or csv")
+    threads: int = _key(1, f"no effect; accepted (1 to {MAX_THREADS}) so "
+                           "old command lines keep their exit code")
+    x_points: int = _key(5, "number of base points")
+    y_samples: int = _key(20, "fiber samples per base point")
+    rows: str = _key("both", "both | berwald | curvature")
+    sweep: str = _key(None, "write the (r,s) grid to this CSV")
+    grid_nr: int = _key(20, "grid points in r")
+    grid_ns: int = _key(20, "grid points in s")
 
     def validate(self):
-        if self.command not in COMMANDS:
-            raise ConfigError(f"unknown command {self.command!r}")
         if not 2 <= self.dim <= MAX_DIM:
             raise ConfigError(f"dim must be between 2 and {MAX_DIM}")
         if self.samples < 10:
@@ -101,42 +130,32 @@ class RunConfig:
                                   "exist")
 
     def echo(self):
-        """Config as a plain dict for report embedding."""
+        """The command and the keys it reads, in field order, as a plain
+        dict for report embedding."""
         out = {}
         for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = list(v)
-            out[f.name] = v
+            if f.name == "command" or f.name in KEYS[self.command]:
+                v = getattr(self, f.name)
+                out[f.name] = list(v) if isinstance(v, tuple) else v
         return out
 
 
-_FLOATLIST = ("a", "cmu")
-_FLOATS = ("c", "radius", "tol")
-_INTS = ("dim", "samples", "seed", "threads", "x_points", "y_samples",
-         "grid_nr", "grid_ns")
-
-_VALID_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
+_TYPES = {f.name: f.type for f in fields(RunConfig)[1:]}
 
 
 def coerce(key, raw):
-    if key not in _VALID_KEYS:
+    kind = _TYPES.get(key)
+    if kind is None:
         raise ConfigError(f"unknown configuration key {key!r}")
-    if raw is None:
-        return None
     if isinstance(raw, (int, float, tuple, list)):
         return tuple(raw) if isinstance(raw, (tuple, list)) else raw
     raw = raw.strip()
     try:
-        if key in _FLOATLIST:
+        if kind is tuple:
             return tuple(float(p) for p in raw.split(",") if p.strip() != "")
-        if key in _FLOATS:
-            return float(raw)
-        if key in _INTS:
-            return int(raw)
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"bad value {raw!r} for key {key!r}") from None
-    return raw
 
 
 def parse_config_file(path):
@@ -170,10 +189,14 @@ def parse_config_file(path):
 
 
 def build_config(command, file_values=None, overrides=None):
+    if command not in KEYS:
+        raise ConfigError(f"unknown command {command!r}")
     cfg = RunConfig(command=command)
     for source in (file_values or {}), (overrides or {}):
         for k, v in source.items():
             if v is None:
                 continue
+            if k not in ACCEPTED[command]:
+                raise ConfigError(f"key {k!r} does not apply to {command}")
             setattr(cfg, k, coerce(k, v))
     return cfg.validate()

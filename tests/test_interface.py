@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -18,8 +19,9 @@ import finslercheck
 from finslercheck import (calculus, catalogue, cli, expressions, forms,
                           geometry, sampling, scalars, sphsym)
 from finslercheck.calculus import TangentSample
-from finslercheck.config import (MAX_DIM, MAX_THREADS, build_config,
-                                 parse_config_file)
+from finslercheck import config
+from finslercheck.config import (MAX_DIM, MAX_THREADS, RunConfig,
+                                 build_config, parse_config_file)
 from finslercheck.errors import (ConfigError, FinslerCheckError,
                                  NonFiniteValue, NotPositive, SelfCheckFailure,
                                  SingularDenominator)
@@ -69,7 +71,7 @@ def test_config_file_errors(tmp_path, body, fragment):
 
 def test_build_config_validation():
     with pytest.raises(ConfigError):
-        build_config("scan", overrides={"samples": 5})
+        build_config("tensors", overrides={"samples": 5})
     with pytest.raises(ConfigError):
         build_config("scan", overrides={"scheme": "magic"})
     with pytest.raises(ConfigError):
@@ -78,7 +80,7 @@ def test_build_config_validation():
         build_config("scan", overrides={"dim": MAX_DIM + 1})
     with pytest.raises(ConfigError, match="y_samples"):
         build_config("scan", overrides={"dim": 3, "y_samples": 4})
-    cfg = build_config("scan", overrides={"samples": "25", "dim": "4"})
+    cfg = build_config("tensors", overrides={"samples": "25", "dim": "4"})
     assert cfg.samples == 25 and cfg.dim == 4
     cfg = build_config("scan", overrides={"dim": MAX_DIM, "y_samples": 10})
     assert cfg.dim == MAX_DIM and cfg.y_samples == MAX_DIM + 2
@@ -104,7 +106,7 @@ def test_cli_fail_exit_one(capsys):
     ["scan", "--metric", "klein", "--radius", "1.5"],
     ["check-parallel", "--metric", "klein", "--samples", "12"],  # no family
     ["sphsym", "--phi", "sqrt("],
-    ["scan", "--metric", "klein", "--samples", "3"],
+    ["tensors", "--metric", "klein", "--samples", "3"],
     ["scalar-curvature", "--metric", "klein", "--seed", "-1"],
     ["scalar-curvature", "--metric", "klein", "--tol", "nan"],
     ["scalar-curvature", "--metric", "klein", "--tol", "inf"],
@@ -568,36 +570,135 @@ def test_sphsym_sweep_csv(tmp_path):
     assert len(lines) == 26
 
 
-def _report_without_threads(path, threads):
-    """The report at path, less its timestamp and output path, with the
-    echoed ``threads`` checked and removed."""
-    report = json.loads(path.read_text())
-    del report["generated_at"]
-    config = report["config"]
-    del config["out"]
-    assert config.pop("threads") == threads
-    return report
+def _cfg_reads(tree):
+    """{name: (reads, followed)} per top-level function of a module: the
+    RunConfig fields it reads as ``cfg.<field>``, itself or in the module's
+    functions it passes ``cfg`` to, and the names of those functions."""
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+
+    def walk(name, followed):
+        reads = set()
+        for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Attribute) and node.attr in keys \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "cfg":
+                reads.add(node.attr)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in funcs and node.func.id != name \
+                    and any(isinstance(a, ast.Name) and a.id == "cfg"
+                            for a in node.args):
+                followed.add(node.func.id)
+                reads |= walk(node.func.id, followed)
+        return reads
+
+    out = {}
+    for name in funcs:
+        followed = set()
+        out[name] = (walk(name, followed), followed)
+    return out
+
+
+def test_each_command_accepts_the_keys_its_runner_reads():
+    # read off cli.py's source: perfbench's tracer swaps the values of
+    # cli.RUNNERS, so the runner objects need not be cli.py's functions
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    reads = _cfg_reads(tree)
+    runners = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and node.targets[0].id == "RUNNERS")
+    main_reads, _ = reads["main"]
+    assert main_reads == {"out", "format"}
+    followed_all = set()
+    for key, value in zip(runners.keys, runners.values):
+        runner_reads, followed = reads[value.id]
+        followed_all |= followed
+        assert runner_reads | main_reads == set(config.KEYS[key.value]), \
+            key.value
+    assert followed_all == {"_resolve_metric", "_resolve_profile",
+                            "_sample_radius", "_samples", "_resolve_form"}
+    # threads is read by nothing, and echoed by no command
+    assert not any("threads" in r for r, _ in reads.values())
+    assert {(c, k) for c in config.COMMANDS for k in config.ACCEPTED[c]
+            if k not in config.KEYS[c]} == {("scan", "threads")}
+    # each report echoes the command and its keys, in field order
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    for command in config.COMMANDS:
+        cfg = build_config(command)
+        assert list(cfg.echo()) == [k for k in fields if k == "command"
+                                    or k in config.KEYS[command]]
+
+
+def _report_text(path):
+    """The report at path, less its timestamp and output path."""
+    return "".join(line for line in path.read_text().splitlines(True)
+                   if '"generated_at"' not in line and '"out"' not in line)
 
 
 @pytest.mark.parametrize("argv", [
-    ["check-parallel", "--metric", "funk_parallel", "--a", "0.5,0.1,0",
-     "--c", "1", "--cmu", "0,0.2", "--samples", "10"],
     ["scan", "--metric", "klein", "--x-points", "2", "--y-samples", "5"],
-], ids=["check-parallel", "scan"])
+], ids=["scan"])
 def test_threads_key_is_inert(argv, tmp_path):
-    # --threads is accepted and echoed, but every run is the same
-    # sequential loop: only the echoed value differs
-    command = argv[0]
+    # scan alone accepts --threads (the rc 2 of the other commands is tested
+    # below), and no report echoes it: every run is the same sequential
+    # loop, byte for byte
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"[{command}]\nthreads = 4\n")
+    cfg.write_text("[scan]\nthreads = 4\n")
     ref, flag, conf = (tmp_path / f"{n}.json" for n in ("ref", "flag", "conf"))
-    assert cli.main(argv + ["--threads", "1", "--out", str(ref)]) == 0
+    assert cli.main(argv + ["--out", str(ref)]) == 0
     assert cli.main(argv + ["--threads", "4", "--out", str(flag)]) == 0
     assert cli.main(["--config", str(cfg)] + argv
                     + ["--out", str(conf)]) == 0
-    expected = _report_without_threads(ref, 1)
-    assert _report_without_threads(flag, 4) == expected
-    assert _report_without_threads(conf, 4) == expected
+    expected = _report_text(ref)
+    assert "threads" not in expected
+    assert _report_text(flag) == expected
+    assert _report_text(conf) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["sphsym", "--phi", "berwald_classic", "--samples", "20",
+     "--scheme", "fd"],
+    ["tensors", "--metric", "klein", "--samples", "10", "--tol", "1e-300"],
+    ["tensors", "--metric", "klein", "--samples", "10", "--threads", "2"],
+    ["check-parallel", "--metric", "funk_parallel", "--samples", "10",
+     "--threads", "4"],
+    ["tensors", "--metric", "klein", "--samples", "10", "--sweep", "x.csv"],
+    ["tensors", "--metric", "klein", "--samples", "10", "--rows",
+     "curvature"],
+    ["tensors", "--metric", "klein", "--samples", "10", "--grid-nr", "3"],
+    ["scan", "--metric", "klein", "--samples", "10"],
+    ["invariants", "--metric", "klein", "--form", "x1,x2,x3"],
+    ["check-parallel", "--metric", "euclidean", "--form", "x1,0,0",
+     "--P", "s"],
+    ["scalar-curvature", "--metric", "klein", "--x-points", "3"],
+    ["sphsym", "--phi", "berwald_classic", "--metric", "klein"],
+], ids=lambda argv: f"{argv[0]}-{argv[-2][2:]}")
+def test_a_key_the_command_does_not_read_exits_two(argv, tmp_path,
+                                                  monkeypatch, capsys):
+    # as a flag and under the command's config section, before any work
+    command, flag, value = argv[0], argv[-2], argv[-1]
+    monkeypatch.setitem(cli.RUNNERS, command,
+                        lambda cfg: pytest.fail("the command ran"))
+    key = flag[2:].replace("-", "_")
+    message = f"error: key {key!r} does not apply to {command}\n"
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == message
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[{command}]\n{key} = {value}\n")
+    assert cli.main(["--config", str(cfg)] + argv[:-2]) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_every_key_outside_a_row_is_rejected():
+    # from a config file's values (build_config's first source)
+    keys = [f.name for f in dataclasses.fields(RunConfig)][1:]
+    for command in config.COMMANDS:
+        for key in keys:
+            if key in config.ACCEPTED[command]:
+                continue
+            with pytest.raises(ConfigError, match=f"^key {key!r} does not "
+                                                  f"apply to {command}$"):
+                build_config(command, {key: "1"})
 
 
 @pytest.mark.parametrize("command", ["tensors", "invariants"])
@@ -632,10 +733,10 @@ def test_threads_capped_at_config_time(capsys):
         == MAX_THREADS
     with pytest.raises(ConfigError, match="threads"):
         build_config("scan", overrides={"threads": MAX_THREADS + 1})
-    rc = cli.main(["tensors", "--metric", "klein", "--samples", "10",
-                   "--threads", str(MAX_THREADS + 1)])
+    rc = cli.main(["scan", "--metric", "klein", "--x-points", "1",
+                   "--y-samples", "5", "--threads", str(MAX_THREADS + 1)])
     assert rc == 2
-    assert "threads" in capsys.readouterr().err
+    assert "threads must be between 1 and" in capsys.readouterr().err
 
 
 def test_self_check_failure_exit_four(capsys):
@@ -808,15 +909,16 @@ def _int(lo, hi):
 # Flags every run of the command sets, with mostly valid values (scan
 # stays small; FD scans take seconds each and have their own tests).
 _COMMAND = {
+    "check-parallel": {"--metric": st.just("funk_parallel"),
+                       "--samples": st.just("10")},
     "scan": {"--metric": st.just("klein"), "--x-points": _int(0, 3),
              "--y-samples": _int(5, 8),
              "--rows": st.sampled_from(("both", "berwald", "curvature"))},
-    "sphsym": {"--phi": st.just("berwald_classic"), "--grid-nr": _int(1, 4),
-               "--grid-ns": _int(1, 4),
-               "--scheme": st.sampled_from(("ad", "fd"))},
+    "sphsym": {"--phi": st.just("berwald_classic"), "--samples": st.just("10"),
+               "--grid-nr": _int(1, 4), "--grid-ns": _int(1, 4)},
 }
-# Flags a run may add, overriding the values above; a flag of the other
-# command is an argparse usage error.
+# Flags a run may add, overriding the values above; each run draws only
+# flags its command reads (tests of the others: the rc 2 tests above).
 _OPTIONAL = {
     "--metric": _choice("euclidean", "klein", "funk_parallel", "nope"),
     "--dim": _choice("2", "3", "1", "-1", "1000"),
@@ -827,13 +929,14 @@ _OPTIONAL = {
     "--cmu": _choice("0,0.2", "nan,1"),
     "--f": _choice("1", "1+r*r", "exp(r)", "0", "log(r-5)"),
     "--P": _choice("0", "r*s/10", "s*s", "1/(r-r)"),
+    "--samples": _choice("10", "9", "-1"),
     "--seed": _int(-2, 2 ** 64) | _FLOAT,
     "--radius": _FLOAT,
     "--tol": _FLOAT,
     # output paths the run rejects before computing: nothing is written
     "--out": st.sampled_from(("/nonexistent-dir/r.json", ".")),
     "--format": _choice("json", "csv", "xml"),
-    # accepted in 1..MAX_THREADS with no effect, rc 2 outside it
+    # scan accepts it in 1..MAX_THREADS with no effect, rc 2 outside it
     "--threads": _choice("1", "2", str(MAX_THREADS), "0", "-4",
                          str(MAX_THREADS + 1), "10000"),
     "--x-points": _int(-2, 4) | _FLOAT,
@@ -848,10 +951,12 @@ _OPTIONAL = {
 @st.composite
 def _argvs(draw):
     command = draw(st.sampled_from(sorted(_COMMAND)))
+    optional = sorted(f for f in _OPTIONAL
+                      if f[2:].replace("-", "_") in config.ACCEPTED[command])
     flags = list(_COMMAND[command].items()) + [
         (f, _OPTIONAL[f]) for f in draw(st.lists(
-            st.sampled_from(sorted(_OPTIONAL)), max_size=2, unique=True))]
-    argv = [command, "--samples", "10"]
+            st.sampled_from(optional), max_size=2, unique=True))]
+    argv = [command]
     for flag, values in flags:
         argv += [flag, draw(values)]
     return argv

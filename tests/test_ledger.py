@@ -65,3 +65,25 @@ def test_ledger_row_prints_its_lines(row):
     for want in _items(lines):
         assert any(line.startswith(want) for line in printed), \
             f"row {number}: no summary line starts with {want!r}"
+
+
+@pytest.mark.parametrize("argv,answer", [
+    ("scan --metric klein --rows curvature --x-points 3 --y-samples 8",
+     ["branch: pointwise", "obstructed: True"]),
+    ("scan --phi berwald_classic --rows curvature --x-points 3 "
+     "--y-samples 8", ["branch: inconclusive", "obstructed: False"]),
+], ids=["klein", "berwald_classic"])
+def test_scan_answers_in_its_verdict_lines_alone(argv, answer):
+    # every kernel_at_x<i> record prints [PASS] with the kernel dimension
+    # as its residual, and scan exits 0 whatever the kernel: only the
+    # branch: and obstructed: lines carry its answer
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv.split())
+    assert rc == 0
+    lines = out.getvalue().splitlines()
+    records = [line for line in lines if " kernel_at_x" in line]
+    assert len(records) == 3
+    assert all(line.startswith("[PASS] kernel_at_x") for line in records)
+    assert [line for line in lines
+            if line.startswith(("branch:", "obstructed:"))] == answer
